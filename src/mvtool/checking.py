@@ -364,6 +364,8 @@ def check_sequent(model, seq: S.Sequent, bound: int, *,
     """
     if bound < 1:
         raise ValueError("bound must be >= 1")
+    if exists_bound is not None and exists_bound < 1:
+        raise ValueError("exists_bound must be >= 1")
     if model.signature not in seq.signatures():
         raise SignatureError(
             f"sequent is over {sorted(seq.signatures())} but model "

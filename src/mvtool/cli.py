@@ -376,6 +376,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     if config.bound < 1:
         parser.error("--bound must be >= 1")
+    if config.exists_bound is not None and config.exists_bound < 1:
+        parser.error("--exists-bound must be >= 1")
     try:
         code, report = run(config)
     except (DescriptorError, UnknownLabelError, CarrierCapExceededError,

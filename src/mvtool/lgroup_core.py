@@ -81,6 +81,26 @@ class LGroup:
     def window_size(self, bound: int) -> int:
         return len(self.enumerate(bound))
 
+    def interval(self, bound: int, lo=None, hi=None) -> list:
+        """The elements x of ``enumerate(bound)`` with lo <= x <= hi, in
+        ``enumerate`` order; ``None`` leaves that side open.
+
+        The order is part of the contract, because the first
+        counterexample a check reports depends on it: a carrier that
+        builds the interval directly must return exactly this filter's
+        list.  This filter is the reference and the fallback for carriers
+        without a direct version.
+        """
+        return [
+            x for x in self.enumerate(bound)
+            if (lo is None or self.leq(lo, x)) and (hi is None or self.leq(x, hi))
+        ]
+
+    def interval_size(self, bound: int, lo=None, hi=None) -> int:
+        """``len(interval(bound, lo, hi))``, counted without building the
+        interval where the carrier has a closed form."""
+        return len(self.interval(bound, lo, hi))
+
     def validate(self, x) -> None:
         raise NotImplementedError
 
@@ -92,6 +112,13 @@ class LGroup:
 
     def __repr__(self):
         return f"<{type(self).__name__} {self.descriptor()}>"
+
+
+def _clipped_range(bound: int, lo, hi) -> range:
+    """The integers of [-bound, bound] within [lo, hi], ascending."""
+    start = -bound if lo is None else max(-bound, lo)
+    stop = bound if hi is None else min(bound, hi)
+    return range(start, stop + 1)
 
 
 class ZGroup(LGroup):
@@ -121,6 +148,12 @@ class ZGroup(LGroup):
 
     def window_size(self, bound):
         return 2 * bound + 1
+
+    def interval(self, bound, lo=None, hi=None):
+        return list(_clipped_range(bound, lo, hi))
+
+    def interval_size(self, bound, lo=None, hi=None):
+        return len(_clipped_range(bound, lo, hi))
 
     def validate(self, x):
         if not isinstance(x, int) or isinstance(x, bool):
@@ -163,6 +196,24 @@ class ZnGroup(LGroup):
 
     def window_size(self, bound):
         return (2 * bound + 1) ** self.rank
+
+    def _coordinate_ranges(self, bound, lo, hi) -> list:
+        return [
+            _clipped_range(bound, None if lo is None else lo[i],
+                           None if hi is None else hi[i])
+            for i in range(self.rank)
+        ]
+
+    def interval(self, bound, lo=None, hi=None):
+        # A pointwise interval is the box of per-coordinate intervals;
+        # product() walks it in the same order as enumerate().
+        return list(itertools.product(*self._coordinate_ranges(bound, lo, hi)))
+
+    def interval_size(self, bound, lo=None, hi=None):
+        size = 1
+        for rng in self._coordinate_ranges(bound, lo, hi):
+            size *= len(rng)
+        return size
 
     def validate(self, x):
         if not isinstance(x, tuple) or len(x) != self.rank:
@@ -225,6 +276,37 @@ class LexGroup(LGroup):
 
     def window_size(self, bound):
         return (2 * bound + 1) * self.tail.window_size(bound)
+
+    def _head_slices(self, bound, lo, hi):
+        """(heads, tail lo, tail hi) blocks of the lexicographic interval
+        [lo, hi], by ascending head: the head equal to lo.head bounds the
+        tail below by lo.tail, the head equal to hi.head bounds it above
+        by hi.tail, and every head strictly between takes every tail."""
+        heads = _clipped_range(bound, None if lo is None else lo.head,
+                               None if hi is None else hi.head)
+        if not heads:
+            return []
+        first, last = heads[0], heads[-1]
+        tail_lo = lo.tail if lo is not None and lo.head == first else None
+        tail_hi = hi.tail if hi is not None and hi.head == last else None
+        if first == last:
+            return [(heads, tail_lo, tail_hi)]
+        return [(range(first, first + 1), tail_lo, None),
+                (range(first + 1, last), None, None),
+                (range(last, last + 1), None, tail_hi)]
+
+    def interval(self, bound, lo=None, hi=None):
+        out = []
+        for heads, tail_lo, tail_hi in self._head_slices(bound, lo, hi):
+            if not heads:
+                continue
+            tails = self.tail.interval(bound, tail_lo, tail_hi)
+            out.extend(LexPair(h, t) for h in heads for t in tails)
+        return out
+
+    def interval_size(self, bound, lo=None, hi=None):
+        return sum(len(heads) * self.tail.interval_size(bound, tail_lo, tail_hi)
+                   for heads, tail_lo, tail_hi in self._head_slices(bound, lo, hi))
 
     def validate(self, x):
         if not isinstance(x, LexPair):
@@ -469,8 +551,7 @@ class PositiveConeMonoid(LMonoid):
         return self.group.sub(x, y)
 
     def enumerate(self, bound):
-        z = self.group.zero
-        return [g for g in self.group.enumerate(bound) if self.group.leq(z, g)]
+        return self.group.interval(bound, self.group.zero)
 
     def validate(self, x):
         self.group.validate(x)

@@ -52,7 +52,9 @@ class MvAlgebra:
     """MV-algebra interface: a carrier with oplus, neg and 0.
 
     The derived operations (odot, sup, inf, the natural order, the
-    distance d) are defined once here from oplus and neg.
+    distance d) are defined once here from oplus and neg.  They are the
+    reference: a carrier overrides one with a direct formula only where
+    a test proves the two equal on the carrier (see ``GammaAlgebra``).
     """
 
     signature = "mv"
@@ -215,6 +217,16 @@ class GammaAlgebra(MvAlgebra):
     The defining formulas are the standard truncation ones; they are
     validated by the invariant that the lexicographic instance
     Gamma(Z x_lex G, (1, 0)) reproduces the Sigma(G) carrier.
+
+    The derived operations are computed directly in the group, by
+    Mundici's Gamma functor, instead of through oplus and neg: the
+    natural order and the lattice operations are the group's own
+    ``leq``, ``inf`` and ``sup``; x odot y = sup(0, x + y - u); and
+    d(x, y) = |x - y| = sup(x - y, y - x).  Each equals the
+    ``MvAlgebra`` derivation on [0, u], which stays the reference.
+
+    ``enumerate(b)`` is ``group.interval(b, 0, u)``: the elements of the
+    group window that lie in [0, u], in the group's ``enumerate`` order.
     """
 
     carrier_kind = "gamma"
@@ -242,13 +254,28 @@ class GammaAlgebra(MvAlgebra):
     def neg(self, x):
         return self.group.sub(self.unit, x)
 
-    def enumerate(self, bound):
+    def odot(self, x, y):
         g = self.group
-        z = g.zero
-        return [
-            x for x in g.enumerate(bound)
-            if g.leq(z, x) and g.leq(x, self.unit)
-        ]
+        return g.sup(g.zero, g.sub(g.add(x, y), self.unit))
+
+    def sup(self, x, y):
+        return self.group.sup(x, y)
+
+    def inf(self, x, y):
+        return self.group.inf(x, y)
+
+    def leq(self, x, y):
+        return self.group.leq(x, y)
+
+    def d(self, x, y):
+        g = self.group
+        return g.sup(g.sub(x, y), g.sub(y, x))
+
+    def enumerate(self, bound):
+        return self.group.interval(bound, self.group.zero, self.unit)
+
+    def window_size(self, bound):
+        return self.group.interval_size(bound, self.group.zero, self.unit)
 
     def carrier(self):
         # Finite exactly when the interval [0, u] is: pointwise carriers
@@ -289,7 +316,15 @@ def _interval_carrier(group: LGroup, unit) -> Optional[list]:
 class SigmaAlgebra(GammaAlgebra):
     """Sigma(G) = Gamma(Z x_lex G, (1, 0)): the perfect MV-algebra whose
     radical is the tagged positive cone (0, g >= 0) and whose coradical
-    is (1, g <= 0)."""
+    is (1, g <= 0).
+
+    It inherits Gamma's direct operations over Z x_lex G: leq, inf and
+    sup are lexicographic, x odot y = sup(0, x + y - (1, 0)) and
+    d(x, y) = sup(x - y, y - x).  ``enumerate(b)`` walks the heads 0
+    and 1 of the lexicographic interval [(0, 0), (1, 0)]: the tails
+    g >= 0 of ``G.enumerate(b)`` under head 0, then the tails g <= 0
+    under head 1, each in ``G.enumerate`` order.
+    """
 
     carrier_kind = "sigma"
 
@@ -393,6 +428,21 @@ class PointedAlgebra(MvAlgebra):
 
     def neg(self, x):
         return self.algebra.neg(x)
+
+    def odot(self, x, y):
+        return self.algebra.odot(x, y)
+
+    def sup(self, x, y):
+        return self.algebra.sup(x, y)
+
+    def inf(self, x, y):
+        return self.algebra.inf(x, y)
+
+    def leq(self, x, y):
+        return self.algebra.leq(x, y)
+
+    def d(self, x, y):
+        return self.algebra.d(x, y)
 
     def enumerate(self, bound):
         return self.algebra.enumerate(bound)

@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+import mvtool as mv
 from mvtool import cli
 
 
@@ -54,6 +55,13 @@ def test_usage_errors(capsys):
         run_cli("check", "--model", "C")  # missing --sequent
     assert exc.value.code == 64
     capsys.readouterr()
+    for argv in (("check", "--model", "C", "--sequent", "MV.1"),
+                 ("check", "--model", "PosCone(Z^2)", "--sequent", "M.14"),
+                 ("check-family", "--model", "C", "--sequents", "MV.1")):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(*argv, "--bound", "3", "--exists-bound", "-5")
+        assert exc.value.code == 64
+        assert "--exists-bound must be >= 1" in capsys.readouterr().err
 
 
 def test_carrier_cap(capsys, monkeypatch):
@@ -64,6 +72,20 @@ def test_carrier_cap(capsys, monkeypatch):
     assert run_cli("check", "--model", "Prod(C,C)", "--sequent", "MV.2",
                    "--bound", "3") == 0
     capsys.readouterr()
+
+
+def test_carrier_cap_counts_intervals_without_enumerating(capsys, monkeypatch):
+    def refuse(self, bound):
+        raise AssertionError(f"{self.descriptor()} enumerated at bound {bound}")
+
+    for group in (mv.ZGroup, mv.ZnGroup, mv.LexGroup):
+        monkeypatch.setattr(group, "enumerate", refuse)
+        monkeypatch.setattr(group, "interval", refuse)
+    monkeypatch.delenv("MVTOOL_MAX_CARRIER", raising=False)
+    for model in ("Sigma(Z^2)", "Gamma(Lex(Z,Z),(3,-1))", "Pointed(Sigma(Z),(0,1))"):
+        assert run_cli("check", "--model", model, "--sequent", "MV.1",
+                       "--bound", str(10 ** 6)) == 64
+        assert "above the cap" in capsys.readouterr().err
 
 
 def test_check_family_json(capsys):

@@ -193,10 +193,36 @@ def test_window_size_matches_enumeration():
                 mv.grothendieck_group(N), mv.ChangAlgebra(),
                 mv.FiniteChainAlgebra(3), mv.sigma(Z2),
                 mv.ProductAlgebra([mv.ChangAlgebra(), mv.FiniteChainAlgebra(1)]),
-                mv.gamma(Z, 4)]
+                mv.gamma(Z, 4), mv.gamma(Z2, (2, 1)), mv.sigma(LexZZ),
+                mv.gamma(LexZZ, LexPair(2, -1)),
+                mv.PointedAlgebra(mv.sigma(Z2), LexPair(0, (1, 1)))]
     for M in carriers:
         for b in (1, 3):
             assert M.window_size(b) == len(M.enumerate(b)), M.descriptor()
+
+
+def test_interval_equals_the_window_filter():
+    # Open and closed sides, empty intervals (lo > hi), and endpoints
+    # beyond the window; the order must match enumerate() exactly.
+    Z3 = mv.ZnGroup(3)
+    LexZZ2 = mv.LexGroup(mv.ZnGroup(2))
+    endpoints = {
+        Z: [-2, 0, 3],
+        Z3: [(0, 0, 0), (1, -1, 2), (-2, 0, 1)],
+        LexZZ2: [LexPair(0, (0, 0)), LexPair(0, (2, 1)), LexPair(1, (-1, 2)),
+                 LexPair(-1, (1, 0)), LexPair(3, (-3, 3))],
+    }
+    for G, points in endpoints.items():
+        for b in range(4):
+            window = G.enumerate(b)
+            for lo in [None] + points:
+                for hi in [None] + points:
+                    expect = [x for x in window
+                              if (lo is None or G.leq(lo, x))
+                              and (hi is None or G.leq(x, hi))]
+                    got = G.interval(b, lo, hi)
+                    assert got == expect, (G.descriptor(), b, lo, hi)
+                    assert G.interval_size(b, lo, hi) == len(expect)
 
 
 def test_trivial_group_is_rank_zero():

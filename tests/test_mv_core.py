@@ -7,6 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import mvtool as mv
+from mvtool.lgroup_core import LexPair
 from mvtool.verdicts import Finite, NoneUpTo
 
 C = mv.ChangAlgebra()
@@ -224,3 +225,40 @@ def test_pointed_algebra_descriptor_and_delegation():
     assert P.unit == mv.Fin(1)
     assert P.oplus(mv.Fin(1), mv.Fin(2)) == mv.Fin(3)
     assert P.descriptor() == "Pointed(C,1c)"
+
+
+# ---------------------------------------------------------------------------
+# Gamma/Sigma compute their derived operations and their window directly;
+# the MvAlgebra derivations and the group-window filter are the reference.
+# ---------------------------------------------------------------------------
+
+_Z, _Z2, _LEX_ZZ = mv.ZGroup(), mv.ZnGroup(2), mv.LexGroup(mv.ZGroup())
+INTERVAL_CARRIERS = [
+    mv.sigma(_Z),
+    mv.sigma(_Z2),
+    mv.sigma(_LEX_ZZ),
+    mv.gamma(_Z, 2),
+    mv.gamma(_Z2, (2, 1)),
+    mv.gamma(_LEX_ZZ, LexPair(1, 0)),
+    mv.gamma(_LEX_ZZ, LexPair(2, -1)),
+    mv.PointedAlgebra(mv.sigma(_Z2), LexPair(0, (1, 1))),
+]
+
+
+@pytest.mark.parametrize("A", INTERVAL_CARRIERS, ids=lambda A: A.descriptor())
+@given(data=st.data())
+def test_direct_operations_equal_the_derived_ones(A, data):
+    window = A.enumerate(data.draw(st.integers(1, 10), label="bound"))
+    x = data.draw(st.sampled_from(window), label="x")
+    y = data.draw(st.sampled_from(window), label="y")
+    for op in ("odot", "inf", "sup", "leq", "d"):
+        assert getattr(A, op)(x, y) == getattr(mv.MvAlgebra, op)(A, x, y), op
+
+
+def test_interval_enumeration_keeps_the_window_filter_order():
+    for A in INTERVAL_CARRIERS:
+        inner = getattr(A, "algebra", A)
+        g, u = inner.group, inner.unit
+        for b in range(1, 6):
+            old = [x for x in g.enumerate(b) if g.leq(g.zero, x) and g.leq(x, u)]
+            assert A.enumerate(b) == old, (A.descriptor(), b)

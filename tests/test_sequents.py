@@ -153,14 +153,29 @@ def test_check_sequent_examples():
     v = check_sequent(L2, registry.lookup("xi"), 3)
     assert isinstance(v, CounterExample) and v.env == {"x": 1}
     assert check_sequent(C, mv.parse_sequent("true |-[x] x = x"), 5).ok
+    for bad in ({"bound": 0}, {"bound": 3, "exists_bound": 0},
+                {"bound": 3, "exists_bound": -5}):
+        with pytest.raises(ValueError):
+            check_sequent(C, registry.lookup("MV.1"), **bad)
 
 
 def test_engine_parity_on_registry():
-    models = {
+    _assert_engine_parity({
         "mv": [C, B, L2, CC],
         "lgroup": [Z, mv.ZnGroup(2)],
         "monoid": [N, mv.NnMonoid(2)],
-    }
+    })
+
+
+def test_engine_parity_on_interval_carriers():
+    _assert_engine_parity({"mv": [
+        mv.parse_model(d) for d in ("Sigma(Z^2)", "Gamma(Z^2,(2,1))",
+                                    "Gamma(Lex(Z,Z),(2,-1))",
+                                    "Pointed(Sigma(Z^2),(0,(1,1)))")
+    ]})
+
+
+def _assert_engine_parity(models):
     for label, seq in registry.named_sequents().items():
         sigs = seq.signatures()
         for sig in sigs:
