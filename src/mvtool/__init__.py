@@ -32,7 +32,6 @@ from .lgroup_core import (
     ZnGroup,
     abs_val,
     canon_pair,
-    check_monoid_axioms,
     grothendieck_group,
     neg_part,
     pos_part,
@@ -51,8 +50,6 @@ from .mv_core import (
     ProductAlgebra,
     SigmaAlgebra,
     boolean_skeleton_generators,
-    check_chang_variety,
-    check_perfect,
     coradical_membership,
     derived_ops,
     is_boolean,
@@ -65,7 +62,6 @@ from .equivalence import (
     RadicalMonoid,
     RadPairGroup,
     SigmaElem,
-    ant_check,
     beta_A,
     beta_A_inverse,
     beta_roundtrip_report,
@@ -94,7 +90,11 @@ from .sequents import (
 )
 from .checking import check_sequent, eval_term
 from .registry import (
+    ant_check,
+    check_chang_variety,
     check_family,
+    check_monoid_axioms,
+    check_perfect,
     lookup,
     named_sequents,
     registered_models,

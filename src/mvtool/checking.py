@@ -23,6 +23,7 @@ import numpy as np
 
 from . import sequents as S
 from .errors import SignatureError, UnboundVariableError
+from .mv_core import mv_power
 from .verdicts import CounterExample, Holds, InconclusiveAtBound, Verdict
 
 # Grids larger than this are chunked along the first context axis.
@@ -84,7 +85,7 @@ def _eval(M, t, env, scalars):
         n = t.coeff if isinstance(t.coeff, int) else scalars[t.coeff]
         return _nat_scalar(M, n, _eval(M, t.arg, env, scalars))
     if isinstance(t, S.MvPower):
-        return _mv_power(M, _eval(M, t.arg, env, scalars), t.n)
+        return mv_power(M, _eval(M, t.arg, env, scalars), t.n)
     raise TypeError(f"not a term: {t!r}")
 
 
@@ -102,13 +103,6 @@ def _nat_scalar(M, n, x):
     acc = M.zero
     for _ in range(n):
         acc = plus(acc, x)
-    return acc
-
-
-def _mv_power(M, x, n):
-    acc = M.one
-    for _ in range(n):
-        acc = M.odot(acc, x)
     return acc
 
 
@@ -285,7 +279,7 @@ class _VectorEval:
             n = t.coeff if isinstance(t.coeff, int) else self.scalars[t.coeff]
             return self._unary_table(lambda v: _nat_scalar(M, n, v), self.term(t.arg))
         if isinstance(t, S.MvPower):
-            return self._unary_table(lambda v: _mv_power(M, v, t.n), self.term(t.arg))
+            return self._unary_table(lambda v: mv_power(M, v, t.n), self.term(t.arg))
         raise TypeError(f"not a term: {t!r}")
 
     # -- formulas ------------------------------------------------------------------
@@ -353,6 +347,11 @@ class _VectorEval:
 # ---------------------------------------------------------------------------
 
 
+def searches(seq: S.Sequent) -> bool:
+    """Whether checking ``seq`` reads an existential search window."""
+    return _exists_depth(seq.antecedent) > 0 or _exists_depth(seq.consequent) > 0
+
+
 def check_sequent(model, seq: S.Sequent, bound: int, *,
                   exists_bound: Optional[int] = None,
                   engine: str = "auto") -> Verdict:
@@ -372,7 +371,9 @@ def check_sequent(model, seq: S.Sequent, bound: int, *,
             f"{model.descriptor()} has signature {model.signature}"
         )
     ctx_enum = model.enumerate(bound)
-    search = model.enumerate(exists_bound) if exists_bound is not None else ctx_enum
+    search = ctx_enum
+    if exists_bound is not None and searches(seq):
+        search = model.enumerate(exists_bound)
 
     k = len(seq.context)
     cells = len(ctx_enum) ** k
@@ -433,8 +434,6 @@ def _check_vector(model, seq, ctx_enums, search, bound) -> Verdict:
         arr = np.asarray(arr)
         if arr.ndim > k:
             arr = arr[(...,) + (0,) * (arr.ndim - k)]
-        if arr.ndim == 0:
-            return np.broadcast_to(arr, grid)
         return np.broadcast_to(arr, grid)
 
     bad = to_grid(av) & ~to_grid(cv)

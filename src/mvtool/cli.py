@@ -21,7 +21,7 @@ from typing import List, Optional
 
 from . import decompose as dec
 from . import registry
-from .checking import check_sequent
+from .checking import check_sequent, searches
 from .descriptors import (
     _split_args,
     parse_group,
@@ -30,7 +30,7 @@ from .descriptors import (
     parse_mv,
     parse_mv_element,
 )
-from .equivalence import ant_check, beta_roundtrip_report, phi_roundtrip_report
+from .equivalence import beta_roundtrip_report, phi_roundtrip_report
 from .errors import (
     CarrierCapExceededError,
     DecompositionError,
@@ -87,6 +87,13 @@ def _guard_cap(model, bound: int) -> None:
             f"{model.descriptor()} enumerates {size} elements at bound "
             f"{bound}, above the cap of {cap} (override with MVTOOL_MAX_CARRIER)"
         )
+
+
+def _guard_search(model, sequents, search_bound: int) -> None:
+    """Apply the cap to the existential search window as well, when one
+    of the sequents reads it."""
+    if any(searches(seq) for seq in sequents):
+        _guard_cap(model, search_bound)
 
 
 def _verdict_json(v: Verdict, fmt) -> dict:
@@ -149,6 +156,8 @@ def _run_check(config: RunConfig):
     model = parse_model(config.model)
     _guard_cap(model, config.bound)
     seq, label = _load_sequent(config.sequent)
+    if config.exists_bound is not None:
+        _guard_search(model, [seq], config.exists_bound)
     verdict = check_sequent(model, seq, config.bound,
                             exists_bound=config.exists_bound)
     report = {
@@ -164,6 +173,11 @@ def _run_check(config: RunConfig):
 def _run_check_family(config: RunConfig):
     model = parse_model(config.model)
     _guard_cap(model, config.bound)
+    # check_family searches existentials at twice the bound by default.
+    search_bound = (2 * config.bound if config.exists_bound is None
+                    else config.exists_bound)
+    _guard_search(model, [registry.lookup(label) for label in config.sequents],
+                  search_bound)
     fam = registry.check_family(model, config.sequents, config.bound,
                                 exists_bound=config.exists_bound)
     results = {}
@@ -223,7 +237,7 @@ def _run_ant_check(config: RunConfig):
     G = parse_group(config.group)
     _guard_cap(G, config.bound)
     unit = parse_group_element(G, config.unit)
-    verdict = ant_check(G, unit, config.bound)
+    verdict = registry.ant_check(G, unit, config.bound)
     report = {
         "group": G.descriptor(),
         "unit": G.format_element(unit),

@@ -19,9 +19,9 @@ from .mv_core import (
     MvAlgebra,
     ProductAlgebra,
     boolean_skeleton_generators,
-    check_perfect,
     is_boolean,
 )
+from .registry import check_perfect
 from .verdicts import CounterExample, Holds, Verdict
 
 

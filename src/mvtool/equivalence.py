@@ -10,7 +10,8 @@ the two are inverse to each other, exactly, on bounded windows.
 
 from __future__ import annotations
 
-from typing import Callable, Tuple
+from functools import partial
+from typing import Callable, Sequence, Tuple
 
 from .errors import CarrierMismatchError, NotPerfectError, PreconditionError
 from .lgroup_core import (
@@ -23,17 +24,18 @@ from .lgroup_core import (
     grothendieck_group,
     neg_part,
     pos_part,
+    positive_cone,
     strong_unit_check,
 )
 from .mv_core import (
     GammaAlgebra,
     MvAlgebra,
     SigmaAlgebra,
-    check_perfect,
     nat_scalar,
     radical_membership,
 )
-from .verdicts import CounterExample, Holds, Verdict
+from .registry import check_perfect
+from .verdicts import CounterExample
 
 SigmaElem = LexPair  # Rad(g) is (0, g) with g >= 0; Corad(g) is (1, g) with g <= 0.
 
@@ -169,11 +171,12 @@ def beta_A_inverse(A: MvAlgebra, s: SigmaElem):
     raise CarrierMismatchError(f"{s!r} is not in the image of beta")
 
 
-class RadPairGroup(LGroup):
-    """Group structure on radical pairs (u, v) with inf(u, v) = 0,
-    computed componentwise.
+class RadPairGroup(GrothendieckGroup):
+    """Group structure on radical pairs (u, v) with inf(u, v) = 0: the
+    Grothendieck group of the radical monoid, except for the lattice
+    operations.
 
-    The lattice operations use the positive/negative-part identities
+    These use the positive/negative-part identities
     inf(x, y)+ = inf(x+, y+), inf(x, y)- = sup(x-, y-) (and dually for
     sup), which is an independent route from the Grothendieck-group
     formulas; agreement of the two is a tested invariant.
@@ -186,20 +189,8 @@ class RadPairGroup(LGroup):
                 f"{algebra.descriptor()} is not perfect at bound {check_bound}",
                 counterexample=report.verdict,
             )
+        super().__init__(RadicalMonoid(algebra))
         self.algebra = algebra
-        self.monoid = RadicalMonoid(algebra)
-
-    @property
-    def zero(self):
-        z = self.monoid.zero
-        return CanonPair(z, z)
-
-    def add(self, x, y):
-        m = self.monoid
-        return canon_pair(m, m.add(x.u, y.u), m.add(x.v, y.v))
-
-    def negate(self, x):
-        return CanonPair(x.v, x.u)
 
     def inf(self, x, y):
         m = self.monoid
@@ -208,30 +199,6 @@ class RadPairGroup(LGroup):
     def sup(self, x, y):
         m = self.monoid
         return CanonPair(m.sup(x.u, y.u), m.inf(x.v, y.v))
-
-    def leq(self, x, y):
-        return self.inf(x, y) == x
-
-    def enumerate(self, bound):
-        m = self.monoid
-        seen = set()
-        out = []
-        window = m.enumerate(bound)
-        for x in window:
-            for y in window:
-                p = canon_pair(m, x, y)
-                if p not in seen:
-                    seen.add(p)
-                    out.append(p)
-        return out
-
-    def validate(self, x):
-        if not isinstance(x, CanonPair):
-            raise CarrierMismatchError(f"{x!r} is not a pair")
-        self.monoid.validate(x.u)
-        self.monoid.validate(x.v)
-        if self.monoid.inf(x.u, x.v) != self.monoid.zero:
-            raise CarrierMismatchError(f"{x!r} is not canonical")
 
     def descriptor(self):
         return f"RadPairs({self.algebra.descriptor()})"
@@ -294,25 +261,6 @@ def delta_star(A: MvAlgebra, a, bound: int = 4) -> Tuple[GrothendieckGroup, Cano
     return group, CanonPair(a, A.zero)
 
 
-def ant_check(G: LGroup, u, bound: int) -> Verdict:
-    """Check the two antiarchimedean sequents on the unit interval
-    [0, u] enumerated at ``bound``.
-
-    Holds exactly for units realizing a lexicographic product with Z in
-    front; Gamma(Z, 2) already fails at x = 1.
-    """
-    interval = gamma(G, u)
-    two = lambda t: G.add(t, t)
-    for x in interval.enumerate(bound):
-        lhs = G.sup(G.zero, G.sub(two(G.inf(two(x), u)), u))
-        rhs = G.inf(u, two(G.sup(G.sub(two(x), u), G.zero)))
-        if lhs != rhs:
-            return CounterExample(x, axiom="Ant.1")
-        if G.inf(two(x), u) == x and x != G.zero and x != u:
-            return CounterExample(x, axiom="Ant.2")
-    return Holds()
-
-
 # ---------------------------------------------------------------------------
 # Round-trip verification
 # ---------------------------------------------------------------------------
@@ -349,128 +297,81 @@ def _bijection_failures(fmt_dom, fmt_cod, image: dict, codomain: list,
     return failures
 
 
+def _roundtrip_report(direction: str, src, target, forward: Callable,
+                      inverse: Callable, unary_ops: Sequence[str],
+                      binary_ops: Sequence[str], bound: int) -> dict:
+    """Verify that ``forward`` is a bijective homomorphism from the window
+    of ``src`` onto ``target`` with inverse ``inverse``.
+
+    Each operation name is a method of both carriers: a unary ``op``
+    must satisfy forward(src.op(x)) = target.op(forward(x)) on the
+    window, and a binary one the same on every pair.  Returns counts and
+    a list of failures (empty on success).
+    """
+    window = src.enumerate(bound)
+    fmt = src.format_element
+    image = {x: forward(x) for x in window}
+    failures = _bijection_failures(fmt, target.format_element, image,
+                                   target.enumerate(bound), inverse, forward)
+    unary = [(op, getattr(src, op), getattr(target, op)) for op in unary_ops]
+    binary = [(op, getattr(src, op), getattr(target, op)) for op in binary_ops]
+    for x in window:
+        if inverse(image[x]) != x:
+            failures.append({"kind": "inverse", "element": fmt(x)})
+        for op, src_op, target_op in unary:
+            if forward(src_op(x)) != target_op(image[x]):
+                failures.append({"kind": op, "element": fmt(x)})
+    checked_pairs = 0
+    for x in window:
+        for y in window:
+            checked_pairs += 1
+            for op, src_op, target_op in binary:
+                if forward(src_op(x, y)) != target_op(image[x], image[y]):
+                    failures.append({"kind": op, "elements": [fmt(x), fmt(y)]})
+    return {"direction": direction, "model": src.descriptor(), "bound": bound,
+            "checked_pairs": checked_pairs, "failures": failures}
+
+
+_GROUP_OPS = ("add", "inf", "sup")
+
+
 def phi_roundtrip_report(G: LGroup, bound: int) -> dict:
     """Verify that phi_G is a bijective homomorphism of groups with
     lattice structure between the windows of G and Delta(Sigma(G)), and
-    that its inverse undoes it.  Returns counts and a list of failures
-    (empty on success)."""
-    window = G.enumerate(bound)
-    target = delta(sigma(G))
-    fmt = G.format_element
-    image = {g: phi_G(G, g) for g in window}
-    failures = _bijection_failures(fmt, target.format_element, image,
-                                   target.enumerate(bound),
-                                   lambda p: phi_G_inverse(G, p),
-                                   lambda g: phi_G(G, g))
-    for g in window:
-        if phi_G_inverse(G, image[g]) != g:
-            failures.append({"kind": "inverse", "element": fmt(g)})
-    checked_pairs = 0
-    for g in window:
-        if image[G.negate(g)] != target.negate(image[g]):
-            failures.append({"kind": "negate", "element": fmt(g)})
-        for h in window:
-            checked_pairs += 1
-            pg, ph = image[g], image[h]
-            if phi_G(G, G.add(g, h)) != target.add(pg, ph):
-                failures.append({"kind": "add", "elements": [fmt(g), fmt(h)]})
-            if phi_G(G, G.inf(g, h)) != target.inf(pg, ph):
-                failures.append({"kind": "inf", "elements": [fmt(g), fmt(h)]})
-            if phi_G(G, G.sup(g, h)) != target.sup(pg, ph):
-                failures.append({"kind": "sup", "elements": [fmt(g), fmt(h)]})
-    return {"direction": "group", "model": G.descriptor(), "bound": bound,
-            "checked_pairs": checked_pairs, "failures": failures}
+    that its inverse undoes it."""
+    return _roundtrip_report("group", G, delta(sigma(G)), partial(phi_G, G),
+                             partial(phi_G_inverse, G), ("negate",),
+                             _GROUP_OPS, bound)
 
 
 def beta_roundtrip_report(A: MvAlgebra, bound: int) -> dict:
     """Verify that beta_A is a bijective MV-homomorphism between the
     windows of A and Sigma(Delta(A))."""
-    window = A.enumerate(bound)
-    target = sigma(delta(A))
-    fmt = A.format_element
-    image = {x: beta_A(A, x) for x in window}
-    failures = _bijection_failures(fmt, target.format_element, image,
-                                   target.enumerate(bound),
-                                   lambda s: beta_A_inverse(A, s),
-                                   lambda x: beta_A(A, x))
-    for x in window:
-        if beta_A_inverse(A, image[x]) != x:
-            failures.append({"kind": "inverse", "element": fmt(x)})
-        if image.get(A.neg(x), beta_A(A, A.neg(x))) != target.neg(image[x]):
-            failures.append({"kind": "neg", "element": fmt(x)})
-    checked_pairs = 0
-    for x in window:
-        for y in window:
-            checked_pairs += 1
-            if beta_A(A, A.oplus(x, y)) != target.oplus(image[x], image[y]):
-                failures.append({"kind": "oplus", "elements": [fmt(x), fmt(y)]})
-    return {"direction": "algebra", "model": A.descriptor(), "bound": bound,
-            "checked_pairs": checked_pairs, "failures": failures}
+    return _roundtrip_report("algebra", A, sigma(delta(A)), partial(beta_A, A),
+                             partial(beta_A_inverse, A), ("neg",), ("oplus",),
+                             bound)
 
 
 def chi_roundtrip_report(G: LGroup, bound: int) -> dict:
     """Verify chi_G: g -> [g+, g-] as an isomorphism onto the
     Grothendieck group of the positive cone."""
-    from .lgroup_core import positive_cone, grothendieck_group
-
-    window = G.enumerate(bound)
-    target = grothendieck_group(positive_cone(G))
-    fmt = G.format_element
 
     def chi(g):
         return CanonPair(pos_part(G, g), neg_part(G, g))
 
-    image = {g: chi(g) for g in window}
-    failures = _bijection_failures(fmt, target.format_element, image,
-                                   target.enumerate(bound),
-                                   lambda p: G.sub(p.u, p.v), chi)
-    checked_pairs = 0
-    for g in window:
-        if chi(G.negate(g)) != target.negate(image[g]):
-            failures.append({"kind": "negate", "element": fmt(g)})
-        for h in window:
-            checked_pairs += 1
-            if chi(G.add(g, h)) != target.add(image[g], image[h]):
-                failures.append({"kind": "add", "elements": [fmt(g), fmt(h)]})
-            if chi(G.inf(g, h)) != target.inf(image[g], image[h]):
-                failures.append({"kind": "inf", "elements": [fmt(g), fmt(h)]})
-            if chi(G.sup(g, h)) != target.sup(image[g], image[h]):
-                failures.append({"kind": "sup", "elements": [fmt(g), fmt(h)]})
-    return {"direction": "group-to-pairs", "model": G.descriptor(),
-            "bound": bound, "checked_pairs": checked_pairs,
-            "failures": failures}
+    return _roundtrip_report("group-to-pairs", G,
+                             grothendieck_group(positive_cone(G)), chi,
+                             lambda p: G.sub(p.u, p.v), ("negate",),
+                             _GROUP_OPS, bound)
 
 
 def phi_M_roundtrip_report(M: LMonoid, bound: int) -> dict:
     """Verify phi_M: x -> [x, 0] as an isomorphism onto the positive
     cone of the Grothendieck group."""
-    from .lgroup_core import positive_cone, grothendieck_group
-
-    window = M.enumerate(bound)
-    groth = grothendieck_group(M)
-    target = positive_cone(groth)
-    fmt = M.format_element
-
-    def phi_m(x):
-        return CanonPair(x, M.zero)
-
-    image = {x: phi_m(x) for x in window}
-    failures = _bijection_failures(fmt, groth.format_element, image,
-                                   target.enumerate(bound),
-                                   lambda p: p.u, phi_m)
-    checked_pairs = 0
-    for x in window:
-        for y in window:
-            checked_pairs += 1
-            if phi_m(M.add(x, y)) != target.add(image[x], image[y]):
-                failures.append({"kind": "add", "elements": [fmt(x), fmt(y)]})
-            if phi_m(M.inf(x, y)) != target.inf(image[x], image[y]):
-                failures.append({"kind": "inf", "elements": [fmt(x), fmt(y)]})
-            if phi_m(M.sup(x, y)) != target.sup(image[x], image[y]):
-                failures.append({"kind": "sup", "elements": [fmt(x), fmt(y)]})
-    return {"direction": "monoid-to-cone", "model": M.descriptor(),
-            "bound": bound, "checked_pairs": checked_pairs,
-            "failures": failures}
+    return _roundtrip_report("monoid-to-cone", M,
+                             positive_cone(grothendieck_group(M)),
+                             lambda x: CanonPair(x, M.zero), lambda p: p.u,
+                             (), _GROUP_OPS, bound)
 
 
 # ---------------------------------------------------------------------------

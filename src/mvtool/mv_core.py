@@ -15,7 +15,7 @@ from typing import Iterable, Literal, Optional, Sequence
 
 from .errors import CarrierMismatchError, InvalidUnitError
 from .lgroup_core import LexGroup, LexPair, LGroup
-from .verdicts import CounterExample, Finite, Holds, NoneUpTo, Verdict
+from .verdicts import Finite, NoneUpTo
 
 
 @dataclass(frozen=True)
@@ -537,104 +537,3 @@ def boolean_skeleton_generators(A: MvAlgebra, gens: Iterable) -> list:
     """The images (2x)^2 of the generators, which generate the Boolean
     skeleton of a finitely generated Chang-variety algebra."""
     return [mv_power(A, nat_scalar(A, 2, g), 2) for g in gens]
-
-
-def check_chang_variety(A: MvAlgebra, bound: int) -> Verdict:
-    """Check the Chang-variety axioms 2x^2 = (2x)^2 and 2(2x)^2 = (2x)^2
-    over the bounded enumeration."""
-    if bound < 1:
-        raise ValueError("bound must be >= 1")
-    for x in A.enumerate(bound):
-        sq2 = nat_scalar(A, 2, mv_power(A, x, 2))
-        dbl_sq = mv_power(A, nat_scalar(A, 2, x), 2)
-        if sq2 != dbl_sq:
-            return CounterExample(x, axiom="xi")
-        if nat_scalar(A, 2, dbl_sq) != dbl_sq:
-            return CounterExample(x, axiom="P.2")
-    return Holds()
-
-
-class PerfectnessReport:
-    """Outcome of ``check_perfect``: the P.1-P.4 verdict plus the verdict
-    of the equivalent family {P.1, beta}, which must agree on genuine
-    MV-algebras."""
-
-    def __init__(self, verdict: Verdict, p_family: Verdict, beta_family: Verdict):
-        self.verdict = verdict
-        self.p_family = p_family
-        self.beta_family = beta_family
-
-    @property
-    def ok(self) -> bool:
-        return self.verdict.ok
-
-    @property
-    def families_agree(self) -> bool:
-        return self.p_family.ok == self.beta_family.ok
-
-    def __repr__(self):
-        return (
-            f"PerfectnessReport({self.verdict!r}, families_agree="
-            f"{self.families_agree})"
-        )
-
-
-def check_perfect(A: MvAlgebra, bound: int) -> PerfectnessReport:
-    """Check perfectness axioms P.1-P.4 over the bounded enumeration.
-
-    P.3 is checked in its idempotent form x oplus x = x |- x = 0 \\/ x = 1.
-    The report also carries the verdicts of the two provably equivalent
-    families {P.1, P.2, P.3} and {P.1, beta}.
-    """
-    if bound < 1:
-        raise ValueError("bound must be >= 1")
-    elems = A.enumerate(bound)
-    zero, one = A.zero, A.one
-
-    def axiom_p1(x):
-        return nat_scalar(A, 2, mv_power(A, x, 2)) == mv_power(A, nat_scalar(A, 2, x), 2)
-
-    def axiom_p2(x):
-        sq = mv_power(A, nat_scalar(A, 2, x), 2)
-        return nat_scalar(A, 2, sq) == sq
-
-    def axiom_p3(x):
-        if A.oplus(x, x) != x:
-            return True
-        return x == zero or x == one
-
-    def axiom_p4(x):
-        return x != A.neg(x)
-
-    def axiom_beta(x):
-        return A.leq(x, A.neg(x)) or A.leq(A.neg(x), x)
-
-    verdict: Verdict = Holds()
-    for name, ax in (("P.1", axiom_p1), ("P.2", axiom_p2),
-                     ("P.3", axiom_p3), ("P.4", axiom_p4)):
-        for x in elems:
-            if not ax(x):
-                verdict = CounterExample(x, axiom=name)
-                break
-        if not verdict.ok:
-            break
-
-    p_family: Verdict = Holds()
-    for name, ax in (("P.1", axiom_p1), ("P.2", axiom_p2), ("P.3", axiom_p3)):
-        for x in elems:
-            if not ax(x):
-                p_family = CounterExample(x, axiom=name)
-                break
-        if not p_family.ok:
-            break
-
-    beta_family: Verdict = Holds()
-    for name, ax in (("P.1", axiom_p1), ("beta", axiom_beta)):
-        for x in elems:
-            if not ax(x):
-                beta_family = CounterExample(x, axiom=name)
-                break
-        if not beta_family.ok:
-            break
-
-    return PerfectnessReport(verdict, p_family, beta_family)

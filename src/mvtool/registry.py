@@ -13,6 +13,10 @@ unital groups.
 Infinitary disjunctions carry an explicit cap (16); their checks are
 sound for witnessed truth but cannot refute, and the checker reports
 inconclusive-at-bound in that case.
+
+The named axiom checks at the end (``check_perfect``,
+``check_chang_variety``, ``check_monoid_axioms``, ``ant_check``) are
+batches of registry sequents; they restate no formula.
 """
 
 from __future__ import annotations
@@ -22,8 +26,9 @@ from typing import Dict, List, Optional, Tuple
 
 from .checking import check_sequent
 from .errors import UnknownLabelError
+from .lgroup_core import UnitalGroup
 from .sequents import Sequent, parse_sequent
-from .verdicts import Verdict
+from .verdicts import CounterExample, Holds, Verdict
 
 BIGVEE_CAP = 16
 
@@ -338,3 +343,93 @@ def axiom_suite() -> List[Tuple[str, str]]:
             for m in e.models:
                 out.append((e.label, m))
     return out
+
+
+
+# ---------------------------------------------------------------------------
+# Named axiom checks
+# ---------------------------------------------------------------------------
+
+PERFECT_AXIOMS = ("P.1", "P.2", "P.3", "P.4")
+CHANG_AXIOMS = ("xi", "P.2")
+MONOID_AXIOMS = tuple(f"M.{i}" for i in range(1, 15))
+ANT_AXIOMS = ("Ant.1", "Ant.2")
+
+
+def _first_failure(report: FamilyReport, labels) -> Verdict:
+    """The first non-Holds verdict of ``labels``, in their order.  A
+    counterexample's env is given back as a bare element for a
+    one-variable sequent and as a tuple in context order otherwise."""
+    for label in labels:
+        v = report.verdicts[label]
+        if isinstance(v, CounterExample):
+            context = lookup(label).context
+            values = tuple(v.env[name] for name in context)
+            env = values[0] if len(values) == 1 else values
+            return CounterExample(env, axiom=v.axiom, note=v.note)
+        if not v.ok:
+            return v
+    return Holds()
+
+
+def _check_axioms(model, labels, bound: int) -> Verdict:
+    return _first_failure(check_family(model, list(labels), bound), labels)
+
+
+class PerfectnessReport:
+    """Outcome of ``check_perfect``: the P.1-P.4 verdict plus the family
+    checks of the batch, which compare the provably equivalent families
+    {P.1, P.2, P.3} and {P.1, beta}; they must agree on genuine
+    MV-algebras."""
+
+    def __init__(self, verdict: Verdict, family_checks: List[dict]):
+        self.verdict = verdict
+        self.family_checks = family_checks
+
+    @property
+    def ok(self) -> bool:
+        return self.verdict.ok
+
+    @property
+    def families_agree(self) -> bool:
+        return all(fc["agree"] for fc in self.family_checks)
+
+    def __repr__(self):
+        return (
+            f"PerfectnessReport({self.verdict!r}, families_agree="
+            f"{self.families_agree})"
+        )
+
+
+def check_perfect(A, bound: int) -> PerfectnessReport:
+    """Check the perfectness axioms P.1-P.4 over ``A.enumerate(bound)``,
+    together with beta for the family comparison."""
+    report = check_family(A, list(PERFECT_AXIOMS) + ["beta"], bound)
+    return PerfectnessReport(_first_failure(report, PERFECT_AXIOMS),
+                             report.family_checks)
+
+
+def check_chang_variety(A, bound: int) -> Verdict:
+    """Check the Chang-variety axioms xi and P.2 over
+    ``A.enumerate(bound)``."""
+    return _check_axioms(A, CHANG_AXIOMS, bound)
+
+
+def check_monoid_axioms(M, bound: int) -> Verdict:
+    """Check M.1-M.14 over ``M.enumerate(bound)``.
+
+    The existential witness of the subtractivity axiom M.14 is searched
+    within ``enumerate(2 * bound)``; a pair with no witness there is
+    inconclusive at the bound, not a counterexample.
+    """
+    return _check_axioms(M, MONOID_AXIOMS, bound)
+
+
+def ant_check(G, u, bound: int) -> Verdict:
+    """Check the two antiarchimedean sequents on the unit interval
+    [0, u] of ``G.enumerate(bound)``, as a model ``UnitalGroup(G, u)``.
+
+    Holds exactly for units realizing a lexicographic product with Z in
+    front; Gamma(Z, 2) already fails at x = 1.
+    """
+    return _check_axioms(UnitalGroup(G, u), ANT_AXIOMS, bound)

@@ -86,6 +86,28 @@ def test_carrier_cap_counts_intervals_without_enumerating(capsys, monkeypatch):
         assert run_cli("check", "--model", model, "--sequent", "MV.1",
                        "--bound", str(10 ** 6)) == 64
         assert "above the cap" in capsys.readouterr().err
+    monkeypatch.setattr(mv.PositiveConeMonoid, "enumerate", refuse)
+    monkeypatch.setenv("MVTOOL_MAX_CARRIER", "1000")
+    assert run_cli("check", "--model", "PosCone(Z^3)", "--sequent", "M.1",
+                   "--bound", "80") == 64
+    assert "above the cap" in capsys.readouterr().err
+
+
+def test_carrier_cap_covers_the_search_window(capsys, monkeypatch):
+    monkeypatch.setenv("MVTOOL_MAX_CARRIER", "1000")
+    # N^2 has 16 elements at bound 3 and 10201 at bound 100.
+    for argv in (("check", "--model", "N^2", "--sequent", "M.14"),
+                 ("check-family", "--model", "N^2", "--sequents", "M.14")):
+        assert run_cli(*argv, "--bound", "3", "--exists-bound", "100") == 64
+        assert "above the cap" in capsys.readouterr().err
+    # check-family searches at twice the bound by default: 41^2 > 1000.
+    assert run_cli("check-family", "--model", "N^2", "--sequents", "M.13,M.14",
+                   "--bound", "20") == 64
+    assert "above the cap" in capsys.readouterr().err
+    # A sequent without an existential never builds the search window.
+    assert run_cli("check-family", "--model", "N^2", "--sequents", "M.3",
+                   "--bound", "3", "--exists-bound", "100") == 0
+    capsys.readouterr()
 
 
 def test_check_family_json(capsys):

@@ -170,6 +170,23 @@ def test_monoid_group_roundtrips():
         assert mv.phi_M_roundtrip_report(M, 4)["failures"] == []
 
 
+def test_roundtrip_report_lists_failures_by_operation():
+    from mvtool.equivalence import _roundtrip_report
+
+    class BrokenInf(mv.NMonoid):
+        def inf(self, x, y):
+            return 0
+
+    target = mv.positive_cone(mv.grothendieck_group(mv.NMonoid()))
+    rep = _roundtrip_report("monoid-to-cone", BrokenInf(), target,
+                            lambda x: CanonPair(x, 0), lambda p: p.u,
+                            (), ("add", "inf", "sup"), 3)
+    assert rep["checked_pairs"] == 16
+    # inf(x, y) = 0 is wrong exactly on the 9 pairs with x, y >= 1.
+    assert [f["kind"] for f in rep["failures"]] == ["inf"] * 9
+    assert rep["failures"][0]["elements"] == ["1", "1"]
+
+
 def test_pair_group_examples():
     P = mv.pair_group_ops(C)
     s = P.add(CanonPair(mv.Fin(1), mv.Fin(0)), CanonPair(mv.Fin(0), mv.Fin(2)))
@@ -257,6 +274,10 @@ def test_ant_check_examples():
     v = mv.ant_check(Z, 2, 4)
     assert not v.ok and v.env == 1
     assert mv.ant_check(Z2, (1, 1), 4).ok is False
+    # The first failing axiom in label order: Ant.1 fails at (1,0), before
+    # Ant.2's first failure at (0,1) is reached.
+    v = mv.ant_check(Z2, (2, 1), 4)
+    assert v.axiom == "Ant.1" and v.env == (1, 0)
 
 
 def test_functor_action_on_homomorphisms():

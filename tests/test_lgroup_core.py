@@ -164,8 +164,24 @@ def test_monoid_axioms():
             return 0
 
     v = mv.check_monoid_axioms(BrokenInf(), 2)
-    assert not v.ok
-    assert v.axiom in {"M.4", "M.5", "M.7"}
+    assert v.axiom == "M.4" and v.env == 1  # 1 <= 1 fails: inf(1, 1) = 0
+
+    class LeftAdd(mv.NMonoid):
+        def add(self, x, y):
+            return x
+
+    # M.1 and M.2 hold for x + y = x; M.3 fails, with a tuple env.
+    v = mv.check_monoid_axioms(LeftAdd(), 2)
+    assert v.axiom == "M.3" and v.env == (0, 1)
+
+    class FarWindow(mv.NMonoid):
+        def enumerate(self, bound):
+            return super().enumerate(bound) + [10 * bound]
+
+    # 0 <= 20 at bound 2, but the witness 20 is outside enumerate(4): the
+    # search is capped, so the verdict cannot be a counterexample.
+    v = mv.check_monoid_axioms(FarWindow(), 2)
+    assert isinstance(v, mv.InconclusiveAtBound) and v.bound == 2
 
 
 def test_strong_unit_examples():

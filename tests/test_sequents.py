@@ -159,6 +159,22 @@ def test_check_sequent_examples():
             check_sequent(C, registry.lookup("MV.1"), **bad)
 
 
+def test_search_window_is_built_only_for_existentials():
+    class RecordingN(mv.NMonoid):
+        def __init__(self):
+            self.bounds = []
+
+        def enumerate(self, bound):
+            self.bounds.append(bound)
+            return super().enumerate(bound)
+
+    M = RecordingN()
+    assert check_sequent(M, registry.lookup("M.1"), 2, exists_bound=50).ok
+    assert M.bounds == [2]
+    assert check_sequent(M, registry.lookup("M.14"), 2, exists_bound=50).ok
+    assert M.bounds == [2, 2, 50]
+
+
 def test_engine_parity_on_registry():
     _assert_engine_parity({
         "mv": [C, B, L2, CC],
