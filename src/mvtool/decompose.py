@@ -311,18 +311,18 @@ def product_reconstruction_check(A: MvAlgebra, d: AtomDecomposition,
         return CounterExample(total, note="sup of atoms is not 1")
 
     window = A.enumerate(bound)
+    images = []
     for b in window:
-        if d.iso_backward(d.iso_forward(b)) != b:
+        fb = d.iso_forward(b)
+        images.append(fb)
+        if d.iso_backward(fb) != b:
             return CounterExample(b, note="round trip failed")
         fn = d.iso_forward(A.neg(b))
-        fb = d.iso_forward(b)
         for factor, got, comp in zip(d.factors, fn, fb):
             if got != factor.neg(comp):
                 return CounterExample(b, note="forward map does not preserve neg")
-    for x in window:
-        fx = d.iso_forward(x)
-        for y in window:
-            fy = d.iso_forward(y)
+    for x, fx in zip(window, images):
+        for y, fy in zip(window, images):
             fxy = d.iso_forward(A.oplus(x, y))
             for factor, got, cx, cy in zip(d.factors, fxy, fx, fy):
                 if got != factor.oplus(cx, cy):

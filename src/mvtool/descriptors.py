@@ -11,7 +11,9 @@ families, tests):
 
 Element syntax depends on the carrier: Chang elements are ``0``, ``1``,
 ``Nc`` and ``1-Nc``; chain elements are indices; vectors are
-``(a,b,...)``; lexicographic pairs are ``(head,<tail>)``.
+``(a,b,...)``; lexicographic pairs are ``(head,<tail>)``; Grothendieck
+elements are canonical pairs ``[<u>,<v>]`` of monoid elements; positive
+cone elements use their group's syntax.
 """
 
 from __future__ import annotations
@@ -20,6 +22,8 @@ from typing import List
 
 from .errors import DescriptorError
 from .lgroup_core import (
+    CanonPair,
+    GrothendieckGroup,
     LexGroup,
     LexPair,
     LGroup,
@@ -175,27 +179,33 @@ def parse_model(text: str):
 # ---------------------------------------------------------------------------
 
 
+def _parse_int(text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise DescriptorError(f"{text!r} is not an integer") from None
+
+
+def _parse_vector(text: str, rank: int) -> tuple:
+    if not (text.startswith("(") and text.endswith(")")):
+        raise DescriptorError(f"{text!r} is not a vector")
+    parts = _split_args(text[1:-1]) if text != "()" else []
+    if len(parts) == 1 and parts[0] == "":
+        parts = []
+    if len(parts) != rank:
+        raise DescriptorError(f"{text!r} does not have rank {rank}")
+    try:
+        return tuple(int(p) for p in parts)
+    except ValueError:
+        raise DescriptorError(f"{text!r} has a non-integer coordinate") from None
+
+
 def parse_group_element(group: LGroup, text: str):
     text = text.strip()
     if isinstance(group, ZGroup):
-        try:
-            return int(text)
-        except ValueError:
-            raise DescriptorError(f"{text!r} is not an integer") from None
+        return _parse_int(text)
     if isinstance(group, ZnGroup):
-        if not (text.startswith("(") and text.endswith(")")):
-            raise DescriptorError(f"{text!r} is not a vector")
-        parts = _split_args(text[1:-1]) if text != "()" else []
-        if len(parts) == 1 and parts[0] == "":
-            parts = []
-        if len(parts) != group.rank:
-            raise DescriptorError(
-                f"{text!r} does not have rank {group.rank}"
-            )
-        try:
-            return tuple(int(p) for p in parts)
-        except ValueError:
-            raise DescriptorError(f"{text!r} has a non-integer coordinate") from None
+        return _parse_vector(text, group.rank)
     if isinstance(group, LexGroup):
         if not (text.startswith("(") and text.endswith(")")):
             raise DescriptorError(f"{text!r} is not a lexicographic pair")
@@ -210,9 +220,36 @@ def parse_group_element(group: LGroup, text: str):
         return LexPair(head, parse_group_element(group.tail, tail_text))
     if isinstance(group, UnitalGroup):
         return parse_group_element(group.group, text)
+    if isinstance(group, GrothendieckGroup):
+        bracketed = text.startswith("[") and text.endswith("]")
+        parts = _split_args(text[1:-1]) if bracketed else []
+        if len(parts) != 2:
+            raise DescriptorError(f"{text!r} is not a pair [u,v]")
+        m = group.monoid
+        u, v = (parse_monoid_element(m, p) for p in parts)
+        if m.inf(u, v) != m.zero:
+            raise DescriptorError(
+                f"{text!r} is not canonical in {group.descriptor()}: "
+                f"inf(u,v) = {m.format_element(m.inf(u, v))}, not 0"
+            )
+        return CanonPair(u, v)
     raise DescriptorError(
         f"no element syntax for group {group.descriptor()}"
     )
+
+
+def parse_monoid_element(monoid: LMonoid, text: str):
+    text = text.strip()
+    if isinstance(monoid, NMonoid):
+        x = _parse_int(text)
+    elif isinstance(monoid, NnMonoid):
+        x = _parse_vector(text, monoid.rank)
+    elif isinstance(monoid, PositiveConeMonoid):
+        x = parse_group_element(monoid.group, text)
+    else:
+        raise DescriptorError(f"no element syntax for monoid {monoid.descriptor()}")
+    monoid.validate(x)
+    return x
 
 
 def parse_mv_element(algebra: MvAlgebra, text: str):

@@ -45,7 +45,8 @@ class RadicalMonoid(LMonoid):
     cancellative lattice-ordered abelian monoid under oplus.
 
     Subtractivity is witnessed inside the carrier: for x <= y the unique
-    z with x oplus z = y is y odot (neg x).
+    z with x oplus z = y is y ominus x = y odot (neg x), which carriers
+    with a direct ``ominus`` (Gamma, Sigma) compute in their group.
     """
 
     def __init__(self, algebra: MvAlgebra):
@@ -70,7 +71,7 @@ class RadicalMonoid(LMonoid):
     def subtract(self, x, y):
         if not self.algebra.leq(y, x):
             raise CarrierMismatchError("subtraction needs y <= x in the radical")
-        return self.algebra.odot(x, self.algebra.neg(y))
+        return self.algebra.ominus(x, y)
 
     def enumerate(self, bound):
         return [

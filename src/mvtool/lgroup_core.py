@@ -598,6 +598,11 @@ class GrothendieckGroup(LGroup):
     ``CanonPair`` values is group equality.  The lattice operations use
     the pair formulas Inf([x,y],[h,k]) = [inf(x+k, y+h), y+k] and its
     sup twin, then canonicalize.
+
+    The order is the group of differences' own, by cross-sums:
+    [x,y] <= [h,k] iff x + k <= h + y in the monoid.  It equals
+    ``inf(p, q) == p`` on canonical pairs, the reference it is tested
+    against, without building or canonicalizing the infimum.
     """
 
     def __init__(self, monoid: LMonoid):
@@ -624,7 +629,8 @@ class GrothendieckGroup(LGroup):
         return canon_pair(m, m.sup(m.add(x.u, y.v), m.add(x.v, y.u)), m.add(x.v, y.v))
 
     def leq(self, x, y):
-        return self.inf(x, y) == x
+        m = self.monoid
+        return m.leq(m.add(x.u, y.v), m.add(y.u, x.v))
 
     def enumerate(self, bound):
         m = self.monoid

@@ -221,9 +221,10 @@ class GammaAlgebra(MvAlgebra):
     The derived operations are computed directly in the group, by
     Mundici's Gamma functor, instead of through oplus and neg: the
     natural order and the lattice operations are the group's own
-    ``leq``, ``inf`` and ``sup``; x odot y = sup(0, x + y - u); and
-    d(x, y) = |x - y| = sup(x - y, y - x).  Each equals the
-    ``MvAlgebra`` derivation on [0, u], which stays the reference.
+    ``leq``, ``inf`` and ``sup``; x odot y = sup(0, x + y - u);
+    x ominus y = sup(0, x - y); and d(x, y) = |x - y| =
+    sup(x - y, y - x).  Each equals the ``MvAlgebra`` derivation on
+    [0, u], which stays the reference.
 
     ``enumerate(b)`` is ``group.interval(b, 0, u)``: the elements of the
     group window that lie in [0, u], in the group's ``enumerate`` order.
@@ -257,6 +258,10 @@ class GammaAlgebra(MvAlgebra):
     def odot(self, x, y):
         g = self.group
         return g.sup(g.zero, g.sub(g.add(x, y), self.unit))
+
+    def ominus(self, x, y):
+        g = self.group
+        return g.sup(g.zero, g.sub(x, y))
 
     def sup(self, x, y):
         return self.group.sup(x, y)
@@ -319,11 +324,12 @@ class SigmaAlgebra(GammaAlgebra):
     is (1, g <= 0).
 
     It inherits Gamma's direct operations over Z x_lex G: leq, inf and
-    sup are lexicographic, x odot y = sup(0, x + y - (1, 0)) and
-    d(x, y) = sup(x - y, y - x).  ``enumerate(b)`` walks the heads 0
-    and 1 of the lexicographic interval [(0, 0), (1, 0)]: the tails
-    g >= 0 of ``G.enumerate(b)`` under head 0, then the tails g <= 0
-    under head 1, each in ``G.enumerate`` order.
+    sup are lexicographic, x odot y = sup(0, x + y - (1, 0)),
+    x ominus y = sup(0, x - y) and d(x, y) = sup(x - y, y - x).
+    ``enumerate(b)`` walks the heads 0 and 1 of the lexicographic
+    interval [(0, 0), (1, 0)]: the tails g >= 0 of ``G.enumerate(b)``
+    under head 0, then the tails g <= 0 under head 1, each in
+    ``G.enumerate`` order.
     """
 
     carrier_kind = "sigma"
@@ -431,6 +437,9 @@ class PointedAlgebra(MvAlgebra):
 
     def odot(self, x, y):
         return self.algebra.odot(x, y)
+
+    def ominus(self, x, y):
+        return self.algebra.ominus(x, y)
 
     def sup(self, x, y):
         return self.algebra.sup(x, y)

@@ -146,6 +146,23 @@ def test_ant_check_command(capsys):
     assert run_cli("ant-check", "--group", "Z", "--unit", "2",
                    "--bound", "4") == 1
     capsys.readouterr()
+    code, rep = run_json(capsys, "ant-check", "--group", "Groth(N)",
+                         "--unit", "[1,0]", "--bound", "4")
+    assert code == 0 and rep["unit"] == "[1,0]"
+    code, rep = run_json(capsys, "ant-check", "--group",
+                         "Groth(PosCone(Lex(Z,Z)))", "--unit", "[(1,-3),(0,0)]",
+                         "--bound", "3")
+    assert code == 0 and rep["unit"] == "[(1,-3),(0,0)]"
+    for group, unit, message in (
+            ("Groth(N)", "[1,1]", "not canonical"),
+            ("Groth(N)", "[1,0", "not a pair"),
+            ("Groth(N)", "(1,0)", "not a pair"),
+            ("Groth(N)", "[1,0,0]", "not a pair"),
+            ("Groth(N)", "[-1,0]", "not a natural number"),
+            ("Groth(N^2)", "[(1,0),(0)]", "does not have rank 2"),
+            ("Groth(PosCone(Z^2))", "[(-1,0),(0,1)]", "not in the positive cone")):
+        assert run_cli("ant-check", "--group", group, "--unit", unit) == 64
+        assert message in capsys.readouterr().err, (group, unit)
 
 
 def test_decompose_failure_path(capsys):

@@ -1,5 +1,6 @@
 """Boolean quotients, atoms, and the product decomposition."""
 
+import dataclasses
 import itertools
 
 import pytest
@@ -130,6 +131,32 @@ def test_reconstruction_detects_corruption():
     v = mv.product_reconstruction_check(CC, corrupted, 4)
     assert not v.ok
     assert v.note == "sup of atoms is not 1"
+
+
+def test_reconstruction_maps_each_window_element_once():
+    d = mv.decompose_product(CC, [(mv.Fin(1), mv.CoFin(1))], bound=8)
+    calls = []
+
+    def counted(x):
+        calls.append(x)
+        return d.iso_forward(x)
+
+    n = len(CC.enumerate(3))
+    assert mv.product_reconstruction_check(
+        CC, dataclasses.replace(d, iso_forward=counted), 3).ok
+    # One image per element, per complement and per sum.
+    assert len(calls) == 2 * n + n * n
+
+    class SkewChang(mv.ChangAlgebra):
+        def oplus(self, x, y):
+            if (x, y) == (mv.Fin(2), mv.Fin(1)):
+                return mv.Fin(4)
+            return super().oplus(x, y)
+
+    v = mv.product_reconstruction_check(
+        CC, dataclasses.replace(d, factors=[SkewChang(), d.factors[1]]), 3)
+    assert v.note == "forward map does not preserve oplus"
+    assert v.env == ((mv.Fin(0), mv.Fin(2)), (mv.Fin(0), mv.Fin(1)))
 
 
 def test_pushout_pullback_boolean_specialization():

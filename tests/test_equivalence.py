@@ -280,6 +280,52 @@ def test_ant_check_examples():
     assert v.axiom == "Ant.1" and v.env == (1, 0)
 
 
+class _RecordsAntecedent:
+    """Records in ``tested`` each x whose antecedent 0 <= x is evaluated."""
+
+    def leq(self, x, y):
+        if x == self.zero:
+            self.tested.add(y)
+        return super().leq(x, y)
+
+
+class _RecordingZn(_RecordsAntecedent, mv.ZnGroup):
+    pass
+
+
+class _RecordingLex(_RecordsAntecedent, mv.LexGroup):
+    pass
+
+
+def test_ant_check_quantifies_over_the_unit_interval_only():
+    for b in range(1, 5):
+        # Holds on Lex(Z,Z) at (1,0): every element of [0, (1,0)] is
+        # evaluated, and no other element of the (2b+1)^2 window.
+        G = _RecordingLex(Z)
+        G.tested = set()
+        assert mv.ant_check(G, LexPair(1, 0), b).ok
+        assert G.tested == set(LexZZ.interval(b, LexPair(0, 0), LexPair(1, 0)))
+        assert len(G.tested) == 2 * b + 2
+
+        # Fails on Z^2 at (2,1), first at (1,0) by Ant.1; the check stops
+        # there, having evaluated only elements of [0, (2,1)] (and the
+        # unit, once, when the model checks 0 <= u).
+        G = _RecordingZn(2)
+        G.tested = set()
+        v = mv.ant_check(G, (2, 1), b)
+        assert (v.axiom, v.env) == ("Ant.1", (1, 0)), b
+        assert G.tested <= set(Z2.interval(b, (0, 0), (2, 1))) | {(2, 1)}
+
+        expected = {1: None, 2: 1, 3: 1, 4: 2 if b > 1 else None,
+                    5: 2 if b > 1 else None}
+        for u, env in expected.items():
+            v = mv.ant_check(Z, u, b)
+            if env is None:
+                assert v.ok, (u, b)
+            else:
+                assert (v.axiom, v.env) == ("Ant.1", env), (u, b)
+
+
 def test_functor_action_on_homomorphisms():
     # diagonal embedding h: Z -> Z^2 is a lattice-group homomorphism
     def h(g):

@@ -154,6 +154,27 @@ def test_group_axioms_hold_in_grothendieck_groups():
                 assert G.leq(G.add(z, x), G.add(z, y))
 
 
+# The Grothendieck order is computed by cross-sums; the lattice route
+# inf(p, q) == p of the class formulas is the reference.
+GROTHENDIECK_CARRIERS = [
+    mv.parse_model(d) for d in ("Groth(N)", "Groth(N^2)",
+                                "Groth(PosCone(Z^2))",
+                                "Groth(PosCone(Lex(Z,Z)))")
+] + [mv.delta(mv.ChangAlgebra()), mv.delta(mv.sigma(Z2)),
+     mv.pair_group_ops(mv.ChangAlgebra())]
+
+
+@pytest.mark.parametrize("G", GROTHENDIECK_CARRIERS, ids=lambda G: G.descriptor())
+@given(data=st.data())
+def test_grothendieck_order_equals_the_inf_route(G, data):
+    window = G.enumerate(data.draw(st.integers(1, 3), label="bound"))
+    x = data.draw(st.sampled_from(window), label="x")
+    y = data.draw(st.sampled_from(window), label="y")
+    # Random pairs are mostly incomparable; the last two are comparable.
+    for p, q in ((x, y), (x, G.sup(x, y)), (G.inf(x, y), y)):
+        assert G.leq(p, q) == (mv.GrothendieckGroup.inf(G, p, q) == p)
+
+
 def test_monoid_axioms():
     assert mv.check_monoid_axioms(N2, 3).ok
     assert mv.check_monoid_axioms(mv.positive_cone(LexZZ), 3).ok

@@ -251,7 +251,7 @@ def test_direct_operations_equal_the_derived_ones(A, data):
     window = A.enumerate(data.draw(st.integers(1, 10), label="bound"))
     x = data.draw(st.sampled_from(window), label="x")
     y = data.draw(st.sampled_from(window), label="y")
-    for op in ("odot", "inf", "sup", "leq", "d"):
+    for op in ("odot", "ominus", "inf", "sup", "leq", "d"):
         assert getattr(A, op)(x, y) == getattr(mv.MvAlgebra, op)(A, x, y), op
 
 

@@ -191,6 +191,14 @@ def test_engine_parity_on_interval_carriers():
     ]})
 
 
+def test_engine_parity_on_grothendieck_carriers():
+    _assert_engine_parity({
+        "lgroup": [mv.parse_model("Groth(N)"), mv.parse_model("Groth(N^2)"),
+                   mv.delta(C)],
+        "monoid": [mv.parse_model("PosCone(Z^2)")],
+    })
+
+
 def _assert_engine_parity(models):
     for label, seq in registry.named_sequents().items():
         sigs = seq.signatures()
