@@ -6,6 +6,17 @@ carrier elements into integer indices and evaluates whole environment
 grids with numpy table lookups; elements produced by operations outside
 the enumerated window are interned lazily, so evaluation stays exact.
 
+The vector engine builds each operation table over the unique operand
+pairs.  When the carrier has a codec (``kernels.codec_for``), every
+interned element also has an int64 code row, and a table is one kernel
+call over the pairs' rows; only the distinct result rows are decoded and
+interned, and ``leq`` tables are boolean and intern nothing.  A table
+falls back to calling the carrier's own operation on each pair when one
+of its inputs has no valid code (a coordinate of magnitude 2^60 or more)
+or one of its result rows reaches 2^60.  Below that bound no kernel can
+overflow int64, so the kernels are exact: no floats, no tolerances, no
+wraparound.
+
 A sequent check universally quantifies its context over
 ``enumerate(bound)``.  Existentials and capped infinitary disjunctions
 are searched within a finite window, so a failing environment whose
@@ -23,6 +34,7 @@ import numpy as np
 
 from . import sequents as S
 from .errors import SignatureError, UnboundVariableError
+from .kernels import LIMIT, codec_for, fits
 from .mv_core import mv_power
 from .verdicts import CounterExample, Holds, InconclusiveAtBound, Verdict
 
@@ -32,6 +44,8 @@ _MAX_CELLS = 1 << 25
 _VECTOR_THRESHOLD = 4096
 # Dense sub-table route is used when |left values| * |right values| fits.
 _DENSE_PAIR_LIMIT = 1 << 18
+# Operand pairs per kernel call (see _VectorEval._pair_kernel).
+_KERNEL_BLOCK = 1 << 14
 
 
 # ---------------------------------------------------------------------------
@@ -151,6 +165,25 @@ def _eval_formula(M, f, env, scalars, search) -> Tuple[bool, bool]:
 # ---------------------------------------------------------------------------
 
 
+def _unique_rows(rows, lo, hi):
+    """``np.unique(rows, axis=0, return_inverse=True)``, through one
+    integer key per row when the columns' ranges ``lo``..``hi`` fit a
+    mixed-radix number below 2^62; sorting the keys is much faster than
+    sorting rows."""
+    spans = [int(h) - int(l) + 1 for l, h in zip(lo.tolist(), hi.tolist())]
+    total = 1
+    for s in spans:
+        total *= s
+    if total >= 1 << 62:
+        uniq, inverse = np.unique(rows, axis=0, return_inverse=True)
+        return uniq, inverse.reshape(-1)
+    key = np.zeros(len(rows), dtype=np.int64)
+    for c, s in enumerate(spans):
+        key = key * s + (rows[:, c] - lo[c])
+    _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
+    return rows[first], inverse.reshape(-1)
+
+
 def _exists_depth(f) -> int:
     if isinstance(f, (S.Top, S.Bot, S.Eq, S.Leq)):
         return 0
@@ -177,6 +210,11 @@ class _VectorEval:
         self.M = model
         self.interner_elems: List[Any] = []
         self.interner_index: Dict[Any, int] = {}
+        # One int64 code row per interned element, valid where _ok is set.
+        self.codec = codec_for(model)
+        width = 0 if self.codec is None else self.codec.width
+        self._codes = np.zeros((0, width), dtype=np.int64)
+        self._ok = np.zeros(0, dtype=bool)
         self.n_ctx = len(ctx_vars)
         self.ndim = self.n_ctx + _exists_depth(formula)
         self.axes: Dict[str, int] = {v: i for i, v in enumerate(ctx_vars)}
@@ -200,47 +238,161 @@ class _VectorEval:
     def _intern_all(self, values) -> np.ndarray:
         return np.array([self.intern(v) for v in values], dtype=np.int64)
 
+    # -- code rows -------------------------------------------------------------
+
+    def _rows(self, idx) -> Optional[np.ndarray]:
+        """The code rows of the interned elements ``idx``, or None when
+        the carrier has no codec or one of them has no valid code.
+
+        Rows are encoded lazily, in interning order, for every element
+        interned since the last call, so row i always belongs to element
+        i, whichever path interned it."""
+        if self.codec is None:
+            return None
+        elems = self.interner_elems
+        start = len(self._ok)
+        if start < len(elems):
+            rows = [self.codec.encode(x) for x in elems[start:]]
+            ok = np.array([fits(r) for r in rows], dtype=bool)
+            blank = [0] * self.codec.width
+            new = np.array([r if f else blank for r, f in zip(rows, ok)],
+                           dtype=np.int64).reshape(len(rows), self.codec.width)
+            self._codes = np.concatenate([self._codes, new])
+            self._ok = np.concatenate([self._ok, ok])
+        if not self._ok[idx].all():
+            return None
+        return self._codes[idx]
+
+    def _intern_rows(self, rows) -> Optional[np.ndarray]:
+        """Intern the elements a kernel computed, one per row; None when
+        a row reaches ``LIMIT``, so that the caller falls back."""
+        rows = rows.reshape(-1, self.codec.width)
+        lo, hi = rows.min(axis=0), rows.max(axis=0)
+        if max(-int(lo.min()), int(hi.max())) >= LIMIT:
+            return None
+        uniq, inverse = _unique_rows(rows, lo, hi)
+        decode = self.codec.decode
+        idx = np.array([self.intern(decode(r)) for r in uniq.tolist()],
+                       dtype=np.int64)
+        return idx[inverse]
+
+    def _kernel(self, op):
+        return None if self.codec is None else getattr(self.codec, op, None)
+
+    def _reference(self, op, n=0):
+        """The carrier's own operation: the fallback of every kernel."""
+        M = self.M
+        if op == "nat_scalar":
+            return lambda v: _nat_scalar(M, n, v)
+        if op == "mv_power":
+            return lambda v: mv_power(M, v, n)
+        return getattr(M, op)
+
     # -- table machinery -------------------------------------------------------
 
-    def _unary_table(self, fn, arr):
+    def _unary_table(self, op, arr, n=0):
+        """``op`` is ``neg``, ``negate``, ``nat_scalar`` (n*x) or
+        ``mv_power`` (x^n), applied to the interned indices ``arr``."""
         arr = np.asarray(arr)
         uniq = np.unique(arr)
-        vals = np.array([self.intern(fn(self.interner_elems[int(i)])) for i in uniq],
-                        dtype=np.int64)
+        vals = self._unary_kernel(op, uniq, n)
+        if vals is None:
+            fn = self._reference(op, n)
+            elems = self.interner_elems
+            vals = np.array([self.intern(fn(elems[i])) for i in uniq.tolist()],
+                            dtype=np.int64)
         lk = np.zeros(int(uniq[-1]) + 1, dtype=np.int64)
         lk[uniq] = vals
         return lk[arr]
 
-    def _binary_table(self, fn, a, b, out_bool=False):
+    def _unary_kernel(self, op, uniq, n):
+        if op in ("nat_scalar", "mv_power"):
+            # n*x and x^n repeat oplus/add or odot from 0 or 1, as the
+            # reference does; every step's rows must stay below LIMIT.
+            if op == "mv_power":
+                step, start = "odot", self.M.one
+            else:
+                step = "oplus" if self.M.signature == "mv" else "add"
+                start = self.M.zero
+            kernel = self._kernel(step)
+            if kernel is None:
+                return None
+            start = self.intern(start)
+            rows = self._rows(uniq)
+            acc = self._rows(np.array([start]))
+            if rows is None or acc is None:
+                return None
+            for _ in range(n):
+                acc = kernel(acc, rows)
+                if np.abs(acc).max() >= LIMIT:
+                    return None
+            acc = np.broadcast_to(acc, rows.shape)
+        else:
+            kernel = self._kernel(op)
+            rows = self._rows(uniq)
+            if kernel is None or rows is None:
+                return None
+            acc = kernel(rows)
+        return self._intern_rows(acc)
+
+    def _binary_table(self, op, a, b, out_bool=False):
         a, b = np.asarray(a), np.asarray(b)
         ua, ub = np.unique(a), np.unique(b)
-        elems = self.interner_elems
         if len(ua) * len(ub) <= _DENSE_PAIR_LIMIT:
-            dtype = bool if out_bool else np.int64
-            table = np.empty((len(ua), len(ub)), dtype=dtype)
-            for i, ia in enumerate(ua):
-                xi = elems[int(ia)]
-                for j, jb in enumerate(ub):
-                    r = fn(xi, elems[int(jb)])
-                    table[i, j] = r if out_bool else self.intern(r)
+            table = self._pair_values(op, ua[:, None], ub[None, :], out_bool)
             pos_a = np.zeros(int(ua[-1]) + 1, dtype=np.int64)
             pos_a[ua] = np.arange(len(ua))
             pos_b = np.zeros(int(ub[-1]) + 1, dtype=np.int64)
             pos_b[ub] = np.arange(len(ub))
             return table[pos_a[a], pos_b[b]]
         # Sparse route: encode pairs as single codes, map the unique ones.
-        m = len(elems)
+        m = len(self.interner_elems)
         codes = a.astype(np.int64) * m + b
         uniq = np.unique(codes)
-        if out_bool:
-            vals = np.array([fn(elems[int(c) // m], elems[int(c) % m]) for c in uniq],
-                            dtype=bool)
-        else:
-            vals = np.array(
-                [self.intern(fn(elems[int(c) // m], elems[int(c) % m])) for c in uniq],
-                dtype=np.int64,
-            )
+        vals = self._pair_values(op, uniq // m, uniq % m, out_bool)
         return vals[np.searchsorted(uniq, codes)]
+
+    def _pair_values(self, op, ia, ib, out_bool):
+        """``op`` on the pairs of interned indices ``ia`` and ``ib``,
+        broadcast against each other: a (rows, 1) by (1, cols) grid, or
+        two equal-length lists."""
+        shape = np.broadcast_shapes(ia.shape, ib.shape)
+        vals = self._pair_kernel(op, ia, ib, shape, out_bool)
+        if vals is not None:
+            return vals
+        fn = self._reference(op)
+        elems = self.interner_elems
+        if ia.ndim == 2:
+            pairs = itertools.product(ia[:, 0].tolist(), ib[0].tolist())
+        else:
+            pairs = zip(ia.tolist(), ib.tolist())
+        if out_bool:
+            vals = np.array([fn(elems[i], elems[j]) for i, j in pairs], dtype=bool)
+        else:
+            vals = np.array([self.intern(fn(elems[i], elems[j])) for i, j in pairs],
+                            dtype=np.int64)
+        return vals.reshape(shape)
+
+    def _pair_kernel(self, op, ia, ib, shape, out_bool):
+        kernel = self._kernel(op)
+        if kernel is None:
+            return None
+        # Row blocks of at most _KERNEL_BLOCK pairs keep the kernel's int64
+        # temporaries below the size of a dense table.
+        step = max(1, _KERNEL_BLOCK // (shape[1] if len(shape) > 1 else 1))
+        out = []
+        for s in range(0, shape[0], step):
+            xa = self._rows(ia if len(ia) == 1 else ia[s:s + step])
+            xb = self._rows(ib if len(ib) == 1 else ib[s:s + step])
+            if xa is None or xb is None:
+                return None
+            r = kernel(xa, xb)
+            if not out_bool:
+                r = self._intern_rows(r)
+                if r is None:
+                    return None
+            out.append(r.reshape((-1,) + shape[1:]))
+        return np.concatenate(out)
 
     # -- terms -------------------------------------------------------------------
 
@@ -260,26 +412,26 @@ class _VectorEval:
         if isinstance(t, S.Unit):
             return np.int64(self.intern(_unit_of(M)))
         if isinstance(t, S.Oplus):
-            return self._binary_table(M.oplus, self.term(t.left), self.term(t.right))
+            return self._binary_table("oplus", self.term(t.left), self.term(t.right))
         if isinstance(t, S.Odot):
-            return self._binary_table(M.odot, self.term(t.left), self.term(t.right))
+            return self._binary_table("odot", self.term(t.left), self.term(t.right))
         if isinstance(t, S.Neg):
-            return self._unary_table(M.neg, self.term(t.arg))
+            return self._unary_table("neg", self.term(t.arg))
         if isinstance(t, S.Inf):
-            return self._binary_table(M.inf, self.term(t.left), self.term(t.right))
+            return self._binary_table("inf", self.term(t.left), self.term(t.right))
         if isinstance(t, S.Sup):
-            return self._binary_table(M.sup, self.term(t.left), self.term(t.right))
+            return self._binary_table("sup", self.term(t.left), self.term(t.right))
         if isinstance(t, S.Add):
-            return self._binary_table(M.add, self.term(t.left), self.term(t.right))
+            return self._binary_table("add", self.term(t.left), self.term(t.right))
         if isinstance(t, S.Minus):
-            return self._unary_table(M.negate, self.term(t.arg))
+            return self._unary_table("negate", self.term(t.arg))
         if isinstance(t, S.D):
-            return self._binary_table(M.d, self.term(t.left), self.term(t.right))
+            return self._binary_table("d", self.term(t.left), self.term(t.right))
         if isinstance(t, S.NatScalar):
             n = t.coeff if isinstance(t.coeff, int) else self.scalars[t.coeff]
-            return self._unary_table(lambda v: _nat_scalar(M, n, v), self.term(t.arg))
+            return self._unary_table("nat_scalar", self.term(t.arg), n)
         if isinstance(t, S.MvPower):
-            return self._unary_table(lambda v: mv_power(M, v, t.n), self.term(t.arg))
+            return self._unary_table("mv_power", self.term(t.arg), t.n)
         raise TypeError(f"not a term: {t!r}")
 
     # -- formulas ------------------------------------------------------------------
@@ -293,7 +445,7 @@ class _VectorEval:
             v = np.asarray(self.term(f.left) == self.term(f.right))
             return v, ~v
         if isinstance(f, S.Leq):
-            v = np.asarray(self._binary_table(self.M.leq, self.term(f.left),
+            v = np.asarray(self._binary_table("leq", self.term(f.left),
                                               self.term(f.right), out_bool=True))
             return v, ~v
         if isinstance(f, S.And):

@@ -79,14 +79,17 @@ def max_carrier() -> int:
         ) from None
 
 
-def _guard_cap(model, bound: int) -> None:
+def _guard_size(what: str, size: int, bound: int) -> None:
     cap = max_carrier()
-    size = model.window_size(bound)
     if size > cap:
         raise CarrierCapExceededError(
-            f"{model.descriptor()} enumerates {size} elements at bound "
-            f"{bound}, above the cap of {cap} (override with MVTOOL_MAX_CARRIER)"
+            f"{what} {size} elements at bound {bound}, above the cap of "
+            f"{cap} (override with MVTOOL_MAX_CARRIER)"
         )
+
+
+def _guard_cap(model, bound: int) -> None:
+    _guard_size(f"{model.descriptor()} enumerates", model.window_size(bound), bound)
 
 
 def _guard_search(model, sequents, search_bound: int) -> None:
@@ -235,8 +238,10 @@ def _run_decompose(config: RunConfig):
 
 def _run_ant_check(config: RunConfig):
     G = parse_group(config.group)
-    _guard_cap(G, config.bound)
     unit = parse_group_element(G, config.unit)
+    # ant_check reads only the interval [0, u] of the window.
+    _guard_size(f"the interval [0, {G.format_element(unit)}] of {G.descriptor()} has",
+                G.interval_size(config.bound, G.zero, unit), config.bound)
     verdict = registry.ant_check(G, unit, config.bound)
     report = {
         "group": G.descriptor(),

@@ -1,0 +1,350 @@
+"""Exact int64 kernels for the carriers' operations.
+
+Every carrier of the library is a set of integer coordinates: Z^n and N^n
+directly, Z x_lex G as a head followed by the tail's coordinates, the
+Grothendieck group of a monoid as the coordinates of its canonical pair
+(u, v), the unit interval Gamma(G, u) as a part of G (Mundici 1986, J.
+Funct. Anal. 65), the chain L(m) as Gamma(Z, m), and Chang's algebra C
+as Sigma(Z) = Gamma(Z x_lex Z, (1, 0)) under nc -> (0, n) and
+1 - nc -> (1, -n).  A codec maps elements to such rows of integers and
+back, and computes the carrier's operations with numpy on int64 arrays
+of shape (..., width), one row per element.
+
+``codec_for(model)`` dispatches on the exact type of the model and its
+parts; a subclass (a test double, the radical pairs of ``equivalence``)
+or any other carrier gets ``None``.
+
+Exactness.  A caller encodes only elements whose coordinates are all
+below ``LIMIT`` = 2^60 in absolute value, and accepts a kernel's result
+only if its coordinates are below ``LIMIT`` too.  Every kernel composes
+at most three additions or subtractions of such coordinates (the deepest
+are the Grothendieck canonicalisation, (x + y) - inf(x + y, h + k), and
+Gamma's x odot y = sup(0, x + y - u)), so every intermediate value stays
+below 4 * 2^60 = 2^62 and int64 arithmetic never wraps.  To keep that
+bound, Grothendieck groups and unit intervals are built only over
+``flat`` codecs: coordinates and lexicographic products of them, whose
+own kernels add at most two coordinates.
+"""
+
+from __future__ import annotations
+
+from typing import Optional
+
+import numpy as np
+
+from .lgroup_core import (
+    CanonPair,
+    GrothendieckGroup,
+    LexGroup,
+    LexPair,
+    NMonoid,
+    NnMonoid,
+    PositiveConeMonoid,
+    UnitalGroup,
+    ZGroup,
+    ZnGroup,
+)
+from .mv_core import (
+    ChangAlgebra,
+    ChangElem,
+    FiniteChainAlgebra,
+    GammaAlgebra,
+    PointedAlgebra,
+    ProductAlgebra,
+    SigmaAlgebra,
+)
+
+LIMIT = 1 << 60
+
+
+def fits(row) -> bool:
+    """Whether every coordinate of ``row`` is below ``LIMIT`` in
+    absolute value."""
+    return all(-LIMIT < c < LIMIT for c in row)
+
+
+def _cat(*parts):
+    """Concatenate column blocks, broadcasting only the leading axes."""
+    lead = np.broadcast_shapes(*(p.shape[:-1] for p in parts))
+    return np.concatenate([np.broadcast_to(p, lead + p.shape[-1:]) for p in parts],
+                          axis=-1)
+
+
+class Coords:
+    """Z^n or N^n (Z and N when ``scalar``): the pointwise operations."""
+
+    flat = True
+
+    def __init__(self, width: int, scalar: bool):
+        self.width = width
+        self.scalar = scalar
+
+    def encode(self, x):
+        return [x] if self.scalar else list(x)
+
+    def decode(self, row):
+        return row[0] if self.scalar else tuple(row)
+
+    add = staticmethod(np.add)
+    sub = staticmethod(np.subtract)
+    negate = staticmethod(np.negative)
+    inf = staticmethod(np.minimum)
+    sup = staticmethod(np.maximum)
+
+    @staticmethod
+    def leq(a, b):
+        return (a <= b).all(axis=-1)
+
+
+class Lex:
+    """Z x_lex G: the head in column 0, the tail's columns after it."""
+
+    def __init__(self, tail):
+        self.tail = tail
+        self.width = 1 + tail.width
+        self.flat = tail.flat
+
+    def encode(self, x):
+        return [x.head] + self.tail.encode(x.tail)
+
+    def decode(self, row):
+        return LexPair(row[0], self.tail.decode(row[1:]))
+
+    def add(self, a, b):
+        return _cat(a[..., :1] + b[..., :1], self.tail.add(a[..., 1:], b[..., 1:]))
+
+    def negate(self, a):
+        return _cat(-a[..., :1], self.tail.negate(a[..., 1:]))
+
+    def sub(self, a, b):
+        return self.add(a, self.negate(b))
+
+    def leq(self, a, b):
+        ha, hb = a[..., 0], b[..., 0]
+        return (ha < hb) | ((ha == hb) & self.tail.leq(a[..., 1:], b[..., 1:]))
+
+    def _pick(self, a, b, tail_op, first):
+        # The operand whose head comes first wins outright; equal heads
+        # combine their tails.
+        ha, hb = a[..., :1], b[..., :1]
+        out = _cat(ha, tail_op(a[..., 1:], b[..., 1:]))
+        out = np.where(first(ha, hb), a, out)
+        return np.where(first(hb, ha), b, out)
+
+    def inf(self, a, b):
+        return self._pick(a, b, self.tail.inf, np.less)
+
+    def sup(self, a, b):
+        return self._pick(a, b, self.tail.sup, np.greater)
+
+
+class Groth:
+    """The Grothendieck group of a flat monoid codec on canonical pairs
+    (u, v): u's columns, then v's.  Each operation canonicalises by
+    (x - inf(x, y), y - inf(x, y)), as ``canon_pair`` does."""
+
+    flat = False
+
+    def __init__(self, monoid):
+        self.m = monoid
+        self.half = monoid.width
+        self.width = 2 * monoid.width
+
+    def encode(self, p):
+        return self.m.encode(p.u) + self.m.encode(p.v)
+
+    def decode(self, row):
+        return CanonPair(self.m.decode(row[:self.half]), self.m.decode(row[self.half:]))
+
+    def _split(self, a):
+        return a[..., :self.half], a[..., self.half:]
+
+    def _canon(self, x, y):
+        i = self.m.inf(x, y)
+        return _cat(self.m.sub(x, i), self.m.sub(y, i))
+
+    def add(self, a, b):
+        (au, av), (bu, bv) = self._split(a), self._split(b)
+        return self._canon(self.m.add(au, bu), self.m.add(av, bv))
+
+    def negate(self, a):
+        au, av = self._split(a)
+        return _cat(av, au)
+
+    def sub(self, a, b):
+        return self.add(a, self.negate(b))
+
+    def leq(self, a, b):
+        (au, av), (bu, bv) = self._split(a), self._split(b)
+        return self.m.leq(self.m.add(au, bv), self.m.add(bu, av))
+
+    def _lattice(self, a, b, op):
+        (au, av), (bu, bv) = self._split(a), self._split(b)
+        m = self.m
+        return self._canon(op(m.add(au, bv), m.add(av, bu)), m.add(av, bv))
+
+    def inf(self, a, b):
+        return self._lattice(a, b, self.m.inf)
+
+    def sup(self, a, b):
+        return self._lattice(a, b, self.m.sup)
+
+
+class Gamma:
+    """The unit interval [0, u] of a flat group codec, by Mundici's
+    direct formulas: x oplus y = inf(u, x + y), neg x = u - x,
+    x odot y = sup(0, x + y - u), d(x, y) = sup(x - y, y - x), and the
+    group's own order and lattice operations.  The zero of a flat codec
+    is the all-zero row."""
+
+    def __init__(self, group, unit):
+        self.g = group
+        self.width = group.width
+        self.zero = np.zeros(group.width, dtype=np.int64)
+        self.unit = np.array(group.encode(unit), dtype=np.int64)
+
+    def encode(self, x):
+        return self.g.encode(x)
+
+    def decode(self, row):
+        return self.g.decode(row)
+
+    def oplus(self, a, b):
+        return self.g.inf(self.unit, self.g.add(a, b))
+
+    def neg(self, a):
+        return self.g.sub(self.unit, a)
+
+    def odot(self, a, b):
+        g = self.g
+        return g.sup(self.zero, g.sub(g.add(a, b), self.unit))
+
+    def d(self, a, b):
+        return self.g.sup(self.g.sub(a, b), self.g.sub(b, a))
+
+    def leq(self, a, b):
+        return self.g.leq(a, b)
+
+    def inf(self, a, b):
+        return self.g.inf(a, b)
+
+    def sup(self, a, b):
+        return self.g.sup(a, b)
+
+
+class Chang(Gamma):
+    """Chang's algebra as Sigma(Z): nc is (0, n) and 1 - nc is (1, -n)."""
+
+    def __init__(self):
+        super().__init__(Lex(Coords(1, scalar=True)), LexPair(1, 0))
+
+    def encode(self, x):
+        return [0, x.n] if x.kind == "fin" else [1, -x.n]
+
+    def decode(self, row):
+        return ChangElem("fin", row[1]) if row[0] == 0 else ChangElem("cofin", -row[1])
+
+
+class Prod:
+    """A finite product: each factor owns a block of columns."""
+
+    def __init__(self, factors):
+        self.factors = factors
+        self.blocks = []
+        start = 0
+        for f in factors:
+            self.blocks.append(slice(start, start + f.width))
+            start += f.width
+        self.width = start
+
+    def encode(self, x):
+        row = []
+        for f, a in zip(self.factors, x):
+            row.extend(f.encode(a))
+        return row
+
+    def decode(self, row):
+        return tuple(f.decode(row[s]) for f, s in zip(self.factors, self.blocks))
+
+    def _each(self, name, *args):
+        return _cat(*(getattr(f, name)(*(a[..., s] for a in args))
+                      for f, s in zip(self.factors, self.blocks)))
+
+    def oplus(self, a, b):
+        return self._each("oplus", a, b)
+
+    def neg(self, a):
+        return self._each("neg", a)
+
+    def odot(self, a, b):
+        return self._each("odot", a, b)
+
+    def d(self, a, b):
+        return self._each("d", a, b)
+
+    def inf(self, a, b):
+        return self._each("inf", a, b)
+
+    def sup(self, a, b):
+        return self._each("sup", a, b)
+
+    def leq(self, a, b):
+        out = True
+        for f, s in zip(self.factors, self.blocks):
+            out = out & f.leq(a[..., s], b[..., s])
+        return out
+
+
+def _coords(rank: int) -> Optional[Coords]:
+    return Coords(rank, scalar=False) if rank >= 1 else None
+
+
+def _lex(model):
+    tail = codec_for(model.tail)
+    return None if tail is None else Lex(tail)
+
+
+def _groth(model):
+    monoid = codec_for(model.monoid)
+    return Groth(monoid) if monoid is not None and monoid.flat else None
+
+
+def _gamma(model):
+    group = codec_for(model.group)
+    if group is None or not group.flat or not fits(group.encode(model.unit)):
+        return None
+    return Gamma(group, model.unit)
+
+
+def _chain(model):
+    return Gamma(Coords(1, scalar=True), model.m) if model.m < LIMIT else None
+
+
+def _product(model):
+    factors = [codec_for(f) for f in model.factors]
+    return None if any(f is None for f in factors) else Prod(factors)
+
+
+_BUILDERS = {
+    ZGroup: lambda model: Coords(1, scalar=True),
+    ZnGroup: lambda model: _coords(model.rank),
+    NMonoid: lambda model: Coords(1, scalar=True),
+    NnMonoid: lambda model: _coords(model.rank),
+    LexGroup: _lex,
+    UnitalGroup: lambda model: codec_for(model.group),
+    PositiveConeMonoid: lambda model: codec_for(model.group),
+    GrothendieckGroup: _groth,
+    GammaAlgebra: _gamma,
+    SigmaAlgebra: _gamma,
+    FiniteChainAlgebra: _chain,
+    ChangAlgebra: lambda model: Chang(),
+    ProductAlgebra: _product,
+    PointedAlgebra: lambda model: codec_for(model.algebra),
+}
+
+
+def codec_for(model):
+    """The codec of ``model``, or ``None`` when its exact type (or the
+    exact type of one of its parts) has none."""
+    build = _BUILDERS.get(type(model))
+    return None if build is None else build(model)

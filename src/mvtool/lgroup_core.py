@@ -632,6 +632,16 @@ class GrothendieckGroup(LGroup):
         m = self.monoid
         return m.leq(m.add(x.u, y.v), m.add(y.u, x.v))
 
+    def window_size(self, bound):
+        # Over N or N^n a canonical pair [u, v] is determined by its
+        # difference u - v, and the window is the box [-bound, bound]^n.
+        m = self.monoid
+        if type(m) is NMonoid:
+            return 2 * bound + 1
+        if type(m) is NnMonoid:
+            return (2 * bound + 1) ** m.rank
+        return len(self.enumerate(bound))
+
     def enumerate(self, bound):
         m = self.monoid
         seen = set()

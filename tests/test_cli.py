@@ -93,6 +93,34 @@ def test_carrier_cap_counts_intervals_without_enumerating(capsys, monkeypatch):
     assert "above the cap" in capsys.readouterr().err
 
 
+def test_carrier_cap_counts_grothendieck_windows_without_enumerating(capsys, monkeypatch):
+    def refuse(self, bound):
+        raise AssertionError(f"{self.descriptor()} enumerated at bound {bound}")
+
+    monkeypatch.setattr(mv.GrothendieckGroup, "enumerate", refuse)
+    monkeypatch.setenv("MVTOOL_MAX_CARRIER", "100")
+    assert run_cli("roundtrip", "--group", "Groth(N^2)", "--bound", "20") == 64
+    assert "Groth(N^2) enumerates 1681 elements" in capsys.readouterr().err
+
+
+def test_ant_check_cap_counts_the_unit_interval(capsys, monkeypatch):
+    monkeypatch.delenv("MVTOOL_MAX_CARRIER", raising=False)
+    # The windows have 2001^2 > 10^6 elements; ant_check reads the
+    # intervals [0, (1,1)] (4 elements) and [0, (1,0)] (2002).
+    assert run_cli("ant-check", "--group", "Z^2", "--unit", "(1,1)",
+                   "--bound", "1000") == 1
+    assert run_cli("ant-check", "--group", "Lex(Z,Z)", "--unit", "(1,0)",
+                   "--bound", "1000") == 0
+    capsys.readouterr()
+    monkeypatch.setenv("MVTOOL_MAX_CARRIER", "2001")
+    assert run_cli("ant-check", "--group", "Lex(Z,Z)", "--unit", "(1,0)",
+                   "--bound", "1000") == 64
+    assert "[0, (1,0)] of Lex(Z,Z) has 2002 elements" in capsys.readouterr().err
+    assert run_cli("ant-check", "--group", "Z^2", "--unit", "(1,x)",
+                   "--bound", "1000") == 64
+    capsys.readouterr()
+
+
 def test_carrier_cap_covers_the_search_window(capsys, monkeypatch):
     monkeypatch.setenv("MVTOOL_MAX_CARRIER", "1000")
     # N^2 has 16 elements at bound 3 and 10201 at bound 100.

@@ -1,0 +1,96 @@
+"""The int64 kernels of the vector engine against the carriers' own
+operations, which stay the reference."""
+
+import numpy as np
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+import mvtool as mv
+from mvtool.decompose import FiniteQuotientAlgebra
+from mvtool.kernels import codec_for
+
+OPS = {
+    "mv": ("oplus", "neg", "odot", "inf", "sup", "leq", "d"),
+    "lgroup": ("add", "negate", "inf", "sup", "leq"),
+    "monoid": ("add", "inf", "sup", "leq"),
+}
+UNARY = ("neg", "negate")
+
+# One carrier of every kind that has a codec, nested as the descriptors
+# allow.
+ENCODED = [
+    "Z", "Z^3", "Lex(Z,Z)", "Lex(Z,Z^2)", "Lex(Z,Lex(Z,Z))",
+    "Unital(Z,1)", "Unital(Lex(Z,Z),(1,0))", "Unital(Groth(N^2),[(1,1),(0,0)])",
+    "Groth(N)", "Groth(N^2)", "Groth(PosCone(Z^2))", "Groth(PosCone(Lex(Z,Z)))",
+    "Lex(Z,Groth(N))",
+    "N", "N^2", "PosCone(Z^2)", "PosCone(Lex(Z,Z))", "PosCone(Groth(N))",
+    "C", "B", "L(3)", "Trivial", "Gamma(Z,2)", "Gamma(Z^2,(2,1))",
+    "Gamma(Lex(Z,Z),(2,-1))", "Sigma(Z^2)", "Sigma(Lex(Z,Z))",
+    "Prod(C,L(2))", "Prod(C,Sigma(Z),B)",
+    "Pointed(C,1c)", "Pointed(Sigma(Z^2),(0,(1,1)))",
+]
+MODELS = {d: mv.parse_model(d) for d in ENCODED}
+
+
+def _reference(model, op):
+    # C and L(m) define only oplus and neg: their other operations are
+    # MvAlgebra's derived ones, named here explicitly.
+    if isinstance(model, (mv.ChangAlgebra, mv.FiniteChainAlgebra)) and \
+            op not in ("oplus", "neg"):
+        return lambda x, y: getattr(mv.MvAlgebra, op)(model, x, y)
+    return getattr(model, op)
+
+
+@pytest.mark.parametrize("desc", ENCODED)
+@given(data=st.data())
+def test_kernels_equal_the_carrier_operations(desc, data):
+    model = MODELS[desc]
+    codec = codec_for(model)
+    window = model.enumerate(data.draw(st.integers(1, 6), label="bound"))
+    elems = st.lists(st.sampled_from(window), min_size=1, max_size=4)
+    xs, ys = data.draw(elems, label="xs"), data.draw(elems, label="ys")
+    for x in xs + ys:
+        assert codec.decode(codec.encode(x)) == x
+    # The engine's dense route: a (rows, 1) block against a (1, cols) one.
+    rx = np.array([codec.encode(x) for x in xs], dtype=np.int64)[:, None]
+    ry = np.array([codec.encode(y) for y in ys], dtype=np.int64)[None, :]
+    for op in OPS[model.signature]:
+        ref = _reference(model, op)
+        if op in UNARY:
+            got = getattr(codec, op)(rx[:, 0]).tolist()
+            assert [codec.decode(r) for r in got] == [ref(x) for x in xs], op
+            continue
+        got = getattr(codec, op)(rx, ry).tolist()
+        for i, x in enumerate(xs):
+            for j, y in enumerate(ys):
+                value = got[i][j] if op == "leq" else codec.decode(got[i][j])
+                assert value == ref(x, y), (op, x, y)
+
+
+def test_codecs_cover_exact_types_only():
+    C = mv.ChangAlgebra()
+
+    class BrokenInf(mv.NMonoid):
+        def inf(self, x, y):
+            return 0
+
+    uncovered = [
+        BrokenInf(),
+        mv.GrothendieckGroup(BrokenInf()),
+        mv.pair_group_ops(C),         # RadPairGroup, a GrothendieckGroup subclass
+        mv.delta(C),                  # Groth over the radical monoid
+        FiniteQuotientAlgebra(mv.parse_model("Prod(B,L(2))"), (1, 0)),
+        mv.parse_model("Z^0"),
+        mv.parse_model("Prod(C,Gamma(Z^0,()))"),
+        # Not flat: a kernel over them could exceed three additions.
+        mv.parse_model("Groth(PosCone(Groth(N)))"),
+        mv.parse_model("Gamma(Groth(N),[2,0])"),
+        mv.parse_model("Sigma(Groth(N))"),
+        # A unit that has no valid code.
+        mv.parse_model(f"Gamma(Z,{2 ** 60})"),
+        mv.FiniteChainAlgebra(2 ** 61),
+    ]
+    for model in uncovered:
+        assert codec_for(model) is None, model.descriptor()
+    assert codec_for(mv.parse_model(f"Gamma(Z,{2 ** 60 - 1})")) is not None

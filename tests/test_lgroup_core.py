@@ -238,6 +238,13 @@ def test_window_size_matches_enumeration():
             assert M.window_size(b) == len(M.enumerate(b)), M.descriptor()
 
 
+def test_grothendieck_window_size_is_the_box_of_differences():
+    for M in (N, N2, mv.NnMonoid(3)):
+        G = mv.grothendieck_group(M)
+        for b in range(1, 5):
+            assert G.window_size(b) == len(G.enumerate(b)), (M.descriptor(), b)
+
+
 def test_interval_equals_the_window_filter():
     # Open and closed sides, empty intervals (lo > hi), and endpoints
     # beyond the window; the order must match enumerate() exactly.

@@ -8,7 +8,7 @@ import mvtool as mv
 from mvtool import registry
 from mvtool import sequents as S
 from mvtool.checking import check_sequent, eval_term
-from mvtool.verdicts import CounterExample, InconclusiveAtBound
+from mvtool.verdicts import CounterExample, Holds, InconclusiveAtBound
 
 C = mv.ChangAlgebra()
 B = mv.FiniteChainAlgebra(1)
@@ -199,7 +199,69 @@ def test_engine_parity_on_grothendieck_carriers():
     })
 
 
-def _assert_engine_parity(models):
+def test_engine_parity_on_encoded_carriers():
+    _assert_engine_parity({
+        "mv": [mv.parse_model(d) for d in ("Prod(C,L(2))", "L(3)")],
+        "lgroup": [mv.parse_model(d) for d in
+                   ("Lex(Z,Z)", "Unital(Lex(Z,Z),(1,0))", "Groth(PosCone(Z^2))")],
+        "monoid": [mv.parse_model("PosCone(Lex(Z,Z))")],
+    })
+    _assert_engine_parity({"lgroup": [mv.parse_model("Lex(Z,Z^2)")]}, max_bound=1)
+
+
+def _vector_verdicts(models, bound):
+    out = {}
+    for label, seq in registry.named_sequents().items():
+        for model in models:
+            if model.signature not in seq.signatures() or (
+                    getattr(model, "unit", None) is None and _mentions_unit(seq)):
+                continue
+            out[label, model.descriptor()] = check_sequent(
+                model, seq, bound, engine="vector", exists_bound=2 * bound)
+    return out
+
+
+def test_vector_engine_agrees_with_and_without_kernels(monkeypatch):
+    import mvtool.checking as checking
+    models = [mv.parse_model(d) for d in (
+        "C", "Prod(C,L(2))", "Sigma(Z^2)", "Pointed(Sigma(Z^2),(0,(1,1)))",
+        "Z^2", "Lex(Z,Z)", "Groth(N^2)", "Unital(Lex(Z,Z),(1,0))",
+        "N^2", "PosCone(Lex(Z,Z))")]
+    with_kernels = _vector_verdicts(models, 2)
+    monkeypatch.setattr(checking, "codec_for", lambda model: None)
+    assert _vector_verdicts(models, 2) == with_kernels
+
+
+def test_vector_engine_falls_back_beyond_the_kernel_limit():
+    # 4u, and 3u added to a window element, pass 2^60 for u = 2^59 + 3;
+    # u = 2^62 has no code at all; u = 2^40 stays within the kernels.
+    sequents = [
+        ("x <= y |-[x,y] x + u + u + u <= y + u + u + u", Holds, None),
+        ("true |-[x] x <= 3*u", Holds, None),
+        ("true |-[x,y] u + u + u + u <= x + y", CounterExample, {"x": -3, "y": -3}),
+    ]
+    for u in (2 ** 59 + 3, 2 ** 62, 2 ** 40):
+        model = mv.UnitalGroup(Z, u)
+        for text, kind, env in sequents:
+            seq = mv.parse_sequent(text)
+            for engine in ("scalar", "vector"):
+                v = check_sequent(model, seq, 3, engine=engine)
+                assert type(v) is kind, (u, text, engine)
+                assert getattr(v, "env", None) == env, (u, text, engine)
+
+
+def test_vector_engine_keeps_subclass_operations():
+    class BrokenInf(mv.NMonoid):
+        def inf(self, x, y):
+            return 0
+
+    for label in registry.MONOID_AXIOMS:
+        seq = registry.lookup(label)
+        assert check_sequent(BrokenInf(), seq, 2, engine="vector", exists_bound=4) == \
+            check_sequent(BrokenInf(), seq, 2, engine="scalar", exists_bound=4), label
+
+
+def _assert_engine_parity(models, max_bound=3):
     for label, seq in registry.named_sequents().items():
         sigs = seq.signatures()
         for sig in sigs:
@@ -207,7 +269,7 @@ def _assert_engine_parity(models):
                 if getattr(model, "unit", None) is None and \
                         _mentions_unit(seq):
                     continue
-                bound = 2 if len(seq.context) >= 3 else 3
+                bound = min(max_bound, 2 if len(seq.context) >= 3 else 3)
                 a = check_sequent(model, seq, bound, engine="scalar",
                                   exists_bound=2 * bound)
                 b = check_sequent(model, seq, bound, engine="vector",
