@@ -6,6 +6,17 @@ carrier elements into integer indices and evaluates whole environment
 grids with numpy table lookups; elements produced by operations outside
 the enumerated window are interned lazily, so evaluation stays exact.
 
+One size rule picks the engine and the table route.  A check with
+k >= 1 context variables goes to the vector engine once its context grid
+``|window|^k`` reaches ``_VECTOR_THRESHOLD`` cells; below it the scalar
+walk is cheaper than numpy's per-table set-up.  A table is dense, one
+entry per pair of distinct operands, when it has no more entries than the
+broadcast operand grid it indexes, and otherwise holds only the pairs
+that occur; so no table outgrows the arrays the evaluation already
+holds.  The vector grid also has one axis per level of existential
+nesting, and a grid above ``_MAX_CELLS`` cells, search axes included, is
+checked in chunks along its first context axis.
+
 The vector engine builds each operation table over the unique operand
 pairs.  When the carrier has a codec (``kernels.codec_for``), every
 interned element also has an int64 code row, and a table is one kernel
@@ -28,6 +39,7 @@ therefore persist at every larger bound.
 from __future__ import annotations
 
 import itertools
+import math
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -38,12 +50,12 @@ from .kernels import LIMIT, codec_for, fits
 from .mv_core import mv_power
 from .verdicts import CounterExample, Holds, InconclusiveAtBound, Verdict
 
-# Grids larger than this are chunked along the first context axis.
+# Vector grids (context axes times search axes) larger than this are
+# chunked along the first context axis.
 _MAX_CELLS = 1 << 25
-# Below this many environments the scalar engine beats numpy setup costs.
-_VECTOR_THRESHOLD = 4096
-# Dense sub-table route is used when |left values| * |right values| fits.
-_DENSE_PAIR_LIMIT = 1 << 18
+# Context grids of at least this many cells go to the vector engine; below
+# it the scalar engine's walk is cheaper than numpy's per-table set-up.
+_VECTOR_THRESHOLD = 256
 # Operand pairs per kernel call (see _VectorEval._pair_kernel).
 _KERNEL_BLOCK = 1 << 14
 
@@ -338,7 +350,9 @@ class _VectorEval:
     def _binary_table(self, op, a, b, out_bool=False):
         a, b = np.asarray(a), np.asarray(b)
         ua, ub = np.unique(a), np.unique(b)
-        if len(ua) * len(ub) <= _DENSE_PAIR_LIMIT:
+        # A dense table over the distinct operands costs no more than the
+        # grid it indexes; otherwise only the pairs that occur are computed.
+        if len(ua) * len(ub) <= math.prod(np.broadcast_shapes(a.shape, b.shape)):
             table = self._pair_values(op, ua[:, None], ub[None, :], out_bool)
             pos_a = np.zeros(int(ua[-1]) + 1, dtype=np.int64)
             pos_a[ua] = np.arange(len(ua))
@@ -524,7 +538,8 @@ def check_sequent(model, seq: S.Sequent, bound: int, *,
         )
     ctx_enum = model.enumerate(bound)
     search = ctx_enum
-    if exists_bound is not None and searches(seq):
+    depth = max(_exists_depth(seq.antecedent), _exists_depth(seq.consequent))
+    if exists_bound is not None and depth:
         search = model.enumerate(exists_bound)
 
     k = len(seq.context)
@@ -537,9 +552,11 @@ def check_sequent(model, seq: S.Sequent, bound: int, *,
     if engine != "vector":
         raise ValueError(f"unknown engine {engine!r}")
 
-    if cells > _MAX_CELLS and len(ctx_enum) > 1 and k > 1:
-        per_chunk_cells = max(1, cells // len(ctx_enum))
-        step = max(1, _MAX_CELLS // per_chunk_cells)
+    # The vector grid has one axis per context variable and one per level
+    # of existential nesting; chunks split the first context axis.
+    grid_cells = cells * len(search) ** depth
+    if grid_cells > _MAX_CELLS and len(ctx_enum) > 1 and k >= 1:
+        step = max(1, _MAX_CELLS // (grid_cells // len(ctx_enum)))
         inconclusive = False
         for start in range(0, len(ctx_enum), step):
             chunk = ctx_enum[start:start + step]

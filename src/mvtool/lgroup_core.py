@@ -633,14 +633,51 @@ class GrothendieckGroup(LGroup):
         return m.leq(m.add(x.u, y.v), m.add(y.u, x.v))
 
     def window_size(self, bound):
-        # Over N or N^n a canonical pair [u, v] is determined by its
-        # difference u - v, and the window is the box [-bound, bound]^n.
+        return self.interval_size(bound)
+
+    def _difference_ranges(self, bound, lo, hi):
+        """Over N or N^n a canonical pair [u, v] is determined by its
+        difference u - v, and the window is the box [-bound, bound]^n:
+        the per-coordinate ranges of the differences in [lo, hi] within
+        that box.  None over other monoids."""
         m = self.monoid
         if type(m) is NMonoid:
-            return 2 * bound + 1
-        if type(m) is NnMonoid:
-            return (2 * bound + 1) ** m.rank
-        return len(self.enumerate(bound))
+            rank, coords = 1, lambda x: (x,)
+        elif type(m) is NnMonoid:
+            rank, coords = m.rank, lambda x: x
+        else:
+            return None
+
+        def diff(p):
+            if p is None:
+                return [None] * rank
+            return [a - b for a, b in zip(coords(p.u), coords(p.v))]
+
+        return [_clipped_range(bound, l, h) for l, h in zip(diff(lo), diff(hi))]
+
+    def interval(self, bound, lo=None, hi=None):
+        ranges = self._difference_ranges(bound, lo, hi)
+        if ranges is None:
+            return super().interval(bound, lo, hi)
+        # enumerate() walks the monoid pairs (x, y) in lexicographic order
+        # and first meets the difference d at (d+, d-), its canonical
+        # pair, so the canonical pairs in sorted order are its order.
+        pairs = sorted(
+            (tuple(max(a, 0) for a in d), tuple(max(-a, 0) for a in d))
+            for d in itertools.product(*ranges)
+        )
+        if type(self.monoid) is NMonoid:
+            return [CanonPair(u, v) for (u,), (v,) in pairs]
+        return [CanonPair(u, v) for u, v in pairs]
+
+    def interval_size(self, bound, lo=None, hi=None):
+        ranges = self._difference_ranges(bound, lo, hi)
+        if ranges is None:
+            return super().interval_size(bound, lo, hi)
+        size = 1
+        for rng in ranges:
+            size *= len(rng)
+        return size
 
     def enumerate(self, bound):
         m = self.monoid

@@ -245,6 +245,21 @@ def test_grothendieck_window_size_is_the_box_of_differences():
             assert G.window_size(b) == len(G.enumerate(b)), (M.descriptor(), b)
 
 
+def test_grothendieck_intervals_are_built_without_enumerating(monkeypatch):
+    G = mv.grothendieck_group(N2)
+
+    def refuse(bound):
+        raise AssertionError("the window was enumerated")
+
+    monkeypatch.setattr(G, "enumerate", refuse)
+    unit = CanonPair((1, 1), (0, 0))
+    assert G.interval(20, G.zero, unit) == [
+        CanonPair((0, 0), (0, 0)), CanonPair((0, 1), (0, 0)),
+        CanonPair((1, 0), (0, 0)), CanonPair((1, 1), (0, 0))]
+    assert G.interval_size(20, G.zero, unit) == 4
+    assert G.window_size(20) == 41 ** 2
+
+
 def test_interval_equals_the_window_filter():
     # Open and closed sides, empty intervals (lo > hi), and endpoints
     # beyond the window; the order must match enumerate() exactly.
@@ -255,6 +270,12 @@ def test_interval_equals_the_window_filter():
         Z3: [(0, 0, 0), (1, -1, 2), (-2, 0, 1)],
         LexZZ2: [LexPair(0, (0, 0)), LexPair(0, (2, 1)), LexPair(1, (-1, 2)),
                  LexPair(-1, (1, 0)), LexPair(3, (-3, 3))],
+        mv.GrothendieckGroup(N): [CanonPair(0, 0), CanonPair(0, 2),
+                                  CanonPair(1, 0), CanonPair(4, 0)],
+        mv.GrothendieckGroup(N2): [CanonPair((0, 0), (0, 0)),
+                                   CanonPair((1, 0), (0, 1)),
+                                   CanonPair((0, 0), (2, 1)),
+                                   CanonPair((3, 2), (0, 0))],
     }
     for G, points in endpoints.items():
         for b in range(4):

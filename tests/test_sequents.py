@@ -309,6 +309,86 @@ def test_vector_engine_chunking_agrees(monkeypatch):
             assert chunked.env == monkey_free.env
 
 
+def _spy_on_check_vector(monkeypatch):
+    """Record the first context axis of every ``_check_vector`` call."""
+    import mvtool.checking as checking
+    calls = []
+    original = checking._check_vector
+
+    def spy(model, seq, ctx_enums, *rest):
+        calls.append(len(ctx_enums[0]) if ctx_enums else 0)
+        return original(model, seq, ctx_enums, *rest)
+
+    monkeypatch.setattr(checking, "_check_vector", spy)
+    return calls
+
+
+def test_vector_chunks_count_the_search_axes(monkeypatch):
+    import mvtool.checking as checking
+    calls = _spy_on_check_vector(monkeypatch)
+    monkeypatch.setattr(checking, "_MAX_CELLS", 64)
+    N2 = mv.NnMonoid(2)
+    cases = [
+        # 4^2 context cells times a 9-element search axis: 144 > 64
+        (registry.lookup("M.14"), 1, 2, Holds),
+        # pairs x <= y whose witness lies beyond the search window
+        (registry.lookup("M.14"), 2, 1, InconclusiveAtBound),
+        # one context variable: 9 cells times 9 search cells
+        (mv.parse_sequent("true |-[x] exists z . x + z = x"), 2, 2, Holds),
+    ]
+    for seq, bound, exists_bound, kind in cases:
+        calls.clear()
+        chunked = check_sequent(N2, seq, bound, exists_bound=exists_bound,
+                                engine="vector")
+        assert len(calls) > 1, (seq.name, bound)
+        assert type(chunked) is kind
+        assert chunked == check_sequent(N2, seq, bound, exists_bound=exists_bound,
+                                        engine="scalar")
+
+
+def test_auto_engine_follows_the_context_grid(monkeypatch):
+    calls = _spy_on_check_vector(monkeypatch)
+    sigma = mv.parse_model("Sigma(Z^2)")
+    assert sigma.window_size(30) == 1922
+    assert check_sequent(sigma, registry.lookup("chi_1"), 30).ok
+    assert calls == [1922]
+    # a capped bigvee over 8 cells stays on the scalar engine
+    pointed = mv.parse_model("Pointed(C,1c)")
+    assert check_sequent(pointed, registry.lookup("Pstar.2"), 3).ok
+    assert calls == [1922]
+
+
+def test_dense_and_sparse_table_routes_equal_the_carrier():
+    from mvtool.checking import _VectorEval
+    cases = [(mv.ZnGroup(2), "add", False), (mv.parse_model("Groth(N^2)"), "leq", True),
+             (mv.delta(C), "inf", False)]
+    for model, op, out_bool in cases:
+        window = model.enumerate(2)
+        n = len(window)
+        ev = _VectorEval(model, ("x",), [window], window, S.Top())
+        routes = []
+        pair_values = ev._pair_values
+
+        def spy(name, ia, *rest):
+            routes.append(ia.ndim)  # 2 on the dense route, 1 on the sparse
+            return pair_values(name, ia, *rest)
+
+        ev._pair_values = spy
+        idx = ev.var_idx["x"]
+        dense = ev._binary_table(op, idx[:, None], idx[None, :], out_bool)
+        sparse = ev._binary_table(op, idx, idx[::-1], out_bool)
+        assert routes == [2, 1], model.descriptor()
+
+        def value(v):
+            return bool(v) if out_bool else ev.interner_elems[v]
+
+        fn = getattr(model, op)
+        for i in range(n):
+            assert value(sparse[i]) == fn(window[i], window[n - 1 - i])
+            for j in range(n):
+                assert value(dense[i, j]) == fn(window[i], window[j])
+
+
 def test_counterexamples_are_monotone_in_bound():
     failing = [(L2, "xi"), (CC, "P.3"), (CC, "beta")]
     for model, label in failing:
