@@ -4,10 +4,12 @@ For each check it prints the context grid (|window|^k cells) and the best
 of three wall times on the scalar and on the vector engine, then the
 summed time of each group of checks for candidate values of
 ``checking._VECTOR_THRESHOLD`` (a check with k >= 1 goes to the vector
-engine once its grid reaches the threshold).  The checks are those of the
+engine once its grid reaches the threshold).  Three groups of checks: the
 benchmark's ``axiom-suite`` and ``wide-window`` workloads, whose carriers
-have int64 kernels, and the L and M axioms on the carriers without one:
-``delta(C)``, ``pair_group_ops(C)`` and the radical monoid of C.
+have int64 kernels; the L and M axioms on the Delta side of C,
+``delta(C)`` and the radical monoid of C, whose kernels come from the
+radical monoid's codec; and the L axioms on ``pair_group_ops(C)``, which
+has no codec.
 
     PYTHONPATH=src python3 scripts/engine_sweep.py
 """
@@ -29,17 +31,25 @@ from mvtool.checking import check_sequent  # noqa: E402
 THRESHOLDS = (1, 16, 64, 128, 256, 512, 1024, 4096)
 
 
+L_AXIOMS = [f"L.{i}" for i in range(1, 13)]
+M_AXIOMS = [f"M.{i}" for i in range(1, 15)]
+
+
+def radical_checks():
+    C = mv.ChangAlgebra()
+    for bound in (2, 4, 6, 8):
+        for label in L_AXIOMS:
+            yield label, mv.delta(C), bound, None
+    for bound in (3, 7, 15):
+        for label in M_AXIOMS:
+            yield label, mv.RadicalMonoid(C), bound, 2 * bound
+
+
 def no_codec_checks():
     C = mv.ChangAlgebra()
-    L = [f"L.{i}" for i in range(1, 13)]
-    M = [f"M.{i}" for i in range(1, 15)]
     for bound in (2, 4, 6, 8):
-        for model in (mv.delta(C), mv.pair_group_ops(C)):
-            for label in L:
-                yield label, model, bound, None
-    for bound in (3, 7, 15):
-        for label in M:
-            yield label, mv.RadicalMonoid(C), bound, 2 * bound
+        for label in L_AXIOMS:
+            yield label, mv.pair_group_ops(C), bound, None
 
 
 def codec_checks():
@@ -82,6 +92,7 @@ def sweep(name, checks):
 
 def main():
     sweep("codec", codec_checks())
+    sweep("radical", radical_checks())
     sweep("no-codec", no_codec_checks())
 
 

@@ -48,6 +48,7 @@ from .mv_core import (
     MvAlgebra,
     PointedAlgebra,
     ProductAlgebra,
+    RadicalMonoid,
     SigmaAlgebra,
     boolean_skeleton_generators,
     coradical_membership,
@@ -59,7 +60,6 @@ from .mv_core import (
     radical_membership,
 )
 from .equivalence import (
-    RadicalMonoid,
     RadPairGroup,
     SigmaElem,
     beta_A,

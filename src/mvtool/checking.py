@@ -26,7 +26,8 @@ falls back to calling the carrier's own operation on each pair when one
 of its inputs has no valid code (a coordinate of magnitude 2^60 or more)
 or one of its result rows reaches 2^60.  Below that bound no kernel can
 overflow int64, so the kernels are exact: no floats, no tolerances, no
-wraparound.
+wraparound.  The interning, the code rows and the tables live in
+``OperationTables``, which the homomorphism checks share.
 
 A sequent check universally quantifies its context over
 ``enumerate(bound)``.  Existentials and capped infinitary disjunctions
@@ -208,17 +209,17 @@ def _exists_depth(f) -> int:
     raise TypeError(f"not a formula: {f!r}")
 
 
-class _VectorEval:
-    """Evaluates one formula over the full environment grid.
+class OperationTables:
+    """Interned elements of one carrier and its operation tables over them.
 
-    Every array has a fixed number of dimensions: one leading axis per
-    context variable (whose lengths may differ when the first axis is
-    chunked) followed by one axis per level of existential nesting.
-    Existential reductions use keepdims, so shapes stay aligned.
+    Elements are interned into integer indices.  When the carrier has a
+    codec, every interned element also has an int64 code row, and a table
+    is one kernel call over the rows of its operands; otherwise, or when a
+    row reaches ``LIMIT``, the table calls the carrier's own operation on
+    each operand (pair).
     """
 
-    def __init__(self, model, ctx_vars: Sequence[str],
-                 ctx_enums: Sequence[list], search_enum: list, formula):
+    def __init__(self, model):
         self.M = model
         self.interner_elems: List[Any] = []
         self.interner_index: Dict[Any, int] = {}
@@ -227,15 +228,6 @@ class _VectorEval:
         width = 0 if self.codec is None else self.codec.width
         self._codes = np.zeros((0, width), dtype=np.int64)
         self._ok = np.zeros(0, dtype=bool)
-        self.n_ctx = len(ctx_vars)
-        self.ndim = self.n_ctx + _exists_depth(formula)
-        self.axes: Dict[str, int] = {v: i for i, v in enumerate(ctx_vars)}
-        self.var_idx: Dict[str, np.ndarray] = {
-            v: self._intern_all(ctx_enums[i]) for i, v in enumerate(ctx_vars)
-        }
-        self.search_enum = search_enum
-        self._search_idx: Optional[np.ndarray] = None
-        self.scalars: Dict[str, int] = {}
 
     # -- interning -----------------------------------------------------------
 
@@ -247,7 +239,7 @@ class _VectorEval:
             self.interner_elems.append(v)
         return idx
 
-    def _intern_all(self, values) -> np.ndarray:
+    def intern_all(self, values) -> np.ndarray:
         return np.array([self.intern(v) for v in values], dtype=np.int64)
 
     # -- code rows -------------------------------------------------------------
@@ -302,7 +294,7 @@ class _VectorEval:
 
     # -- table machinery -------------------------------------------------------
 
-    def _unary_table(self, op, arr, n=0):
+    def unary_table(self, op, arr, n=0):
         """``op`` is ``neg``, ``negate``, ``nat_scalar`` (n*x) or
         ``mv_power`` (x^n), applied to the interned indices ``arr``."""
         arr = np.asarray(arr)
@@ -347,7 +339,7 @@ class _VectorEval:
             acc = kernel(rows)
         return self._intern_rows(acc)
 
-    def _binary_table(self, op, a, b, out_bool=False):
+    def binary_table(self, op, a, b, out_bool=False):
         a, b = np.asarray(a), np.asarray(b)
         ua, ub = np.unique(a), np.unique(b)
         # A dense table over the distinct operands costs no more than the
@@ -408,6 +400,29 @@ class _VectorEval:
             out.append(r.reshape((-1,) + shape[1:]))
         return np.concatenate(out)
 
+
+class _VectorEval(OperationTables):
+    """Evaluates one formula over the full environment grid.
+
+    Every array has a fixed number of dimensions: one leading axis per
+    context variable (whose lengths may differ when the first axis is
+    chunked) followed by one axis per level of existential nesting.
+    Existential reductions use keepdims, so shapes stay aligned.
+    """
+
+    def __init__(self, model, ctx_vars: Sequence[str],
+                 ctx_enums: Sequence[list], search_enum: list, formula):
+        super().__init__(model)
+        self.n_ctx = len(ctx_vars)
+        self.ndim = self.n_ctx + _exists_depth(formula)
+        self.axes: Dict[str, int] = {v: i for i, v in enumerate(ctx_vars)}
+        self.var_idx: Dict[str, np.ndarray] = {
+            v: self.intern_all(ctx_enums[i]) for i, v in enumerate(ctx_vars)
+        }
+        self.search_enum = search_enum
+        self._search_idx: Optional[np.ndarray] = None
+        self.scalars: Dict[str, int] = {}
+
     # -- terms -------------------------------------------------------------------
 
     def _shaped(self, idx_array: np.ndarray, axis: int) -> np.ndarray:
@@ -426,26 +441,26 @@ class _VectorEval:
         if isinstance(t, S.Unit):
             return np.int64(self.intern(_unit_of(M)))
         if isinstance(t, S.Oplus):
-            return self._binary_table("oplus", self.term(t.left), self.term(t.right))
+            return self.binary_table("oplus", self.term(t.left), self.term(t.right))
         if isinstance(t, S.Odot):
-            return self._binary_table("odot", self.term(t.left), self.term(t.right))
+            return self.binary_table("odot", self.term(t.left), self.term(t.right))
         if isinstance(t, S.Neg):
-            return self._unary_table("neg", self.term(t.arg))
+            return self.unary_table("neg", self.term(t.arg))
         if isinstance(t, S.Inf):
-            return self._binary_table("inf", self.term(t.left), self.term(t.right))
+            return self.binary_table("inf", self.term(t.left), self.term(t.right))
         if isinstance(t, S.Sup):
-            return self._binary_table("sup", self.term(t.left), self.term(t.right))
+            return self.binary_table("sup", self.term(t.left), self.term(t.right))
         if isinstance(t, S.Add):
-            return self._binary_table("add", self.term(t.left), self.term(t.right))
+            return self.binary_table("add", self.term(t.left), self.term(t.right))
         if isinstance(t, S.Minus):
-            return self._unary_table("negate", self.term(t.arg))
+            return self.unary_table("negate", self.term(t.arg))
         if isinstance(t, S.D):
-            return self._binary_table("d", self.term(t.left), self.term(t.right))
+            return self.binary_table("d", self.term(t.left), self.term(t.right))
         if isinstance(t, S.NatScalar):
             n = t.coeff if isinstance(t.coeff, int) else self.scalars[t.coeff]
-            return self._unary_table("nat_scalar", self.term(t.arg), n)
+            return self.unary_table("nat_scalar", self.term(t.arg), n)
         if isinstance(t, S.MvPower):
-            return self._unary_table("mv_power", self.term(t.arg), t.n)
+            return self.unary_table("mv_power", self.term(t.arg), t.n)
         raise TypeError(f"not a term: {t!r}")
 
     # -- formulas ------------------------------------------------------------------
@@ -459,7 +474,7 @@ class _VectorEval:
             v = np.asarray(self.term(f.left) == self.term(f.right))
             return v, ~v
         if isinstance(f, S.Leq):
-            v = np.asarray(self._binary_table("leq", self.term(f.left),
+            v = np.asarray(self.binary_table("leq", self.term(f.left),
                                               self.term(f.right), out_bool=True))
             return v, ~v
         if isinstance(f, S.And):
@@ -474,7 +489,7 @@ class _VectorEval:
             if f.var in self.axes:
                 raise SignatureError(f"quantifier shadows variable {f.var!r}")
             if self._search_idx is None:
-                self._search_idx = self._intern_all(self.search_enum)
+                self._search_idx = self.intern_all(self.search_enum)
             ax = self.n_ctx + depth
             self.axes[f.var] = ax
             self.var_idx[f.var] = self._search_idx

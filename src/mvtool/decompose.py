@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 from typing import Callable, List, Tuple
 
 from .errors import DecompositionError, MvToolError
+from .homomorphism import homomorphism_failures, map_once
 from .mv_core import (
     FiniteChainAlgebra,
     MvAlgebra,
@@ -290,20 +291,29 @@ def is_perfect_element(A: MvAlgebra, a, bound: int) -> bool:
 def weak_subdirect_check(A: MvAlgebra, projections, bound: int) -> Verdict:
     """Joint injectivity of a family of homomorphisms on the bounded
     window."""
-    images = {}
-    for x in A.enumerate(bound):
-        key = tuple(p(x) for p in projections)
-        if key in images and images[key] != x:
-            return CounterExample((images[key], x))
-        images[key] = x
+    _, collisions = map_once(A.enumerate(bound),
+                             lambda x: tuple(p(x) for p in projections))
+    if collisions:
+        return CounterExample(collisions[0])
     return Holds()
+
+
+# The note of product_reconstruction_check's counterexample for each kind
+# of homomorphism failure.
+_RECONSTRUCTION_NOTES = {
+    "inverse": "round trip failed",
+    "neg": "forward map does not preserve neg",
+    "oplus": "forward map does not preserve oplus",
+}
 
 
 def product_reconstruction_check(A: MvAlgebra, d: AtomDecomposition,
                                  bound: int) -> Verdict:
     """Round trip and homomorphism property of a decomposition: atoms
     cover 1, backward(forward(b)) = b for every enumerated b, and the
-    forward map preserves oplus and neg componentwise."""
+    forward map into the product of the factors preserves neg and oplus.
+    The counterexample is the first failure in ``homomorphism_failures``
+    order: an element (round trip, then neg), then a pair."""
     total = A.zero
     for a in d.atoms:
         total = A.sup(total, a)
@@ -311,25 +321,15 @@ def product_reconstruction_check(A: MvAlgebra, d: AtomDecomposition,
         return CounterExample(total, note="sup of atoms is not 1")
 
     window = A.enumerate(bound)
-    images = []
-    for b in window:
-        fb = d.iso_forward(b)
-        images.append(fb)
-        if d.iso_backward(fb) != b:
-            return CounterExample(b, note="round trip failed")
-        fn = d.iso_forward(A.neg(b))
-        for factor, got, comp in zip(d.factors, fn, fb):
-            if got != factor.neg(comp):
-                return CounterExample(b, note="forward map does not preserve neg")
-    for x, fx in zip(window, images):
-        for y, fy in zip(window, images):
-            fxy = d.iso_forward(A.oplus(x, y))
-            for factor, got, cx, cy in zip(d.factors, fxy, fx, fy):
-                if got != factor.oplus(cx, cy):
-                    return CounterExample(
-                        (x, y), note="forward map does not preserve oplus"
-                    )
-    return Holds()
+    image = [d.iso_forward(b) for b in window]
+    failures = homomorphism_failures(A, ProductAlgebra(d.factors), window, image,
+                                     d.iso_forward, d.iso_backward,
+                                     ("neg",), ("oplus",))
+    if not failures:
+        return Holds()
+    kind, elements = failures[0]
+    env = elements[0] if len(elements) == 1 else elements
+    return CounterExample(env, note=_RECONSTRUCTION_NOTES[kind])
 
 
 def pushout_pullback_check(A: MvAlgebra, a, bound: int) -> Verdict:
@@ -341,20 +341,18 @@ def pushout_pullback_check(A: MvAlgebra, a, bound: int) -> Verdict:
         raise MvToolError(f"{A.format_element(a)} is not Boolean")
     q1, p1 = _quotient_with_map(A, a)
     q2, p2 = _quotient_with_map(A, A.neg(a))
-    seen = {}
-    for x in A.enumerate(bound):
-        key = (p1(x), p2(x))
-        if key in seen and seen[key] != x:
-            return CounterExample((seen[key], x), note="not injective")
-        seen[key] = x
+    image, collisions = map_once(A.enumerate(bound), lambda x: (p1(x), p2(x)))
+    if collisions:
+        return CounterExample(collisions[0], note="not injective")
+    seen = set(image.values())
     expected = {
         (y1, y2)
         for y1 in q1.enumerate(bound)
         for y2 in q2.enumerate(bound)
     }
-    if set(seen) != expected:
-        missing = expected - set(seen)
-        extra = set(seen) - expected
+    if seen != expected:
+        missing = expected - seen
+        extra = seen - expected
         return CounterExample(
             (sorted_repr(missing), sorted_repr(extra)),
             note="image does not match the product of the quotients",

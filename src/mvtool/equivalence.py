@@ -14,6 +14,7 @@ from functools import partial
 from typing import Callable, Sequence, Tuple
 
 from .errors import CarrierMismatchError, NotPerfectError, PreconditionError
+from .homomorphism import homomorphism_failures, map_once
 from .lgroup_core import (
     CanonPair,
     GrothendieckGroup,
@@ -30,6 +31,7 @@ from .lgroup_core import (
 from .mv_core import (
     GammaAlgebra,
     MvAlgebra,
+    RadicalMonoid,
     SigmaAlgebra,
     nat_scalar,
     radical_membership,
@@ -38,59 +40,6 @@ from .registry import check_perfect
 from .verdicts import CounterExample
 
 SigmaElem = LexPair  # Rad(g) is (0, g) with g >= 0; Corad(g) is (1, g) with g <= 0.
-
-
-class RadicalMonoid(LMonoid):
-    """The radical {x | x <= neg x} of a Chang-variety algebra, as a
-    cancellative lattice-ordered abelian monoid under oplus.
-
-    Subtractivity is witnessed inside the carrier: for x <= y the unique
-    z with x oplus z = y is y ominus x = y odot (neg x), which carriers
-    with a direct ``ominus`` (Gamma, Sigma) compute in their group.
-    """
-
-    def __init__(self, algebra: MvAlgebra):
-        self.algebra = algebra
-
-    @property
-    def zero(self):
-        return self.algebra.zero
-
-    def add(self, x, y):
-        return self.algebra.oplus(x, y)
-
-    def leq(self, x, y):
-        return self.algebra.leq(x, y)
-
-    def inf(self, x, y):
-        return self.algebra.inf(x, y)
-
-    def sup(self, x, y):
-        return self.algebra.sup(x, y)
-
-    def subtract(self, x, y):
-        if not self.algebra.leq(y, x):
-            raise CarrierMismatchError("subtraction needs y <= x in the radical")
-        return self.algebra.ominus(x, y)
-
-    def enumerate(self, bound):
-        return [
-            x for x in self.algebra.enumerate(bound)
-            if radical_membership(self.algebra, x)
-        ]
-
-    def validate(self, x):
-        self.algebra.validate(x)
-        if not radical_membership(self.algebra, x):
-            raise CarrierMismatchError(
-                f"{self.algebra.format_element(x)} is not a radical element"
-            )
-
-    def descriptor(self):
-        return f"Rad({self.algebra.descriptor()})"
-
-    def format_element(self, x):
-        return self.algebra.format_element(x)
 
 
 # ---------------------------------------------------------------------------
@@ -267,12 +216,12 @@ def delta_star(A: MvAlgebra, a, bound: int = 4) -> Tuple[GrothendieckGroup, Cano
 # ---------------------------------------------------------------------------
 
 
-def _bijection_failures(fmt_dom, fmt_cod, image: dict, codomain: list,
-                        inverse, forward) -> list:
-    """Bijectivity evidence on windows: injectivity of the image,
-    image contained in the codomain window, and surjectivity witnessed
-    by the explicit inverse (every codomain-window element has a
-    preimage that maps back onto it).
+def _bijection_failures(fmt_dom, fmt_cod, image: dict, collisions: list,
+                        codomain: list, inverse, forward) -> list:
+    """Bijectivity evidence on windows: injectivity of the image (its
+    ``map_once`` collisions), image contained in the codomain window, and
+    surjectivity witnessed by the explicit inverse (every codomain-window
+    element has a preimage that maps back onto it).
 
     Set equality of the two windows is deliberately not required: over a
     lexicographic carrier, canonicalizing pairs of window elements can
@@ -280,15 +229,8 @@ def _bijection_failures(fmt_dom, fmt_cod, image: dict, codomain: list,
     properly contain the image while the map is still a carrier-level
     bijection.
     """
-    failures = []
-    by_value: dict = {}
-    for g, v in image.items():
-        if v in by_value:
-            failures.append({
-                "kind": "not-injective",
-                "elements": [fmt_dom(by_value[v]), fmt_dom(g)],
-            })
-        by_value[v] = g
+    failures = [{"kind": "not-injective", "elements": [fmt_dom(a), fmt_dom(b)]}
+                for a, b in collisions]
     cod = set(codomain)
     for v in sorted(set(image.values()) - cod, key=repr):
         failures.append({"kind": "image-outside-window", "element": fmt_cod(v)})
@@ -307,30 +249,23 @@ def _roundtrip_report(direction: str, src, target, forward: Callable,
     Each operation name is a method of both carriers: a unary ``op``
     must satisfy forward(src.op(x)) = target.op(forward(x)) on the
     window, and a binary one the same on every pair.  Returns counts and
-    a list of failures (empty on success).
+    a list of failures (empty on success): the bijection failures, then
+    those of ``homomorphism_failures`` in its order.
     """
     window = src.enumerate(bound)
     fmt = src.format_element
-    image = {x: forward(x) for x in window}
-    failures = _bijection_failures(fmt, target.format_element, image,
+    image, collisions = map_once(window, forward)
+    failures = _bijection_failures(fmt, target.format_element, image, collisions,
                                    target.enumerate(bound), inverse, forward)
-    unary = [(op, getattr(src, op), getattr(target, op)) for op in unary_ops]
-    binary = [(op, getattr(src, op), getattr(target, op)) for op in binary_ops]
-    for x in window:
-        if inverse(image[x]) != x:
-            failures.append({"kind": "inverse", "element": fmt(x)})
-        for op, src_op, target_op in unary:
-            if forward(src_op(x)) != target_op(image[x]):
-                failures.append({"kind": op, "element": fmt(x)})
-    checked_pairs = 0
-    for x in window:
-        for y in window:
-            checked_pairs += 1
-            for op, src_op, target_op in binary:
-                if forward(src_op(x, y)) != target_op(image[x], image[y]):
-                    failures.append({"kind": op, "elements": [fmt(x), fmt(y)]})
+    for kind, elements in homomorphism_failures(
+            src, target, window, [image[x] for x in window], forward, inverse,
+            unary_ops, binary_ops):
+        if len(elements) == 1:
+            failures.append({"kind": kind, "element": fmt(elements[0])})
+        else:
+            failures.append({"kind": kind, "elements": [fmt(e) for e in elements]})
     return {"direction": direction, "model": src.descriptor(), "bound": bound,
-            "checked_pairs": checked_pairs, "failures": failures}
+            "checked_pairs": len(window) ** 2, "failures": failures}
 
 
 _GROUP_OPS = ("add", "inf", "sup")

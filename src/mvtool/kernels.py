@@ -4,9 +4,10 @@ Every carrier of the library is a set of integer coordinates: Z^n and N^n
 directly, Z x_lex G as a head followed by the tail's coordinates, the
 Grothendieck group of a monoid as the coordinates of its canonical pair
 (u, v), the unit interval Gamma(G, u) as a part of G (Mundici 1986, J.
-Funct. Anal. 65), the chain L(m) as Gamma(Z, m), and Chang's algebra C
+Funct. Anal. 65), the chain L(m) as Gamma(Z, m), Chang's algebra C
 as Sigma(Z) = Gamma(Z x_lex Z, (1, 0)) under nc -> (0, n) and
-1 - nc -> (1, -n).  A codec maps elements to such rows of integers and
+1 - nc -> (1, -n), and the radical monoid of such a unit interval as the
+same rows under oplus.  A codec maps elements to such rows of integers and
 back, and computes the carrier's operations with numpy on int64 arrays
 of shape (..., width), one row per element.
 
@@ -22,8 +23,9 @@ are the Grothendieck canonicalisation, (x + y) - inf(x + y, h + k), and
 Gamma's x odot y = sup(0, x + y - u)), so every intermediate value stays
 below 4 * 2^60 = 2^62 and int64 arithmetic never wraps.  To keep that
 bound, Grothendieck groups and unit intervals are built only over
-``flat`` codecs: coordinates and lexicographic products of them, whose
-own kernels add at most two coordinates.
+``flat`` codecs: coordinates, lexicographic products of them, and the
+radical monoids of unit intervals over them, whose own kernels add at
+most two coordinates (the radical monoid's x + y is inf(u, x + y)).
 """
 
 from __future__ import annotations
@@ -51,6 +53,7 @@ from .mv_core import (
     GammaAlgebra,
     PointedAlgebra,
     ProductAlgebra,
+    RadicalMonoid,
     SigmaAlgebra,
 )
 
@@ -245,6 +248,41 @@ class Chang(Gamma):
         return ChangElem("fin", row[1]) if row[0] == 0 else ChangElem("cofin", -row[1])
 
 
+class Radical:
+    """The radical monoid of a unit interval, on the interval's rows: x + y
+    is x oplus y, and the order and lattice operations are the interval's.
+    ``sub`` is the group's x - y; it equals the monoid's ``subtract``,
+    sup(0, x - y), exactly when y <= x, which is the only case the
+    Grothendieck canonicalisation asks for."""
+
+    flat = True
+
+    def __init__(self, interval):
+        self.interval = interval
+        self.width = interval.width
+
+    def encode(self, x):
+        return self.interval.encode(x)
+
+    def decode(self, row):
+        return self.interval.decode(row)
+
+    def add(self, a, b):
+        return self.interval.oplus(a, b)
+
+    def sub(self, a, b):
+        return self.interval.g.sub(a, b)
+
+    def leq(self, a, b):
+        return self.interval.leq(a, b)
+
+    def inf(self, a, b):
+        return self.interval.inf(a, b)
+
+    def sup(self, a, b):
+        return self.interval.sup(a, b)
+
+
 class Prod:
     """A finite product: each factor owns a block of columns."""
 
@@ -320,9 +358,15 @@ def _chain(model):
     return Gamma(Coords(1, scalar=True), model.m) if model.m < LIMIT else None
 
 
+def _radical(model):
+    interval = codec_for(model.algebra)
+    return Radical(interval) if isinstance(interval, Gamma) else None
+
+
 def _product(model):
+    # The empty product's rows would have no columns: it has no codec.
     factors = [codec_for(f) for f in model.factors]
-    return None if any(f is None for f in factors) else Prod(factors)
+    return None if not factors or any(f is None for f in factors) else Prod(factors)
 
 
 _BUILDERS = {
@@ -340,6 +384,7 @@ _BUILDERS = {
     ChangAlgebra: lambda model: Chang(),
     ProductAlgebra: _product,
     PointedAlgebra: lambda model: codec_for(model.algebra),
+    RadicalMonoid: _radical,
 }
 
 

@@ -659,9 +659,9 @@ class GrothendieckGroup(LGroup):
         ranges = self._difference_ranges(bound, lo, hi)
         if ranges is None:
             return super().interval(bound, lo, hi)
-        # enumerate() walks the monoid pairs (x, y) in lexicographic order
-        # and first meets the difference d at (d+, d-), its canonical
-        # pair, so the canonical pairs in sorted order are its order.
+        # The walk over the monoid pairs (x, y) in lexicographic order first
+        # meets the difference d at (d+, d-), its canonical pair, so the
+        # canonical pairs in sorted order are the window's order.
         pairs = sorted(
             (tuple(max(a, 0) for a in d), tuple(max(-a, 0) for a in d))
             for d in itertools.product(*ranges)
@@ -680,6 +680,11 @@ class GrothendieckGroup(LGroup):
         return size
 
     def enumerate(self, bound):
+        """The canonical pairs of the pairs (x, y) of the monoid window,
+        in order of first appearance; over N/N^n that list is the box of
+        differences, which ``interval`` builds directly."""
+        if self._difference_ranges(bound, None, None) is not None:
+            return self.interval(bound)
         m = self.monoid
         seen = set()
         out = []

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Iterable, Literal, Optional, Sequence
 
 from .errors import CarrierMismatchError, InvalidUnitError
-from .lgroup_core import LexGroup, LexPair, LGroup
+from .lgroup_core import LexGroup, LexPair, LGroup, LMonoid
 from .verdicts import Finite, NoneUpTo
 
 
@@ -362,13 +362,13 @@ class SigmaAlgebra(GammaAlgebra):
 class ProductAlgebra(MvAlgebra):
     """Finite direct product with componentwise operations.  Enumeration
     is the cartesian product of the factor enumerations at the same
-    bound, which grows exponentially in the number of factors."""
+    bound, which grows exponentially in the number of factors.  The
+    product of no factors is the one-element algebra on the empty tuple:
+    the target of the trivial algebra's decomposition."""
 
     carrier_kind = "product"
 
     def __init__(self, factors: Sequence[MvAlgebra]):
-        if not factors:
-            raise ValueError("a product needs at least one factor")
         self.factors = tuple(factors)
 
     @property
@@ -546,3 +546,61 @@ def boolean_skeleton_generators(A: MvAlgebra, gens: Iterable) -> list:
     """The images (2x)^2 of the generators, which generate the Boolean
     skeleton of a finitely generated Chang-variety algebra."""
     return [mv_power(A, nat_scalar(A, 2, g), 2) for g in gens]
+
+
+# ---------------------------------------------------------------------------
+# The radical monoid
+# ---------------------------------------------------------------------------
+
+
+class RadicalMonoid(LMonoid):
+    """The radical {x | x <= neg x} of a Chang-variety algebra, as a
+    cancellative lattice-ordered abelian monoid under oplus.
+
+    Subtractivity is witnessed inside the carrier: for x <= y the unique
+    z with x oplus z = y is y ominus x = y odot (neg x), which carriers
+    with a direct ``ominus`` (Gamma, Sigma) compute in their group.
+    """
+
+    def __init__(self, algebra: MvAlgebra):
+        self.algebra = algebra
+
+    @property
+    def zero(self):
+        return self.algebra.zero
+
+    def add(self, x, y):
+        return self.algebra.oplus(x, y)
+
+    def leq(self, x, y):
+        return self.algebra.leq(x, y)
+
+    def inf(self, x, y):
+        return self.algebra.inf(x, y)
+
+    def sup(self, x, y):
+        return self.algebra.sup(x, y)
+
+    def subtract(self, x, y):
+        if not self.algebra.leq(y, x):
+            raise CarrierMismatchError("subtraction needs y <= x in the radical")
+        return self.algebra.ominus(x, y)
+
+    def enumerate(self, bound):
+        return [
+            x for x in self.algebra.enumerate(bound)
+            if radical_membership(self.algebra, x)
+        ]
+
+    def validate(self, x):
+        self.algebra.validate(x)
+        if not radical_membership(self.algebra, x):
+            raise CarrierMismatchError(
+                f"{self.algebra.format_element(x)} is not a radical element"
+            )
+
+    def descriptor(self):
+        return f"Rad({self.algebra.descriptor()})"
+
+    def format_element(self, x):
+        return self.algebra.format_element(x)

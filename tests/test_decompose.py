@@ -80,6 +80,14 @@ def test_decompose_cxc():
         assert d.iso_backward(d.iso_forward(x)) == x
 
 
+def test_decompose_trivial_algebra_into_no_factors():
+    T = mv.FiniteChainAlgebra(0)
+    d = mv.decompose_product(T, [0], bound=3)
+    assert (d.atoms, d.factors) == ([], [])
+    assert d.iso_forward(0) == ()
+    assert mv.product_reconstruction_check(T, d, 3).ok
+
+
 def test_decompose_three_factors():
     gens = [(mv.Fin(1), mv.CoFin(1), 0), (mv.Fin(1), mv.Fin(1), 1)]
     d = mv.decompose_product(CCB, gens, bound=6)
@@ -141,11 +149,13 @@ def test_reconstruction_maps_each_window_element_once():
         calls.append(x)
         return d.iso_forward(x)
 
-    n = len(CC.enumerate(3))
+    window = CC.enumerate(3)
+    sums = {CC.oplus(x, y) for x in window for y in window}
     assert mv.product_reconstruction_check(
         CC, dataclasses.replace(d, iso_forward=counted), 3).ok
-    # One image per element, per complement and per sum.
-    assert len(calls) == 2 * n + n * n
+    # One image per element, per complement and per distinct sum.
+    assert (len(window), len(sums)) == (64, 121)
+    assert len(calls) == 2 * 64 + 121
 
     class SkewChang(mv.ChangAlgebra):
         def oplus(self, x, y):

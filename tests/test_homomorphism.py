@@ -1,0 +1,79 @@
+"""The homomorphism checker behind the round-trip reports and the
+product reconstruction, against the carriers' own operations."""
+
+import dataclasses
+from functools import partial
+
+import mvtool as mv
+import mvtool.checking as checking
+from mvtool.equivalence import _roundtrip_report
+from mvtool.homomorphism import map_once
+from mvtool.lgroup_core import CanonPair
+
+C = mv.ChangAlgebra()
+CC = mv.ProductAlgebra([C, C])
+N = mv.NMonoid()
+
+
+class BrokenInf(mv.NMonoid):
+    def inf(self, x, y):
+        return 0
+
+
+class SkewChang(mv.ChangAlgebra):
+    def oplus(self, x, y):
+        if (x, y) == (mv.Fin(2), mv.Fin(1)):
+            return mv.Fin(4)
+        return super().oplus(x, y)
+
+
+class WrongSupZ2(mv.ZnGroup):
+    def sup(self, x, y):
+        if x == (1, 0):
+            return (0, 0)
+        return super().sup(x, y)
+
+
+def _results(bound):
+    out = []
+    for G in [mv.parse_model(d) for d in ("Z", "Z^2", "Lex(Z,Z)", "Groth(N)")] \
+            + [WrongSupZ2(2)]:
+        out.append(mv.phi_roundtrip_report(G, bound))
+        out.append(mv.chi_roundtrip_report(G, bound))
+    for d in ("C", "B", "Sigma(Z^2)", "Pointed(C,1c)"):
+        out.append(mv.beta_roundtrip_report(mv.parse_model(d), bound))
+    for M in [mv.parse_model(d) for d in ("N", "N^2", "PosCone(Lex(Z,Z))")] \
+            + [mv.RadicalMonoid(C)]:
+        out.append(mv.phi_M_roundtrip_report(M, bound))
+    # Broken sources against healthy targets.
+    out.append(_roundtrip_report(
+        "monoid-to-cone", BrokenInf(), mv.positive_cone(mv.grothendieck_group(N)),
+        lambda x: CanonPair(x, 0), lambda p: p.u, (), ("add", "inf", "sup"), bound))
+    out.append(_roundtrip_report(
+        "algebra", SkewChang(), mv.sigma(mv.delta(C)), partial(mv.beta_A, C),
+        partial(mv.beta_A_inverse, C), ("neg",), ("oplus",), bound))
+    d = mv.decompose_product(CC, [(mv.Fin(1), mv.CoFin(1))], bound=4)
+    for factors in (d.factors, [SkewChang(), d.factors[1]]):
+        out.append(mv.product_reconstruction_check(
+            CC, dataclasses.replace(d, factors=factors), bound))
+    return out
+
+
+def test_reports_equal_the_carrier_operations(monkeypatch):
+    for bound in (2, 3):
+        with_kernels = _results(bound)
+        with monkeypatch.context() as m:
+            m.setattr(checking, "codec_for", lambda model: None)
+            assert _results(bound) == with_kernels, bound
+    # The broken carriers are caught: Z^2's sup, BrokenInf's inf, and
+    # SkewChang's oplus, in the reports and in the reconstruction.
+    failures = [r["failures"] for r in with_kernels[:-2]]
+    kinds = {f["kind"] for fs in failures for f in fs}
+    assert kinds == {"sup", "inf", "oplus"}
+    assert [v.ok for v in with_kernels[-2:]] == [True, False]
+
+
+def test_map_once_lists_each_collision_with_the_latest_earlier_element():
+    image, collisions = map_once([0, 1, 2, 3, 4, 3], lambda x: x % 2)
+    assert image == {0: 0, 1: 1, 2: 0, 3: 1, 4: 0}
+    assert collisions == [(0, 2), (1, 3), (2, 4)]

@@ -31,6 +31,11 @@ ENCODED = [
     "Pointed(C,1c)", "Pointed(Sigma(Z^2),(0,(1,1)))",
 ]
 MODELS = {d: mv.parse_model(d) for d in ENCODED}
+# The radical monoids of unit intervals, and the Delta groups over them.
+for _model in (mv.RadicalMonoid(mv.ChangAlgebra()),
+               mv.RadicalMonoid(mv.parse_model("Sigma(Z^2)")),
+               mv.delta(mv.ChangAlgebra()), mv.delta(mv.parse_model("Sigma(Z^2)"))):
+    MODELS[_model.descriptor()] = _model
 
 
 def _reference(model, op):
@@ -42,7 +47,7 @@ def _reference(model, op):
     return getattr(model, op)
 
 
-@pytest.mark.parametrize("desc", ENCODED)
+@pytest.mark.parametrize("desc", list(MODELS))
 @given(data=st.data())
 def test_kernels_equal_the_carrier_operations(desc, data):
     model = MODELS[desc]
@@ -66,6 +71,13 @@ def test_kernels_equal_the_carrier_operations(desc, data):
             for j, y in enumerate(ys):
                 value = got[i][j] if op == "leq" else codec.decode(got[i][j])
                 assert value == ref(x, y), (op, x, y)
+    if model.signature == "monoid":
+        # A monoid's sub is its subtract, which is defined for y <= x.
+        got = codec.sub(rx, ry).tolist()
+        for i, x in enumerate(xs):
+            for j, y in enumerate(ys):
+                if model.leq(y, x):
+                    assert codec.decode(got[i][j]) == model.subtract(x, y), (x, y)
 
 
 def test_codecs_cover_exact_types_only():
@@ -79,10 +91,11 @@ def test_codecs_cover_exact_types_only():
         BrokenInf(),
         mv.GrothendieckGroup(BrokenInf()),
         mv.pair_group_ops(C),         # RadPairGroup, a GrothendieckGroup subclass
-        mv.delta(C),                  # Groth over the radical monoid
+        mv.RadicalMonoid(mv.parse_model("Prod(C,C)")),  # not a unit interval
         FiniteQuotientAlgebra(mv.parse_model("Prod(B,L(2))"), (1, 0)),
         mv.parse_model("Z^0"),
         mv.parse_model("Prod(C,Gamma(Z^0,()))"),
+        mv.ProductAlgebra([]),
         # Not flat: a kernel over them could exceed three additions.
         mv.parse_model("Groth(PosCone(Groth(N)))"),
         mv.parse_model("Gamma(Groth(N),[2,0])"),

@@ -262,7 +262,28 @@ def test_grothendieck_intervals_are_built_without_enumerating(monkeypatch):
 
 def test_interval_equals_the_window_filter():
     # Open and closed sides, empty intervals (lo > hi), and endpoints
-    # beyond the window; the order must match enumerate() exactly.
+    # beyond the window; the order must match the window's exactly.
+    def window_of(G, b):
+        # A Grothendieck window by its definition: the canonical pairs of
+        # the monoid window's pairs, in order of first appearance.
+        if not isinstance(G, mv.GrothendieckGroup):
+            return G.enumerate(b)
+        m = G.monoid
+        seen = set()
+        out = []
+        for x in m.enumerate(b):
+            for y in m.enumerate(b):
+                p = mv.canon_pair(m, x, y)
+                if p not in seen:
+                    seen.add(p)
+                    out.append(p)
+        return out
+
+    for M in (N, N2, mv.NnMonoid(3)):
+        G = mv.GrothendieckGroup(M)
+        for b in range(5):
+            assert G.enumerate(b) == window_of(G, b), (M.descriptor(), b)
+
     Z3 = mv.ZnGroup(3)
     LexZZ2 = mv.LexGroup(mv.ZnGroup(2))
     endpoints = {
@@ -279,7 +300,7 @@ def test_interval_equals_the_window_filter():
     }
     for G, points in endpoints.items():
         for b in range(4):
-            window = G.enumerate(b)
+            window = window_of(G, b)
             for lo in [None] + points:
                 for hi in [None] + points:
                     expect = [x for x in window

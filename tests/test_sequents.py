@@ -195,8 +195,10 @@ def test_engine_parity_on_grothendieck_carriers():
     _assert_engine_parity({
         "lgroup": [mv.parse_model("Groth(N)"), mv.parse_model("Groth(N^2)"),
                    mv.delta(C)],
-        "monoid": [mv.parse_model("PosCone(Z^2)")],
+        "monoid": [mv.parse_model("PosCone(Z^2)"), mv.RadicalMonoid(C)],
     })
+    _assert_engine_parity({"lgroup": [mv.delta(mv.parse_model("Sigma(Z^2)"))]},
+                          max_bound=1)
 
 
 def test_engine_parity_on_encoded_carriers():
@@ -361,7 +363,7 @@ def test_auto_engine_follows_the_context_grid(monkeypatch):
 def test_dense_and_sparse_table_routes_equal_the_carrier():
     from mvtool.checking import _VectorEval
     cases = [(mv.ZnGroup(2), "add", False), (mv.parse_model("Groth(N^2)"), "leq", True),
-             (mv.delta(C), "inf", False)]
+             (mv.delta(C), "inf", False), (mv.pair_group_ops(C), "inf", False)]
     for model, op, out_bool in cases:
         window = model.enumerate(2)
         n = len(window)
@@ -375,8 +377,8 @@ def test_dense_and_sparse_table_routes_equal_the_carrier():
 
         ev._pair_values = spy
         idx = ev.var_idx["x"]
-        dense = ev._binary_table(op, idx[:, None], idx[None, :], out_bool)
-        sparse = ev._binary_table(op, idx, idx[::-1], out_bool)
+        dense = ev.binary_table(op, idx[:, None], idx[None, :], out_bool)
+        sparse = ev.binary_table(op, idx, idx[::-1], out_bool)
         assert routes == [2, 1], model.descriptor()
 
         def value(v):
