@@ -28,7 +28,7 @@ import workloads  # noqa: E402
 from mvtool import registry  # noqa: E402
 from mvtool.checking import check_sequent  # noqa: E402
 
-THRESHOLDS = (1, 16, 64, 128, 256, 512, 1024, 4096)
+THRESHOLDS = (1, 16, 64, 128, 160, 256, 512, 1024, 4096)
 
 
 L_AXIOMS = [f"L.{i}" for i in range(1, 13)]

@@ -19,15 +19,21 @@ checked in chunks along its first context axis.
 
 The vector engine builds each operation table over the unique operand
 pairs.  When the carrier has a codec (``kernels.codec_for``), every
-interned element also has an int64 code row, and a table is one kernel
-call over the pairs' rows; only the distinct result rows are decoded and
-interned, and ``leq`` tables are boolean and intern nothing.  A table
-falls back to calling the carrier's own operation on each pair when one
-of its inputs has no valid code (a coordinate of magnitude 2^60 or more)
-or one of its result rows reaches 2^60.  Below that bound no kernel can
-overflow int64, so the kernels are exact: no floats, no tolerances, no
-wraparound.  The interning, the code rows and the tables live in
-``OperationTables``, which the homomorphism checks share.
+interned element is keyed by its int64 code row: a window is encoded
+once, in one batch, and a table is one kernel call over the pairs' rows
+whose distinct result rows are looked up and appended by row, so the
+engine stays in code space and decodes an element only when something
+reads it (a fallback table, a homomorphism check's ``forward``).  This
+rests on row equality being element equality, which the kernel tests
+pin.  ``leq`` tables are boolean and intern nothing.  A table falls back
+to calling the carrier's own operation on each pair when one of its
+inputs has no valid code (a coordinate of magnitude 2^60 or more) or one
+of its result rows reaches 2^60; such elements are keyed by themselves.
+Below that bound no kernel can overflow int64, so the kernels are exact:
+no floats, no tolerances, no wraparound.  The interning, the code rows
+and the tables live in ``OperationTables``, which the homomorphism
+checks share; one interner serves a whole check, antecedent and
+consequent alike.
 
 A sequent check universally quantifies its context over
 ``enumerate(bound)``.  Existentials and capped infinitary disjunctions
@@ -56,9 +62,14 @@ from .verdicts import CounterExample, Holds, InconclusiveAtBound, Verdict
 _MAX_CELLS = 1 << 25
 # Context grids of at least this many cells go to the vector engine; below
 # it the scalar engine's walk is cheaper than numpy's per-table set-up.
-_VECTOR_THRESHOLD = 256
+# scripts/engine_sweep.py places the crossover between 64 and 256 cells on
+# carriers with and without codecs; 160 keeps C's window at bound 64 (130
+# cells), the benchmark's scalar-engine case, on the scalar engine.
+_VECTOR_THRESHOLD = 160
 # Operand pairs per kernel call (see _VectorEval._pair_kernel).
 _KERNEL_BLOCK = 1 << 14
+# The element of a kernel result that nothing has read yet.
+_PENDING = object()
 
 
 # ---------------------------------------------------------------------------
@@ -179,22 +190,31 @@ def _eval_formula(M, f, env, scalars, search) -> Tuple[bool, bool]:
 
 
 def _unique_rows(rows, lo, hi):
-    """``np.unique(rows, axis=0, return_inverse=True)``, through one
-    integer key per row when the columns' ranges ``lo``..``hi`` fit a
-    mixed-radix number below 2^62; sorting the keys is much faster than
-    sorting rows."""
+    """The ``first`` and ``inverse`` of ``np.unique(rows, axis=0)``: the
+    position of each distinct row's first occurrence, and each row's
+    distinct row.  Through one integer key per row when the columns'
+    ranges ``lo``..``hi`` fit a mixed-radix number below 2^62; sorting the
+    keys is much faster than sorting rows."""
     spans = [int(h) - int(l) + 1 for l, h in zip(lo.tolist(), hi.tolist())]
     total = 1
     for s in spans:
         total *= s
     if total >= 1 << 62:
-        uniq, inverse = np.unique(rows, axis=0, return_inverse=True)
-        return uniq, inverse.reshape(-1)
+        _, first, inverse = np.unique(rows, axis=0, return_index=True,
+                                      return_inverse=True)
+        return first, inverse.reshape(-1)
     key = np.zeros(len(rows), dtype=np.int64)
     for c, s in enumerate(spans):
         key = key * s + (rows[:, c] - lo[c])
     _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
-    return rows[first], inverse.reshape(-1)
+    return first, inverse.reshape(-1)
+
+
+def _row_keys(rows) -> list:
+    """One dict key per int64 code row of the 2-D array ``rows``: its
+    bytes."""
+    rows = np.ascontiguousarray(rows, dtype=np.int64)
+    return rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel().tolist()
 
 
 def _exists_depth(f) -> int:
@@ -213,72 +233,125 @@ class OperationTables:
     """Interned elements of one carrier and its operation tables over them.
 
     Elements are interned into integer indices.  When the carrier has a
-    codec, every interned element also has an int64 code row, and a table
-    is one kernel call over the rows of its operands; otherwise, or when a
-    row reaches ``LIMIT``, the table calls the carrier's own operation on
-    each operand (pair).
+    codec, an element is keyed by its int64 code row: a table is one
+    kernel call over the rows of its operands, and its distinct result
+    rows are looked up and appended as rows, so a kernel result is
+    decoded only when something reads it through ``element``.  An element
+    without a valid code (a coordinate of magnitude ``LIMIT`` or more) is
+    keyed by itself, and a table that meets one, or whose result rows
+    reach ``LIMIT``, calls the carrier's own operation on each operand
+    (pair).  Without a codec every element is keyed by itself.  One
+    instance serves a whole check: a sequent's antecedent and consequent,
+    or a homomorphism check's source or target side.
     """
 
     def __init__(self, model):
         self.M = model
-        self.interner_elems: List[Any] = []
-        self.interner_index: Dict[Any, int] = {}
-        # One int64 code row per interned element, valid where _ok is set.
         self.codec = codec_for(model)
+        # Element i, or _PENDING until a kernel result is first read.
+        self._elems: List[Any] = []
+        # Element -> index, for every element interned from Python; with a
+        # codec this is a cache in front of _row_index for those that fit.
+        self.interner_index: Dict[Any, int] = {}
+        # Code row (its bytes) -> index, for every element with a valid code.
+        self._row_index: Dict[bytes, int] = {}
+        # One int64 code row per interned element, valid where _ok is set;
+        # both have spare capacity beyond len(self._elems).
         width = 0 if self.codec is None else self.codec.width
-        self._codes = np.zeros((0, width), dtype=np.int64)
-        self._ok = np.zeros(0, dtype=bool)
+        self._codes = np.zeros((16, width), dtype=np.int64)
+        self._ok = np.zeros(16, dtype=bool)
 
     # -- interning -----------------------------------------------------------
+
+    def element(self, i: int):
+        """The element with interned index ``i``."""
+        v = self._elems[i]
+        if v is _PENDING:
+            v = self._elems[i] = self.codec.decode(self._codes[i].tolist())
+        return v
 
     def intern(self, v) -> int:
         idx = self.interner_index.get(v)
         if idx is None:
-            idx = len(self.interner_elems)
+            idx = self._intern_new(v)
             self.interner_index[v] = idx
-            self.interner_elems.append(v)
+        return idx
+
+    def _intern_new(self, v) -> int:
+        if self.codec is None:
+            return self._append([v])
+        row = self.codec.encode(v)
+        if not fits(row):
+            return self._append([v])
+        row = np.array([row], dtype=np.int64)
+        key = _row_keys(row)[0]
+        idx = self._row_index.get(key)
+        if idx is None:
+            idx = self._row_index[key] = self._append([v], row)
         return idx
 
     def intern_all(self, values) -> np.ndarray:
+        """The indices of the list ``values``; with a codec they are
+        encoded in one batch and interned by row."""
+        if self.codec is not None and values:
+            encode = self.codec.encode
+            try:
+                rows = np.array([encode(v) for v in values], dtype=np.int64)
+            except OverflowError:
+                rows = None
+            if rows is not None:
+                idx = self._intern_rows(rows, values)
+                if idx is not None:
+                    return idx
         return np.array([self.intern(v) for v in values], dtype=np.int64)
+
+    def _append(self, elems, rows=None) -> int:
+        """Append new elements with their code rows (None: no valid code,
+        or no codec); returns the first new index."""
+        start = len(self._elems)
+        self._elems.extend(elems)
+        end = len(self._elems)
+        if self.codec is not None:
+            if end > len(self._ok):
+                grow = max(end, 2 * len(self._ok))
+                self._codes = np.resize(self._codes, (grow, self.codec.width))
+                self._ok = np.resize(self._ok, grow)
+            self._ok[start:end] = rows is not None
+            if rows is not None:
+                self._codes[start:end] = rows
+        return start
 
     # -- code rows -------------------------------------------------------------
 
     def _rows(self, idx) -> Optional[np.ndarray]:
         """The code rows of the interned elements ``idx``, or None when
-        the carrier has no codec or one of them has no valid code.
-
-        Rows are encoded lazily, in interning order, for every element
-        interned since the last call, so row i always belongs to element
-        i, whichever path interned it."""
-        if self.codec is None:
-            return None
-        elems = self.interner_elems
-        start = len(self._ok)
-        if start < len(elems):
-            rows = [self.codec.encode(x) for x in elems[start:]]
-            ok = np.array([fits(r) for r in rows], dtype=bool)
-            blank = [0] * self.codec.width
-            new = np.array([r if f else blank for r, f in zip(rows, ok)],
-                           dtype=np.int64).reshape(len(rows), self.codec.width)
-            self._codes = np.concatenate([self._codes, new])
-            self._ok = np.concatenate([self._ok, ok])
-        if not self._ok[idx].all():
+        the carrier has no codec or one of them has no valid code."""
+        if self.codec is None or not self._ok[idx].all():
             return None
         return self._codes[idx]
 
-    def _intern_rows(self, rows) -> Optional[np.ndarray]:
-        """Intern the elements a kernel computed, one per row; None when
-        a row reaches ``LIMIT``, so that the caller falls back."""
+    def _intern_rows(self, rows, elems=None) -> Optional[np.ndarray]:
+        """Intern the elements whose code rows are ``rows``: a kernel's
+        results, or the rows of the list ``elems``.  None when a row
+        reaches ``LIMIT``, so that the caller falls back."""
         rows = rows.reshape(-1, self.codec.width)
         lo, hi = rows.min(axis=0), rows.max(axis=0)
         if max(-int(lo.min()), int(hi.max())) >= LIMIT:
             return None
-        uniq, inverse = _unique_rows(rows, lo, hi)
-        decode = self.codec.decode
-        idx = np.array([self.intern(decode(r)) for r in uniq.tolist()],
-                       dtype=np.int64)
-        return idx[inverse]
+        first, inverse = _unique_rows(rows, lo, hi)
+        uniq = rows[first]
+        get = self._row_index.get
+        keys = _row_keys(uniq)
+        idx = [get(key) for key in keys]
+        new = [j for j, i in enumerate(idx) if i is None]
+        if new:
+            start = self._append(
+                [_PENDING] * len(new) if elems is None
+                else [elems[first[j]] for j in new],
+                uniq[new])
+            for n, j in enumerate(new, start):
+                idx[j] = self._row_index[keys[j]] = n
+        return np.array(idx, dtype=np.int64)[inverse]
 
     def _kernel(self, op):
         return None if self.codec is None else getattr(self.codec, op, None)
@@ -302,8 +375,7 @@ class OperationTables:
         vals = self._unary_kernel(op, uniq, n)
         if vals is None:
             fn = self._reference(op, n)
-            elems = self.interner_elems
-            vals = np.array([self.intern(fn(elems[i])) for i in uniq.tolist()],
+            vals = np.array([self.intern(fn(self.element(i))) for i in uniq.tolist()],
                             dtype=np.int64)
         lk = np.zeros(int(uniq[-1]) + 1, dtype=np.int64)
         lk[uniq] = vals
@@ -352,7 +424,7 @@ class OperationTables:
             pos_b[ub] = np.arange(len(ub))
             return table[pos_a[a], pos_b[b]]
         # Sparse route: encode pairs as single codes, map the unique ones.
-        m = len(self.interner_elems)
+        m = len(self._elems)
         codes = a.astype(np.int64) * m + b
         uniq = np.unique(codes)
         vals = self._pair_values(op, uniq // m, uniq % m, out_bool)
@@ -367,15 +439,16 @@ class OperationTables:
         if vals is not None:
             return vals
         fn = self._reference(op)
-        elems = self.interner_elems
+        el = self.element
         if ia.ndim == 2:
-            pairs = itertools.product(ia[:, 0].tolist(), ib[0].tolist())
+            pairs = itertools.product(list(map(el, ia[:, 0].tolist())),
+                                      list(map(el, ib[0].tolist())))
         else:
-            pairs = zip(ia.tolist(), ib.tolist())
+            pairs = zip(map(el, ia.tolist()), map(el, ib.tolist()))
         if out_bool:
-            vals = np.array([fn(elems[i], elems[j]) for i, j in pairs], dtype=bool)
+            vals = np.array([fn(x, y) for x, y in pairs], dtype=bool)
         else:
-            vals = np.array([self.intern(fn(elems[i], elems[j])) for i, j in pairs],
+            vals = np.array([self.intern(fn(x, y)) for x, y in pairs],
                             dtype=np.int64)
         return vals.reshape(shape)
 
@@ -402,26 +475,36 @@ class OperationTables:
 
 
 class _VectorEval(OperationTables):
-    """Evaluates one formula over the full environment grid.
+    """Evaluates formulas over the full environment grid, sharing one
+    interner and its code rows among them.
 
     Every array has a fixed number of dimensions: one leading axis per
     context variable (whose lengths may differ when the first axis is
-    chunked) followed by one axis per level of existential nesting.
-    Existential reductions use keepdims, so shapes stay aligned.
+    chunked) followed by one axis per level of existential nesting, as
+    deep as the deepest of ``formulas``.  Existential reductions use
+    keepdims, so shapes stay aligned.
     """
 
     def __init__(self, model, ctx_vars: Sequence[str],
-                 ctx_enums: Sequence[list], search_enum: list, formula):
+                 ctx_enums: Sequence[list], search_enum: list, *formulas):
         super().__init__(model)
         self.n_ctx = len(ctx_vars)
-        self.ndim = self.n_ctx + _exists_depth(formula)
+        self.ndim = self.n_ctx + max(map(_exists_depth, formulas))
         self.axes: Dict[str, int] = {v: i for i, v in enumerate(ctx_vars)}
+        # The indices of each distinct window list, interned once: the
+        # context axes and the search window usually share one list.
+        self._windows: Dict[int, np.ndarray] = {}
         self.var_idx: Dict[str, np.ndarray] = {
-            v: self.intern_all(ctx_enums[i]) for i, v in enumerate(ctx_vars)
+            v: self._window(ctx_enums[i]) for i, v in enumerate(ctx_vars)
         }
         self.search_enum = search_enum
-        self._search_idx: Optional[np.ndarray] = None
         self.scalars: Dict[str, int] = {}
+
+    def _window(self, values: list) -> np.ndarray:
+        idx = self._windows.get(id(values))
+        if idx is None:
+            idx = self._windows[id(values)] = self.intern_all(values)
+        return idx
 
     # -- terms -------------------------------------------------------------------
 
@@ -488,11 +571,9 @@ class _VectorEval(OperationTables):
         if isinstance(f, S.Exists):
             if f.var in self.axes:
                 raise SignatureError(f"quantifier shadows variable {f.var!r}")
-            if self._search_idx is None:
-                self._search_idx = self.intern_all(self.search_enum)
             ax = self.n_ctx + depth
             self.axes[f.var] = ax
-            self.var_idx[f.var] = self._search_idx
+            self.var_idx[f.var] = self._window(self.search_enum)
             try:
                 bv, _ = self.formula(f.body, depth + 1)
             finally:
@@ -609,10 +690,10 @@ def _check_vector(model, seq, ctx_enums, search, bound) -> Verdict:
     k = len(seq.context)
     grid = tuple(len(e) for e in ctx_enums)
 
-    ev_a = _VectorEval(model, seq.context, ctx_enums, search, seq.antecedent)
-    av, _ = ev_a.formula(seq.antecedent)
-    ev_c = _VectorEval(model, seq.context, ctx_enums, search, seq.consequent)
-    cv, cdf = ev_c.formula(seq.consequent)
+    ev = _VectorEval(model, seq.context, ctx_enums, search,
+                     seq.antecedent, seq.consequent)
+    av, _ = ev.formula(seq.antecedent)
+    cv, cdf = ev.formula(seq.consequent)
 
     def to_grid(arr):
         arr = np.asarray(arr)

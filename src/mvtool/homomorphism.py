@@ -65,8 +65,7 @@ def homomorphism_failures(src, target, window: list, image: list,
 
     def mapped(table):
         uniq, inv = np.unique(table.reshape(-1), return_inverse=True)
-        elems = source.interner_elems
-        fwd = dest.intern_all([forward(elems[i]) for i in uniq.tolist()])
+        fwd = dest.intern_all([forward(source.element(i)) for i in uniq.tolist()])
         return fwd[inv.reshape(table.shape)]
 
     bad_elements = [np.array([inverse(y) != x for x, y in zip(window, image)],

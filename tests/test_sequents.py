@@ -382,13 +382,56 @@ def test_dense_and_sparse_table_routes_equal_the_carrier():
         assert routes == [2, 1], model.descriptor()
 
         def value(v):
-            return bool(v) if out_bool else ev.interner_elems[v]
+            return bool(v) if out_bool else ev.element(v)
 
         fn = getattr(model, op)
         for i in range(n):
             assert value(sparse[i]) == fn(window[i], window[n - 1 - i])
             for j in range(n):
                 assert value(dense[i, j]) == fn(window[i], window[j])
+
+
+def test_a_holding_vector_check_decodes_no_kernel_result(monkeypatch):
+    import mvtool.checking as checking
+    sigma = mv.parse_model("Sigma(Z^2)")
+    codec = checking.codec_for(sigma)
+    counts = {"encode": 0, "decode": 0}
+    for name in counts:
+        def counted(x, name=name, method=getattr(codec, name)):
+            counts[name] += 1
+            return method(x)
+
+        setattr(codec, name, counted)
+    monkeypatch.setattr(checking, "codec_for", lambda model: codec)
+    # Each window element once, however many axes read the window, and
+    # each constant once: chi_2 has 1 (x^n and "= 1" start at 1) and 0
+    # (n*x starts at 0), rad_ideal.viii has 1.  Antecedent and consequent
+    # share them.
+    for label, bound, constants in (("chi_2", 30, 2), ("rad_ideal.viii", 5, 1)):
+        counts.update(encode=0, decode=0)
+        assert check_sequent(sigma, registry.lookup(label), bound,
+                             engine="vector").ok
+        assert counts == {"encode": sigma.window_size(bound) + constants,
+                          "decode": 0}, label
+
+
+def test_python_and_kernel_routes_intern_an_element_once():
+    from mvtool.checking import OperationTables
+    # Interned from Python first, then reached as a kernel row.
+    tables = OperationTables(Z)
+    three = tables.intern(3)
+    assert tables.binary_table("add", tables.intern_all([1]),
+                               tables.intern_all([2])).tolist() == [three]
+    # Reached as a kernel row first, then as a result of the per-pair
+    # fallback, which 2u = 2^60 + 6 forces on the whole table.
+    u = 2 ** 59 + 3
+    tables = OperationTables(mv.UnitalGroup(Z, u))
+    zero = tables.binary_table("add", tables.intern_all([1]), tables.intern_all([-1]))
+    x = tables.intern_all([u, -u])
+    table = tables.binary_table("add", x[:, None], x[None, :])
+    assert table[0, 1] == table[1, 0] == zero[0]
+    assert [[tables.element(i) for i in row] for row in table.tolist()] == \
+        [[2 * u, 0], [0, -2 * u]]
 
 
 def test_counterexamples_are_monotone_in_bound():
