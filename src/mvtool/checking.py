@@ -18,22 +18,25 @@ nesting, and a grid above ``_MAX_CELLS`` cells, search axes included, is
 checked in chunks along its first context axis.
 
 The vector engine builds each operation table over the unique operand
-pairs.  When the carrier has a codec (``kernels.codec_for``), every
-interned element is keyed by its int64 code row: a window is encoded
-once, in one batch, and a table is one kernel call over the pairs' rows
-whose distinct result rows are looked up and appended by row, so the
-engine stays in code space and decodes an element only when something
-reads it (a fallback table, a homomorphism check's ``forward``).  This
-rests on row equality being element equality, which the kernel tests
-pin.  ``leq`` tables are boolean and intern nothing.  A table falls back
-to calling the carrier's own operation on each pair when one of its
-inputs has no valid code (a coordinate of magnitude 2^60 or more) or one
-of its result rows reaches 2^60; such elements are keyed by themselves.
-Below that bound no kernel can overflow int64, so the kernels are exact:
-no floats, no tolerances, no wraparound.  The interning, the code rows
-and the tables live in ``OperationTables``, which the homomorphism
-checks share; one interner serves a whole check, antecedent and
-consequent alike.
+pairs.  When the carrier has a codec (``kernels.codec_for``), the engine
+starts in code space: every interned element is keyed by its int64 code
+row, a window is encoded once, in one batch, and a table is one kernel
+call over the pairs' rows whose distinct result rows are looked up and
+appended by row, so an element is decoded only when something reads it
+(a homomorphism check's ``forward``, a test).  This rests on row
+equality being element equality, which the kernel tests pin.  ``leq``
+tables are boolean and intern nothing.  Below 2^60 no kernel can
+overflow int64, so the kernels are exact: no floats, no tolerances, no
+wraparound.  The switch out of code space is one-way: the first value
+of magnitude 2^60 or more (an input it cannot encode, a kernel result
+row, a step of n*x or x^n) keys every element interned so far by
+itself and drops the codec, and from then on every table, the current
+one included, calls the carrier's own operation on each operand pair.
+The indices already handed out stay valid, so the check goes on where
+it was.  Without a codec the engine takes the per-pair path throughout.
+The interning, the code rows and the tables live in ``OperationTables``,
+which the homomorphism checks share; one interner serves a whole check,
+antecedent and consequent alike.
 
 A sequent check universally quantifies its context over
 ``enumerate(bound)``.  Existentials and capped infinitary disjunctions
@@ -53,7 +56,7 @@ import numpy as np
 
 from . import sequents as S
 from .errors import SignatureError, UnboundVariableError
-from .kernels import LIMIT, codec_for, fits
+from .kernels import LIMIT, codec_for
 from .mv_core import mv_power
 from .verdicts import CounterExample, Holds, InconclusiveAtBound, Verdict
 
@@ -66,7 +69,7 @@ _MAX_CELLS = 1 << 25
 # carriers with and without codecs; 160 keeps C's window at bound 64 (130
 # cells), the benchmark's scalar-engine case, on the scalar engine.
 _VECTOR_THRESHOLD = 160
-# Operand pairs per kernel call (see _VectorEval._pair_kernel).
+# Operand pairs per kernel call (see OperationTables._pair_kernel).
 _KERNEL_BLOCK = 1 << 14
 # The element of a kernel result that nothing has read yet.
 _PENDING = object()
@@ -97,43 +100,35 @@ def _eval(M, t, env, scalars):
             return env[t.name]
         except KeyError:
             raise UnboundVariableError(f"variable {t.name!r} is unbound") from None
-    if isinstance(t, S.Zero):
-        return M.zero
-    if isinstance(t, S.One):
-        return M.one
-    if isinstance(t, S.Unit):
-        return _unit_of(M)
-    if isinstance(t, S.Oplus):
-        return M.oplus(_eval(M, t.left, env, scalars), _eval(M, t.right, env, scalars))
-    if isinstance(t, S.Odot):
-        return M.odot(_eval(M, t.left, env, scalars), _eval(M, t.right, env, scalars))
-    if isinstance(t, S.Neg):
-        return M.neg(_eval(M, t.arg, env, scalars))
-    if isinstance(t, S.Inf):
-        return M.inf(_eval(M, t.left, env, scalars), _eval(M, t.right, env, scalars))
-    if isinstance(t, S.Sup):
-        return M.sup(_eval(M, t.left, env, scalars), _eval(M, t.right, env, scalars))
-    if isinstance(t, S.Add):
-        return M.add(_eval(M, t.left, env, scalars), _eval(M, t.right, env, scalars))
-    if isinstance(t, S.Minus):
-        return M.negate(_eval(M, t.arg, env, scalars))
-    if isinstance(t, S.D):
-        return M.d(_eval(M, t.left, env, scalars), _eval(M, t.right, env, scalars))
+    op = S.BINARY_OPS.get(type(t))
+    if op is not None:
+        return getattr(M, op)(_eval(M, t.left, env, scalars),
+                              _eval(M, t.right, env, scalars))
+    op = S.UNARY_OPS.get(type(t))
+    if op is not None:
+        return getattr(M, op)(_eval(M, t.arg, env, scalars))
     if isinstance(t, S.NatScalar):
         n = t.coeff if isinstance(t.coeff, int) else scalars[t.coeff]
         return _nat_scalar(M, n, _eval(M, t.arg, env, scalars))
     if isinstance(t, S.MvPower):
         return mv_power(M, _eval(M, t.arg, env, scalars), t.n)
+    return _constant(M, t)
+
+
+def _constant(M, t):
+    """The value of the constant ``t``: 0, 1 or u."""
+    if isinstance(t, S.Zero):
+        return M.zero
+    if isinstance(t, S.One):
+        return M.one
+    if isinstance(t, S.Unit):
+        unit = getattr(M, "unit", None)
+        if unit is None:
+            raise SignatureError(
+                f"{M.descriptor()} has no distinguished constant for 'u'"
+            )
+        return unit
     raise TypeError(f"not a term: {t!r}")
-
-
-def _unit_of(M):
-    unit = getattr(M, "unit", None)
-    if unit is None:
-        raise SignatureError(
-            f"{M.descriptor()} has no distinguished constant for 'u'"
-        )
-    return unit
 
 
 def _nat_scalar(M, n, x):
@@ -232,15 +227,18 @@ def _exists_depth(f) -> int:
 class OperationTables:
     """Interned elements of one carrier and its operation tables over them.
 
-    Elements are interned into integer indices.  When the carrier has a
-    codec, an element is keyed by its int64 code row: a table is one
-    kernel call over the rows of its operands, and its distinct result
-    rows are looked up and appended as rows, so a kernel result is
-    decoded only when something reads it through ``element``.  An element
-    without a valid code (a coordinate of magnitude ``LIMIT`` or more) is
-    keyed by itself, and a table that meets one, or whose result rows
-    reach ``LIMIT``, calls the carrier's own operation on each operand
-    (pair).  Without a codec every element is keyed by itself.  One
+    Elements are interned into integer indices.  An instance over a
+    carrier with a codec starts in code space, where every interned index
+    has an int64 code row and an element is keyed by its row: a table is
+    one kernel call over the rows of its operands, and its distinct
+    result rows are looked up and appended as rows, so a kernel result is
+    decoded only when something reads it through ``element``.  The first
+    value of magnitude ``LIMIT`` or more (an input that cannot be
+    encoded, a kernel result row, a step of n*x or x^n) makes the
+    instance leave code space for good: every element is then keyed by
+    itself, and the current table and every later one call the carrier's
+    own operation on each operand (pair).  Indices already handed out
+    stay valid.  Without a codec an instance is never in code space.  One
     instance serves a whole check: a sequent's antecedent and consequent,
     or a homomorphism check's source or target side.
     """
@@ -250,16 +248,14 @@ class OperationTables:
         self.codec = codec_for(model)
         # Element i, or _PENDING until a kernel result is first read.
         self._elems: List[Any] = []
-        # Element -> index, for every element interned from Python; with a
-        # codec this is a cache in front of _row_index for those that fit.
+        # Element -> index: in code space a cache, in front of _row_index,
+        # of the elements interned one by one; outside it every element.
         self.interner_index: Dict[Any, int] = {}
-        # Code row (its bytes) -> index, for every element with a valid code.
-        self._row_index: Dict[bytes, int] = {}
-        # One int64 code row per interned element, valid where _ok is set;
-        # both have spare capacity beyond len(self._elems).
+        # In code space: code row (its bytes) -> index, and the code row of
+        # every interned element, with spare capacity beyond len(self._elems).
+        self._row_index: Optional[Dict[bytes, int]] = {}
         width = 0 if self.codec is None else self.codec.width
-        self._codes = np.zeros((16, width), dtype=np.int64)
-        self._ok = np.zeros(16, dtype=bool)
+        self._codes: Optional[np.ndarray] = np.zeros((16, width), dtype=np.int64)
 
     # -- interning -----------------------------------------------------------
 
@@ -273,70 +269,56 @@ class OperationTables:
     def intern(self, v) -> int:
         idx = self.interner_index.get(v)
         if idx is None:
-            idx = self._intern_new(v)
+            idx = (self._append([v]) if self.codec is None
+                   else int(self.intern_all([v])[0]))
             self.interner_index[v] = idx
         return idx
 
-    def _intern_new(self, v) -> int:
-        if self.codec is None:
-            return self._append([v])
-        row = self.codec.encode(v)
-        if not fits(row):
-            return self._append([v])
-        row = np.array([row], dtype=np.int64)
-        key = _row_keys(row)[0]
-        idx = self._row_index.get(key)
-        if idx is None:
-            idx = self._row_index[key] = self._append([v], row)
-        return idx
-
     def intern_all(self, values) -> np.ndarray:
-        """The indices of the list ``values``; with a codec they are
+        """The indices of the list ``values``; in code space they are
         encoded in one batch and interned by row."""
         if self.codec is not None and values:
             encode = self.codec.encode
             try:
                 rows = np.array([encode(v) for v in values], dtype=np.int64)
             except OverflowError:
-                rows = None
-            if rows is not None:
+                self._leave_code_space()
+            else:
                 idx = self._intern_rows(rows, values)
                 if idx is not None:
                     return idx
         return np.array([self.intern(v) for v in values], dtype=np.int64)
 
     def _append(self, elems, rows=None) -> int:
-        """Append new elements with their code rows (None: no valid code,
-        or no codec); returns the first new index."""
+        """Append new elements, with their code rows in code space;
+        returns the first new index."""
         start = len(self._elems)
         self._elems.extend(elems)
         end = len(self._elems)
         if self.codec is not None:
-            if end > len(self._ok):
-                grow = max(end, 2 * len(self._ok))
+            if end > len(self._codes):
+                grow = max(end, 2 * len(self._codes))
                 self._codes = np.resize(self._codes, (grow, self.codec.width))
-                self._ok = np.resize(self._ok, grow)
-            self._ok[start:end] = rows is not None
-            if rows is not None:
-                self._codes[start:end] = rows
+            self._codes[start:end] = rows
         return start
+
+    def _leave_code_space(self) -> None:
+        """Key every interned element by itself and drop the codec, for
+        good; the indices already handed out stay valid."""
+        self.interner_index = {self.element(i): i for i in range(len(self._elems))}
+        self.codec = self._row_index = self._codes = None
 
     # -- code rows -------------------------------------------------------------
 
-    def _rows(self, idx) -> Optional[np.ndarray]:
-        """The code rows of the interned elements ``idx``, or None when
-        the carrier has no codec or one of them has no valid code."""
-        if self.codec is None or not self._ok[idx].all():
-            return None
-        return self._codes[idx]
-
     def _intern_rows(self, rows, elems=None) -> Optional[np.ndarray]:
         """Intern the elements whose code rows are ``rows``: a kernel's
-        results, or the rows of the list ``elems``.  None when a row
-        reaches ``LIMIT``, so that the caller falls back."""
+        results, or the rows of the list ``elems``.  A row reaching
+        ``LIMIT`` leaves code space and gives None, so that the caller
+        takes the per-pair path."""
         rows = rows.reshape(-1, self.codec.width)
         lo, hi = rows.min(axis=0), rows.max(axis=0)
         if max(-int(lo.min()), int(hi.max())) >= LIMIT:
+            self._leave_code_space()
             return None
         first, inverse = _unique_rows(rows, lo, hi)
         uniq = rows[first]
@@ -393,22 +375,20 @@ class OperationTables:
             kernel = self._kernel(step)
             if kernel is None:
                 return None
+            # 0 and 1 always have a code (kernels.codec_for).
             start = self.intern(start)
-            rows = self._rows(uniq)
-            acc = self._rows(np.array([start]))
-            if rows is None or acc is None:
-                return None
+            rows, acc = self._codes[uniq], self._codes[[start]]
             for _ in range(n):
                 acc = kernel(acc, rows)
                 if np.abs(acc).max() >= LIMIT:
+                    self._leave_code_space()
                     return None
             acc = np.broadcast_to(acc, rows.shape)
         else:
             kernel = self._kernel(op)
-            rows = self._rows(uniq)
-            if kernel is None or rows is None:
+            if kernel is None:
                 return None
-            acc = kernel(rows)
+            acc = kernel(self._codes[uniq])
         return self._intern_rows(acc)
 
     def binary_table(self, op, a, b, out_bool=False):
@@ -461,11 +441,8 @@ class OperationTables:
         step = max(1, _KERNEL_BLOCK // (shape[1] if len(shape) > 1 else 1))
         out = []
         for s in range(0, shape[0], step):
-            xa = self._rows(ia if len(ia) == 1 else ia[s:s + step])
-            xb = self._rows(ib if len(ib) == 1 else ib[s:s + step])
-            if xa is None or xb is None:
-                return None
-            r = kernel(xa, xb)
+            r = kernel(self._codes[ia if len(ia) == 1 else ia[s:s + step]],
+                       self._codes[ib if len(ib) == 1 else ib[s:s + step]])
             if not out_bool:
                 r = self._intern_rows(r)
                 if r is None:
@@ -514,37 +491,20 @@ class _VectorEval(OperationTables):
         return idx_array.reshape(shape)
 
     def term(self, t):
-        M = self.M
         if isinstance(t, S.Var):
             return self._shaped(self.var_idx[t.name], self.axes[t.name])
-        if isinstance(t, S.Zero):
-            return np.int64(self.intern(M.zero))
-        if isinstance(t, S.One):
-            return np.int64(self.intern(M.one))
-        if isinstance(t, S.Unit):
-            return np.int64(self.intern(_unit_of(M)))
-        if isinstance(t, S.Oplus):
-            return self.binary_table("oplus", self.term(t.left), self.term(t.right))
-        if isinstance(t, S.Odot):
-            return self.binary_table("odot", self.term(t.left), self.term(t.right))
-        if isinstance(t, S.Neg):
-            return self.unary_table("neg", self.term(t.arg))
-        if isinstance(t, S.Inf):
-            return self.binary_table("inf", self.term(t.left), self.term(t.right))
-        if isinstance(t, S.Sup):
-            return self.binary_table("sup", self.term(t.left), self.term(t.right))
-        if isinstance(t, S.Add):
-            return self.binary_table("add", self.term(t.left), self.term(t.right))
-        if isinstance(t, S.Minus):
-            return self.unary_table("negate", self.term(t.arg))
-        if isinstance(t, S.D):
-            return self.binary_table("d", self.term(t.left), self.term(t.right))
+        op = S.BINARY_OPS.get(type(t))
+        if op is not None:
+            return self.binary_table(op, self.term(t.left), self.term(t.right))
+        op = S.UNARY_OPS.get(type(t))
+        if op is not None:
+            return self.unary_table(op, self.term(t.arg))
         if isinstance(t, S.NatScalar):
             n = t.coeff if isinstance(t.coeff, int) else self.scalars[t.coeff]
             return self.unary_table("nat_scalar", self.term(t.arg), n)
         if isinstance(t, S.MvPower):
             return self.unary_table("mv_power", self.term(t.arg), t.n)
-        raise TypeError(f"not a term: {t!r}")
+        return np.int64(self.intern(_constant(self.M, t)))
 
     # -- formulas ------------------------------------------------------------------
 

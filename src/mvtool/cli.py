@@ -6,7 +6,8 @@ seed (elapsed_ms aside) and are emitted as text or versioned JSON.
 
 Exit codes: 0 all verdicts hold, 1 counterexample, 2 inconclusive at
 bound, 64 usage error (bad flags, descriptor or element parse failure,
-unknown label, carrier cap exceeded).
+unknown label, unreadable sequent file, empty label list, carrier cap
+exceeded).
 """
 
 from __future__ import annotations
@@ -34,10 +35,7 @@ from .equivalence import beta_roundtrip_report, phi_roundtrip_report
 from .errors import (
     CarrierCapExceededError,
     DecompositionError,
-    DescriptorError,
     MvToolError,
-    ParseError,
-    UnknownLabelError,
 )
 from .sequents import parse_sequent, print_sequent
 from .verdicts import CounterExample, InconclusiveAtBound, Verdict
@@ -118,12 +116,19 @@ def _verdict_json(v: Verdict, fmt) -> dict:
 
 def _load_sequent(spec: str):
     """A registry label, @file, or @- for stdin."""
-    if spec == "@-":
-        return parse_sequent(sys.stdin.read()), "<stdin>"
-    if spec.startswith("@"):
-        with open(spec[1:], "r", encoding="utf-8") as fh:
-            return parse_sequent(fh.read()), spec[1:]
-    return registry.lookup(spec), spec
+    if not spec.startswith("@"):
+        return registry.lookup(spec), spec
+    source = "<stdin>" if spec == "@-" else spec[1:]
+    try:
+        if spec == "@-":
+            text = sys.stdin.read()
+        else:
+            with open(source, "r", encoding="utf-8") as fh:
+                text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        reason = getattr(exc, "strerror", None) or exc
+        raise MvToolError(f"cannot read sequent {spec}: {reason}") from None
+    return parse_sequent(text), source
 
 
 def run(config: RunConfig) -> tuple:
@@ -174,6 +179,8 @@ def _run_check(config: RunConfig):
 
 
 def _run_check_family(config: RunConfig):
+    if not config.sequents:
+        raise MvToolError("--sequents names no sequent label")
     model = parse_model(config.model)
     _guard_cap(model, config.bound)
     # check_family searches existentials at twice the bound by default.
@@ -399,10 +406,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         parser.error("--exists-bound must be >= 1")
     try:
         code, report = run(config)
-    except (DescriptorError, UnknownLabelError, CarrierCapExceededError,
-            ParseError) as exc:
-        print(f"mvtool: error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except MvToolError as exc:
         print(f"mvtool: error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -105,37 +105,38 @@ def _identity(x):
     return x
 
 
-def _quotient_with_map(A: MvAlgebra, a) -> Tuple[MvAlgebra, Callable]:
-    """The quotient A/(a) for a Boolean ``a`` together with the canonical
-    projection."""
+def _quotient_with_map(A: MvAlgebra, a) -> Tuple[MvAlgebra, Callable, Callable]:
+    """The quotient A/(a) for a Boolean ``a``, the canonical projection,
+    and its right inverse, the embedding into the downset of neg a."""
     if a == A.zero:
-        return A, _identity
+        return A, _identity, _identity
     if a == A.one:
-        return FiniteChainAlgebra(0), lambda x: 0
+        return FiniteChainAlgebra(0), lambda x: 0, lambda z: A.zero
     if isinstance(A, ProductAlgebra):
-        kept: List[Tuple[int, MvAlgebra, Callable]] = []
-        for i, (factor, comp) in enumerate(zip(A.factors, a)):
-            if comp == factor.one:
-                continue  # this component is collapsed by the ideal
-            if comp == factor.zero:
-                kept.append((i, factor, _identity))
-            else:
-                sub, sub_proj = _quotient_with_map(factor, comp)
-                kept.append((i, sub, sub_proj))
+        # Project onto the components the ideal does not collapse, and
+        # embed with zeros in the collapsed ones.
+        kept = [(i,) + _quotient_with_map(factor, comp)
+                for i, (factor, comp) in enumerate(zip(A.factors, a))
+                if comp != factor.one]
+        zero = A.zero
         if not kept:
-            return FiniteChainAlgebra(0), lambda x: 0
+            return FiniteChainAlgebra(0), lambda x: 0, lambda z: zero
+
+        def embed(values):
+            out = list(zero)
+            for (i, _, _, e), v in zip(kept, values):
+                out[i] = e(v)
+            return tuple(out)
+
         if len(kept) == 1:
-            i, alg, proj = kept[0]
-            return alg, lambda x, _i=i, _p=proj: _p(x[_i])
-        algebras = [alg for _, alg, _ in kept]
-
-        def project(x, _kept=tuple(kept)):
-            return tuple(p(x[i]) for i, _, p in _kept)
-
-        return ProductAlgebra(algebras), project
+            i, alg, proj, _ = kept[0]
+            return alg, lambda x: proj(x[i]), lambda z: embed((z,))
+        return (ProductAlgebra([alg for _, alg, _, _ in kept]),
+                lambda x: tuple(p(x[i]) for i, _, p, _ in kept), embed)
     if A.carrier() is not None:
         q = FiniteQuotientAlgebra(A, a)
-        return q, q.project
+        atom = A.neg(a)
+        return q, q.project, lambda r: A.inf(r, atom)
     raise MvToolError(
         f"cannot quotient {A.descriptor()}: carrier is infinite and not a product"
     )
@@ -211,10 +212,10 @@ def decompose_product(A: MvAlgebra, gens, bound: int = 8) -> AtomDecomposition:
     projections: List[Callable] = []
     embeddings: List[Callable] = []
     for a in atoms:
-        factor, proj = _quotient_with_map(A, A.neg(a))
+        factor, proj, embed = _quotient_with_map(A, A.neg(a))
         factors.append(factor)
         projections.append(proj)
-        embeddings.append(_embedding_into(A, a, factor, proj))
+        embeddings.append(embed)
 
     for i, factor in enumerate(factors):
         report = check_perfect(factor, bound)
@@ -237,38 +238,6 @@ def decompose_product(A: MvAlgebra, gens, bound: int = 8) -> AtomDecomposition:
 
     return AtomDecomposition(atoms, factors, forward, backward,
                              projections, embeddings)
-
-
-def _embedding_into(A: MvAlgebra, atom, factor: MvAlgebra, proj) -> Callable:
-    """Right inverse of the projection A -> A/(neg atom), landing in the
-    downset of the atom."""
-    if factor is A:
-        return _identity
-    if isinstance(factor, FiniteQuotientAlgebra) and factor.base is A:
-        return lambda r: A.inf(r, atom)
-    if isinstance(A, ProductAlgebra):
-        # Structural projection: place components at the surviving
-        # indices, zero elsewhere; recursion handles nested quotients.
-        kept = [
-            (i, f, comp)
-            for i, (f, comp) in enumerate(zip(A.factors, A.neg(atom)))
-            if comp != f.one
-        ]
-        zeros = list(A.zero)
-
-        def embed(z, _kept=tuple(kept), _zeros=tuple(zeros)):
-            out = list(_zeros)
-            values = (z,) if len(_kept) == 1 else z
-            for (i, f, comp), v in zip(_kept, values):
-                if comp == f.zero:
-                    out[i] = v
-                else:
-                    sub_factor, sub_proj = _quotient_with_map(f, comp)
-                    out[i] = _embedding_into(f, f.neg(comp), sub_factor, sub_proj)(v)
-            return tuple(out)
-
-        return embed
-    raise MvToolError(f"no embedding available into {A.descriptor()}")
 
 
 def is_perfect_element(A: MvAlgebra, a, bound: int) -> bool:
@@ -339,8 +308,8 @@ def pushout_pullback_check(A: MvAlgebra, a, bound: int) -> Verdict:
     A.validate(a)
     if not is_boolean(A, a):
         raise MvToolError(f"{A.format_element(a)} is not Boolean")
-    q1, p1 = _quotient_with_map(A, a)
-    q2, p2 = _quotient_with_map(A, A.neg(a))
+    q1, p1, _ = _quotient_with_map(A, a)
+    q2, p2, _ = _quotient_with_map(A, A.neg(a))
     image, collisions = map_once(A.enumerate(bound), lambda x: (p1(x), p2(x)))
     if collisions:
         return CounterExample(collisions[0], note="not injective")

@@ -217,12 +217,17 @@ class Sequent:
 # ---------------------------------------------------------------------------
 
 
+# The carrier method each operation node stands for: the one place that
+# maps syntax to semantics, read by both checking engines.
+BINARY_OPS = {Oplus: "oplus", Odot: "odot", Inf: "inf", Sup: "sup",
+              Add: "add", D: "d"}
+UNARY_OPS = {Neg: "neg", Minus: "negate"}
+
+
 def term_children(t: Term):
-    if isinstance(t, (Oplus, Odot, Inf, Sup, Add, D)):
+    if type(t) in BINARY_OPS:
         return (t.left, t.right)
-    if isinstance(t, (Neg, Minus)):
-        return (t.arg,)
-    if isinstance(t, (NatScalar, MvPower)):
+    if type(t) in UNARY_OPS or isinstance(t, (NatScalar, MvPower)):
         return (t.arg,)
     return ()
 

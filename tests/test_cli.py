@@ -64,6 +64,24 @@ def test_usage_errors(capsys):
         assert "--exists-bound must be >= 1" in capsys.readouterr().err
 
 
+def test_unreadable_sequent_file_is_a_usage_error(tmp_path, capsys):
+    undecodable = tmp_path / "latin1.txt"
+    undecodable.write_bytes("true |-[x] x = x \xe9\n".encode("latin-1"))
+    for path, reason in ((tmp_path / "missing.txt", "No such file"),
+                         (tmp_path, "Is a directory"),
+                         (undecodable, "can't decode")):
+        assert run_cli("check", "--model", "C", "--sequent", f"@{path}") == 64
+        err = capsys.readouterr().err
+        assert err.startswith(f"mvtool: error: cannot read sequent @{path}: ")
+        assert reason in err, path
+
+
+def test_empty_label_list_is_a_usage_error(capsys):
+    for labels in ("", ",", " , "):
+        assert run_cli("check-family", "--model", "C", "--sequents", labels) == 64
+        assert "names no sequent label" in capsys.readouterr().err
+
+
 def test_carrier_cap(capsys, monkeypatch):
     monkeypatch.setenv("MVTOOL_MAX_CARRIER", "10")
     assert run_cli("check", "--model", "Prod(C,C)", "--sequent", "MV.2",

@@ -96,6 +96,18 @@ def test_decompose_three_factors():
     assert mv.product_reconstruction_check(CCB, d, 4).ok
 
 
+def test_decompose_splits_a_factor_of_a_product():
+    # The atoms ((1,0),0) and ((0,1),0) cut the four-element first factor
+    # in two, so both quotients and embeddings recurse into it.
+    A = mv.parse_model("Prod(Gamma(Z^2,(1,1)),C)")
+    d = mv.decompose_product(A, [((1, 0), C.zero), ((0, 0), C.one)], bound=8)
+    assert [f.descriptor() for f in d.factors] == [
+        "Gamma(Z^2,(1,1))/((0,1))", "C", "Gamma(Z^2,(1,1))/((1,0))"]
+    assert mv.product_reconstruction_check(A, d, 3).ok
+    for x in A.enumerate(3):
+        assert d.iso_backward(d.iso_forward(x)) == x
+
+
 def test_decompose_failure_reports_factor():
     # L(2) is not in the Chang variety, so its single trivial atom family
     # yields a non-perfect factor.

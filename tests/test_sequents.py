@@ -434,6 +434,25 @@ def test_python_and_kernel_routes_intern_an_element_once():
         [[2 * u, 0], [0, -2 * u]]
 
 
+def test_leaving_code_space_keeps_the_kernel_made_indices():
+    from mvtool.checking import _PENDING, OperationTables
+    u = 2 ** 59 + 3
+    tables = OperationTables(mv.UnitalGroup(Z, u))
+    x = tables.intern_all([1, 2])
+    sums = tables.binary_table("add", x[:, None], x[None, :])
+    three = int(sums[0, 1])
+    assert tables._elems[three] is _PENDING  # 2, 3 and 4 are still rows
+    # 2u = 2^60 + 6 reaches the kernel limit: the instance leaves code
+    # space, and this table and every later one take the per-pair path.
+    big = tables.intern_all([u])
+    assert tables.element(int(tables.binary_table("add", big, big)[0])) == 2 * u
+    assert tables.codec is None
+    assert tables.intern(3) == three
+    assert tables.binary_table("add", x[:1], x[1:]).tolist() == [three]
+    assert tables.element(three) == 3
+    assert sums.tolist() == [[tables.intern(2), three], [three, tables.intern(4)]]
+
+
 def test_counterexamples_are_monotone_in_bound():
     failing = [(L2, "xi"), (CC, "P.3"), (CC, "beta")]
     for model, label in failing:
