@@ -56,7 +56,7 @@ import numpy as np
 
 from . import sequents as S
 from .errors import SignatureError, UnboundVariableError
-from .kernels import LIMIT, codec_for
+from .kernels import LIMIT, codec_for, unique_rows
 from .mv_core import mv_power
 from .verdicts import CounterExample, Holds, InconclusiveAtBound, Verdict
 
@@ -184,27 +184,6 @@ def _eval_formula(M, f, env, scalars, search) -> Tuple[bool, bool]:
 # ---------------------------------------------------------------------------
 
 
-def _unique_rows(rows, lo, hi):
-    """The ``first`` and ``inverse`` of ``np.unique(rows, axis=0)``: the
-    position of each distinct row's first occurrence, and each row's
-    distinct row.  Through one integer key per row when the columns'
-    ranges ``lo``..``hi`` fit a mixed-radix number below 2^62; sorting the
-    keys is much faster than sorting rows."""
-    spans = [int(h) - int(l) + 1 for l, h in zip(lo.tolist(), hi.tolist())]
-    total = 1
-    for s in spans:
-        total *= s
-    if total >= 1 << 62:
-        _, first, inverse = np.unique(rows, axis=0, return_index=True,
-                                      return_inverse=True)
-        return first, inverse.reshape(-1)
-    key = np.zeros(len(rows), dtype=np.int64)
-    for c, s in enumerate(spans):
-        key = key * s + (rows[:, c] - lo[c])
-    _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
-    return first, inverse.reshape(-1)
-
-
 def _row_keys(rows) -> list:
     """One dict key per int64 code row of the 2-D array ``rows``: its
     bytes."""
@@ -320,7 +299,7 @@ class OperationTables:
         if max(-int(lo.min()), int(hi.max())) >= LIMIT:
             self._leave_code_space()
             return None
-        first, inverse = _unique_rows(rows, lo, hi)
+        first, inverse = unique_rows(rows, lo, hi)
         uniq = rows[first]
         get = self._row_index.get
         keys = _row_keys(uniq)

@@ -121,7 +121,9 @@ def _load_sequent(spec: str):
     source = "<stdin>" if spec == "@-" else spec[1:]
     try:
         if spec == "@-":
-            text = sys.stdin.read()
+            # The bytes, decoded strictly: sys.stdin would let a C locale's
+            # surrogateescape pass undecodable input on to the parser.
+            text = sys.stdin.buffer.read().decode("utf-8")
         else:
             with open(source, "r", encoding="utf-8") as fh:
                 text = fh.read()

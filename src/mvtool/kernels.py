@@ -23,9 +23,25 @@ are the Grothendieck canonicalisation, (x + y) - inf(x + y, h + k), and
 Gamma's x odot y = sup(0, x + y - u)), so every intermediate value stays
 below 4 * 2^60 = 2^62 and int64 arithmetic never wraps.  To keep that
 bound, Grothendieck groups and unit intervals are built only over
-``flat`` codecs: coordinates, lexicographic products of them, and the
+``flat`` codecs: coordinates, lexicographic products of them, the
 radical monoids of unit intervals over them, whose own kernels add at
-most two coordinates (the radical monoid's x + y is inf(u, x + y)).
+most two coordinates (the radical monoid's x + y is inf(u, x + y)), and
+the difference codec below, whose kernels are a flat group's.
+
+The Grothendieck group of the radical monoid of a Sigma-shaped interval
+(a lexicographic Z x_lex G with unit (1, 0), as in Sigma(G), C and
+Pointed over them) has a flat codec of its own, ``Diff``.  There every
+radical element is (0, g) with g >= 0, and oplus is the tails' plain
+sum, which never reaches the unit: the monoid is G's positive cone, so a
+class [(0, a), (0, b)] is fixed by the difference a - b in G and its
+canonical pair is ((a - b)+, (a - b)-) (Di Nola & Lettieri 1994).  A
+class is coded as the row of a - b, and the group operations are G's own
+kernels, so Delta(Sigma(G)) and Delta(C) are as flat as G, and
+Sigma(Delta(A)) is a unit interval over a flat codec like any other.
+
+``groth_window`` builds a Grothendieck window from its monoid's codes:
+the canonical rows of all pairs of the monoid window in one numpy pass,
+the first appearance of each in walk order, decoded once.
 """
 
 from __future__ import annotations
@@ -66,11 +82,37 @@ def fits(row) -> bool:
     return all(-LIMIT < c < LIMIT for c in row)
 
 
+def _fit_rows(rows) -> bool:
+    """``fits`` for every row of an int64 array."""
+    return max(-int(rows.min()), int(rows.max())) < LIMIT
+
+
 def _cat(*parts):
     """Concatenate column blocks, broadcasting only the leading axes."""
     lead = np.broadcast_shapes(*(p.shape[:-1] for p in parts))
     return np.concatenate([np.broadcast_to(p, lead + p.shape[-1:]) for p in parts],
                           axis=-1)
+
+
+def unique_rows(rows, lo, hi):
+    """The ``first`` and ``inverse`` of ``np.unique(rows, axis=0)``: the
+    position of each distinct row's first occurrence, and each row's
+    distinct row.  Through one integer key per row when the columns'
+    ranges ``lo``..``hi`` fit a mixed-radix number below 2^62; sorting the
+    keys is much faster than sorting rows."""
+    spans = [int(h) - int(l) + 1 for l, h in zip(lo.tolist(), hi.tolist())]
+    total = 1
+    for s in spans:
+        total *= s
+    if total >= 1 << 62:
+        _, first, inverse = np.unique(rows, axis=0, return_index=True,
+                                      return_inverse=True)
+        return first, inverse.reshape(-1)
+    key = np.zeros(len(rows), dtype=np.int64)
+    for c, s in enumerate(spans):
+        key = key * s + (rows[:, c] - lo[c])
+    _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
+    return first, inverse.reshape(-1)
 
 
 class Coords:
@@ -144,7 +186,8 @@ class Lex:
 class Groth:
     """The Grothendieck group of a flat monoid codec on canonical pairs
     (u, v): u's columns, then v's.  Each operation canonicalises by
-    (x - inf(x, y), y - inf(x, y)), as ``canon_pair`` does."""
+    (x - inf(x, y), y - inf(x, y)), as ``canon_pair`` does; ``canon`` is
+    that step on the monoid rows of a pair (x, y)."""
 
     flat = False
 
@@ -162,13 +205,16 @@ class Groth:
     def _split(self, a):
         return a[..., :self.half], a[..., self.half:]
 
-    def _canon(self, x, y):
+    def decode_rows(self, rows):
+        return [self.decode(r) for r in rows.tolist()]
+
+    def canon(self, x, y):
         i = self.m.inf(x, y)
         return _cat(self.m.sub(x, i), self.m.sub(y, i))
 
     def add(self, a, b):
         (au, av), (bu, bv) = self._split(a), self._split(b)
-        return self._canon(self.m.add(au, bu), self.m.add(av, bv))
+        return self.canon(self.m.add(au, bu), self.m.add(av, bv))
 
     def negate(self, a):
         au, av = self._split(a)
@@ -184,7 +230,7 @@ class Groth:
     def _lattice(self, a, b, op):
         (au, av), (bu, bv) = self._split(a), self._split(b)
         m = self.m
-        return self._canon(op(m.add(au, bv), m.add(av, bu)), m.add(av, bv))
+        return self.canon(op(m.add(au, bv), m.add(av, bu)), m.add(av, bv))
 
     def inf(self, a, b):
         return self._lattice(a, b, self.m.inf)
@@ -283,6 +329,44 @@ class Radical:
         return self.interval.sup(a, b)
 
 
+class Diff:
+    """The Grothendieck group of the radical monoid of a Sigma-shaped
+    interval, Z x_lex G at (1, 0): a class is the row of its difference
+    in G, the tail columns of u - v, and every operation is G's own.
+    ``canon`` maps the monoid rows (0, a), (0, b) of a pair to a - b."""
+
+    flat = True
+
+    def __init__(self, radical):
+        self.m = radical
+        self.interval = radical.interval
+        self.tail = radical.interval.g.tail
+        self.width = self.tail.width
+        self.add, self.sub, self.negate = self.tail.add, self.tail.sub, self.tail.negate
+        self.inf, self.sup, self.leq = self.tail.inf, self.tail.sup, self.tail.leq
+
+    def encode(self, p):
+        u, v = self.interval.encode(p.u), self.interval.encode(p.v)
+        return [a - b for a, b in zip(u[1:], v[1:])]
+
+    def canon(self, x, y):
+        return self.tail.sub(x[..., 1:], y[..., 1:])
+
+    def decode_rows(self, rows):
+        """The canonical pairs (d+, d-) of the difference rows d, read
+        back as radical elements (0, d+) and (0, d-)."""
+        rows = np.asarray(rows, dtype=np.int64).reshape(-1, self.width)
+        zero = np.zeros_like(rows[:1])
+        head = np.zeros_like(rows[:, :1])
+        pos = _cat(head, self.tail.sup(rows, zero)).tolist()
+        neg = _cat(head, self.tail.sup(self.tail.negate(rows), zero)).tolist()
+        decode = self.interval.decode
+        return [CanonPair(decode(u), decode(v)) for u, v in zip(pos, neg)]
+
+    def decode(self, row):
+        return self.decode_rows([row])[0]
+
+
 class Prod:
     """A finite product: each factor owns a block of columns."""
 
@@ -342,9 +426,41 @@ def _lex(model):
     return None if tail is None else Lex(tail)
 
 
-def _groth(model):
-    monoid = codec_for(model.monoid)
-    return Groth(monoid) if monoid is not None and monoid.flat else None
+def groth_codec(monoid):
+    """The codec of the Grothendieck group of ``monoid``: ``Diff`` over
+    the radical monoid of a Sigma-shaped interval, else ``Groth`` over a
+    flat monoid codec, else None."""
+    m = codec_for(monoid)
+    if m is None or not m.flat:
+        return None
+    if isinstance(m, Radical) and isinstance(m.interval.g, Lex) and \
+            m.interval.unit.tolist() == [1] + [0] * (m.width - 1):
+        return Diff(m)
+    return Groth(m)
+
+
+def groth_window(monoid, bound: int) -> Optional[list]:
+    """``GrothendieckGroup(monoid).enumerate(bound)`` from codes: the
+    canonical rows of the pairs (x, y) of the monoid window, x-major, kept
+    at their first appearance and decoded.  None when the monoid has no
+    codec or a row reaches ``LIMIT``; the caller then walks the pairs."""
+    codec = groth_codec(monoid)
+    if codec is None:
+        return None
+    window = monoid.enumerate(bound)
+    if not window:
+        return []
+    try:
+        rows = np.array([codec.m.encode(x) for x in window], dtype=np.int64)
+    except OverflowError:
+        return None
+    if not _fit_rows(rows):
+        return None
+    pairs = codec.canon(rows[:, None], rows[None, :]).reshape(-1, codec.width)
+    if not _fit_rows(pairs):
+        return None
+    first, _ = unique_rows(pairs, pairs.min(axis=0), pairs.max(axis=0))
+    return codec.decode_rows(pairs[np.sort(first)])
 
 
 def _gamma(model):
@@ -377,7 +493,7 @@ _BUILDERS = {
     LexGroup: _lex,
     UnitalGroup: lambda model: codec_for(model.group),
     PositiveConeMonoid: lambda model: codec_for(model.group),
-    GrothendieckGroup: _groth,
+    GrothendieckGroup: lambda model: groth_codec(model.monoid),
     GammaAlgebra: _gamma,
     SigmaAlgebra: _gamma,
     FiniteChainAlgebra: _chain,

@@ -681,10 +681,17 @@ class GrothendieckGroup(LGroup):
 
     def enumerate(self, bound):
         """The canonical pairs of the pairs (x, y) of the monoid window,
-        in order of first appearance; over N/N^n that list is the box of
-        differences, which ``interval`` builds directly."""
+        in order of first appearance.  Over N/N^n that list is the box of
+        differences, which ``interval`` builds directly; over a monoid
+        with a codec it is built from the monoid's code rows in one pass
+        (``kernels.groth_window``); otherwise the pairs are walked."""
         if self._difference_ranges(bound, None, None) is not None:
             return self.interval(bound)
+        # kernels imports this module.
+        from .kernels import groth_window
+        out = groth_window(self.monoid, bound)
+        if out is not None:
+            return out
         m = self.monoid
         seen = set()
         out = []

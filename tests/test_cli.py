@@ -1,6 +1,7 @@
 """CLI: exit codes, JSON reports, determinism, descriptor errors."""
 
 import json
+import os
 import subprocess
 import sys
 
@@ -242,6 +243,25 @@ def test_sequent_from_stdin():
         input="true |-[x] x = x\n", capture_output=True, text=True)
     assert proc.returncode == 0
     assert "holds" in proc.stdout
+
+
+def test_sequent_from_stdin_must_be_utf8(tmp_path):
+    # Under a C locale sys.stdin decodes with surrogateescape; @- must
+    # still refuse non-UTF-8 bytes as @file does.
+    seq = tmp_path / "seq.txt"
+    seq.write_bytes(b"\xff")
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("PYTHONIOENCODING", "PYTHONUTF8")}
+    env["LC_ALL"] = "C"
+    messages = []
+    for spec, stdin in (("@-", b"\xff"), (f"@{seq}", b"")):
+        proc = subprocess.run(
+            [sys.executable, "-m", "mvtool.cli", "check", "--model", "C",
+             "--sequent", spec], input=stdin, capture_output=True, env=env)
+        assert proc.returncode == 64, proc.stderr
+        messages.append(proc.stderr.decode())
+    assert all("cannot read sequent" in m for m in messages), messages
+    assert "unexpected character" not in messages[0]
 
 
 def test_determinism_same_seed_same_json(capsys):

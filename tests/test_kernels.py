@@ -31,10 +31,17 @@ ENCODED = [
     "Pointed(C,1c)", "Pointed(Sigma(Z^2),(0,(1,1)))",
 ]
 MODELS = {d: mv.parse_model(d) for d in ENCODED}
-# The radical monoids of unit intervals, and the Delta groups over them.
+# The radical monoids of unit intervals, the Delta groups over them (the
+# difference codec over Sigma-shaped intervals, Groth over L(3)), and
+# Sigma of those.
 for _model in (mv.RadicalMonoid(mv.ChangAlgebra()),
                mv.RadicalMonoid(mv.parse_model("Sigma(Z^2)")),
-               mv.delta(mv.ChangAlgebra()), mv.delta(mv.parse_model("Sigma(Z^2)"))):
+               mv.delta(mv.ChangAlgebra()), mv.delta(mv.parse_model("Sigma(Z^2)")),
+               mv.delta(mv.parse_model("Sigma(Lex(Z,Z))")),
+               mv.delta(mv.parse_model("Pointed(C,1c)")),
+               mv.GrothendieckGroup(mv.RadicalMonoid(mv.parse_model("L(3)"))),
+               mv.sigma(mv.delta(mv.ChangAlgebra())),
+               mv.sigma(mv.delta(mv.parse_model("Sigma(Z^2)")))):
     MODELS[_model.descriptor()] = _model
 
 

@@ -7,6 +7,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import mvtool as mv
+from helpers import grothendieck_walk
+from mvtool.kernels import groth_window
 from mvtool.lgroup_core import CanonPair, LexPair
 
 Z = mv.ZGroup()
@@ -264,20 +266,9 @@ def test_interval_equals_the_window_filter():
     # Open and closed sides, empty intervals (lo > hi), and endpoints
     # beyond the window; the order must match the window's exactly.
     def window_of(G, b):
-        # A Grothendieck window by its definition: the canonical pairs of
-        # the monoid window's pairs, in order of first appearance.
         if not isinstance(G, mv.GrothendieckGroup):
             return G.enumerate(b)
-        m = G.monoid
-        seen = set()
-        out = []
-        for x in m.enumerate(b):
-            for y in m.enumerate(b):
-                p = mv.canon_pair(m, x, y)
-                if p not in seen:
-                    seen.add(p)
-                    out.append(p)
-        return out
+        return grothendieck_walk(G, b)
 
     for M in (N, N2, mv.NnMonoid(3)):
         G = mv.GrothendieckGroup(M)
@@ -309,6 +300,37 @@ def test_interval_equals_the_window_filter():
                     got = G.interval(b, lo, hi)
                     assert got == expect, (G.descriptor(), b, lo, hi)
                     assert G.interval_size(b, lo, hi) == len(expect)
+
+
+def test_encoded_grothendieck_window_equals_the_walk():
+    # Over a monoid with a codec, enumerate builds the window from code
+    # rows; it must be the walk's list, element for element and in order.
+    # L(3) is a unit interval that is not Sigma-shaped.
+    monoids = [mv.RadicalMonoid(mv.parse_model(d))
+               for d in ("C", "Sigma(Z^2)", "Sigma(Lex(Z,Z))", "L(3)")]
+    monoids += [mv.parse_model(d) for d in ("PosCone(Z^2)", "PosCone(Lex(Z,Z))")]
+    for M in monoids:
+        G = mv.GrothendieckGroup(M)
+        for b in range(6):
+            assert groth_window(M, b) is not None, M.descriptor()
+            assert G.enumerate(b) == grothendieck_walk(G, b), (M.descriptor(), b)
+
+
+def test_grothendieck_window_falls_back_to_the_walk_at_the_limit(monkeypatch):
+    big = 2 ** 60 - 1
+    # Radical elements that fit, whose difference (0, 2^61 - 2) does not.
+    rad = mv.RadicalMonoid(mv.parse_model("Sigma(Lex(Z,Z))"))
+    rad_window = [LexPair(0, LexPair(0, 0)), LexPair(0, LexPair(1, big)),
+                  LexPair(0, LexPair(1, -big))]
+    # A cone element with no valid code, and one beyond int64.
+    cone = mv.parse_model("PosCone(Z^2)")
+    for M, window in ((rad, rad_window), (cone, [(0, 0), (big + 1, 0), (0, 1)]),
+                      (cone, [(0, 0), (2 ** 63, 1)])):
+        monkeypatch.setattr(M, "enumerate", lambda b, window=window: window)
+        G = mv.GrothendieckGroup(M)
+        assert groth_window(M, 1) is None
+        assert G.enumerate(1) == grothendieck_walk(G, 1)
+        assert len(G.enumerate(1)) > len(window)
 
 
 def test_trivial_group_is_rank_zero():

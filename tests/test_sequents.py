@@ -199,6 +199,10 @@ def test_engine_parity_on_grothendieck_carriers():
     })
     _assert_engine_parity({"lgroup": [mv.delta(mv.parse_model("Sigma(Z^2)"))]},
                           max_bound=1)
+    # Sigma(Delta(A)): unit intervals over the difference codec.
+    _assert_engine_parity({"mv": [mv.sigma(mv.delta(C))]})
+    _assert_engine_parity({"mv": [mv.sigma(mv.delta(mv.parse_model("Sigma(Z^2)")))]},
+                          max_bound=2)
 
 
 def test_engine_parity_on_encoded_carriers():
