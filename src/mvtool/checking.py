@@ -14,8 +14,9 @@ entry per pair of distinct operands, when it has no more entries than the
 broadcast operand grid it indexes, and otherwise holds only the pairs
 that occur; so no table outgrows the arrays the evaluation already
 holds.  The vector grid also has one axis per level of existential
-nesting, and a grid above ``_MAX_CELLS`` cells, search axes included, is
-checked in chunks along its first context axis.
+nesting.  A grid above ``_MAX_CELLS`` cells, search axes included, is
+evaluated in slices of its first context axis, one after the other, by
+the same evaluator; the verdict rule is the one an unsliced grid has.
 
 The vector engine builds each operation table over the unique operand
 pairs.  When the carrier has a codec (``kernels.codec_for``), the engine
@@ -36,7 +37,7 @@ The indices already handed out stay valid, so the check goes on where
 it was.  Without a codec the engine takes the per-pair path throughout.
 The interning, the code rows and the tables live in ``OperationTables``,
 which the homomorphism checks share; one interner serves a whole check,
-antecedent and consequent alike.
+antecedent and consequent alike, and every slice of a sliced grid.
 
 A sequent check universally quantifies its context over
 ``enumerate(bound)``.  Existentials and capped infinitary disjunctions
@@ -57,11 +58,11 @@ import numpy as np
 from . import sequents as S
 from .errors import SignatureError, UnboundVariableError
 from .kernels import LIMIT, codec_for, unique_rows
-from .mv_core import mv_power
+from .mv_core import mv_power, nat_scalar
 from .verdicts import CounterExample, Holds, InconclusiveAtBound, Verdict
 
 # Vector grids (context axes times search axes) larger than this are
-# chunked along the first context axis.
+# evaluated in slices of the first context axis.
 _MAX_CELLS = 1 << 25
 # Context grids of at least this many cells go to the vector engine; below
 # it the scalar engine's walk is cheaper than numpy's per-table set-up.
@@ -109,7 +110,7 @@ def _eval(M, t, env, scalars):
         return getattr(M, op)(_eval(M, t.arg, env, scalars))
     if isinstance(t, S.NatScalar):
         n = t.coeff if isinstance(t.coeff, int) else scalars[t.coeff]
-        return _nat_scalar(M, n, _eval(M, t.arg, env, scalars))
+        return nat_scalar(M, n, _eval(M, t.arg, env, scalars))
     if isinstance(t, S.MvPower):
         return mv_power(M, _eval(M, t.arg, env, scalars), t.n)
     return _constant(M, t)
@@ -129,14 +130,6 @@ def _constant(M, t):
             )
         return unit
     raise TypeError(f"not a term: {t!r}")
-
-
-def _nat_scalar(M, n, x):
-    plus = M.oplus if M.signature == "mv" else M.add
-    acc = M.zero
-    for _ in range(n):
-        acc = plus(acc, x)
-    return acc
 
 
 def _eval_formula(M, f, env, scalars, search) -> Tuple[bool, bool]:
@@ -321,7 +314,7 @@ class OperationTables:
         """The carrier's own operation: the fallback of every kernel."""
         M = self.M
         if op == "nat_scalar":
-            return lambda v: _nat_scalar(M, n, v)
+            return lambda v: nat_scalar(M, n, v)
         if op == "mv_power":
             return lambda v: mv_power(M, v, n)
         return getattr(M, op)
@@ -573,37 +566,17 @@ def check_sequent(model, seq: S.Sequent, bound: int, *,
         )
     ctx_enum = model.enumerate(bound)
     search = ctx_enum
-    depth = max(_exists_depth(seq.antecedent), _exists_depth(seq.consequent))
-    if exists_bound is not None and depth:
+    if exists_bound is not None and searches(seq):
         search = model.enumerate(exists_bound)
 
     k = len(seq.context)
-    cells = len(ctx_enum) ** k
     if engine == "auto":
-        engine = "vector" if k >= 1 and cells >= _VECTOR_THRESHOLD else "scalar"
-
+        vector = k >= 1 and len(ctx_enum) ** k >= _VECTOR_THRESHOLD
+        engine = "vector" if vector else "scalar"
     if engine == "scalar":
         return _check_scalar(model, seq, ctx_enum, search, bound)
     if engine != "vector":
         raise ValueError(f"unknown engine {engine!r}")
-
-    # The vector grid has one axis per context variable and one per level
-    # of existential nesting; chunks split the first context axis.
-    grid_cells = cells * len(search) ** depth
-    if grid_cells > _MAX_CELLS and len(ctx_enum) > 1 and k >= 1:
-        step = max(1, _MAX_CELLS // (grid_cells // len(ctx_enum)))
-        inconclusive = False
-        for start in range(0, len(ctx_enum), step):
-            chunk = ctx_enum[start:start + step]
-            sub = _check_vector(model, seq, [chunk] + [ctx_enum] * (k - 1),
-                                search, bound)
-            if isinstance(sub, CounterExample):
-                return sub
-            if isinstance(sub, InconclusiveAtBound):
-                inconclusive = True
-        if inconclusive:
-            return InconclusiveAtBound(bound, note="unwitnessed bounded search")
-        return Holds()
     return _check_vector(model, seq, [ctx_enum] * k, search, bound)
 
 
@@ -627,12 +600,13 @@ def _check_scalar(model, seq, ctx_enum, search, bound) -> Verdict:
 
 def _check_vector(model, seq, ctx_enums, search, bound) -> Verdict:
     k = len(seq.context)
-    grid = tuple(len(e) for e in ctx_enums)
-
     ev = _VectorEval(model, seq.context, ctx_enums, search,
                      seq.antecedent, seq.consequent)
-    av, _ = ev.formula(seq.antecedent)
-    cv, cdf = ev.formula(seq.consequent)
+    grid = [len(e) for e in ctx_enums]
+    # Slices of the first context axis of at most _MAX_CELLS cells each.
+    row_cells = math.prod(grid[1:]) * len(search) ** (ev.ndim - k)
+    step = max(1, _MAX_CELLS // max(1, row_cells))
+    first = ev.var_idx[seq.context[0]] if k else None
 
     def to_grid(arr):
         arr = np.asarray(arr)
@@ -640,13 +614,23 @@ def _check_vector(model, seq, ctx_enums, search, bound) -> Verdict:
             arr = arr[(...,) + (0,) * (arr.ndim - k)]
         return np.broadcast_to(arr, grid)
 
-    bad = to_grid(av) & ~to_grid(cv)
-    if not bad.any():
-        return Holds()
-    concrete = bad & to_grid(cdf)
-    if concrete.any():
-        flat = int(np.argmax(concrete.reshape(-1)))
-        coords = np.unravel_index(flat, grid)
-        env = {v: ctx_enums[i][coords[i]] for i, v in enumerate(seq.context)}
-        return CounterExample(env, axiom=seq.name)
-    return InconclusiveAtBound(bound, note="unwitnessed bounded search")
+    inconclusive = False
+    for start in range(0, grid[0] if k else 1, step):
+        if k:
+            chunk = ev.var_idx[seq.context[0]] = first[start:start + step]
+            grid[0] = len(chunk)
+        av, _ = ev.formula(seq.antecedent)
+        cv, cdf = ev.formula(seq.consequent)
+        bad = to_grid(av) & ~to_grid(cv)
+        if not bad.any():
+            continue
+        concrete = bad & to_grid(cdf)
+        if concrete.any():
+            coords = np.unravel_index(int(np.argmax(concrete.reshape(-1))), grid)
+            env = {v: ctx_enums[i][coords[i] + (start if i == 0 else 0)]
+                   for i, v in enumerate(seq.context)}
+            return CounterExample(env, axiom=seq.name)
+        inconclusive = True
+    if inconclusive:
+        return InconclusiveAtBound(bound, note="unwitnessed bounded search")
+    return Holds()

@@ -77,11 +77,19 @@ def max_carrier() -> int:
         ) from None
 
 
+def _count(n: int) -> str:
+    """``n``, or a power of ten below it when ``str`` refuses its length."""
+    try:
+        return str(n)
+    except ValueError:  # 2^(b-1) <= n and 0.3010299 < log10(2)
+        return f"more than 10^{(n.bit_length() - 1) * 3010299 // 10 ** 7}"
+
+
 def _guard_size(what: str, size: int, bound: int) -> None:
     cap = max_carrier()
     if size > cap:
         raise CarrierCapExceededError(
-            f"{what} {size} elements at bound {bound}, above the cap of "
+            f"{what} {_count(size)} elements at bound {bound}, above the cap of "
             f"{cap} (override with MVTOOL_MAX_CARRIER)"
         )
 

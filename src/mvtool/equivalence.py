@@ -47,6 +47,17 @@ SigmaElem = LexPair  # Rad(g) is (0, g) with g >= 0; Corad(g) is (1, g) with g <
 # ---------------------------------------------------------------------------
 
 
+def _require_perfect(A: MvAlgebra, bound: int) -> None:
+    """Raise ``NotPerfectError`` unless P.1-P.4 hold on
+    ``A.enumerate(bound)``.  They search nothing and each has one
+    variable, so a failure is a counterexample at one element."""
+    v = check_perfect(A, bound).verdict
+    if not v.ok:
+        raise NotPerfectError(
+            f"{A.descriptor()} is not perfect at bound {bound}: {v.axiom} "
+            f"fails at {A.format_element(v.env)}", counterexample=v)
+
+
 def sigma(G: LGroup) -> SigmaAlgebra:
     """The perfect MV-algebra Gamma(Z x_lex G, (1, 0))."""
     return SigmaAlgebra(G)
@@ -63,13 +74,7 @@ def delta(A: MvAlgebra, check_bound: int = 4) -> GrothendieckGroup:
     Perfectness is verified on ``enumerate(check_bound)`` first; a
     counterexample aborts the construction.
     """
-    report = check_perfect(A, check_bound)
-    if not report.ok:
-        raise NotPerfectError(
-            f"{A.descriptor()} is not perfect at bound {check_bound}: "
-            f"{report.verdict!r}",
-            counterexample=report.verdict,
-        )
+    _require_perfect(A, check_bound)
     return grothendieck_group(RadicalMonoid(A))
 
 
@@ -133,12 +138,7 @@ class RadPairGroup(GrothendieckGroup):
     """
 
     def __init__(self, algebra: MvAlgebra, check_bound: int = 4):
-        report = check_perfect(algebra, check_bound)
-        if not report.ok:
-            raise NotPerfectError(
-                f"{algebra.descriptor()} is not perfect at bound {check_bound}",
-                counterexample=report.verdict,
-            )
+        _require_perfect(algebra, check_bound)
         super().__init__(RadicalMonoid(algebra))
         self.algebra = algebra
 

@@ -781,4 +781,6 @@ def _flat_coords(x) -> List[int]:
         return out
     if isinstance(x, LexPair):
         return [abs(x.head)] + _flat_coords(x.tail)
+    if isinstance(x, CanonPair):
+        return _flat_coords(x.u) + _flat_coords(x.v)
     raise CarrierMismatchError(f"cannot read coordinates of {x!r}")

@@ -493,13 +493,15 @@ def derived_ops(A: MvAlgebra, x, y) -> dict:
     }
 
 
-def nat_scalar(A: MvAlgebra, n: int, x):
-    """nx = x oplus ... oplus x, with 0x = 0."""
+def nat_scalar(A, n: int, x):
+    """nx = x oplus ... oplus x in an MV-algebra, x + ... + x in a group
+    or monoid, with 0x = 0."""
     if n < 0:
         raise ValueError("scalar must be a natural number")
+    plus = A.oplus if A.signature == "mv" else A.add
     acc = A.zero
     for _ in range(n):
-        acc = A.oplus(acc, x)
+        acc = plus(acc, x)
     return acc
 
 

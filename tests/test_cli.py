@@ -91,6 +91,11 @@ def test_carrier_cap(capsys, monkeypatch):
     assert run_cli("check", "--model", "Prod(C,C)", "--sequent", "MV.2",
                    "--bound", "3") == 0
     capsys.readouterr()
+    # 3^99999 has more digits than Python converts to a string.
+    assert run_cli("check", "--model", "Z^99999", "--sequent", "L.1",
+                   "--bound", "1") == 64
+    assert ("Z^99999 enumerates more than 10^47711 elements at bound 1, above "
+            "the cap of 1000000" in capsys.readouterr().err)
 
 
 def test_carrier_cap_counts_intervals_without_enumerating(capsys, monkeypatch):

@@ -124,8 +124,13 @@ def test_delta_of_chang_is_z():
 
 
 def test_delta_rejects_non_perfect():
-    with pytest.raises(mv.NotPerfectError):
-        mv.delta(mv.FiniteChainAlgebra(2))
+    # The message names the failing axiom and the element, formatted.
+    message = "L(2) is not perfect at bound 4: P.1 fails at 1/2"
+    for build in (mv.delta, mv.pair_group_ops):
+        with pytest.raises(mv.NotPerfectError) as err:
+            build(mv.FiniteChainAlgebra(2))
+        assert str(err.value) == message
+        assert err.value.counterexample.axiom == "P.1"
     with pytest.raises(mv.NotPerfectError):
         mv.delta(mv.ProductAlgebra([C, C]))
 
@@ -242,7 +247,7 @@ def test_sigma_star_and_delta_star():
     for p in window:
         if D.leq(D.zero, p):
             assert any(
-                D.leq(p, _scale(D, n, unit)) for n in range(10)
+                D.leq(p, mv.nat_scalar(D, n, unit)) for n in range(10)
             )
     # round-trip markers match
     assert mv.beta_A(C, mv.Fin(1)) == LexPair(0, CanonPair(mv.Fin(1), mv.Fin(0)))
@@ -251,12 +256,9 @@ def test_sigma_star_and_delta_star():
     S0, a0 = mv.sigma_star(mv.ZnGroup(0), ())
     assert len(S0.enumerate(2)) == 2 and a0 == S0.zero
 
-
-def _scale(G, n, x):
-    acc = G.zero
-    for _ in range(n):
-        acc = G.add(acc, x)
-    return acc
+    G = mv.parse_model("Groth(N)")
+    S, a = mv.sigma_star(G, CanonPair(1, 0))
+    assert a == LexPair(0, CanonPair(1, 0)) and S.tag_of(a) == "rad"
 
 
 def test_delta_star_precondition_failures():

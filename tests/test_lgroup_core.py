@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 import mvtool as mv
 from helpers import grothendieck_walk
+from mvtool.descriptors import parse_group_element
 from mvtool.kernels import groth_window
 from mvtool.lgroup_core import CanonPair, LexPair
 
@@ -217,6 +218,18 @@ def test_strong_unit_examples():
     # a negative unit fails the first axiom outright
     v = mv.strong_unit_check(Z, -1, 3)
     assert not v.ok and v.axiom == "Lu.1"
+
+
+def test_strong_unit_check_reads_grothendieck_pairs():
+    # Lu.2 is the registry's statement of the same axiom.
+    lu2 = mv.lookup("Lu.2")
+    for desc, unit in (("Groth(N)", "[1,0]"), ("Groth(N^2)", "[(1,1),(0,0)]")):
+        G = mv.parse_model(desc)
+        u = parse_group_element(G, unit)
+        unital = mv.parse_model(f"Unital({desc},{unit})")
+        for bound in (1, 3):
+            assert mv.strong_unit_check(G, u, bound).ok, desc
+            assert mv.check_sequent(unital, lu2, bound).ok, desc
 
 
 def test_unital_group_rejects_negative_unit():

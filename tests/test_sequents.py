@@ -329,9 +329,25 @@ def _spy_on_check_vector(monkeypatch):
     return calls
 
 
+def _spy_on_chunks(monkeypatch, seq):
+    """Record every evaluation of ``seq``'s antecedent by the vector
+    engine, one per chunk: the evaluator and the length of its first
+    context axis."""
+    import mvtool.checking as checking
+    chunks = []
+    formula = checking._VectorEval.formula
+
+    def spy(self, f, depth=0):
+        if f is seq.antecedent:
+            chunks.append((self, len(self.var_idx[seq.context[0]])))
+        return formula(self, f, depth)
+
+    monkeypatch.setattr(checking._VectorEval, "formula", spy)
+    return chunks
+
+
 def test_vector_chunks_count_the_search_axes(monkeypatch):
     import mvtool.checking as checking
-    calls = _spy_on_check_vector(monkeypatch)
     monkeypatch.setattr(checking, "_MAX_CELLS", 64)
     N2 = mv.NnMonoid(2)
     cases = [
@@ -343,10 +359,14 @@ def test_vector_chunks_count_the_search_axes(monkeypatch):
         (mv.parse_sequent("true |-[x] exists z . x + z = x"), 2, 2, Holds),
     ]
     for seq, bound, exists_bound, kind in cases:
-        calls.clear()
-        chunked = check_sequent(N2, seq, bound, exists_bound=exists_bound,
-                                engine="vector")
-        assert len(calls) > 1, (seq.name, bound)
+        with monkeypatch.context() as m:
+            chunks = _spy_on_chunks(m, seq)
+            chunked = check_sequent(N2, seq, bound, exists_bound=exists_bound,
+                                    engine="vector")
+        assert len(chunks) > 1, (seq.name, bound)
+        # one evaluator slices the whole first axis
+        assert len({id(ev) for ev, _ in chunks}) == 1
+        assert sum(n for _, n in chunks) == len(N2.enumerate(bound))
         assert type(chunked) is kind
         assert chunked == check_sequent(N2, seq, bound, exists_bound=exists_bound,
                                         engine="scalar")
@@ -395,10 +415,11 @@ def test_dense_and_sparse_table_routes_equal_the_carrier():
                 assert value(dense[i, j]) == fn(window[i], window[j])
 
 
-def test_a_holding_vector_check_decodes_no_kernel_result(monkeypatch):
+def _count_codec_calls(monkeypatch, model):
+    """Count the calls of ``encode`` and ``decode`` on the codec that the
+    checking engine gets for ``model``."""
     import mvtool.checking as checking
-    sigma = mv.parse_model("Sigma(Z^2)")
-    codec = checking.codec_for(sigma)
+    codec = checking.codec_for(model)
     counts = {"encode": 0, "decode": 0}
     for name in counts:
         def counted(x, name=name, method=getattr(codec, name)):
@@ -406,7 +427,13 @@ def test_a_holding_vector_check_decodes_no_kernel_result(monkeypatch):
             return method(x)
 
         setattr(codec, name, counted)
-    monkeypatch.setattr(checking, "codec_for", lambda model: codec)
+    monkeypatch.setattr(checking, "codec_for", lambda _: codec)
+    return counts
+
+
+def test_a_holding_vector_check_decodes_no_kernel_result(monkeypatch):
+    sigma = mv.parse_model("Sigma(Z^2)")
+    counts = _count_codec_calls(monkeypatch, sigma)
     # Each window element once, however many axes read the window, and
     # each constant once: chi_2 has 1 (x^n and "= 1" start at 1) and 0
     # (n*x starts at 0), rad_ideal.viii has 1.  Antecedent and consequent
@@ -415,6 +442,25 @@ def test_a_holding_vector_check_decodes_no_kernel_result(monkeypatch):
         counts.update(encode=0, decode=0)
         assert check_sequent(sigma, registry.lookup(label), bound,
                              engine="vector").ok
+        assert counts == {"encode": sigma.window_size(bound) + constants,
+                          "decode": 0}, label
+
+
+def test_a_chunked_vector_check_encodes_each_element_once(monkeypatch):
+    import mvtool.checking as checking
+    sigma = mv.parse_model("Sigma(Z^2)")
+    counts = _count_codec_calls(monkeypatch, sigma)
+    # chi_2 reads 1922 cells, one per element; rad_ideal.viii reads 72^2,
+    # 72 per element of its first axis.  Either way three chunks.
+    for label, bound, constants, max_cells in (("chi_2", 30, 2, 700),
+                                               ("rad_ideal.viii", 5, 1, 1800)):
+        seq = registry.lookup(label)
+        counts.update(encode=0, decode=0)
+        with monkeypatch.context() as m:
+            m.setattr(checking, "_MAX_CELLS", max_cells)
+            chunks = _spy_on_chunks(m, seq)
+            assert check_sequent(sigma, seq, bound, engine="vector").ok
+        assert len(chunks) >= 3, label
         assert counts == {"encode": sigma.window_size(bound) + constants,
                           "decode": 0}, label
 
