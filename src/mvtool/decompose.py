@@ -22,7 +22,7 @@ from .mv_core import (
     boolean_skeleton_generators,
     is_boolean,
 )
-from .registry import check_perfect
+from .registry import check_perfect, not_perfect_message
 from .verdicts import CounterExample, Holds, Verdict
 
 
@@ -221,8 +221,7 @@ def decompose_product(A: MvAlgebra, gens, bound: int = 8) -> AtomDecomposition:
         report = check_perfect(factor, bound)
         if not report.ok:
             raise DecompositionError(
-                f"factor {i} = {factor.descriptor()} is not perfect at bound "
-                f"{bound}: {report.verdict!r}",
+                f"factor {i} = {not_perfect_message(factor, bound, report.verdict)}",
                 factor_index=i,
                 counterexample=report.verdict,
             )

@@ -36,7 +36,7 @@ from .mv_core import (
     nat_scalar,
     radical_membership,
 )
-from .registry import check_perfect
+from .registry import check_perfect, not_perfect_message
 from .verdicts import CounterExample
 
 SigmaElem = LexPair  # Rad(g) is (0, g) with g >= 0; Corad(g) is (1, g) with g <= 0.
@@ -49,13 +49,10 @@ SigmaElem = LexPair  # Rad(g) is (0, g) with g >= 0; Corad(g) is (1, g) with g <
 
 def _require_perfect(A: MvAlgebra, bound: int) -> None:
     """Raise ``NotPerfectError`` unless P.1-P.4 hold on
-    ``A.enumerate(bound)``.  They search nothing and each has one
-    variable, so a failure is a counterexample at one element."""
+    ``A.enumerate(bound)``."""
     v = check_perfect(A, bound).verdict
     if not v.ok:
-        raise NotPerfectError(
-            f"{A.descriptor()} is not perfect at bound {bound}: {v.axiom} "
-            f"fails at {A.format_element(v.env)}", counterexample=v)
+        raise NotPerfectError(not_perfect_message(A, bound, v), counterexample=v)
 
 
 def sigma(G: LGroup) -> SigmaAlgebra:

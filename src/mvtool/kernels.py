@@ -2,10 +2,10 @@
 
 Every carrier of the library is a set of integer coordinates: Z^n and N^n
 directly, Z x_lex G as a head followed by the tail's coordinates, the
-Grothendieck group of a monoid as the coordinates of its canonical pair
-(u, v), the unit interval Gamma(G, u) as a part of G (Mundici 1986, J.
-Funct. Anal. 65), the chain L(m) as Gamma(Z, m), Chang's algebra C
-as Sigma(Z) = Gamma(Z x_lex Z, (1, 0)) under nc -> (0, n) and
+Grothendieck group of a cone as the coordinates of the difference u - v of
+a class [u, v], the unit interval Gamma(G, u) as a part of G (Mundici
+1986, J. Funct. Anal. 65), the chain L(m) as Gamma(Z, m), Chang's algebra
+C as Sigma(Z) = Gamma(Z x_lex Z, (1, 0)) under nc -> (0, n) and
 1 - nc -> (1, -n), and the radical monoid of such a unit interval as the
 same rows under oplus.  A codec maps elements to such rows of integers and
 back, and computes the carrier's operations with numpy on int64 arrays
@@ -17,27 +17,28 @@ or any other carrier gets ``None``.
 
 Exactness.  A caller encodes only elements whose coordinates are all
 below ``LIMIT`` = 2^60 in absolute value, and accepts a kernel's result
-only if its coordinates are below ``LIMIT`` too.  Every kernel composes
-at most three additions or subtractions of such coordinates (the deepest
-are the Grothendieck canonicalisation, (x + y) - inf(x + y, h + k), and
-Gamma's x odot y = sup(0, x + y - u)), so every intermediate value stays
-below 4 * 2^60 = 2^62 and int64 arithmetic never wraps.  To keep that
-bound, Grothendieck groups and unit intervals are built only over
-``flat`` codecs: coordinates, lexicographic products of them, the
-radical monoids of unit intervals over them, whose own kernels add at
-most two coordinates (the radical monoid's x + y is inf(u, x + y)), and
-the difference codec below, whose kernels are a flat group's.
+only if its coordinates are below ``LIMIT`` too.  Every group codec
+computes with the coordinate and lexicographic arithmetic, and no kernel
+composes more than two additions or subtractions of such coordinates (the
+deepest is Gamma's x odot y = sup(0, x + y - u)), so every intermediate
+value stays below 3 * 2^60 < 2^62 and int64 arithmetic never wraps.  A
+nested difference is a row of its own: a code reaching ``LIMIT`` is
+rejected like any other.
 
-The Grothendieck group of the radical monoid of a Sigma-shaped interval
-(a lexicographic Z x_lex G with unit (1, 0), as in Sigma(G), C and
-Pointed over them) has a flat codec of its own, ``Diff``.  There every
-radical element is (0, g) with g >= 0, and oplus is the tails' plain
-sum, which never reaches the unit: the monoid is G's positive cone, so a
-class [(0, a), (0, b)] is fixed by the difference a - b in G and its
-canonical pair is ((a - b)+, (a - b)-) (Di Nola & Lettieri 1994).  A
-class is coded as the row of a - b, and the group operations are G's own
-kernels, so Delta(Sigma(G)) and Delta(C) are as flat as G, and
-Sigma(Delta(A)) is a unit interval over a flat codec like any other.
+The group of differences of a cone G+ is G itself (the content of the
+Morita equivalence between l-groups and cancellative lattice-ordered
+abelian monoids with bottom element), and there is one codec for it,
+``Diff``: a class [u, v] is coded as the
+row of u - v in G, its canonical pair is ((u - v)+, (u - v)-), and the
+group operations are G's own kernels.  N, N^n and PosCone(G) are cones
+of Z, Z^n and G.  So is the radical monoid of a Sigma-shaped interval (a
+lexicographic Z x_lex G with unit (1, 0), as in Sigma(G), C and Pointed
+over them): every radical element is (0, g) with g >= 0, and oplus is
+the tails' plain sum, which never reaches the unit, so the monoid is G's
+positive cone past a zero head (Di Nola & Lettieri 1994).  Delta(Sigma(G))
+and Delta(C) thus compute with G's kernels, and Sigma(Delta(A)) is a unit
+interval over a group codec like any other.  The radical monoid of any
+other unit interval, such as L(m), has no Grothendieck codec.
 
 ``groth_window`` builds a Grothendieck window from its monoid's codes:
 the canonical rows of all pairs of the monoid window in one numpy pass,
@@ -118,8 +119,6 @@ def unique_rows(rows, lo, hi):
 class Coords:
     """Z^n or N^n (Z and N when ``scalar``): the pointwise operations."""
 
-    flat = True
-
     def __init__(self, width: int, scalar: bool):
         self.width = width
         self.scalar = scalar
@@ -147,7 +146,6 @@ class Lex:
     def __init__(self, tail):
         self.tail = tail
         self.width = 1 + tail.width
-        self.flat = tail.flat
 
     def encode(self, x):
         return [x.head] + self.tail.encode(x.tail)
@@ -183,67 +181,11 @@ class Lex:
         return self._pick(a, b, self.tail.sup, np.greater)
 
 
-class Groth:
-    """The Grothendieck group of a flat monoid codec on canonical pairs
-    (u, v): u's columns, then v's.  Each operation canonicalises by
-    (x - inf(x, y), y - inf(x, y)), as ``canon_pair`` does; ``canon`` is
-    that step on the monoid rows of a pair (x, y)."""
-
-    flat = False
-
-    def __init__(self, monoid):
-        self.m = monoid
-        self.half = monoid.width
-        self.width = 2 * monoid.width
-
-    def encode(self, p):
-        return self.m.encode(p.u) + self.m.encode(p.v)
-
-    def decode(self, row):
-        return CanonPair(self.m.decode(row[:self.half]), self.m.decode(row[self.half:]))
-
-    def _split(self, a):
-        return a[..., :self.half], a[..., self.half:]
-
-    def decode_rows(self, rows):
-        return [self.decode(r) for r in rows.tolist()]
-
-    def canon(self, x, y):
-        i = self.m.inf(x, y)
-        return _cat(self.m.sub(x, i), self.m.sub(y, i))
-
-    def add(self, a, b):
-        (au, av), (bu, bv) = self._split(a), self._split(b)
-        return self.canon(self.m.add(au, bu), self.m.add(av, bv))
-
-    def negate(self, a):
-        au, av = self._split(a)
-        return _cat(av, au)
-
-    def sub(self, a, b):
-        return self.add(a, self.negate(b))
-
-    def leq(self, a, b):
-        (au, av), (bu, bv) = self._split(a), self._split(b)
-        return self.m.leq(self.m.add(au, bv), self.m.add(bu, av))
-
-    def _lattice(self, a, b, op):
-        (au, av), (bu, bv) = self._split(a), self._split(b)
-        m = self.m
-        return self.canon(op(m.add(au, bv), m.add(av, bu)), m.add(av, bv))
-
-    def inf(self, a, b):
-        return self._lattice(a, b, self.m.inf)
-
-    def sup(self, a, b):
-        return self._lattice(a, b, self.m.sup)
-
-
 class Gamma:
-    """The unit interval [0, u] of a flat group codec, by Mundici's
-    direct formulas: x oplus y = inf(u, x + y), neg x = u - x,
+    """The unit interval [0, u] of a group codec, by Mundici's direct
+    formulas: x oplus y = inf(u, x + y), neg x = u - x,
     x odot y = sup(0, x + y - u), d(x, y) = sup(x - y, y - x), and the
-    group's own order and lattice operations.  The zero of a flat codec
+    group's own order and lattice operations.  The zero of a group codec
     is the all-zero row."""
 
     def __init__(self, group, unit):
@@ -296,12 +238,7 @@ class Chang(Gamma):
 
 class Radical:
     """The radical monoid of a unit interval, on the interval's rows: x + y
-    is x oplus y, and the order and lattice operations are the interval's.
-    ``sub`` is the group's x - y; it equals the monoid's ``subtract``,
-    sup(0, x - y), exactly when y <= x, which is the only case the
-    Grothendieck canonicalisation asks for."""
-
-    flat = True
+    is x oplus y, and the order and lattice operations are the interval's."""
 
     def __init__(self, interval):
         self.interval = interval
@@ -316,9 +253,6 @@ class Radical:
     def add(self, a, b):
         return self.interval.oplus(a, b)
 
-    def sub(self, a, b):
-        return self.interval.g.sub(a, b)
-
     def leq(self, a, b):
         return self.interval.leq(a, b)
 
@@ -330,37 +264,36 @@ class Radical:
 
 
 class Diff:
-    """The Grothendieck group of the radical monoid of a Sigma-shaped
-    interval, Z x_lex G at (1, 0): a class is the row of its difference
-    in G, the tail columns of u - v, and every operation is G's own.
-    ``canon`` maps the monoid rows (0, a), (0, b) of a pair to a - b."""
+    """The Grothendieck group of a monoid whose rows are ``head`` zero
+    columns followed by the row of an element of the cone of the group
+    codec ``group``: a class [u, v] is the row of u - v past the head, and
+    every operation is the group's.  ``canon`` maps the monoid rows of a
+    pair (x, y) to x - y."""
 
-    flat = True
-
-    def __init__(self, radical):
-        self.m = radical
-        self.interval = radical.interval
-        self.tail = radical.interval.g.tail
-        self.width = self.tail.width
-        self.add, self.sub, self.negate = self.tail.add, self.tail.sub, self.tail.negate
-        self.inf, self.sup, self.leq = self.tail.inf, self.tail.sup, self.tail.leq
+    def __init__(self, monoid, group, head=0):
+        self.m = monoid
+        self.group = group
+        self.head = head
+        self.width = group.width
+        self.add, self.sub, self.negate = group.add, group.sub, group.negate
+        self.inf, self.sup, self.leq = group.inf, group.sup, group.leq
 
     def encode(self, p):
-        u, v = self.interval.encode(p.u), self.interval.encode(p.v)
-        return [a - b for a, b in zip(u[1:], v[1:])]
+        u, v = self.m.encode(p.u), self.m.encode(p.v)
+        return [a - b for a, b in zip(u[self.head:], v[self.head:])]
 
     def canon(self, x, y):
-        return self.tail.sub(x[..., 1:], y[..., 1:])
+        return self.group.sub(x[..., self.head:], y[..., self.head:])
 
     def decode_rows(self, rows):
-        """The canonical pairs (d+, d-) of the difference rows d, read
-        back as radical elements (0, d+) and (0, d-)."""
+        """The canonical pairs (d+, d-) of the difference rows d, with the
+        head put back and read by the monoid codec."""
         rows = np.asarray(rows, dtype=np.int64).reshape(-1, self.width)
-        zero = np.zeros_like(rows[:1])
-        head = np.zeros_like(rows[:, :1])
-        pos = _cat(head, self.tail.sup(rows, zero)).tolist()
-        neg = _cat(head, self.tail.sup(self.tail.negate(rows), zero)).tolist()
-        decode = self.interval.decode
+        g, zero = self.group, np.zeros_like(rows[:1])
+        head = np.zeros_like(rows[:, :self.head])
+        pos = _cat(head, g.sup(rows, zero)).tolist()
+        neg = _cat(head, g.sup(g.negate(rows), zero)).tolist()
+        decode = self.m.decode
         return [CanonPair(decode(u), decode(v)) for u, v in zip(pos, neg)]
 
     def decode(self, row):
@@ -427,16 +360,19 @@ def _lex(model):
 
 
 def groth_codec(monoid):
-    """The codec of the Grothendieck group of ``monoid``: ``Diff`` over
-    the radical monoid of a Sigma-shaped interval, else ``Groth`` over a
-    flat monoid codec, else None."""
+    """The codec of the Grothendieck group of ``monoid``, or None.  A cone
+    (N, N^n, PosCone(G)) is coded by its own group codec; the radical
+    monoid of a Sigma-shaped interval Z x_lex G at (1, 0) by G's codec
+    past the zero head."""
     m = codec_for(monoid)
-    if m is None or not m.flat:
+    if m is None:
         return None
-    if isinstance(m, Radical) and isinstance(m.interval.g, Lex) and \
-            m.interval.unit.tolist() == [1] + [0] * (m.width - 1):
-        return Diff(m)
-    return Groth(m)
+    if not isinstance(m, Radical):
+        return Diff(m, m)
+    g = m.interval.g
+    if isinstance(g, Lex) and m.interval.unit.tolist() == [1] + [0] * g.tail.width:
+        return Diff(m, g.tail, head=1)
+    return None
 
 
 def groth_window(monoid, bound: int) -> Optional[list]:
@@ -465,7 +401,7 @@ def groth_window(monoid, bound: int) -> Optional[list]:
 
 def _gamma(model):
     group = codec_for(model.group)
-    if group is None or not group.flat or not fits(group.encode(model.unit)):
+    if group is None or not fits(group.encode(model.unit)):
         return None
     return Gamma(group, model.unit)
 

@@ -682,9 +682,11 @@ class GrothendieckGroup(LGroup):
     def enumerate(self, bound):
         """The canonical pairs of the pairs (x, y) of the monoid window,
         in order of first appearance.  Over N/N^n that list is the box of
-        differences, which ``interval`` builds directly; over a monoid
-        with a codec it is built from the monoid's code rows in one pass
-        (``kernels.groth_window``); otherwise the pairs are walked."""
+        differences, which ``interval`` builds directly.  Over another
+        cone (PosCone(G)) or the radical monoid of a Sigma-shaped interval
+        it is built in one pass from the differences x - y of the monoid's
+        code rows (``kernels.groth_window``); otherwise the pairs are
+        walked."""
         if self._difference_ranges(bound, None, None) is not None:
             return self.interval(bound)
         # kernels imports this module.

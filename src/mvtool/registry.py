@@ -409,6 +409,14 @@ def check_perfect(A, bound: int) -> PerfectnessReport:
                              report.family_checks)
 
 
+def not_perfect_message(A, bound: int, verdict: CounterExample) -> str:
+    """The text of a failed ``check_perfect(A, bound)``.  P.1-P.4 search
+    nothing and each has one variable, so ``verdict`` is a counterexample
+    at one element."""
+    return (f"{A.descriptor()} is not perfect at bound {bound}: "
+            f"{verdict.axiom} fails at {A.format_element(verdict.env)}")
+
+
 def check_chang_variety(A, bound: int) -> Verdict:
     """Check the Chang-variety axioms xi and P.2 over
     ``A.enumerate(bound)``."""

@@ -222,7 +222,7 @@ def test_decompose_failure_path(capsys):
                          "--gens", "1", "--bound", "3")
     assert code == 1
     assert rep["reconstruction_verdict"] == "failed"
-    assert "not perfect" in rep["error"]
+    assert rep["error"] == "factor 0 = L(2) is not perfect at bound 3: P.1 fails at 1/2"
 
 
 def test_roundtrip_flag_validation(capsys):

@@ -318,15 +318,21 @@ def test_interval_equals_the_window_filter():
 def test_encoded_grothendieck_window_equals_the_walk():
     # Over a monoid with a codec, enumerate builds the window from code
     # rows; it must be the walk's list, element for element and in order.
-    # L(3) is a unit interval that is not Sigma-shaped.
     monoids = [mv.RadicalMonoid(mv.parse_model(d))
-               for d in ("C", "Sigma(Z^2)", "Sigma(Lex(Z,Z))", "L(3)")]
+               for d in ("C", "Sigma(Z^2)", "Sigma(Lex(Z,Z))")]
     monoids += [mv.parse_model(d) for d in ("PosCone(Z^2)", "PosCone(Lex(Z,Z))")]
     for M in monoids:
         G = mv.GrothendieckGroup(M)
         for b in range(6):
             assert groth_window(M, b) is not None, M.descriptor()
             assert G.enumerate(b) == grothendieck_walk(G, b), (M.descriptor(), b)
+    # L(3) is a unit interval that is not Sigma-shaped: its radical monoid
+    # is not a cone, and the window is walked.
+    M = mv.RadicalMonoid(mv.parse_model("L(3)"))
+    G = mv.GrothendieckGroup(M)
+    for b in range(6):
+        assert groth_window(M, b) is None
+        assert G.enumerate(b) == grothendieck_walk(G, b), b
 
 
 def test_grothendieck_window_falls_back_to_the_walk_at_the_limit(monkeypatch):

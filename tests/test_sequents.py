@@ -199,8 +199,10 @@ def test_engine_parity_on_grothendieck_carriers():
     })
     _assert_engine_parity({"lgroup": [mv.delta(mv.parse_model("Sigma(Z^2)"))]},
                           max_bound=1)
-    # Sigma(Delta(A)): unit intervals over the difference codec.
-    _assert_engine_parity({"mv": [mv.sigma(mv.delta(C))]})
+    # Sigma(Delta(A)) and unit intervals of Groth(N): unit intervals over
+    # the difference codec.
+    _assert_engine_parity({"mv": [mv.sigma(mv.delta(C))] + [
+        mv.parse_model(d) for d in ("Gamma(Groth(N),[2,0])", "Sigma(Groth(N))")]})
     _assert_engine_parity({"mv": [mv.sigma(mv.delta(mv.parse_model("Sigma(Z^2)")))]},
                           max_bound=2)
 
@@ -232,6 +234,7 @@ def test_vector_engine_agrees_with_and_without_kernels(monkeypatch):
     models = [mv.parse_model(d) for d in (
         "C", "Prod(C,L(2))", "Sigma(Z^2)", "Pointed(Sigma(Z^2),(0,(1,1)))",
         "Z^2", "Lex(Z,Z)", "Groth(N^2)", "Unital(Lex(Z,Z),(1,0))",
+        "Groth(PosCone(Groth(N)))", "Unital(Groth(N^2),[(1,1),(0,0)])",
         "N^2", "PosCone(Lex(Z,Z))")]
     with_kernels = _vector_verdicts(models, 2)
     monkeypatch.setattr(checking, "codec_for", lambda model: None)
@@ -254,6 +257,21 @@ def test_vector_engine_falls_back_beyond_the_kernel_limit():
                 v = check_sequent(model, seq, 3, engine=engine)
                 assert type(v) is kind, (u, text, engine)
                 assert getattr(v, "env", None) == env, (u, text, engine)
+
+
+def test_nested_differences_leave_code_space_at_the_limit():
+    from mvtool.checking import OperationTables
+    G = mv.parse_model("Groth(PosCone(Groth(N)))")
+    # x's code is the difference of differences, 2^59 + 3; that of x + x
+    # reaches 2^60.
+    x = mv.CanonPair(mv.CanonPair(2 ** 59 + 3, 0), mv.CanonPair(0, 0))
+    tables = OperationTables(G)
+    assert tables.codec.encode(x) == [2 ** 59 + 3]
+    i = tables.intern_all([x])
+    total = tables.binary_table("add", i, i)
+    assert tables.codec is None
+    assert tables.element(int(total[0])) == G.add(x, x) == \
+        mv.CanonPair(mv.CanonPair(2 ** 60 + 6, 0), mv.CanonPair(0, 0))
 
 
 def test_vector_engine_keeps_subclass_operations():
