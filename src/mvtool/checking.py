@@ -45,6 +45,28 @@ are searched within a finite window, so a failing environment whose
 consequent hinges on an unwitnessed search is reported as inconclusive
 rather than as a counterexample; counterexamples are always concrete and
 therefore persist at every larger bound.
+
+Horn sequents on direct products are checked one factor at a time.  The
+``auto`` engine takes this route for a sequent with context variables
+whose antecedent is ``true`` or a conjunction of ``=``/``<=`` atoms,
+whose consequent is a conjunction of atoms or ``false``, and which does
+not mention ``u``, on a ``ProductAlgebra``, ``ZnGroup`` or ``NnMonoid``
+(by exact type) with at least one factor.  Their operations and order
+are componentwise, so a tuple fails iff every factor's part satisfies
+the antecedent and some factor's part fails the sequent (Horn, JSL 16,
+1951).  Each factor goes back through ``check_sequent``, so it picks its
+own engine and a nested product recurses; the product's window is never
+built.  That window is ``itertools.product`` of the factor windows, so
+grid order compares the factors' window positions lexicographically
+(x_0, x_1, ..., y_0, ...), and the full grid's first failure is the
+least, in that order, of each factor's first failing tuple combined with
+the other factors' first antecedent-satisfying tuples.  A disjunction,
+``\\/`` or ``bigvee``, is not preserved by products (one part may satisfy
+one disjunct and another part another), and an ``exists`` would need the
+inconclusive rule split across factors, so these keep the full grid; so
+does ``u``, which these carriers lack, so that the error names the
+carrier and not a factor.  Forced ``scalar`` and ``vector`` engines keep
+the full grid and stay the reference.
 """
 
 from __future__ import annotations
@@ -58,7 +80,8 @@ import numpy as np
 from . import sequents as S
 from .errors import SignatureError, UnboundVariableError
 from .kernels import LIMIT, codec_for, unique_rows
-from .mv_core import mv_power, nat_scalar
+from .lgroup_core import NMonoid, NnMonoid, ZGroup, ZnGroup
+from .mv_core import ProductAlgebra, mv_power, nat_scalar
 from .verdicts import CounterExample, Holds, InconclusiveAtBound, Verdict
 
 # Vector grids (context axes times search axes) larger than this are
@@ -553,7 +576,10 @@ def check_sequent(model, seq: S.Sequent, bound: int, *,
     ``model.enumerate(bound)``.
 
     Existential witnesses are searched within
-    ``model.enumerate(exists_bound)`` (default: the same bound).
+    ``model.enumerate(exists_bound)`` (default: the same bound).  With
+    the ``auto`` engine, a Horn sequent on a direct product is checked
+    one factor at a time, with the verdict of the full grid (see the
+    module docstring).
     """
     if bound < 1:
         raise ValueError("bound must be >= 1")
@@ -564,6 +590,9 @@ def check_sequent(model, seq: S.Sequent, bound: int, *,
             f"sequent is over {sorted(seq.signatures())} but model "
             f"{model.descriptor()} has signature {model.signature}"
         )
+    factors = _product_factors(model) if engine == "auto" else ()
+    if factors and _is_horn(seq):
+        return _check_product(model, factors, seq, bound)
     ctx_enum = model.enumerate(bound)
     search = ctx_enum
     if exists_bound is not None and searches(seq):
@@ -634,3 +663,86 @@ def _check_vector(model, seq, ctx_enums, search, bound) -> Verdict:
     if inconclusive:
         return InconclusiveAtBound(bound, note="unwitnessed bounded search")
     return Holds()
+
+
+# ---------------------------------------------------------------------------
+# The product route
+# ---------------------------------------------------------------------------
+
+
+def _product_factors(model) -> tuple:
+    """The factors of a carrier that is, by its exact type, a direct
+    product with componentwise operations and order; () otherwise."""
+    kind = type(model)
+    if kind is ProductAlgebra:
+        return model.factors
+    if kind is ZnGroup:
+        return (ZGroup(),) * model.rank
+    if kind is NnMonoid:
+        return (NMonoid(),) * model.rank
+    return ()
+
+
+def _mentions_unit(t) -> bool:
+    return isinstance(t, S.Unit) or any(map(_mentions_unit, S.term_children(t)))
+
+
+def _atoms(f) -> bool:
+    """Whether ``f`` is a conjunction of =/<= atoms that do not mention u."""
+    if isinstance(f, S.And):
+        return _atoms(f.left) and _atoms(f.right)
+    return isinstance(f, (S.Eq, S.Leq)) and not (
+        _mentions_unit(f.left) or _mentions_unit(f.right))
+
+
+def _is_horn(seq: S.Sequent) -> bool:
+    """Whether ``seq`` has context variables, a ``true`` or atomic
+    antecedent and an atomic or ``false`` consequent, and no u."""
+    return (bool(seq.context)
+            and (isinstance(seq.antecedent, S.Top) or _atoms(seq.antecedent))
+            and (isinstance(seq.consequent, S.Bot) or _atoms(seq.consequent)))
+
+
+def _check_product(model, factors, seq, bound) -> Verdict:
+    """A Horn sequent on a direct product, one factor at a time: a tuple
+    fails iff every factor's part satisfies the antecedent and some
+    factor's part fails the sequent."""
+    if isinstance(seq.consequent, S.Bot):
+        bad = ant = [_first_antecedent(f, seq, bound) for f in factors]
+    else:
+        bad = [getattr(check_sequent(f, seq, bound), "env", None) for f in factors]
+        if all(b is None for b in bad):
+            return Holds()
+        ant = [_first_antecedent(f, seq, bound) for f in factors]
+    if None in ant:
+        return Holds()
+    # The first failing tuple of factor i with the first antecedent tuple
+    # of every other factor is the first failure whose i-th part fails.
+    candidates = [
+        {v: tuple((b if j == i else a)[v] for j, a in enumerate(ant))
+         for v in seq.context}
+        for i, b in enumerate(bad) if b is not None
+    ]
+    env = min(candidates, key=lambda env: [
+        _window_position(model, bound, env[v]) for v in seq.context])
+    return CounterExample(env, axiom=seq.name)
+
+
+def _first_antecedent(model, seq, bound) -> Optional[Dict[str, Any]]:
+    """The first environment of ``model``'s grid that satisfies the
+    antecedent of ``seq``, or None."""
+    if isinstance(seq.antecedent, S.Top) and not _product_factors(model):
+        window = model.enumerate(bound)
+        return dict.fromkeys(seq.context, window[0]) if window else None
+    v = check_sequent(model, S.Sequent(seq.context, seq.antecedent, S.Bot()), bound)
+    return getattr(v, "env", None)
+
+
+def _window_position(model, bound, x):
+    """The position of ``x`` in ``model.enumerate(bound)``; on a product,
+    the tuple of its parts' positions, which sorts the same way and
+    builds no product window."""
+    factors = _product_factors(model)
+    if factors:
+        return tuple(_window_position(f, bound, a) for f, a in zip(factors, x))
+    return model.enumerate(bound).index(x)

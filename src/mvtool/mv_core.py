@@ -54,7 +54,8 @@ class MvAlgebra:
     The derived operations (odot, sup, inf, the natural order, the
     distance d) are defined once here from oplus and neg.  They are the
     reference: a carrier overrides one with a direct formula only where
-    a test proves the two equal on the carrier (see ``GammaAlgebra``).
+    a test proves the two equal on the carrier (see ``GammaAlgebra``,
+    ``ChangAlgebra`` and ``ProductAlgebra``).
     """
 
     signature = "mv"
@@ -122,6 +123,12 @@ class ChangAlgebra(MvAlgebra):
 
     nc oplus mc = (n+m)c; (1-nc) oplus mc = 1-(n-m)c truncated at 1;
     coinfinite elements absorb to 1; neg swaps the families.
+
+    C is a chain, so the natural order and the lattice operations are
+    computed directly: the Fin family lies below the CoFin family, nc
+    grows with n and 1-nc shrinks with n, and inf and sup are the lesser
+    and the greater element.  Each equals the ``MvAlgebra`` derivation,
+    which stays the reference.
     """
 
     carrier_kind = "chang"
@@ -140,6 +147,17 @@ class ChangAlgebra(MvAlgebra):
 
     def neg(self, x):
         return Fin(x.n) if x.kind == "cofin" else CoFin(x.n)
+
+    def leq(self, x, y):
+        if x.kind != y.kind:
+            return x.kind == "fin"
+        return x.n <= y.n if x.kind == "fin" else x.n >= y.n
+
+    def inf(self, x, y):
+        return x if self.leq(x, y) else y
+
+    def sup(self, x, y):
+        return y if self.leq(x, y) else x
 
     def enumerate(self, bound):
         return [Fin(n) for n in range(bound + 1)] + [CoFin(n) for n in range(bound + 1)]
@@ -362,9 +380,14 @@ class SigmaAlgebra(GammaAlgebra):
 class ProductAlgebra(MvAlgebra):
     """Finite direct product with componentwise operations.  Enumeration
     is the cartesian product of the factor enumerations at the same
-    bound, which grows exponentially in the number of factors.  The
-    product of no factors is the one-element algebra on the empty tuple:
-    the target of the trivial algebra's decomposition."""
+    bound, which grows exponentially in the number of factors; a Horn
+    sequent is checked one factor at a time instead (see ``checking``).
+    The product of no factors is the one-element algebra on the empty
+    tuple: the target of the trivial algebra's decomposition.
+
+    The natural order and the lattice operations are the factors' own,
+    componentwise; each equals the ``MvAlgebra`` derivation, which stays
+    the reference."""
 
     carrier_kind = "product"
 
@@ -380,6 +403,15 @@ class ProductAlgebra(MvAlgebra):
 
     def neg(self, x):
         return tuple(f.neg(a) for f, a in zip(self.factors, x))
+
+    def leq(self, x, y):
+        return all(f.leq(a, b) for f, a, b in zip(self.factors, x, y))
+
+    def inf(self, x, y):
+        return tuple(f.inf(a, b) for f, a, b in zip(self.factors, x, y))
+
+    def sup(self, x, y):
+        return tuple(f.sup(a, b) for f, a, b in zip(self.factors, x, y))
 
     def enumerate(self, bound):
         return [

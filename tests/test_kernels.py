@@ -45,8 +45,8 @@ for _model in (mv.RadicalMonoid(mv.ChangAlgebra()),
 
 
 def _reference(model, op):
-    # C and L(m) define only oplus and neg: their other operations are
-    # MvAlgebra's derived ones, named here explicitly.
+    # MvAlgebra's derivations from oplus and neg are the reference for C
+    # and L(m), named here explicitly.
     if isinstance(model, (mv.ChangAlgebra, mv.FiniteChainAlgebra)) and \
             op not in ("oplus", "neg"):
         return lambda x, y: getattr(mv.MvAlgebra, op)(model, x, y)

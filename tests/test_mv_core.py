@@ -228,8 +228,9 @@ def test_pointed_algebra_descriptor_and_delegation():
 
 
 # ---------------------------------------------------------------------------
-# Gamma/Sigma compute their derived operations and their window directly;
-# the MvAlgebra derivations and the group-window filter are the reference.
+# Gamma/Sigma compute their derived operations and their window directly,
+# and C and products their order and lattice operations; the MvAlgebra
+# derivations and the group-window filter are the reference.
 # ---------------------------------------------------------------------------
 
 _Z, _Z2, _LEX_ZZ = mv.ZGroup(), mv.ZnGroup(2), mv.LexGroup(mv.ZGroup())
@@ -245,7 +246,14 @@ INTERVAL_CARRIERS = [
 ]
 
 
-@pytest.mark.parametrize("A", INTERVAL_CARRIERS, ids=lambda A: A.descriptor())
+LATTICE_CARRIERS = [
+    C, CC, mv.ProductAlgebra([C, L2]),
+    mv.ProductAlgebra([mv.ProductAlgebra([C, B]), mv.sigma(_Z2)]),
+]
+
+
+@pytest.mark.parametrize("A", INTERVAL_CARRIERS + LATTICE_CARRIERS,
+                         ids=lambda A: A.descriptor())
 @given(data=st.data())
 def test_direct_operations_equal_the_derived_ones(A, data):
     window = A.enumerate(data.draw(st.integers(1, 10), label="bound"))
@@ -253,6 +261,15 @@ def test_direct_operations_equal_the_derived_ones(A, data):
     y = data.draw(st.sampled_from(window), label="y")
     for op in ("odot", "ominus", "inf", "sup", "leq", "d"):
         assert getattr(A, op)(x, y) == getattr(mv.MvAlgebra, op)(A, x, y), op
+
+
+chang_elems = st.builds(mv.ChangElem, st.sampled_from(["fin", "cofin"]), naturals)
+
+
+@given(chang_elems, chang_elems)
+def test_chang_order_equals_the_derived_one_at_arbitrary_precision(x, y):
+    for op in ("inf", "sup", "leq"):
+        assert getattr(C, op)(x, y) == getattr(mv.MvAlgebra, op)(C, x, y), op
 
 
 def test_interval_enumeration_keeps_the_window_filter_order():

@@ -521,6 +521,167 @@ def test_leaving_code_space_keeps_the_kernel_made_indices():
     assert sums.tolist() == [[tables.intern(2), three], [three, tables.intern(4)]]
 
 
+# ---------------------------------------------------------------------------
+# The product route: Horn sequents on Prod, Z^n and N^n, factor by factor
+# ---------------------------------------------------------------------------
+
+# Horn sequents beyond the registry that fail, so that every kind of
+# product below has counterexamples to order.
+_FAILING_HORN = {
+    "mv": ["true |-[x,y] x <= y", "x <= neg x /\\ y <= x |-[x,y] y = 0",
+           "x (+) x = 1 |-[x] false"],
+    "lgroup": ["x <= y |-[x,y] y <= x", "x + x = y |-[x,y] x <= 0",
+               "0 <= x /\\ x <= 0 |-[x] false"],
+    "monoid": ["x <= y |-[x,y] y <= x", "true |-[x,y] x + y = x",
+               "x + x = y |-[x,y,z] z <= y /\\ x <= z"],
+}
+_PRODUCTS = {
+    "mv": ["Prod(C,L(2))", "Prod(L(2),C)", "Prod(B,L(3))", "Prod(C,C)",
+           "Prod(Prod(C,B),L(2))"],
+    "lgroup": ["Z^2", "Z^3"],
+    "monoid": ["N^2"],
+}
+
+
+def _is_horn(seq):
+    """Context variables, no u, and no disjunction or search, read off
+    the printed sequent."""
+    text = S.print_sequent(seq)
+    return bool(seq.context) and not _mentions_unit(seq) and not any(
+        word in text for word in ("\\/", "exists", "bigvee"))
+
+
+def _horn_sequents(sig):
+    return ([seq for seq in registry.named_sequents().values()
+             if sig in seq.signatures() and _is_horn(seq)]
+            + [mv.parse_sequent(text) for text in _FAILING_HORN[sig]])
+
+
+def _spy_on_engines(monkeypatch):
+    """Record every full-grid walk, as (carrier, window length), and every
+    product-route check, as (carrier, None)."""
+    import mvtool.checking as checking
+    calls = []
+
+    def wrap(name, size):
+        original = getattr(checking, name)
+
+        def spy(model, seq, *args):
+            calls.append((model.descriptor(), size(*args)))
+            return original(model, seq, *args)
+
+        monkeypatch.setattr(checking, name, spy)
+
+    wrap("_check_scalar", lambda ctx_enum, *rest: len(ctx_enum))
+    wrap("_check_vector", lambda ctx_enums, *rest: len(ctx_enums[0]) if ctx_enums else 0)
+    wrap("_check_product", lambda *args: None)
+    return calls
+
+
+def _assert_same_verdict(a, b, what):
+    assert type(a) is type(b), what
+    assert getattr(a, "env", None) == getattr(b, "env", None), what
+
+
+def test_product_route_equals_the_full_grid(monkeypatch):
+    counterexamples = 0
+    for sig, descriptors in _PRODUCTS.items():
+        for d in descriptors:
+            model = mv.parse_model(d)
+            for seq in _horn_sequents(sig):
+                bound = 1 if len(seq.context) >= 3 else 2
+                with monkeypatch.context() as m:
+                    calls = _spy_on_engines(m)
+                    routed = check_sequent(model, seq, bound)
+                # the route is taken, and every walk is over a factor that
+                # is not a product
+                assert calls[0] == (d, None), (d, seq)
+                assert all(size is None or not name.startswith(("Prod", "Z^", "N^"))
+                           for name, size in calls), calls
+                for engine in ("scalar", "vector"):
+                    _assert_same_verdict(
+                        routed, check_sequent(model, seq, bound, engine=engine),
+                        (d, S.print_sequent(seq), engine))
+                counterexamples += isinstance(routed, CounterExample)
+    assert counterexamples >= 20
+
+
+_CHAIN_FACTORS = st.sampled_from([C, B, L2, mv.FiniteChainAlgebra(3),
+                                  mv.FiniteChainAlgebra(0)])
+_CHAIN_PRODUCTS = st.recursive(
+    _CHAIN_FACTORS,
+    lambda inner: st.lists(inner, min_size=1, max_size=3).map(mv.ProductAlgebra),
+    max_leaves=3,
+).filter(lambda model: isinstance(model, mv.ProductAlgebra))
+
+
+@given(model=_CHAIN_PRODUCTS, data=st.data())
+def test_product_route_on_random_chain_products(model, data):
+    seq = data.draw(st.sampled_from(_horn_sequents("mv")), label="sequent")
+    k = len(seq.context)
+    bound = 2 if model.window_size(2) ** k <= 2000 else 1
+    routed = check_sequent(model, seq, bound)
+    _assert_same_verdict(routed, check_sequent(model, seq, bound, engine="vector"),
+                         "vector")
+    if model.window_size(bound) ** k <= 2000:
+        _assert_same_verdict(
+            routed, check_sequent(model, seq, bound, engine="scalar"), "scalar")
+
+
+def test_the_product_route_builds_no_product_window(monkeypatch):
+    cases = [("Prod(C,C,C)", "MV.1", 7), ("Z^3", "L.12", 10),
+             ("Prod(Prod(C,B),L(2))", "xi", 3),
+             ("Prod(Prod(C,B),L(2))", "true |-[x,y] false", 3),
+             ("Prod(C,Prod(L(2),C))", "x (+) x = 1 |-[x] false", 3),
+             ("N^2", "x <= y |-[x,y] y <= x", 3),
+             ("Z^2", "x + x = y |-[x,y] x <= 0", 3)]
+    seqs = [registry.named_sequents().get(s) or mv.parse_sequent(s)
+            for _, s, _ in cases]
+    expected = [check_sequent(mv.parse_model(d), seq, b, engine="vector")
+                if b < 7 else Holds() for (d, _, b), seq in zip(cases, seqs)]
+    assert sum(isinstance(v, CounterExample) for v in expected) == 5
+
+    def refuse(self, bound):
+        raise AssertionError(f"{self.descriptor()} window built")
+
+    for cls in (mv.ProductAlgebra, mv.ZnGroup, mv.NnMonoid):
+        monkeypatch.setattr(cls, "enumerate", refuse)
+    for (d, _, b), seq, want in zip(cases, seqs, expected):
+        _assert_same_verdict(check_sequent(mv.parse_model(d), seq, b), want, d)
+
+
+def test_other_sequents_and_carriers_keep_the_full_grid(monkeypatch):
+    Z2 = mv.ZnGroup(2)
+    cases = [
+        (CC, "P.3", {}), (CC, "beta", {}),            # a disjunction
+        (mv.NnMonoid(2), "M.14", {}),                 # exists
+        (mv.ProductAlgebra([]), "MV.1", {}),          # no factor
+        (mv.ZnGroup(0), "L.12", {}),
+        (CC, "nontrivial", {}),                       # no context variable
+        (CC, "MV.1", {"engine": "scalar"}),           # forced engines
+        (Z2, "L.12", {"engine": "vector"}),
+        (Z2, "L.12", {"engine": "scalar"}),
+        # orders that are not componentwise
+        (mv.parse_model("Lex(Z,Z)"), "L.12", {}),
+        (mv.parse_model("PosCone(Z^2)"), "M.11", {}),
+        (mv.parse_model("PosCone(Z^2)"), "x <= y |-[x,y] y <= x", {}),
+    ]
+    for model, label, kw in cases:
+        seq = registry.named_sequents().get(label) or mv.parse_sequent(label)
+        with monkeypatch.context() as m:
+            calls = _spy_on_engines(m)
+            check_sequent(model, seq, 1, **kw)
+        assert calls == [(model.descriptor(), model.window_size(1))], label
+    # u keeps the full grid, so the error names the carrier, not a factor
+    for label in ("Ant.1", "A.1"):
+        with monkeypatch.context() as m:
+            calls = _spy_on_engines(m)
+            with pytest.raises(mv.SignatureError) as err:
+                check_sequent(Z2, registry.lookup(label), 2)
+        assert str(err.value) == "Z^2 has no distinguished constant for 'u'"
+        assert calls == [("Z^2", 25)]
+
+
 def test_counterexamples_are_monotone_in_bound():
     failing = [(L2, "xi"), (CC, "P.3"), (CC, "beta")]
     for model, label in failing:
