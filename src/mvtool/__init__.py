@@ -36,7 +36,6 @@ from .lgroup_core import (
     neg_part,
     pos_part,
     positive_cone,
-    strong_unit_check,
 )
 from .mv_core import (
     ChangAlgebra,
@@ -78,6 +77,7 @@ from .equivalence import (
     sigma,
     sigma_map,
     sigma_star,
+    strong_unit_check,
 )
 from .sequents import (
     Sequent,

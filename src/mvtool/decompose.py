@@ -22,7 +22,7 @@ from .mv_core import (
     boolean_skeleton_generators,
     is_boolean,
 )
-from .registry import check_perfect, not_perfect_message
+from .registry import PERFECT_AXIOMS, _check_axioms, not_perfect_message
 from .verdicts import CounterExample, Holds, Verdict
 
 
@@ -218,12 +218,12 @@ def decompose_product(A: MvAlgebra, gens, bound: int = 8) -> AtomDecomposition:
         embeddings.append(embed)
 
     for i, factor in enumerate(factors):
-        report = check_perfect(factor, bound)
-        if not report.ok:
+        v = _check_axioms(factor, PERFECT_AXIOMS, bound)
+        if not v.ok:
             raise DecompositionError(
-                f"factor {i} = {not_perfect_message(factor, bound, report.verdict)}",
+                f"factor {i} = {not_perfect_message(factor, bound, v)}",
                 factor_index=i,
-                counterexample=report.verdict,
+                counterexample=v,
             )
 
     def forward(x):

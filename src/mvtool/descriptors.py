@@ -146,9 +146,8 @@ def parse_mv(text: str) -> MvAlgebra:
         group = parse_group(args[0])
         return GammaAlgebra(group, parse_group_element(group, args[1]))
     if head == "Prod":
-        if not args or args == [""]:
-            raise DescriptorError(f"{text!r}: Prod needs at least one factor")
-        return ProductAlgebra([parse_mv(a) for a in args])
+        # "Prod()" is the product of no factors, the one-element algebra.
+        return ProductAlgebra([parse_mv(a) for a in args if args != [""]])
     raise DescriptorError(f"unknown MV descriptor {text!r}")
 
 
@@ -270,7 +269,7 @@ def parse_mv_element(algebra: MvAlgebra, text: str):
     if isinstance(algebra, ProductAlgebra):
         if not (text.startswith("(") and text.endswith(")")):
             raise DescriptorError(f"{text!r} is not a product tuple")
-        parts = _split_args(text[1:-1])
+        parts = _split_args(text[1:-1]) if text != "()" else []
         if len(parts) != len(algebra.factors):
             raise DescriptorError(
                 f"{text!r} does not have arity {len(algebra.factors)}"

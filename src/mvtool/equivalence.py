@@ -26,7 +26,6 @@ from .lgroup_core import (
     neg_part,
     pos_part,
     positive_cone,
-    strong_unit_check,
 )
 from .mv_core import (
     GammaAlgebra,
@@ -36,8 +35,8 @@ from .mv_core import (
     nat_scalar,
     radical_membership,
 )
-from .registry import check_perfect, not_perfect_message
-from .verdicts import CounterExample
+from .registry import PERFECT_AXIOMS, _check_axioms, not_perfect_message
+from .verdicts import CounterExample, Holds, Verdict
 
 SigmaElem = LexPair  # Rad(g) is (0, g) with g >= 0; Corad(g) is (1, g) with g <= 0.
 
@@ -50,7 +49,7 @@ SigmaElem = LexPair  # Rad(g) is (0, g) with g >= 0; Corad(g) is (1, g) with g <
 def _require_perfect(A: MvAlgebra, bound: int) -> None:
     """Raise ``NotPerfectError`` unless P.1-P.4 hold on
     ``A.enumerate(bound)``."""
-    v = check_perfect(A, bound).verdict
+    v = _check_axioms(A, PERFECT_AXIOMS, bound)
     if not v.ok:
         raise NotPerfectError(not_perfect_message(A, bound, v), counterexample=v)
 
@@ -131,11 +130,12 @@ class RadPairGroup(GrothendieckGroup):
     These use the positive/negative-part identities
     inf(x, y)+ = inf(x+, y+), inf(x, y)- = sup(x-, y-) (and dually for
     sup), which is an independent route from the Grothendieck-group
-    formulas; agreement of the two is a tested invariant.
+    formulas; agreement of the two is a tested invariant.  Perfectness
+    is verified on ``enumerate(4)`` first, as ``delta`` does by default.
     """
 
-    def __init__(self, algebra: MvAlgebra, check_bound: int = 4):
-        _require_perfect(algebra, check_bound)
+    def __init__(self, algebra: MvAlgebra):
+        _require_perfect(algebra, 4)
         super().__init__(RadicalMonoid(algebra))
         self.algebra = algebra
 
@@ -166,6 +166,47 @@ def pair_group_ops(A: MvAlgebra) -> RadPairGroup:
 # ---------------------------------------------------------------------------
 
 
+def _first_beyond_multiples(M, t, candidates, bound: int):
+    """The first candidate x with no n <= cap such that x <= n*t, and
+    the cap, 2 * bound + 2; ``None`` for x when every candidate has one.
+
+    One comparison per candidate suffices because n*t grows with n: in
+    an MV-algebra n*t = t oplus ... oplus t for every t, and in a group
+    for t >= 0, which the callers establish first.  So some n <= cap
+    works iff x <= cap*t.
+    """
+    cap = 2 * bound + 2
+    top = nat_scalar(M, cap, t)
+    for x in candidates:
+        if not M.leq(x, top):
+            return x, cap
+    return None, cap
+
+
+def strong_unit_check(G: LGroup, u, bound: int) -> Verdict:
+    """Check that ``u`` behaves as a strong unit on the bounded window.
+
+    The first axiom (u >= 0) is exact.  The archimedean-style axiom (every
+    positive x lies below some nu) is an infinitary disjunction; n is
+    searched up to a cap derived from the bound, and a counterexample
+    carries the bounded-search caveat since a larger witness could exist
+    off-window.
+    """
+    G.validate(u)
+    z = G.zero
+    if not G.leq(z, u):
+        return CounterExample(u, axiom="Lu.1")
+    x, cap = _first_beyond_multiples(
+        G, u, (x for x in G.enumerate(bound) if G.leq(z, x)), bound)
+    if x is None:
+        return Holds()
+    return CounterExample(
+        x,
+        axiom="Lu.2",
+        note=f"no n <= {cap} with x <= nu; inconclusive-at-bound caveat applies",
+    )
+
+
 def sigma_star(G: LGroup, u, bound: int = 4) -> Tuple[SigmaAlgebra, SigmaElem]:
     """(Sigma(G), (0, u)): the pointed perfect algebra of a unital group.
 
@@ -185,25 +226,24 @@ def delta_star(A: MvAlgebra, a, bound: int = 4) -> Tuple[GrothendieckGroup, Cano
     """(Delta(A), [a, 0]): the unital group of a pointed perfect algebra.
 
     Requires a <= neg a, and that every radical element on the window
-    lies below some na (searched up to a derived cap).
+    lies below some na (searched up to the cap of
+    ``_first_beyond_multiples``).
     """
     A.validate(a)
-    if not A.leq(a, A.neg(a)):
+    if not radical_membership(A, a):
         raise PreconditionError(
             f"{A.format_element(a)} is not a radical element",
             report=CounterExample(a, axiom="Pstar.1"),
         )
-    cap = 2 * bound + 2
-    for x in A.enumerate(bound):
-        if not radical_membership(A, x):
-            continue
-        if not any(A.leq(x, nat_scalar(A, n, a)) for n in range(cap + 1)):
-            raise PreconditionError(
-                f"{A.format_element(x)} exceeds every multiple of the point "
-                f"up to {cap}",
-                report=CounterExample(x, axiom="Pstar.2",
-                                      note=f"search capped at n <= {cap}"),
-            )
+    x, cap = _first_beyond_multiples(
+        A, a, (x for x in A.enumerate(bound) if radical_membership(A, x)), bound)
+    if x is not None:
+        raise PreconditionError(
+            f"{A.format_element(x)} exceeds every multiple of the point "
+            f"up to {cap}",
+            report=CounterExample(x, axiom="Pstar.2",
+                                  note=f"search capped at n <= {cap}"),
+        )
     group = delta(A, check_bound=bound)
     return group, CanonPair(a, A.zero)
 

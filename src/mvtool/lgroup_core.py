@@ -11,10 +11,9 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Any, List
+from typing import Any
 
 from .errors import CarrierMismatchError, InvalidUnitError
-from .verdicts import CounterExample, Holds, Verdict
 
 
 @dataclass(frozen=True)
@@ -726,63 +725,3 @@ def grothendieck_group(M: LMonoid) -> GrothendieckGroup:
     """The functor sending a cancellative monoid to its group of
     differences."""
     return GrothendieckGroup(M)
-
-
-# ---------------------------------------------------------------------------
-# Strong units
-# ---------------------------------------------------------------------------
-
-
-def strong_unit_check(G: LGroup, u, bound: int) -> Verdict:
-    """Check that ``u`` behaves as a strong unit on the bounded window.
-
-    The first axiom (u >= 0) is exact.  The archimedean-style axiom (every
-    positive x lies below some nu) is an infinitary disjunction; n is
-    searched up to a cap derived from the window, and a counterexample
-    carries the bounded-search caveat since a larger witness could exist
-    off-window.
-    """
-    G.validate(u)
-    if not G.leq(G.zero, u):
-        return CounterExample(u, axiom="Lu.1")
-
-    cap = _unit_search_cap(u, bound)
-    z = G.zero
-    for x in G.enumerate(bound):
-        if not G.leq(z, x):
-            continue
-        acc = z
-        found = False
-        for _ in range(cap + 1):
-            if G.leq(x, acc):
-                found = True
-                break
-            acc = G.add(acc, u)
-        if not found:
-            return CounterExample(
-                x,
-                axiom="Lu.2",
-                note=f"no n <= {cap} with x <= nu; inconclusive-at-bound caveat applies",
-            )
-    return Holds()
-
-
-def _unit_search_cap(u, bound: int) -> int:
-    return bound * (1 + max(_flat_coords(u), default=0)) + 1
-
-
-def _flat_coords(x) -> List[int]:
-    if isinstance(x, bool):
-        raise CarrierMismatchError("booleans are not group elements")
-    if isinstance(x, int):
-        return [abs(x)]
-    if isinstance(x, tuple):
-        out = []
-        for a in x:
-            out.extend(_flat_coords(a))
-        return out
-    if isinstance(x, LexPair):
-        return [abs(x.head)] + _flat_coords(x.tail)
-    if isinstance(x, CanonPair):
-        return _flat_coords(x.u) + _flat_coords(x.v)
-    raise CarrierMismatchError(f"cannot read coordinates of {x!r}")

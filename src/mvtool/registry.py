@@ -410,9 +410,9 @@ def check_perfect(A, bound: int) -> PerfectnessReport:
 
 
 def not_perfect_message(A, bound: int, verdict: CounterExample) -> str:
-    """The text of a failed ``check_perfect(A, bound)``.  P.1-P.4 search
-    nothing and each has one variable, so ``verdict`` is a counterexample
-    at one element."""
+    """The text of a failed P.1-P.4 check of ``A`` at ``bound``.  P.1-P.4
+    search nothing and each has one variable, so ``verdict`` is a
+    counterexample at one element."""
     return (f"{A.descriptor()} is not perfect at bound {bound}: "
             f"{verdict.axiom} fails at {A.format_element(verdict.env)}")
 

@@ -18,3 +18,14 @@ def grothendieck_walk(G, bound):
                 seen.add(p)
                 out.append(p)
     return out
+
+
+def first_beyond_multiples_walk(M, t, candidates, cap):
+    """The first candidate x with no n <= cap such that x <= n*t, by the
+    definition: every multiple 0*t, 1*t, ..., cap*t is compared; None if
+    every candidate lies below one of them."""
+    multiples = [mv.nat_scalar(M, n, t) for n in range(cap + 1)]
+    for x in candidates:
+        if not any(M.leq(x, m) for m in multiples):
+            return x
+    return None

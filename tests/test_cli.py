@@ -40,6 +40,15 @@ def test_check_json_report(capsys):
     assert "elapsed_ms" in rep
 
 
+def test_product_of_no_factors(capsys):
+    assert run_cli("check", "--model", "Prod()", "--sequent", "MV.1",
+                   "--bound", "1") == 0
+    assert "verdict: holds" in capsys.readouterr().out
+    assert run_cli("check", "--model", "Prod(C,)", "--sequent", "MV.1",
+                   "--bound", "1") == 64
+    assert "cannot parse model descriptor 'Prod(C,)'" in capsys.readouterr().err
+
+
 def test_inconclusive_exit_code(tmp_path, capsys):
     seq = tmp_path / "seq.txt"
     seq.write_text("true |-[x] bigvee n<=3 . x = n*1\n")

@@ -7,6 +7,7 @@ import pytest
 
 import mvtool as mv
 from mvtool import decompose as dec
+from mvtool.descriptors import parse_mv_element
 
 C = mv.ChangAlgebra()
 B = mv.FiniteChainAlgebra(1)
@@ -86,6 +87,15 @@ def test_decompose_trivial_algebra_into_no_factors():
     assert (d.atoms, d.factors) == ([], [])
     assert d.iso_forward(0) == ()
     assert mv.product_reconstruction_check(T, d, 3).ok
+
+
+def test_product_of_no_factors_is_named_again():
+    E = mv.parse_model(mv.ProductAlgebra([]).descriptor())
+    assert isinstance(E, mv.ProductAlgebra) and E.factors == ()
+    assert E.enumerate(3) == [()] and parse_mv_element(E, "()") == ()
+    nested = mv.parse_model("Prod(C,Prod())")
+    assert nested.descriptor() == "Prod(C,Prod())"
+    assert parse_mv_element(nested, "(1c,())") == (mv.Fin(1), ())
 
 
 def test_decompose_three_factors():

@@ -6,6 +6,8 @@ import itertools
 import pytest
 
 import mvtool as mv
+from helpers import first_beyond_multiples_walk
+from mvtool.descriptors import parse_group_element, parse_mv_element
 from mvtool.lgroup_core import CanonPair, LexPair
 from mvtool.verdicts import Finite, NoneUpTo
 
@@ -268,6 +270,81 @@ def test_delta_star_precondition_failures():
         mv.delta_star(C, mv.Fin(0))  # zero does not generate the radical
     with pytest.raises(mv.PreconditionError):
         mv.sigma_star(Z2, (1, 0))  # not a strong unit for the pointwise order
+
+
+@pytest.mark.parametrize("desc,point", [("C", "c"), ("Sigma(Z^2)", "(0,(1,1))")])
+def test_sigma_star_inverts_delta_star(desc, point):
+    A = mv.parse_model(desc)
+    a = parse_mv_element(A, point)
+    S, p = mv.sigma_star(*mv.delta_star(A, a))
+    assert S.descriptor() == f"Sigma(Groth(Rad({desc})))"
+    assert p == mv.beta_A(A, a)
+
+
+@pytest.mark.parametrize("desc,unit", [("Z", "1"), ("Lex(Z,Z)", "(1,0)")])
+def test_delta_star_inverts_sigma_star(desc, unit):
+    G = mv.parse_model(desc)
+    u = parse_group_element(G, unit)
+    D, p = mv.delta_star(*mv.sigma_star(G, u))
+    assert D.descriptor() == f"Groth(Rad(Sigma({desc})))"
+    assert p == mv.phi_G(G, u)
+
+
+def test_strong_unit_check_on_delta_carriers():
+    # Delta-side elements are canonical pairs of algebra elements; the
+    # check reads them through the carrier's own order only.
+    c = CanonPair(mv.Fin(1), mv.Fin(0))
+    for G in (mv.delta(C), mv.pair_group_ops(C)):
+        for bound in (1, 3):
+            assert mv.strong_unit_check(G, c, bound).ok, G.descriptor()
+        v = mv.strong_unit_check(G, G.zero, 2)
+        assert isinstance(v, mv.CounterExample)
+        assert (v.env, v.axiom) == (c, "Lu.2")
+
+
+UNIT_CARRIERS = ("Z", "Z^2", "Z^3", "Lex(Z,Z)", "Lex(Z,Z^2)", "Groth(N)",
+                 "Groth(N^2)", "Groth(PosCone(Z^2))", "Groth(PosCone(Lex(Z,Z)))")
+
+
+@pytest.mark.parametrize("desc", UNIT_CARRIERS)
+def test_strong_unit_check_equals_the_capped_search_by_definition(desc):
+    """Every unit u >= 0 of the bound-2 window: Lu.2 fails at the first
+    positive window element below no n*u with n <= 2 * bound + 2."""
+    G = mv.parse_model(desc)
+    units = [u for u in G.enumerate(2) if G.leq(G.zero, u)]
+    for bound in (1, 2, 3, 4):
+        cap = 2 * bound + 2
+        positives = [x for x in G.enumerate(bound) if G.leq(G.zero, x)]
+        for u in units:
+            x = first_beyond_multiples_walk(G, u, positives, cap)
+            v = mv.strong_unit_check(G, u, bound)
+            if x is None:
+                assert isinstance(v, mv.Holds), (u, bound)
+            else:
+                assert isinstance(v, mv.CounterExample), (u, bound)
+                assert (v.env, v.axiom) == (x, "Lu.2")
+                assert v.note.startswith(f"no n <= {cap} with x <= nu;")
+
+
+@pytest.mark.parametrize("desc", ("C", "Sigma(Z^2)"))
+def test_delta_star_pstar2_equals_the_capped_search_by_definition(desc):
+    """Every radical point of the bound-2 window: Pstar.2 fails at the
+    first radical window element below no n*a with n <= 2 * bound + 2."""
+    A = mv.parse_model(desc)
+    points = [a for a in A.enumerate(2) if mv.radical_membership(A, a)]
+    for bound in (1, 2, 3):
+        cap = 2 * bound + 2
+        radical = [x for x in A.enumerate(bound) if mv.radical_membership(A, x)]
+        for a in points:
+            x = first_beyond_multiples_walk(A, a, radical, cap)
+            if x is None:
+                assert mv.delta_star(A, a, bound)[1] == CanonPair(a, A.zero)
+                continue
+            with pytest.raises(mv.PreconditionError) as exc:
+                mv.delta_star(A, a, bound)
+            r = exc.value.report
+            assert (r.env, r.axiom, r.note) == \
+                (x, "Pstar.2", f"search capped at n <= {cap}")
 
 
 def test_ant_check_examples():
