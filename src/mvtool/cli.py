@@ -70,11 +70,14 @@ def max_carrier() -> int:
     if raw is None:
         return DEFAULT_MAX_CARRIER
     try:
-        return int(raw)
+        cap = int(raw)
     except ValueError:
         raise CarrierCapExceededError(
             f"MVTOOL_MAX_CARRIER={raw!r} is not an integer"
         ) from None
+    if cap < 0:
+        raise CarrierCapExceededError(f"MVTOOL_MAX_CARRIER={cap} must be >= 0")
+    return cap
 
 
 def _count(n: int) -> str:

@@ -11,16 +11,13 @@ vector engine's ``OperationTables``, builds each source operation table
 (with the int64 kernels when the carrier has a codec, else with the
 carrier's own operation on each distinct operand pair), maps every
 distinct source result forward once, builds the target table over the
-image, and compares the two index arrays.
+image, and compares the two index arrays.  It imports numpy and
+``vector`` on its first call, so this module loads without them.
 """
 
 from __future__ import annotations
 
 from typing import Callable, List, Sequence, Tuple
-
-import numpy as np
-
-from .checking import OperationTables
 
 
 def map_once(window, f: Callable) -> Tuple[dict, list]:
@@ -59,6 +56,10 @@ def homomorphism_failures(src, target, window: list, image: list,
     forward(src.op(x, y)) != target.op(forward(x), forward(y)).
     ``forward`` is called once per distinct result of each source table.
     """
+    import numpy as np
+
+    from .vector import OperationTables
+
     source, dest = OperationTables(src), OperationTables(target)
     xi = source.intern_all(window)
     yi = dest.intern_all(image)

@@ -195,7 +195,10 @@ class Sequent:
     name: Optional[str] = None
 
     def __post_init__(self):
-        free = formula_free_vars(self.antecedent) | formula_free_vars(self.consequent)
+        for i, v in enumerate(self.context):
+            if v in self.context[:i]:
+                raise SignatureError(f"context repeats variable {v!r}")
+        free =formula_free_vars(self.antecedent) | formula_free_vars(self.consequent)
         extra = free - set(self.context)
         if extra:
             raise SignatureError(

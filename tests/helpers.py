@@ -29,3 +29,20 @@ def first_beyond_multiples_walk(M, t, candidates, cap):
         if not any(M.leq(x, m) for m in multiples):
             return x
     return None
+
+
+def record_codecs(monkeypatch):
+    """The codec of every ``vector.OperationTables`` built while
+    ``monkeypatch`` is active, in order: None for an instance that starts
+    without one."""
+    from mvtool import vector
+
+    codecs = []
+    init = vector.OperationTables.__init__
+
+    def spy(self, model):
+        init(self, model)
+        codecs.append(self.codec)
+
+    monkeypatch.setattr(vector.OperationTables, "__init__", spy)
+    return codecs

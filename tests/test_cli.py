@@ -86,6 +86,14 @@ def test_unreadable_sequent_file_is_a_usage_error(tmp_path, capsys):
         assert reason in err, path
 
 
+def test_repeated_context_variable_is_a_usage_error(tmp_path, capsys):
+    seq = tmp_path / "seq.txt"
+    seq.write_text("true |-[x,x] x <= neg x\n")
+    assert run_cli("check", "--model", "C", "--sequent", f"@{seq}",
+                   "--bound", "2") == 64
+    assert "context repeats variable 'x'" in capsys.readouterr().err
+
+
 def test_empty_label_list_is_a_usage_error(capsys):
     for labels in ("", ",", " , "):
         assert run_cli("check-family", "--model", "C", "--sequents", labels) == 64
@@ -105,6 +113,20 @@ def test_carrier_cap(capsys, monkeypatch):
                    "--bound", "1") == 64
     assert ("Z^99999 enumerates more than 10^47711 elements at bound 1, above "
             "the cap of 1000000" in capsys.readouterr().err)
+
+
+def test_carrier_cap_must_be_a_nonnegative_integer(capsys, monkeypatch):
+    for raw, message in (("abc", "MVTOOL_MAX_CARRIER='abc' is not an integer"),
+                         ("-5", "MVTOOL_MAX_CARRIER=-5 must be >= 0")):
+        monkeypatch.setenv("MVTOOL_MAX_CARRIER", raw)
+        assert run_cli("check", "--model", "C", "--sequent", "MV.1",
+                       "--bound", "1") == 64
+        assert capsys.readouterr().err == f"mvtool: error: {message}\n"
+    # A cap of 0 is a cap: every carrier is above it.
+    monkeypatch.setenv("MVTOOL_MAX_CARRIER", "0")
+    assert run_cli("check", "--model", "C", "--sequent", "MV.1",
+                   "--bound", "1") == 64
+    assert "above the cap of 0" in capsys.readouterr().err
 
 
 def test_carrier_cap_counts_intervals_without_enumerating(capsys, monkeypatch):

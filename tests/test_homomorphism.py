@@ -5,11 +5,13 @@ import dataclasses
 from functools import partial
 
 import mvtool as mv
-import mvtool.checking as checking
 import mvtool.kernels as kernels
+import mvtool.vector as vector
 from mvtool.equivalence import _roundtrip_report
 from mvtool.homomorphism import map_once
 from mvtool.lgroup_core import CanonPair
+
+from helpers import record_codecs
 
 C = mv.ChangAlgebra()
 CC = mv.ProductAlgebra([C, C])
@@ -62,13 +64,18 @@ def _results(bound):
 
 def test_reports_equal_the_carrier_operations(monkeypatch):
     for bound in (2, 3):
-        with_kernels = _results(bound)
+        with monkeypatch.context() as m:
+            codecs = record_codecs(m)
+            with_kernels = _results(bound)
+        assert any(c is not None for c in codecs)
         with monkeypatch.context() as m:
             # Without codecs the tables call the carriers and the
             # Grothendieck windows walk their monoid pairs.
-            m.setattr(checking, "codec_for", lambda model: None)
+            m.setattr(vector, "codec_for", lambda model: None)
             m.setattr(kernels, "codec_for", lambda model: None)
+            codecs = record_codecs(m)
             assert _results(bound) == with_kernels, bound
+        assert codecs and all(c is None for c in codecs)
     # The broken carriers are caught: Z^2's sup, BrokenInf's inf, and
     # SkewChang's oplus, in the reports and in the reconstruction.
     failures = [r["failures"] for r in with_kernels[:-2]]

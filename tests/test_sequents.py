@@ -10,6 +10,8 @@ from mvtool import sequents as S
 from mvtool.checking import check_sequent, eval_term
 from mvtool.verdicts import CounterExample, Holds, InconclusiveAtBound
 
+from helpers import record_codecs
+
 C = mv.ChangAlgebra()
 B = mv.FiniteChainAlgebra(1)
 L2 = mv.FiniteChainAlgebra(2)
@@ -69,6 +71,18 @@ def test_scalar_variables_must_be_bound():
     with pytest.raises(mv.SignatureError):
         S.Sequent(("x",), S.Top(),
                   S.Leq(S.Var("x"), S.NatScalar("n", S.Var("x"))))
+
+
+def test_context_variables_are_distinct():
+    for text in ("true |-[x,x] x <= neg x", "x = y |-[x,y,x] y = x"):
+        with pytest.raises(mv.SignatureError, match="context repeats variable 'x'"):
+            mv.parse_sequent(text)
+    with pytest.raises(mv.SignatureError, match="context repeats variable 'y'"):
+        S.Sequent(("y", "x", "y"), S.Top(), S.Top())
+    # Every registry sequent still parses, so none repeats a variable.
+    for label, seq in registry.named_sequents().items():
+        assert len(set(seq.context)) == len(seq.context), label
+        assert mv.parse_sequent(mv.print_sequent(seq)).context == seq.context
 
 
 def test_registry_round_trips():
@@ -230,15 +244,17 @@ def _vector_verdicts(models, bound):
 
 
 def test_vector_engine_agrees_with_and_without_kernels(monkeypatch):
-    import mvtool.checking as checking
+    import mvtool.vector as vector
     models = [mv.parse_model(d) for d in (
         "C", "Prod(C,L(2))", "Sigma(Z^2)", "Pointed(Sigma(Z^2),(0,(1,1)))",
         "Z^2", "Lex(Z,Z)", "Groth(N^2)", "Unital(Lex(Z,Z),(1,0))",
         "Groth(PosCone(Groth(N)))", "Unital(Groth(N^2),[(1,1),(0,0)])",
         "N^2", "PosCone(Lex(Z,Z))")]
     with_kernels = _vector_verdicts(models, 2)
-    monkeypatch.setattr(checking, "codec_for", lambda model: None)
+    monkeypatch.setattr(vector, "codec_for", lambda model: None)
+    codecs = record_codecs(monkeypatch)
     assert _vector_verdicts(models, 2) == with_kernels
+    assert codecs and all(c is None for c in codecs)
 
 
 def test_vector_engine_falls_back_beyond_the_kernel_limit():
@@ -260,7 +276,7 @@ def test_vector_engine_falls_back_beyond_the_kernel_limit():
 
 
 def test_nested_differences_leave_code_space_at_the_limit():
-    from mvtool.checking import OperationTables
+    from mvtool.vector import OperationTables
     G = mv.parse_model("Groth(PosCone(Groth(N)))")
     # x's code is the difference of differences, 2^59 + 3; that of x + x
     # reaches 2^60.
@@ -322,15 +338,21 @@ def _mentions_unit(seq):
 
 
 def test_vector_engine_chunking_agrees(monkeypatch):
-    import mvtool.checking as checking
-    monkeypatch.setattr(checking, "_MAX_CELLS", 64)
+    import mvtool.vector as vector
+    monkeypatch.setattr(vector, "_MAX_CELLS", 64)
+    slices = {}
     for model, label in ((CC, "MV.1"), (CC, "P.3"), (CC, "beta")):
         seq = registry.lookup(label)
-        chunked = check_sequent(model, seq, 3, engine="vector")
+        with monkeypatch.context() as m:
+            chunks = _spy_on_chunks(m, seq)
+            chunked = check_sequent(model, seq, 3, engine="vector")
+        slices[label] = len(chunks)
         monkey_free = check_sequent(model, seq, 3, engine="scalar")
         assert type(chunked) is type(monkey_free)
         if isinstance(chunked, CounterExample):
             assert chunked.env == monkey_free.env
+    # MV.1's 64^2 cells are sliced; P.3's 64 fit in one slice.
+    assert slices["MV.1"] > 1 and slices["P.3"] == 1
 
 
 def _spy_on_check_vector(monkeypatch):
@@ -351,22 +373,22 @@ def _spy_on_chunks(monkeypatch, seq):
     """Record every evaluation of ``seq``'s antecedent by the vector
     engine, one per chunk: the evaluator and the length of its first
     context axis."""
-    import mvtool.checking as checking
+    import mvtool.vector as vector
     chunks = []
-    formula = checking._VectorEval.formula
+    formula = vector._VectorEval.formula
 
     def spy(self, f, depth=0):
         if f is seq.antecedent:
             chunks.append((self, len(self.var_idx[seq.context[0]])))
         return formula(self, f, depth)
 
-    monkeypatch.setattr(checking._VectorEval, "formula", spy)
+    monkeypatch.setattr(vector._VectorEval, "formula", spy)
     return chunks
 
 
 def test_vector_chunks_count_the_search_axes(monkeypatch):
-    import mvtool.checking as checking
-    monkeypatch.setattr(checking, "_MAX_CELLS", 64)
+    import mvtool.vector as vector
+    monkeypatch.setattr(vector, "_MAX_CELLS", 64)
     N2 = mv.NnMonoid(2)
     cases = [
         # 4^2 context cells times a 9-element search axis: 144 > 64
@@ -403,7 +425,7 @@ def test_auto_engine_follows_the_context_grid(monkeypatch):
 
 
 def test_dense_and_sparse_table_routes_equal_the_carrier():
-    from mvtool.checking import _VectorEval
+    from mvtool.vector import _VectorEval
     cases = [(mv.ZnGroup(2), "add", False), (mv.parse_model("Groth(N^2)"), "leq", True),
              (mv.delta(C), "inf", False), (mv.pair_group_ops(C), "inf", False)]
     for model, op, out_bool in cases:
@@ -435,9 +457,9 @@ def test_dense_and_sparse_table_routes_equal_the_carrier():
 
 def _count_codec_calls(monkeypatch, model):
     """Count the calls of ``encode`` and ``decode`` on the codec that the
-    checking engine gets for ``model``."""
-    import mvtool.checking as checking
-    codec = checking.codec_for(model)
+    vector engine gets for ``model``."""
+    import mvtool.vector as vector
+    codec = vector.codec_for(model)
     counts = {"encode": 0, "decode": 0}
     for name in counts:
         def counted(x, name=name, method=getattr(codec, name)):
@@ -445,7 +467,7 @@ def _count_codec_calls(monkeypatch, model):
             return method(x)
 
         setattr(codec, name, counted)
-    monkeypatch.setattr(checking, "codec_for", lambda _: codec)
+    monkeypatch.setattr(vector, "codec_for", lambda _: codec)
     return counts
 
 
@@ -465,7 +487,7 @@ def test_a_holding_vector_check_decodes_no_kernel_result(monkeypatch):
 
 
 def test_a_chunked_vector_check_encodes_each_element_once(monkeypatch):
-    import mvtool.checking as checking
+    import mvtool.vector as vector
     sigma = mv.parse_model("Sigma(Z^2)")
     counts = _count_codec_calls(monkeypatch, sigma)
     # chi_2 reads 1922 cells, one per element; rad_ideal.viii reads 72^2,
@@ -475,7 +497,7 @@ def test_a_chunked_vector_check_encodes_each_element_once(monkeypatch):
         seq = registry.lookup(label)
         counts.update(encode=0, decode=0)
         with monkeypatch.context() as m:
-            m.setattr(checking, "_MAX_CELLS", max_cells)
+            m.setattr(vector, "_MAX_CELLS", max_cells)
             chunks = _spy_on_chunks(m, seq)
             assert check_sequent(sigma, seq, bound, engine="vector").ok
         assert len(chunks) >= 3, label
@@ -484,7 +506,7 @@ def test_a_chunked_vector_check_encodes_each_element_once(monkeypatch):
 
 
 def test_python_and_kernel_routes_intern_an_element_once():
-    from mvtool.checking import OperationTables
+    from mvtool.vector import OperationTables
     # Interned from Python first, then reached as a kernel row.
     tables = OperationTables(Z)
     three = tables.intern(3)
@@ -503,7 +525,7 @@ def test_python_and_kernel_routes_intern_an_element_once():
 
 
 def test_leaving_code_space_keeps_the_kernel_made_indices():
-    from mvtool.checking import _PENDING, OperationTables
+    from mvtool.vector import _PENDING, OperationTables
     u = 2 ** 59 + 3
     tables = OperationTables(mv.UnitalGroup(Z, u))
     x = tables.intern_all([1, 2])
