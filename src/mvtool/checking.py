@@ -21,6 +21,14 @@ consequent hinges on an unwitnessed search is reported as inconclusive
 rather than as a counterexample; counterexamples are always concrete and
 therefore persist at every larger bound.
 
+Each window is read once per carrier and bound.  ``_window`` memoises
+``enumerate(bound)`` per live carrier, in a ``weakref.WeakKeyDictionary``
+so that the memo never keeps a carrier alive, and keeps the last few
+bounds of each carrier; every check at that bound, the product route's
+position lookups included, shares the one list, and no caller mutates
+it.  The window's int64 code rows live with it, one set per codec, which
+the vector engine encodes on its first use of the window.
+
 Horn sequents on direct products are checked one factor at a time.  The
 ``auto`` engine takes this route for a sequent with context variables
 whose antecedent is ``true`` or a conjunction of ``=``/``<=`` atoms,
@@ -47,6 +55,8 @@ the full grid and stay the reference.
 from __future__ import annotations
 
 import itertools
+import weakref
+from collections import OrderedDict
 from typing import Any, Dict, Optional, Tuple
 
 from . import sequents as S
@@ -61,6 +71,14 @@ from .verdicts import CounterExample, Holds, InconclusiveAtBound, Verdict
 # carriers with and without codecs; 160 keeps C's window at bound 64 (130
 # cells), the benchmark's scalar-engine case, on the scalar engine.
 _VECTOR_THRESHOLD = 160
+# Windows kept per carrier; the least recently read goes first.  Checks on
+# one carrier interleave a few bounds (a context and a search bound, a
+# wide and a narrow window), so keeping only the last check's bounds would
+# read them again and again; a sweep over many bounds must not pile up
+# windows either.
+_WINDOWS_PER_CARRIER = 4
+# Live carrier -> {bound: (window, code rows)}, least recently read first.
+_WINDOWS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
 # ---------------------------------------------------------------------------
@@ -176,6 +194,42 @@ def _exists_depth(f) -> int:
     raise TypeError(f"not a formula: {f!r}")
 
 
+def _window(model, bound: int) -> list:
+    """``model.enumerate(bound)``, read once per live carrier and bound.
+
+    Callers read the list and never mutate it: every check of the carrier
+    at that bound shares it.  A carrier that cannot be weakly referenced
+    or hashed is enumerated on every call."""
+    try:
+        windows = _WINDOWS.get(model)
+        if windows is None:
+            windows = _WINDOWS[model] = OrderedDict()
+    except TypeError:
+        return model.enumerate(bound)
+    entry = windows.get(bound)
+    if entry is None:
+        entry = windows[bound] = (model.enumerate(bound), {})
+        if len(windows) > _WINDOWS_PER_CARRIER:
+            windows.popitem(last=False)
+    else:
+        windows.move_to_end(bound)
+    return entry[0]
+
+
+def _window_codes(model, window: list) -> Optional[dict]:
+    """The code rows of ``window`` by codec, which the vector engine
+    fills, when ``window`` is a window of ``model`` that ``_window``
+    holds; None otherwise."""
+    try:
+        windows = _WINDOWS.get(model)
+    except TypeError:
+        return None
+    for elems, codes in (windows or {}).values():
+        if elems is window:
+            return codes
+    return None
+
+
 def searches(seq: S.Sequent) -> bool:
     """Whether checking ``seq`` reads an existential search window."""
     return _exists_depth(seq.antecedent) > 0 or _exists_depth(seq.consequent) > 0
@@ -205,10 +259,10 @@ def check_sequent(model, seq: S.Sequent, bound: int, *,
     factors = _product_factors(model) if engine == "auto" else ()
     if factors and _is_horn(seq):
         return _check_product(model, factors, seq, bound)
-    ctx_enum = model.enumerate(bound)
+    ctx_enum = _window(model, bound)
     search = ctx_enum
     if exists_bound is not None and searches(seq):
-        search = model.enumerate(exists_bound)
+        search = _window(model, exists_bound)
 
     k = len(seq.context)
     if engine == "auto":
@@ -313,7 +367,7 @@ def _first_antecedent(model, seq, bound) -> Optional[Dict[str, Any]]:
     """The first environment of ``model``'s grid that satisfies the
     antecedent of ``seq``, or None."""
     if isinstance(seq.antecedent, S.Top) and not _product_factors(model):
-        window = model.enumerate(bound)
+        window = _window(model, bound)
         return dict.fromkeys(seq.context, window[0]) if window else None
     v = check_sequent(model, S.Sequent(seq.context, seq.antecedent, S.Bot()), bound)
     return getattr(v, "env", None)
@@ -326,4 +380,4 @@ def _window_position(model, bound, x):
     factors = _product_factors(model)
     if factors:
         return tuple(_window_position(f, bound, a) for f, a in zip(factors, x))
-    return model.enumerate(bound).index(x)
+    return _window(model, bound).index(x)

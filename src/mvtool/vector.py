@@ -23,13 +23,20 @@ scalar engine in ``checking``, which is the reference.
 
 Each operation table is built over the unique operand pairs.  When the
 carrier has a codec (``kernels.codec_for``), the engine starts in code
-space: every interned element is keyed by its int64 code row, a window
-is encoded once, in one batch, and a table is one kernel call over the
-pairs' rows whose distinct result rows are looked up and appended by
-row, so an element is decoded only when something reads it (a
-homomorphism check's ``forward``, a test).  This rests on row equality
-being element equality, which the kernel tests pin.  ``leq`` tables are
-boolean and intern nothing.  Below 2^60 no kernel can overflow int64, so
+space: every interned element is keyed by its int64 code row, and a
+table is one kernel call over the pairs' rows whose distinct result rows
+are looked up and appended by row, so an element is decoded only when
+something reads it (a homomorphism check's ``forward``, a test).  A
+window that ``checking._window`` memoises keeps its code rows and their
+keys with it, one set per codec type and width: they are encoded on the
+window's first use, and every later check at that carrier and bound
+interns them with one append and one dict update (its elements are
+distinct), or, after another window, appends only the rows not interned
+yet.  Any other window, and one with an element that cannot be encoded
+below ``LIMIT`` or a repeated element, is encoded once per check, in one
+batch, by ``intern_all``.  This rests on row equality being element
+equality, which the kernel tests pin.  ``leq`` tables are boolean and
+intern nothing.  Below 2^60 no kernel can overflow int64, so
 the kernels are exact: no floats, no tolerances, no wraparound.  The
 switch out of code space is one-way: the first value of magnitude 2^60
 or more (an input it cannot encode, a kernel result row, a step of n*x
@@ -52,9 +59,9 @@ from typing import Any, Dict, List, Optional, Sequence
 import numpy as np
 
 from . import sequents as S
-from .checking import _constant, _exists_depth
+from .checking import _constant, _exists_depth, _window_codes
 from .errors import SignatureError
-from .kernels import LIMIT, codec_for, unique_rows
+from .kernels import LIMIT, _fit_rows, codec_for, unique_rows
 from .mv_core import mv_power, nat_scalar
 from .verdicts import CounterExample, Holds, InconclusiveAtBound, Verdict
 
@@ -72,6 +79,36 @@ def _row_keys(rows) -> list:
     bytes."""
     rows = np.ascontiguousarray(rows, dtype=np.int64)
     return rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel().tolist()
+
+
+def _window_rows(model, window: list, codec):
+    """The code rows of ``window`` under ``codec`` and their keys, kept with
+    the window by ``checking._window`` and encoded on first use; None when
+    ``window`` is not a window it holds, or has an element that cannot be
+    encoded, a coordinate of magnitude ``LIMIT`` or more, or a repeated
+    element."""
+    codes = _window_codes(model, window)
+    if codes is None:
+        return None
+    # Rows are valid only for the codec that made them.
+    key = (type(codec), codec.width)
+    if key not in codes:
+        codes[key] = _encode_window(window, codec)
+    return codes[key]
+
+
+def _encode_window(window: list, codec):
+    """``(rows, keys)`` of ``window`` under ``codec``, or None (see
+    ``_window_rows``)."""
+    try:
+        rows = np.array([codec.encode(x) for x in window],
+                        dtype=np.int64).reshape(-1, codec.width)
+    except OverflowError:
+        return None
+    if len(rows) and not _fit_rows(rows):
+        return None
+    keys = _row_keys(rows)
+    return (rows, keys) if len(set(keys)) == len(keys) else None
 
 
 class OperationTables:
@@ -172,18 +209,30 @@ class OperationTables:
             return None
         first, inverse = unique_rows(rows, lo, hi)
         uniq = rows[first]
+        if elems is not None:
+            elems = [elems[i] for i in first.tolist()]
+        return self._intern_distinct(uniq, _row_keys(uniq), elems)[inverse]
+
+    def _intern_distinct(self, rows, keys, elems=None) -> np.ndarray:
+        """The indices of the distinct code rows ``rows``, whose dict keys
+        are ``keys``.  The rows not interned yet are appended, with their
+        elements ``elems`` (one per row), or pending when that is None."""
+        if not self._elems:
+            # Every row is new: one append and one dict update.
+            self._append([_PENDING] * len(keys) if elems is None else elems, rows)
+            self._row_index.update(zip(keys, range(len(keys))))
+            return np.arange(len(keys), dtype=np.int64)
         get = self._row_index.get
-        keys = _row_keys(uniq)
         idx = [get(key) for key in keys]
         new = [j for j, i in enumerate(idx) if i is None]
         if new:
             start = self._append(
                 [_PENDING] * len(new) if elems is None
-                else [elems[first[j]] for j in new],
-                uniq[new])
+                else [elems[j] for j in new],
+                rows[new])
             for n, j in enumerate(new, start):
                 idx[j] = self._row_index[keys[j]] = n
-        return np.array(idx, dtype=np.int64)[inverse]
+        return np.array(idx, dtype=np.int64)
 
     def _kernel(self, op):
         return None if self.codec is None else getattr(self.codec, op, None)
@@ -330,7 +379,11 @@ class _VectorEval(OperationTables):
     def _window(self, values: list) -> np.ndarray:
         idx = self._windows.get(id(values))
         if idx is None:
-            idx = self._windows[id(values)] = self.intern_all(values)
+            coded = (None if self.codec is None
+                     else _window_rows(self.M, values, self.codec))
+            idx = (self.intern_all(values) if coded is None
+                   else self._intern_distinct(*coded, values))
+            self._windows[id(values)] = idx
         return idx
 
     # -- terms -------------------------------------------------------------------

@@ -137,6 +137,51 @@ def test_delta_rejects_non_perfect():
         mv.delta(mv.ProductAlgebra([C, C]))
 
 
+PERFECT_BY_CONSTRUCTION = ("C", "Sigma(Z)", "Sigma(Z^2)", "Sigma(Lex(Z,Z))",
+                           "Sigma(Lex(Z,Z^2))")
+
+
+def test_perfect_by_construction_carriers_are_perfect():
+    for desc in PERFECT_BY_CONSTRUCTION:
+        report = mv.check_perfect(mv.parse_model(desc), 4)
+        assert report.ok and report.families_agree, desc
+
+
+def test_delta_checks_perfectness_only_off_construction(monkeypatch):
+    from mvtool import equivalence
+    checked = []
+    check_axioms = equivalence._check_axioms
+
+    def spy(model, labels, bound):
+        checked.append(model.descriptor())
+        return check_axioms(model, labels, bound)
+
+    monkeypatch.setattr(equivalence, "_check_axioms", spy)
+    for desc in PERFECT_BY_CONSTRUCTION:
+        mv.delta(mv.parse_model(desc))
+        mv.pair_group_ops(mv.parse_model(desc))
+    assert checked == []
+
+    class SubSigma(mv.SigmaAlgebra):
+        pass
+
+    mv.delta(SubSigma(Z2))
+    mv.delta(mv.parse_model("Sigma(Groth(N^2))"))
+    with pytest.raises(mv.NotPerfectError):
+        mv.delta(mv.ProductAlgebra([C, C]))
+    assert checked == ["Sigma(Z^2)", "Sigma(Groth(N^2))", "Prod(C,C)"]
+
+    class SkewChang(mv.ChangAlgebra):
+        def oplus(self, x, y):
+            if (x, y) == (mv.Fin(1), mv.Fin(1)):
+                return mv.CoFin(0)
+            return super().oplus(x, y)
+
+    with pytest.raises(mv.NotPerfectError) as err:
+        mv.delta(SkewChang())
+    assert str(err.value) == "C is not perfect at bound 4: P.1 fails at 1c"
+
+
 def test_phi_examples():
     assert mv.phi_G(Z, 0) == CanonPair(LexPair(0, 0), LexPair(0, 0))
     assert mv.phi_G(Z, -3) == CanonPair(LexPair(0, 0), LexPair(0, 3))

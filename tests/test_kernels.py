@@ -120,3 +120,37 @@ def test_codecs_cover_exact_types_only():
     for model in uncovered:
         assert codec_for(model) is None, model.descriptor()
     assert codec_for(mv.parse_model(f"Gamma(Z,{2 ** 60 - 1})")) is not None
+
+
+def test_cached_window_rows_equal_the_encoded_window():
+    from mvtool import checking, vector
+
+    for desc in ENCODED:
+        model = MODELS[desc]
+        codec = codec_for(model)
+        for bound in (1, 2, 3):
+            window = checking._window(model, bound)
+            rows, keys = vector._window_rows(model, window, codec)
+            assert rows.tolist() == [list(codec.encode(x))
+                                     for x in model.enumerate(bound)], (desc, bound)
+            assert len(set(keys)) == len(keys), (desc, bound)
+            # Read once: a second reading hands back the same rows.
+            assert vector._window_rows(model, window, codec)[0] is rows
+
+
+def test_cached_window_rows_belong_to_their_codec():
+    from mvtool import checking, vector
+
+    model = MODELS["Lex(Z,Z)"]
+    codec = codec_for(model)
+
+    class Shifted(type(codec)):
+        def encode(self, x):
+            return [c + 1 for c in super().encode(x)]
+
+    shifted = Shifted(codec.tail)
+    window = checking._window(model, 2)
+    rows, _ = vector._window_rows(model, window, codec)
+    other, _ = vector._window_rows(model, window, shifted)
+    assert other.tolist() == [shifted.encode(x) for x in window]
+    assert (other == rows + 1).all()

@@ -186,7 +186,105 @@ def test_search_window_is_built_only_for_existentials():
     assert check_sequent(M, registry.lookup("M.1"), 2, exists_bound=50).ok
     assert M.bounds == [2]
     assert check_sequent(M, registry.lookup("M.14"), 2, exists_bound=50).ok
-    assert M.bounds == [2, 2, 50]
+    assert M.bounds == [2, 50]
+
+
+def _record_enumerate(monkeypatch, model):
+    """The bounds of every ``enumerate`` call on ``model``, in order."""
+    bounds = []
+    enumerate_ = model.enumerate
+
+    def spy(bound):
+        bounds.append(bound)
+        return enumerate_(bound)
+
+    monkeypatch.setattr(model, "enumerate", spy)
+    return bounds
+
+
+def test_a_family_reads_each_window_once(monkeypatch):
+    sigma = mv.parse_model("Sigma(Z^2)")
+    bounds = _record_enumerate(monkeypatch, sigma)
+    labels = ["P.1", "P.2", "P.3", "P.4"]
+    report = registry.check_family(sigma, labels, 3)
+    assert all(report.verdicts[label].ok for label in labels)
+    assert bounds == [3]
+    # A later check at a new bound reads that window once, whatever its
+    # engine or sequent.
+    for label, bound in (("chi_2", 30), ("rad_ideal.i", 3), ("chi_2", 30)):
+        assert check_sequent(sigma, registry.lookup(label), bound).ok
+    assert bounds == [3, 30]
+
+
+def test_the_window_memo_keeps_no_carrier_alive():
+    import gc
+    import weakref
+
+    import mvtool.checking as checking
+    sigma = mv.parse_model("Sigma(Z^2)")
+    # The vector engine keeps code rows with the window.
+    assert check_sequent(sigma, registry.lookup("chi_1"), 30).ok
+    assert checking._window_codes(sigma, checking._window(sigma, 30))
+    ref = weakref.ref(sigma)
+    del sigma
+    gc.collect()
+    assert ref() is None
+
+
+def test_a_bound_sweep_keeps_a_few_windows():
+    import mvtool.checking as checking
+    for model, text in ((mv.parse_model("Sigma(Z^2)"), "true |-[x] x^2 <= x"),
+                        (mv.parse_model("Lex(Z,Z)"), "true |-[x] x + 0 = x")):
+        for bound in range(1, 11):
+            assert check_sequent(model, mv.parse_sequent(text), bound).ok
+        assert list(checking._WINDOWS.get(model, {})) == list(
+            range(11 - checking._WINDOWS_PER_CARRIER, 11))
+
+
+def test_a_carrier_that_cannot_be_hashed_is_read_every_time():
+    class Unhashable(mv.NMonoid):
+        __hash__ = None
+
+        def __init__(self):
+            self.bounds = []
+
+        def enumerate(self, bound):
+            self.bounds.append(bound)
+            return super().enumerate(bound)
+
+    M = Unhashable()
+    for _ in range(2):
+        assert check_sequent(M, registry.lookup("M.1"), 2).ok
+    assert M.bounds == [2, 2]
+
+
+def test_windows_without_cached_rows_keep_the_reference_verdict(monkeypatch):
+    import mvtool.checking as checking
+    import mvtool.vector as vector
+    # A coordinate at the kernel limit, one beyond int64, and a repeated
+    # element: the window is interned element by element.
+    for extra in ([2 ** 60], [2 ** 63], [1]):
+        M = mv.NMonoid()
+        monkeypatch.setattr(M, "enumerate",
+                            lambda b, extra=extra: list(range(b + 1)) + extra)
+        window = checking._window(M, 2)
+        assert vector._window_rows(M, window, vector.codec_for(M)) is None
+        for label in ("M.3", "M.4", "M.11"):
+            seq = registry.lookup(label)
+            _assert_same_verdict(check_sequent(M, seq, 2, engine="vector"),
+                                 check_sequent(M, seq, 2, engine="scalar"),
+                                 (extra, label))
+
+
+def test_a_warm_memo_keeps_the_codec_that_tables_get(monkeypatch):
+    import mvtool.vector as vector
+    sigma = mv.parse_model("Sigma(Z^2)")
+    seq = registry.lookup("chi_2")
+    assert check_sequent(sigma, seq, 30, engine="vector").ok
+    monkeypatch.setattr(vector, "codec_for", lambda _: None)
+    codecs = record_codecs(monkeypatch)
+    assert check_sequent(sigma, seq, 30, engine="vector").ok
+    assert codecs == [None]
 
 
 def test_engine_parity_on_registry():
