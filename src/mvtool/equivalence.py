@@ -18,12 +18,9 @@ from .homomorphism import homomorphism_failures, map_once
 from .lgroup_core import (
     CanonPair,
     GrothendieckGroup,
-    LexGroup,
     LexPair,
     LGroup,
     LMonoid,
-    ZGroup,
-    ZnGroup,
     canon_pair,
     grothendieck_group,
     neg_part,
@@ -31,7 +28,6 @@ from .lgroup_core import (
     positive_cone,
 )
 from .mv_core import (
-    ChangAlgebra,
     GammaAlgebra,
     MvAlgebra,
     RadicalMonoid,
@@ -39,7 +35,12 @@ from .mv_core import (
     nat_scalar,
     radical_membership,
 )
-from .registry import PERFECT_AXIOMS, _check_axioms, not_perfect_message
+from .registry import (
+    PERFECT_AXIOMS,
+    _check_axioms,
+    _perfect_by_construction,
+    not_perfect_message,
+)
 from .verdicts import CounterExample, Holds, Verdict
 
 SigmaElem = LexPair  # Rad(g) is (0, g) with g >= 0; Corad(g) is (1, g) with g <= 0.
@@ -48,21 +49,6 @@ SigmaElem = LexPair  # Rad(g) is (0, g) with g >= 0; Corad(g) is (1, g) with g <
 # ---------------------------------------------------------------------------
 # The functors
 # ---------------------------------------------------------------------------
-
-
-def _perfect_by_construction(A: MvAlgebra) -> bool:
-    """Whether ``A`` is, by exact type, C or Sigma(G) of a G built from Z
-    and Z^n by lexicographic products: carriers whose operations are the
-    library's own, so P.1-P.4 hold on every window (Sigma(G) is perfect
-    for every l-group G, and tests pin ``check_perfect`` on these)."""
-    if type(A) is ChangAlgebra:
-        return True
-    if type(A) is not SigmaAlgebra:
-        return False
-    G = A.base_group
-    while type(G) is LexGroup:
-        G = G.tail
-    return type(G) in (ZGroup, ZnGroup)
 
 
 def _require_perfect(A: MvAlgebra, bound: int) -> None:

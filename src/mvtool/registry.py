@@ -26,7 +26,8 @@ from typing import Dict, List, Optional, Tuple
 
 from .checking import check_sequent
 from .errors import UnknownLabelError
-from .lgroup_core import UnitalGroup
+from .lgroup_core import LexGroup, UnitalGroup, ZGroup, ZnGroup
+from .mv_core import ChangAlgebra, SigmaAlgebra
 from .sequents import Sequent, parse_sequent
 from .verdicts import CounterExample, Holds, Verdict
 
@@ -354,6 +355,23 @@ PERFECT_AXIOMS = ("P.1", "P.2", "P.3", "P.4")
 CHANG_AXIOMS = ("xi", "P.2")
 MONOID_AXIOMS = tuple(f"M.{i}" for i in range(1, 15))
 ANT_AXIOMS = ("Ant.1", "Ant.2")
+
+
+def _perfect_by_construction(A) -> bool:
+    """Whether ``A`` is, by exact type, C or Sigma(G) of a G built from Z
+    and Z^n by lexicographic products: carriers whose operations are the
+    library's own, so P.1-P.4 hold on every window (Sigma(G) is perfect
+    for every l-group G, and tests pin ``check_perfect`` on these).
+    Callers that require a perfect carrier skip the P.1-P.4 batch on
+    them."""
+    if type(A) is ChangAlgebra:
+        return True
+    if type(A) is not SigmaAlgebra:
+        return False
+    G = A.base_group
+    while type(G) is LexGroup:
+        G = G.tail
+    return type(G) in (ZGroup, ZnGroup)
 
 
 def _first_failure(report: FamilyReport, labels) -> Verdict:

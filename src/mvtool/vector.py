@@ -1,5 +1,6 @@
 """The vector engine: sequent checks over whole environment grids, and
-the operation tables it shares with the homomorphism checks.
+the operation tables it shares with the homomorphism checks (their sides
+without a codec, and every side after a switch at ``LIMIT``).
 
 Besides ``kernels``, this is the one module of the package that imports
 numpy at load time.  ``checking._check_vector`` and
@@ -26,11 +27,11 @@ carrier has a codec (``kernels.codec_for``), the engine starts in code
 space: every interned element is keyed by its int64 code row, and a
 table is one kernel call over the pairs' rows whose distinct result rows
 are looked up and appended by row, so an element is decoded only when
-something reads it (a homomorphism check's ``forward``, a test).  A
-window that ``checking._window`` memoises keeps its code rows and their
-keys with it, one set per codec type and width: they are encoded on the
-window's first use, and every later check at that carrier and bound
-interns them with one append and one dict update (its elements are
+something reads it (``forward`` on an interned homomorphism side, a
+test).  A window that ``checking._window`` memoises keeps its code rows
+and their keys with it, one set per codec type and width: they are
+encoded on the window's first use, and every later check at that
+carrier and bound interns them with one append and one dict update (its elements are
 distinct), or, after another window, appends only the rows not interned
 yet.  Any other window, and one with an element that cannot be encoded
 below ``LIMIT`` or a repeated element, is encoded once per check, in one
@@ -127,7 +128,8 @@ class OperationTables:
     own operation on each operand (pair).  Indices already handed out
     stay valid.  Without a codec an instance is never in code space.  One
     instance serves a whole check: a sequent's antecedent and consequent,
-    or a homomorphism check's source or target side.
+    or a homomorphism check's source or target side when it is keyed by
+    interned indices.
     """
 
     def __init__(self, model):

@@ -32,17 +32,16 @@ def first_beyond_multiples_walk(M, t, candidates, cap):
 
 
 def record_codecs(monkeypatch):
-    """The codec of every ``vector.OperationTables`` built while
-    ``monkeypatch`` is active, in order: None for an instance that starts
-    without one."""
-    from mvtool import vector
+    """The codec of every ``vector.OperationTables``, and of every code-row
+    side of a homomorphism check, built while ``monkeypatch`` is active,
+    in order: None for a table instance that starts without one."""
+    from mvtool import homomorphism, vector
 
     codecs = []
-    init = vector.OperationTables.__init__
+    for cls in (vector.OperationTables, homomorphism._Rows):
+        def spy(self, arg, init=cls.__init__):
+            init(self, arg)
+            codecs.append(self.codec)
 
-    def spy(self, model):
-        init(self, model)
-        codecs.append(self.codec)
-
-    monkeypatch.setattr(vector.OperationTables, "__init__", spy)
+        monkeypatch.setattr(cls, "__init__", spy)
     return codecs

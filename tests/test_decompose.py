@@ -163,21 +163,14 @@ def test_reconstruction_detects_corruption():
     assert v.note == "sup of atoms is not 1"
 
 
-def test_reconstruction_maps_each_window_element_once():
+def test_reconstruction_maps_each_window_element_once(monkeypatch):
+    from mvtool import vector
+
     d = mv.decompose_product(CC, [(mv.Fin(1), mv.CoFin(1))], bound=8)
-    calls = []
-
-    def counted(x):
-        calls.append(x)
-        return d.iso_forward(x)
-
     window = CC.enumerate(3)
     sums = {CC.oplus(x, y) for x in window for y in window}
-    assert mv.product_reconstruction_check(
-        CC, dataclasses.replace(d, iso_forward=counted), 3).ok
     # One image per element, per complement and per distinct sum.
     assert (len(window), len(sums)) == (64, 121)
-    assert len(calls) == 2 * 64 + 121
 
     class SkewChang(mv.ChangAlgebra):
         def oplus(self, x, y):
@@ -185,10 +178,61 @@ def test_reconstruction_maps_each_window_element_once():
                 return mv.Fin(4)
             return super().oplus(x, y)
 
-    v = mv.product_reconstruction_check(
-        CC, dataclasses.replace(d, factors=[SkewChang(), d.factors[1]]), 3)
-    assert v.note == "forward map does not preserve oplus"
-    assert v.env == ((mv.Fin(0), mv.Fin(2)), (mv.Fin(0), mv.Fin(1)))
+    # With the default blocks the 64 x 64 pairs are one block; with 100
+    # pairs a block, each is one row, the sums recur from block to block,
+    # and the first failure lies in row 2.
+    for block in (vector._KERNEL_BLOCK, 100):
+        monkeypatch.setattr(vector, "_KERNEL_BLOCK", block)
+        calls = []
+
+        def counted(x):
+            calls.append(x)
+            return d.iso_forward(x)
+
+        assert mv.product_reconstruction_check(
+            CC, dataclasses.replace(d, iso_forward=counted), 3).ok
+        assert len(calls) == 2 * 64 + 121, block
+
+        v = mv.product_reconstruction_check(
+            CC, dataclasses.replace(d, factors=[SkewChang(), d.factors[1]]), 3)
+        assert v.note == "forward map does not preserve oplus"
+        assert v.env == ((mv.Fin(0), mv.Fin(2)), (mv.Fin(0), mv.Fin(1)))
+        assert window.index(v.env[0]) == 2
+
+
+def test_decompose_checks_perfectness_only_off_construction(monkeypatch):
+    checked = []
+    check_axioms = dec._check_axioms
+
+    def spy(model, labels, bound):
+        checked.append(model)
+        return check_axioms(model, labels, bound)
+
+    monkeypatch.setattr(dec, "_check_axioms", spy)
+    d = mv.decompose_product(CC, [(mv.Fin(1), mv.CoFin(1))], bound=8)
+    assert [f.descriptor() for f in d.factors] == ["C", "C"]
+    assert checked == []
+
+    class SkewChang(mv.ChangAlgebra):
+        def oplus(self, x, y):
+            if (x, y) == (mv.Fin(1), mv.Fin(1)):
+                return mv.CoFin(0)
+            return super().oplus(x, y)
+
+    L2, skew = mv.FiniteChainAlgebra(2), SkewChang()
+    # The C factor comes first and passes unchecked; the second factor is
+    # checked and fails as before.
+    for A, gens, message in (
+            (mv.ProductAlgebra([C, L2]), [(mv.CoFin(0), 0)],
+             "factor 1 = L(2) is not perfect at bound 8: P.1 fails at 1/2"),
+            (mv.ProductAlgebra([C, skew]), [(mv.CoFin(0), mv.Fin(0))],
+             "factor 1 = C is not perfect at bound 8: P.1 fails at 1c")):
+        checked.clear()
+        with pytest.raises(mv.DecompositionError) as err:
+            mv.decompose_product(A, gens, bound=8)
+        assert str(err.value) == message
+        assert err.value.factor_index == 1
+        assert checked == [A.factors[1]]
 
 
 def test_pushout_pullback_boolean_specialization():

@@ -8,7 +8,7 @@ import mvtool as mv
 import mvtool.kernels as kernels
 import mvtool.vector as vector
 from mvtool.equivalence import _roundtrip_report
-from mvtool.homomorphism import map_once
+from mvtool.homomorphism import homomorphism_failures, map_once
 from mvtool.lgroup_core import CanonPair
 
 from helpers import record_codecs
@@ -88,3 +88,46 @@ def test_map_once_lists_each_collision_with_the_latest_earlier_element():
     image, collisions = map_once([0, 1, 2, 3, 4, 3], lambda x: x % 2)
     assert image == {0: 0, 1: 1, 2: 0, 3: 1, 4: 0}
     assert collisions == [(0, 2), (1, 3), (2, 4)]
+
+
+def test_an_empty_window_has_no_failures():
+    Z = mv.ZGroup()
+    assert homomorphism_failures(Z, Z, [], [], lambda x: x, lambda x: x,
+                                 ("negate",), ("add",)) == []
+
+
+def test_a_window_past_the_kernel_limit_gives_the_reference_failures(monkeypatch):
+    # Sums of this Z^2 window reach 2^60, where the code rows stop; the
+    # map reverses the order of the second coordinate, so it keeps add
+    # and negate and breaks inf and sup.
+    Z2 = mv.ZnGroup(2)
+    window = [(2 ** 59 + i, j) for i in range(3) for j in (-1, 0, 1)]
+    ops = (("negate",), ("add", "inf", "sup"))
+
+    def run():
+        calls = []
+
+        def forward(g):
+            calls.append(g)
+            return (g[0], -g[1])
+
+        image = [forward(g) for g in window]
+        del calls[:]
+        return (homomorphism_failures(Z2, Z2, window, image, forward,
+                                      lambda g: (g[0], -g[1]), *ops),
+                len(calls))
+
+    with monkeypatch.context() as m:
+        codecs = record_codecs(m)
+        failures, calls = run()
+    # Two code-row sides, then the two tables of the restart.
+    assert len(codecs) == 4 and None not in codecs
+    with monkeypatch.context() as m:
+        m.setattr(vector, "codec_for", lambda model: None)
+        m.setattr(kernels, "codec_for", lambda model: None)
+        assert run() == (failures, calls)
+    assert {kind for kind, _ in failures} == {"inf", "sup"}
+    # One call per distinct result of each operation, the negations mapped
+    # before the restart included: 9 negations, 5 x 5 sums, 3 x 3 infima
+    # and as many suprema.
+    assert calls == 9 + 25 + 9 + 9
