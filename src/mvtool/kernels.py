@@ -95,6 +95,12 @@ def _cat(*parts):
                           axis=-1)
 
 
+def _empty(*operands):
+    """An uninitialised int64 array of the operands' broadcast shape."""
+    return np.empty(np.broadcast_shapes(*(a.shape for a in operands)),
+                    dtype=np.int64)
+
+
 def unique_rows(rows, lo, hi):
     """The ``first`` and ``inverse`` of ``np.unique(rows, axis=0)``: the
     position of each distinct row's first occurrence, and each row's
@@ -153,11 +159,20 @@ class Lex:
     def decode(self, row):
         return LexPair(row[0], self.tail.decode(row[1:]))
 
+    # Each operation writes the head column and the tail's columns into
+    # one int64 array of the operands' broadcast shape.
+
     def add(self, a, b):
-        return _cat(a[..., :1] + b[..., :1], self.tail.add(a[..., 1:], b[..., 1:]))
+        out = _empty(a, b)
+        np.add(a[..., :1], b[..., :1], out=out[..., :1])
+        out[..., 1:] = self.tail.add(a[..., 1:], b[..., 1:])
+        return out
 
     def negate(self, a):
-        return _cat(-a[..., :1], self.tail.negate(a[..., 1:]))
+        out = _empty(a)
+        np.negative(a[..., :1], out=out[..., :1])
+        out[..., 1:] = self.tail.negate(a[..., 1:])
+        return out
 
     def sub(self, a, b):
         return self.add(a, self.negate(b))
@@ -166,19 +181,26 @@ class Lex:
         ha, hb = a[..., 0], b[..., 0]
         return (ha < hb) | ((ha == hb) & self.tail.leq(a[..., 1:], b[..., 1:]))
 
-    def _pick(self, a, b, tail_op, first):
-        # The operand whose head comes first wins outright; equal heads
-        # combine their tails.
-        ha, hb = a[..., :1], b[..., :1]
-        out = _cat(ha, tail_op(a[..., 1:], b[..., 1:]))
-        out = np.where(first(ha, hb), a, out)
-        return np.where(first(hb, ha), b, out)
+    def _pick(self, a, b, head_op, tail_op):
+        # The operand whose head comes first (head_op's pick) wins
+        # outright; equal heads combine their tails.  The masks have no
+        # column axis, so the tail is chosen one column at a time.
+        ha, hb = a[..., 0], b[..., 0]
+        ta, tb = a[..., 1:], b[..., 1:]
+        out = _empty(a, b)
+        head = head_op(ha, hb, out=out[..., 0])
+        tail = tail_op(ta, tb)
+        tie, a_first = ha == hb, head == ha
+        for c in range(self.tail.width):
+            out[..., 1 + c] = np.where(tie, tail[..., c],
+                                       np.where(a_first, ta[..., c], tb[..., c]))
+        return out
 
     def inf(self, a, b):
-        return self._pick(a, b, self.tail.inf, np.less)
+        return self._pick(a, b, np.minimum, self.tail.inf)
 
     def sup(self, a, b):
-        return self._pick(a, b, self.tail.sup, np.greater)
+        return self._pick(a, b, np.maximum, self.tail.sup)
 
 
 class Gamma:

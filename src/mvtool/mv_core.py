@@ -525,26 +525,62 @@ def derived_ops(A: MvAlgebra, x, y) -> dict:
     }
 
 
+def _repeat(op, identity, x, n: int):
+    """n copies of ``x`` combined by ``op`` from ``identity``, by the binary
+    method (Knuth, TAOCP vol. 2, section 4.6.3): ``x`` is doubled once per
+    bit of ``n`` after the lowest and folded into the accumulator on each
+    set bit, so ``op`` runs at most 2 * n.bit_length() times.  The
+    accumulator is always the left operand.  ``op`` may raise to stop
+    early (the vector engine's kernels do at ``kernels.LIMIT``)."""
+    acc = identity
+    while n:
+        if n & 1:
+            acc = op(acc, x)
+        n >>= 1
+        if n:
+            x = op(x, x)
+    return acc
+
+
+def _repeated(A, op: str):
+    """The operation that ``op`` ("nat_scalar" for n*x, "mv_power" for
+    x^n) repeats on ``A``, by name, and the unit it starts from."""
+    if op == "mv_power":
+        return "odot", A.one
+    return ("oplus" if A.signature == "mv" else "add"), A.zero
+
+
 def nat_scalar(A, n: int, x):
     """nx = x oplus ... oplus x in an MV-algebra, x + ... + x in a group
-    or monoid, with 0x = 0."""
+    or monoid, with 0x = 0.
+
+    Computed by ``_repeat`` in at most 2 * n.bit_length() operations.
+    This is the left fold 0 + x + ... + x because oplus and + are
+    associative with unit 0 (MV.1-MV.3, L.1-L.3, M.1-M.3; Cignoli,
+    D'Ottaviano & Mundici 2000, ch. 1): every bracketing of n copies of
+    x gives the same element.  On a carrier whose operation is not
+    associative (a test double) the value is the doubling's bracketing,
+    which may differ from the fold; the engines still agree, because the
+    vector engine computes such a carrier's n*x with this function.
+    """
     if n < 0:
         raise ValueError("scalar must be a natural number")
-    plus = A.oplus if A.signature == "mv" else A.add
-    acc = A.zero
-    for _ in range(n):
-        acc = plus(acc, x)
-    return acc
+    name, unit = _repeated(A, "nat_scalar")
+    return _repeat(getattr(A, name), unit, x, n)
 
 
 def mv_power(A: MvAlgebra, x, n: int):
-    """x^n = x odot ... odot x, with x^0 = 1."""
+    """x^n = x odot ... odot x, with x^0 = 1.
+
+    Computed by ``_repeat`` in at most 2 * n.bit_length() operations;
+    this is the left fold because odot is associative with unit 1 (the
+    dual of oplus), and on a non-associative test double it is the
+    doubling's bracketing, as in ``nat_scalar``.
+    """
     if n < 0:
         raise ValueError("exponent must be a natural number")
-    acc = A.one
-    for _ in range(n):
-        acc = A.odot(acc, x)
-    return acc
+    name, unit = _repeated(A, "mv_power")
+    return _repeat(getattr(A, name), unit, x, n)
 
 
 def order_of(A: MvAlgebra, x, bound: int):

@@ -63,7 +63,7 @@ from . import sequents as S
 from .checking import _constant, _exists_depth, _window_codes
 from .errors import SignatureError
 from .kernels import LIMIT, _fit_rows, codec_for, unique_rows
-from .mv_core import mv_power, nat_scalar
+from .mv_core import _repeat, _repeated, mv_power, nat_scalar
 from .verdicts import CounterExample, Holds, InconclusiveAtBound, Verdict
 
 # Vector grids (context axes times search axes) larger than this are
@@ -266,24 +266,28 @@ class OperationTables:
 
     def _unary_kernel(self, op, uniq, n):
         if op in ("nat_scalar", "mv_power"):
-            # n*x and x^n repeat oplus/add or odot from 0 or 1, as the
-            # reference does; every step's rows must stay below LIMIT.
-            if op == "mv_power":
-                step, start = "odot", self.M.one
-            else:
-                step = "oplus" if self.M.signature == "mv" else "add"
-                start = self.M.zero
-            kernel = self._kernel(step)
+            # n*x and x^n by the reference's doubling (mv_core._repeat) on
+            # code rows, from the row of 0 or 1; every step's rows must
+            # stay below LIMIT, else the whole table leaves code space.
+            name, unit = _repeated(self.M, op)
+            kernel = self._kernel(name)
             if kernel is None:
                 return None
+
+            def step(a, b):
+                out = kernel(a, b)
+                if not _fit_rows(out):
+                    raise OverflowError
+                return out
+
             # 0 and 1 always have a code (kernels.codec_for).
-            start = self.intern(start)
-            rows, acc = self._codes[uniq], self._codes[[start]]
-            for _ in range(n):
-                acc = kernel(acc, rows)
-                if np.abs(acc).max() >= LIMIT:
-                    self._leave_code_space()
-                    return None
+            unit = self.intern(unit)
+            rows = self._codes[uniq]
+            try:
+                acc = _repeat(step, self._codes[[unit]], rows, n)
+            except OverflowError:
+                self._leave_code_space()
+                return None
             acc = np.broadcast_to(acc, rows.shape)
         else:
             kernel = self._kernel(op)

@@ -7,6 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import mvtool as mv
+from helpers import README_DESCRIPTORS, doubling_steps, left_fold
 from mvtool.lgroup_core import LexPair
 from mvtool.verdicts import Finite, NoneUpTo
 
@@ -68,8 +69,50 @@ def test_chang_mv_axioms_hold_at_arbitrary_precision(a, b, c):
 
 @given(st.integers(min_value=0, max_value=64), naturals)
 def test_scalar_on_chang_is_multiplication(m, n):
-    # the fold runs m times; the element index may be arbitrarily large
+    # the doubling takes about 2 log2(m) steps; the element index may be
+    # arbitrarily large
     assert mv.nat_scalar(C, m, mv.Fin(n)) == mv.Fin(m * n)
+
+
+README_MODELS = {d: mv.parse_model(d) for d in README_DESCRIPTORS}
+
+
+@pytest.mark.parametrize("desc", README_DESCRIPTORS)
+@given(data=st.data())
+def test_doubling_equals_the_left_fold(desc, data):
+    """n*x and x^n by doubling are the definition's n-step folds, on every
+    constructor of the README carrier table."""
+    A = README_MODELS[desc]
+    x = data.draw(st.sampled_from(A.enumerate(3)), label="x")
+    n = data.draw(st.integers(0, 70), label="n")
+    plus = "oplus" if A.signature == "mv" else "add"
+    assert mv.nat_scalar(A, n, x) == left_fold(A, plus, A.zero, x, n)
+    if A.signature == "mv":
+        assert mv.mv_power(A, x, n) == left_fold(A, "odot", A.one, x, n)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 6, 7, 8, 70, 2 ** 40, 99999999,
+                               99999999999999999999])
+def test_scalar_and_power_take_logarithmically_many_steps(n):
+    calls = {"oplus": 0, "odot": 0}
+
+    class Counted(mv.ChangAlgebra):
+        # odot may be derived from oplus: each counts its own calls only.
+        def oplus(self, x, y):
+            calls["oplus"] += 1
+            return super().oplus(x, y)
+
+        def odot(self, x, y):
+            calls["odot"] += 1
+            return super().odot(x, y)
+
+    A = Counted()
+    assert mv.nat_scalar(A, n, mv.Fin(3)) == (mv.Fin(3 * n) if n else A.zero)
+    assert calls == {"oplus": doubling_steps(n), "odot": 0}
+    assert doubling_steps(n) <= 2 * n.bit_length()
+    calls["oplus"] = 0
+    assert mv.mv_power(A, mv.CoFin(2), n) == (mv.CoFin(2 * n) if n else A.one)
+    assert calls["odot"] == doubling_steps(n)
 
 
 def test_derived_ops_bundle_validates_carriers():

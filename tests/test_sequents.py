@@ -10,7 +10,7 @@ from mvtool import sequents as S
 from mvtool.checking import check_sequent, eval_term
 from mvtool.verdicts import CounterExample, Holds, InconclusiveAtBound
 
-from helpers import record_codecs
+from helpers import README_DESCRIPTORS, doubling_steps, record_codecs
 
 C = mv.ChangAlgebra()
 B = mv.FiniteChainAlgebra(1)
@@ -371,6 +371,107 @@ def test_vector_engine_falls_back_beyond_the_kernel_limit():
                 v = check_sequent(model, seq, 3, engine=engine)
                 assert type(v) is kind, (u, text, engine)
                 assert getattr(v, "env", None) == env, (u, text, engine)
+
+
+def _spy_on_leaving_code_space(monkeypatch):
+    from mvtool.vector import OperationTables
+    calls = []
+    leave = OperationTables._leave_code_space
+
+    def spy(self):
+        calls.append(self.M.descriptor())
+        leave(self)
+
+    monkeypatch.setattr(OperationTables, "_leave_code_space", spy)
+    return calls
+
+
+def test_doubling_leaves_code_space_where_the_fold_did(monkeypatch):
+    # u + x is below 2^60 for u = 2^59 + 3, but its double is not: the
+    # first doubling step of 2*(u + x) and of 3*u crosses the limit.
+    left = _spy_on_leaving_code_space(monkeypatch)
+    model = mv.UnitalGroup(Z, 2 ** 59 + 3)
+    for text, kind, env, leaves in [
+        ("true |-[x] 2*(u + x) = u + x + u + x", Holds, None, True),
+        ("true |-[x] 3*u <= u + u + x", CounterExample, {"x": -3}, True),
+        ("true |-[x] 1*(u + x) = u + x", Holds, None, False),
+    ]:
+        seq = mv.parse_sequent(text)
+        for engine in ("scalar", "vector"):
+            left.clear()
+            v = check_sequent(model, seq, 3, engine=engine)
+            assert type(v) is kind, (text, engine)
+            assert getattr(v, "env", None) == env, (text, engine)
+            assert len(left) == (1 if leaves and engine == "vector" else 0), text
+
+
+_SCALAR_SEQUENTS = {
+    "mv": ["true |-[x] {k}*x = {m}*x", "true |-[x,y] {k}*x <= {m}*y",
+           "true |-[x] x^{k} = x^{m}", "true |-[x,y] ({k}*x)^{m} <= {m}*(y^{k})"],
+    "lgroup": ["true |-[x] {k}*x = {m}*x", "true |-[x,y] {k}*(x + y) = {k}*x + {m}*y",
+               "true |-[x,y] {k}*x <= {m}*y"],
+    "monoid": ["true |-[x] {k}*x = {m}*x", "true |-[x,y] {k}*(x + y) <= {m}*x + {m}*y"],
+}
+_COEFFICIENTS = [(0, 1), (3, 2), (5, 5), (2 ** 40, 2 ** 40), (2 ** 40 + 1, 2 ** 40),
+                 (2 ** 40 - 1, 3 * 2 ** 39)]
+
+
+@pytest.mark.parametrize("desc", README_DESCRIPTORS)
+def test_engines_agree_on_large_scalars_and_powers(desc):
+    model = mv.parse_model(desc)
+    for text in _SCALAR_SEQUENTS[model.signature]:
+        for k, m in _COEFFICIENTS:
+            seq = mv.parse_sequent(text.format(k=k, m=m))
+            bound = 2 if len(seq.context) == 1 else 1
+            a = check_sequent(model, seq, bound, engine="scalar")
+            b = check_sequent(model, seq, bound, engine="vector")
+            assert type(a) is type(b), (desc, k, m, text)
+            assert getattr(a, "env", None) == getattr(b, "env", None), (desc, k, m, text)
+
+
+def test_huge_scalars_and_powers_finish(monkeypatch):
+    left = _spy_on_leaving_code_space(monkeypatch)
+    vector = _spy_on_check_vector(monkeypatch)
+    power = mv.parse_sequent("true |-[x] x^99999999 = x^99999999")
+    assert check_sequent(C, power, 1) == Holds()
+    scalar = mv.parse_sequent("true |-[x] 99999999999999999999*x = x")
+    assert check_sequent(Z, scalar, 1) == CounterExample({"x": -1}, axiom=scalar.name)
+    assert vector == [] and left == []
+    # 401 cells take the vector engine, whose int64 rows pass 2^60 midway.
+    assert check_sequent(Z, scalar, 200) == CounterExample({"x": -200}, axiom=scalar.name)
+    assert vector == [401] and left == ["Z"]
+
+
+@pytest.mark.parametrize("desc, op", [("C", "nat_scalar"), ("C", "mv_power"),
+                                      ("Sigma(Z^2)", "mv_power"), ("Z^2", "nat_scalar"),
+                                      ("Groth(N^2)", "nat_scalar"), ("N", "nat_scalar")])
+def test_vector_scalars_and_powers_double(monkeypatch, desc, op):
+    from mvtool.vector import OperationTables
+    calls = []
+    kernel_of = OperationTables._kernel
+
+    def counted(self, name):
+        kernel = kernel_of(self, name)
+
+        def spy(*rows):
+            calls.append(name)
+            return kernel(*rows)
+
+        return spy
+
+    monkeypatch.setattr(OperationTables, "_kernel", counted)
+    model = mv.parse_model(desc)
+    window = model.enumerate(2)
+    reference = (lambda x: mv.mv_power(model, x, n)) if op == "mv_power" else \
+        (lambda x: mv.nat_scalar(model, n, x))
+    for n in (0, 1, 2, 5, 64, 99999999, 2 ** 40 + 1):
+        tables = OperationTables(model)
+        idx = tables.intern_all(window)
+        calls.clear()
+        got = tables.unary_table(op, idx, n)
+        assert len(calls) == doubling_steps(n) <= 2 * n.bit_length(), n
+        assert tables.codec is not None, n
+        assert [tables.element(int(i)) for i in got] == list(map(reference, window)), n
 
 
 def test_nested_differences_leave_code_space_at_the_limit():

@@ -12,20 +12,10 @@ import sys
 from pathlib import Path
 
 import mvtool
+from helpers import README_DESCRIPTORS
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = Path(mvtool.__file__).resolve().parent.parent
-
-# A concrete descriptor for every constructor in the README carrier table.
-README_DESCRIPTORS = [
-    "C", "B", "L(0)", "L(3)", "Trivial", "Gamma(Z,3)", "Gamma(Z^2,(2,1))",
-    "Gamma(Lex(Z,Z),(3,-1))", "Sigma(Z^2)", "Sigma(Lex(Z,Z))", "Prod(C,B)",
-    "Prod(C,L(2),Sigma(Z))", "Prod()", "Z", "Z^3", "Lex(Z,Z)", "Lex(Z,Z^2)",
-    "Groth(N)", "Groth(N^2)", "Groth(PosCone(Z^2))", "N", "N^2",
-    "PosCone(Z^2)", "PosCone(Lex(Z,Z))", "Unital(Z,1)",
-    "Unital(Lex(Z,Z),(1,0))", "Unital(Groth(N^2),[(1,1),(0,0)])",
-    "Pointed(C,1c)", "Pointed(Sigma(Z^2),(0,(1,1)))",
-]
 
 # The FULL_SUITE_CONFIGS of test_acceptance that no vector table answers.
 NUMPY_FREE_CONFIGS = [
