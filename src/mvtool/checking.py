@@ -1,10 +1,22 @@
 """Bounded evaluation and checking of sequents over concrete carriers.
 
 Two engines implement the same semantics.  The scalar engine, here,
-walks environments one by one and is the reference.  The vector engine,
-in ``vector``, interns carrier elements into integer indices and
-evaluates whole environment grids with numpy table lookups (see that
-module for its table routes, code space and slicing).
+walks environments one by one and is the reference.  It compiles each
+formula once per check into closures, one per AST node
+(``_compile_formula``, ``_compile_term``): the carrier's bound
+operations, the constants, the operation and unit that ``n*t`` and
+``t^n`` repeat, and each variable's position in a tuple environment (the
+context, then the enclosing ``exists`` variables) are resolved there, so
+a cell is one call of the compiled antecedent and consequent on the
+context tuple.  The compiled walk is the reference semantics: it runs
+every carrier operation the formula names, in the order of the formula,
+and an error it meets (``u`` on a carrier without one, an ``exists``
+that shadows a variable) is raised when a cell reaches it; a consequent
+is never evaluated under a false antecedent.  ``tests/helpers`` keeps
+the per-cell tree walk as the tests' oracle.  The vector engine, in
+``vector``, interns carrier elements into integer indices and evaluates
+whole environment grids with numpy table lookups (see that module for
+its table routes, code space and slicing).
 
 One size rule picks the engine.  A check with k >= 1 context variables
 goes to the vector engine once its context grid ``|window|^k`` reaches
@@ -57,12 +69,13 @@ from __future__ import annotations
 import itertools
 import weakref
 from collections import OrderedDict
-from typing import Any, Dict, Optional, Tuple
+from operator import itemgetter
+from typing import Any, Dict, Optional
 
 from . import sequents as S
 from .errors import SignatureError, UnboundVariableError
 from .lgroup_core import NMonoid, NnMonoid, ZGroup, ZnGroup
-from .mv_core import ProductAlgebra, mv_power, nat_scalar
+from .mv_core import ProductAlgebra, _repeat, _repeated, mv_power, nat_scalar
 from .verdicts import CounterExample, Holds, InconclusiveAtBound, Verdict
 
 # Context grids of at least this many cells go to the vector engine; below
@@ -82,7 +95,7 @@ _WINDOWS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
 # ---------------------------------------------------------------------------
-# Scalar evaluation
+# Scalar evaluation: each term and formula compiled once into closures
 # ---------------------------------------------------------------------------
 
 
@@ -97,28 +110,8 @@ def eval_term(model, term, env: Dict[str, Any],
             f"term {S.print_term(term)!r} is not well-signed for a "
             f"{model.signature} carrier"
         )
-    return _eval(model, term, env, scalars or {})
-
-
-def _eval(M, t, env, scalars):
-    if isinstance(t, S.Var):
-        try:
-            return env[t.name]
-        except KeyError:
-            raise UnboundVariableError(f"variable {t.name!r} is unbound") from None
-    op = S.BINARY_OPS.get(type(t))
-    if op is not None:
-        return getattr(M, op)(_eval(M, t.left, env, scalars),
-                              _eval(M, t.right, env, scalars))
-    op = S.UNARY_OPS.get(type(t))
-    if op is not None:
-        return getattr(M, op)(_eval(M, t.arg, env, scalars))
-    if isinstance(t, S.NatScalar):
-        n = t.coeff if isinstance(t.coeff, int) else scalars[t.coeff]
-        return nat_scalar(M, n, _eval(M, t.arg, env, scalars))
-    if isinstance(t, S.MvPower):
-        return mv_power(M, _eval(M, t.arg, env, scalars), t.n)
-    return _constant(M, t)
+    cells = {name: [n] for name, n in (scalars or {}).items()}
+    return _compile_term(model, term, tuple(env), cells)(tuple(env.values()))
 
 
 def _constant(M, t):
@@ -137,43 +130,141 @@ def _constant(M, t):
     raise TypeError(f"not a term: {t!r}")
 
 
-def _eval_formula(M, f, env, scalars, search) -> Tuple[bool, bool]:
-    """Returns (value, definitely_false): the second component marks a
-    False that no larger search window could repair."""
+def _raising(error, message):
+    """A compiled node that raises ``error(message)`` when it is reached."""
+    def reached(env):
+        raise error(message)
+    return reached
+
+
+def _compile_term(M, t, scope: tuple, scalars: dict):
+    """``t`` as a function of a tuple environment whose i-th value is
+    bound to ``scope[i]``.  The carrier's operations, the constants and
+    the variables' positions are resolved here, once; a bigvee-bound
+    coefficient ``n`` is read from the cell ``scalars[n]`` when the node
+    runs.  An error the evaluation meets (u on a carrier without one, an
+    unbound variable) is raised when its node is reached, not here."""
+    op = S.BINARY_OPS.get(type(t))
+    if op is not None:
+        fn = getattr(M, op)
+        left = _compile_term(M, t.left, scope, scalars)
+        right = _compile_term(M, t.right, scope, scalars)
+        return lambda env: fn(left(env), right(env))
+    op = S.UNARY_OPS.get(type(t))
+    if op is not None:
+        fn = getattr(M, op)
+        arg = _compile_term(M, t.arg, scope, scalars)
+        return lambda env: fn(arg(env))
+    if isinstance(t, S.Var):
+        if t.name not in scope:
+            return _raising(UnboundVariableError, f"variable {t.name!r} is unbound")
+        return itemgetter(scope.index(t.name))
+    if isinstance(t, (S.NatScalar, S.MvPower)):
+        return _compile_repeat(M, t, _compile_term(M, t.arg, scope, scalars), scalars)
+    if isinstance(t, S.Unit) and getattr(M, "unit", None) is None:
+        return lambda env: _constant(M, t)  # raises the SignatureError
+    value = _constant(M, t)
+    return lambda env: value
+
+
+def _compile_repeat(M, t, arg, scalars: dict):
+    """n*t or t^n on the compiled ``arg``: ``mv_core._repeat`` with the
+    operation and unit resolved once.  A negative n goes to the reference
+    (``nat_scalar``, ``mv_power``), which raises its ValueError."""
+    if isinstance(t, S.MvPower):
+        name, unit = _repeated(M, "mv_power")
+        n = t.n
+        reference = lambda x, k: mv_power(M, x, k)  # noqa: E731
+    else:
+        name, unit = _repeated(M, "nat_scalar")
+        n = t.coeff
+        reference = lambda x, k: nat_scalar(M, k, x)  # noqa: E731
+    fn = getattr(M, name)
+    if isinstance(n, int):
+        if n < 0:
+            return lambda env: reference(arg(env), n)
+        return lambda env: _repeat(fn, unit, arg(env), n)
+    if n not in scalars:
+        return _raising(KeyError, n)
+    cell = scalars[n]
+
+    def scaled(env):
+        k = cell[0]
+        x = arg(env)
+        return _repeat(fn, unit, x, k) if k >= 0 else reference(x, k)
+    return scaled
+
+
+def _compile_formula(M, f, scope: tuple, scalars: dict, search: list):
+    """``f`` as a function of a tuple environment (see ``_compile_term``)
+    giving (value, definitely_false): the second component marks a False
+    that no larger search window could repair.  ``exists x`` tries each
+    element of ``search`` as one more value after the environment's;
+    ``bigvee n`` sets its own cell.  Both sides of a conjunction and of a
+    disjunction are evaluated, so every operation runs that the semantics
+    names, in order."""
     if isinstance(f, S.Top):
-        return True, False
+        return lambda env: (True, False)
     if isinstance(f, S.Bot):
-        return False, True
+        return lambda env: (False, True)
     if isinstance(f, S.Eq):
-        v = _eval(M, f.left, env, scalars) == _eval(M, f.right, env, scalars)
-        return v, not v
+        left = _compile_term(M, f.left, scope, scalars)
+        right = _compile_term(M, f.right, scope, scalars)
+
+        def eq(env):
+            v = left(env) == right(env)
+            return v, not v
+        return eq
     if isinstance(f, S.Leq):
-        v = M.leq(_eval(M, f.left, env, scalars), _eval(M, f.right, env, scalars))
-        return v, not v
+        leq = M.leq
+        left = _compile_term(M, f.left, scope, scalars)
+        right = _compile_term(M, f.right, scope, scalars)
+
+        def le(env):
+            v = leq(left(env), right(env))
+            return v, not v
+        return le
     if isinstance(f, S.And):
-        lv, ldf = _eval_formula(M, f.left, env, scalars, search)
-        rv, rdf = _eval_formula(M, f.right, env, scalars, search)
-        return lv and rv, ldf or rdf
+        left = _compile_formula(M, f.left, scope, scalars, search)
+        right = _compile_formula(M, f.right, scope, scalars, search)
+
+        def conjunction(env):
+            lv, ldf = left(env)
+            rv, rdf = right(env)
+            return lv and rv, ldf or rdf
+        return conjunction
     if isinstance(f, S.Or):
-        lv, ldf = _eval_formula(M, f.left, env, scalars, search)
-        rv, rdf = _eval_formula(M, f.right, env, scalars, search)
-        return lv or rv, ldf and rdf
+        left = _compile_formula(M, f.left, scope, scalars, search)
+        right = _compile_formula(M, f.right, scope, scalars, search)
+
+        def disjunction(env):
+            lv, ldf = left(env)
+            rv, rdf = right(env)
+            return lv or rv, ldf and rdf
+        return disjunction
     if isinstance(f, S.Exists):
-        if f.var in env:
-            raise SignatureError(f"quantifier shadows variable {f.var!r}")
-        for cand in search:
-            sub = dict(env)
-            sub[f.var] = cand
-            if _eval_formula(M, f.body, sub, scalars, search)[0]:
-                return True, False
-        return False, False
+        if f.var in scope:
+            return _raising(SignatureError, f"quantifier shadows variable {f.var!r}")
+        body = _compile_formula(M, f.body, scope + (f.var,), scalars, search)
+
+        def exists(env):
+            for cand in search:
+                if body(env + (cand,))[0]:
+                    return True, False
+            return False, False
+        return exists
     if isinstance(f, S.BoundedOrOverN):
-        for n in range(f.cap + 1):
-            sub = dict(scalars)
-            sub[f.var] = n
-            if _eval_formula(M, f.body, env, sub, search)[0]:
-                return True, False
-        return False, False
+        cell = [0]
+        body = _compile_formula(M, f.body, scope, {**scalars, f.var: cell}, search)
+        ns = range(f.cap + 1)
+
+        def bigvee(env):
+            for n in ns:
+                cell[0] = n
+                if body(env)[0]:
+                    return True, False
+            return False, False
+        return bigvee
     raise TypeError(f"not a formula: {f!r}")
 
 
@@ -276,17 +367,17 @@ def check_sequent(model, seq: S.Sequent, bound: int, *,
 
 
 def _check_scalar(model, seq, ctx_enum, search, bound) -> Verdict:
+    antecedent = _compile_formula(model, seq.antecedent, seq.context, {}, search)
+    consequent = _compile_formula(model, seq.consequent, seq.context, {}, search)
     inconclusive = False
     for values in itertools.product(ctx_enum, repeat=len(seq.context)):
-        env = dict(zip(seq.context, values))
-        av, _ = _eval_formula(model, seq.antecedent, env, {}, search)
-        if not av:
+        if not antecedent(values)[0]:
             continue
-        cv, cdf = _eval_formula(model, seq.consequent, env, {}, search)
+        cv, cdf = consequent(values)
         if cv:
             continue
         if cdf:
-            return CounterExample(env, axiom=seq.name)
+            return CounterExample(dict(zip(seq.context, values)), axiom=seq.name)
         inconclusive = True
     if inconclusive:
         return InconclusiveAtBound(bound, note="unwitnessed bounded search")

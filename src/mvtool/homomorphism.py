@@ -214,7 +214,7 @@ def _mapper(source, dest, forward, made: list):
     def apply(keys):
         nonlocal mapped
         flat = keys.reshape(-1, keys.shape[-1])
-        first, inverse = unique_rows(flat, flat.min(axis=0), flat.max(axis=0))
+        first, inverse = unique_rows(flat)
         uniq = flat[first]
         names = _row_keys(uniq)
         pos = [seen.get(name) for name in names]

@@ -62,7 +62,7 @@ import numpy as np
 from . import sequents as S
 from .checking import _constant, _exists_depth, _window_codes
 from .errors import SignatureError
-from .kernels import LIMIT, _fit_rows, codec_for, unique_rows
+from .kernels import _fit_rows, codec_for, unique_rows
 from .mv_core import _repeat, _repeated, mv_power, nat_scalar
 from .verdicts import CounterExample, Holds, InconclusiveAtBound, Verdict
 
@@ -205,11 +205,10 @@ class OperationTables:
         ``LIMIT`` leaves code space and gives None, so that the caller
         takes the per-pair path."""
         rows = rows.reshape(-1, self.codec.width)
-        lo, hi = rows.min(axis=0), rows.max(axis=0)
-        if max(-int(lo.min()), int(hi.max())) >= LIMIT:
+        if not _fit_rows(rows):
             self._leave_code_space()
             return None
-        first, inverse = unique_rows(rows, lo, hi)
+        first, inverse = unique_rows(rows)
         uniq = rows[first]
         if elems is not None:
             elems = [elems[i] for i in first.tolist()]

@@ -1,6 +1,9 @@
 """Reference constructions shared by the tests."""
 
+import itertools
+
 import mvtool as mv
+from mvtool import sequents as S
 
 # A concrete descriptor for every constructor in the README carrier table.
 README_DESCRIPTORS = [
@@ -21,6 +24,100 @@ def left_fold(A, op, identity, x, n):
     for _ in range(n):
         acc = getattr(A, op)(acc, x)
     return acc
+
+
+def walk_term(M, t, env, scalars):
+    """The value of the term ``t`` by a walk of its tree at every call:
+    the definition the scalar engine's compiled closures implement.
+    ``env`` maps variables to elements, ``scalars`` bigvee variables to
+    naturals."""
+    if isinstance(t, S.Var):
+        try:
+            return env[t.name]
+        except KeyError:
+            raise mv.UnboundVariableError(f"variable {t.name!r} is unbound") from None
+    op = S.BINARY_OPS.get(type(t))
+    if op is not None:
+        return getattr(M, op)(walk_term(M, t.left, env, scalars),
+                              walk_term(M, t.right, env, scalars))
+    op = S.UNARY_OPS.get(type(t))
+    if op is not None:
+        return getattr(M, op)(walk_term(M, t.arg, env, scalars))
+    if isinstance(t, S.NatScalar):
+        n = t.coeff if isinstance(t.coeff, int) else scalars[t.coeff]
+        return mv.nat_scalar(M, n, walk_term(M, t.arg, env, scalars))
+    if isinstance(t, S.MvPower):
+        return mv.mv_power(M, walk_term(M, t.arg, env, scalars), t.n)
+    if isinstance(t, S.Zero):
+        return M.zero
+    if isinstance(t, S.One):
+        return M.one
+    if isinstance(t, S.Unit):
+        unit = getattr(M, "unit", None)
+        if unit is None:
+            raise mv.SignatureError(
+                f"{M.descriptor()} has no distinguished constant for 'u'")
+        return unit
+    raise TypeError(f"not a term: {t!r}")
+
+
+def walk_formula(M, f, env, scalars, search):
+    """(value, definitely_false) of the formula ``f`` by a walk of its
+    tree, with existential witnesses from ``search``; both sides of every
+    connective are evaluated."""
+    if isinstance(f, S.Top):
+        return True, False
+    if isinstance(f, S.Bot):
+        return False, True
+    if isinstance(f, S.Eq):
+        v = walk_term(M, f.left, env, scalars) == walk_term(M, f.right, env, scalars)
+        return v, not v
+    if isinstance(f, S.Leq):
+        v = M.leq(walk_term(M, f.left, env, scalars),
+                  walk_term(M, f.right, env, scalars))
+        return v, not v
+    if isinstance(f, S.And):
+        lv, ldf = walk_formula(M, f.left, env, scalars, search)
+        rv, rdf = walk_formula(M, f.right, env, scalars, search)
+        return lv and rv, ldf or rdf
+    if isinstance(f, S.Or):
+        lv, ldf = walk_formula(M, f.left, env, scalars, search)
+        rv, rdf = walk_formula(M, f.right, env, scalars, search)
+        return lv or rv, ldf and rdf
+    if isinstance(f, S.Exists):
+        if f.var in env:
+            raise mv.SignatureError(f"quantifier shadows variable {f.var!r}")
+        for cand in search:
+            if walk_formula(M, f.body, {**env, f.var: cand}, scalars, search)[0]:
+                return True, False
+        return False, False
+    if isinstance(f, S.BoundedOrOverN):
+        for n in range(f.cap + 1):
+            if walk_formula(M, f.body, env, {**scalars, f.var: n}, search)[0]:
+                return True, False
+        return False, False
+    raise TypeError(f"not a formula: {f!r}")
+
+
+def walk_check(M, seq, ctx_enum, search, bound):
+    """The scalar engine's verdict by the tree walk: the first context
+    environment, in grid order, that satisfies the antecedent and
+    definitely fails the consequent; inconclusive if some environment
+    fails it only for want of a witness."""
+    inconclusive = False
+    for values in itertools.product(ctx_enum, repeat=len(seq.context)):
+        env = dict(zip(seq.context, values))
+        if not walk_formula(M, seq.antecedent, env, {}, search)[0]:
+            continue
+        cv, cdf = walk_formula(M, seq.consequent, env, {}, search)
+        if cv:
+            continue
+        if cdf:
+            return mv.CounterExample(env, axiom=seq.name)
+        inconclusive = True
+    if inconclusive:
+        return mv.InconclusiveAtBound(bound, note="unwitnessed bounded search")
+    return mv.Holds()
 
 
 def doubling_steps(n):
