@@ -16,17 +16,18 @@ other carrier keys it by its interned index in a ``vector``
 own operations.  One comparison procedure serves both: it computes an
 operation's source and target results in row blocks of at most
 ``vector._KERNEL_BLOCK`` pairs, takes the distinct source results of
-each block, maps those not seen in an earlier block through ``forward``
-into target keys (decode, forward, encode), and compares the gathered
-keys with the target's results.  So ``forward`` runs once per distinct
-source result, the target side is never interned in code space, and no
-grid is sorted whole.  The first code row of magnitude ``LIMIT`` (2^60)
-or more, an element that cannot be encoded included, starts the whole
-check over on interned indices on both sides, with ``forward``'s images
-found so far kept.  Row equality is element equality below ``LIMIT``,
-which the kernel tests pin, so both keyings give the same failures.
-The check imports numpy and ``vector`` on its first call, so this module
-loads without them.
+each block (``kernels.unique_rows``, which counts their keys when they
+span few values and sorts them otherwise), maps those not seen in an
+earlier block through ``forward`` into target keys (decode, forward,
+encode), and compares the gathered keys with the target's results.  So
+``forward`` runs once per distinct source result, the target side is
+never interned in code space, and no grid is sorted whole.  The first
+code row of magnitude ``LIMIT`` (2^60) or more, an element that cannot
+be encoded included, starts the whole check over on interned indices on
+both sides, with ``forward``'s images found so far kept.  Row equality
+is element equality below ``LIMIT``, which the kernel tests pin, so both
+keyings give the same failures.  The check imports numpy and ``vector``
+on its first call, so this module loads without them.
 """
 
 from __future__ import annotations
@@ -199,8 +200,8 @@ def _differences(source, dest, window, image, forward, made,
 
 def _mapper(source, dest, forward, made: list):
     """forward on arrays of one operation's source keys, giving target
-    keys: each block's distinct keys are found with one sort, and only
-    those no earlier block had are decoded, mapped (or read from
+    keys: each block's distinct keys are found by ``unique_rows``, and
+    only those no earlier block had are decoded, mapped (or read from
     ``made``, which gets them) and encoded."""
     import numpy as np
 

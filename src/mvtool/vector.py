@@ -20,9 +20,18 @@ per context variable and one per level of existential nesting.  A grid
 above ``_MAX_CELLS`` cells, search axes included, is evaluated in slices
 of its first context axis, one after the other, by the same evaluator;
 the verdict rule is the one an unsliced grid has, and the one of the
-scalar engine in ``checking``, which is the reference.
+scalar engine in ``checking``, which is the reference.  A slice's
+consequent is evaluated only when some cell of the slice satisfies the
+antecedent, so an error in the consequent (``u`` on a carrier without
+one, a shadowing quantifier) is raised exactly when the scalar engine
+raises it.
 
-Each operation table is built over the unique operand pairs.  When the
+Each operation table is built over the unique operand pairs.  Interned
+indices are small dense integers, below the interner's length, so the
+distinct operands, and on the sparse route the distinct pair codes, are
+found by ``kernels.unique_ints``: counted, with no sort, whenever their
+span is small; so are a table's distinct result rows, by
+``kernels.unique_rows``.  When the
 carrier has a codec (``kernels.codec_for``), the engine starts in code
 space: every interned element is keyed by its int64 code row, and a
 table is one kernel call over the pairs' rows whose distinct result rows
@@ -62,7 +71,7 @@ import numpy as np
 from . import sequents as S
 from .checking import _constant, _exists_depth, _window_codes
 from .errors import SignatureError
-from .kernels import _fit_rows, codec_for, unique_rows
+from .kernels import _fit_rows, codec_for, unique_ints, unique_rows
 from .mv_core import _repeat, _repeated, mv_power, nat_scalar
 from .verdicts import CounterExample, Holds, InconclusiveAtBound, Verdict
 
@@ -252,16 +261,13 @@ class OperationTables:
     def unary_table(self, op, arr, n=0):
         """``op`` is ``neg``, ``negate``, ``nat_scalar`` (n*x) or
         ``mv_power`` (x^n), applied to the interned indices ``arr``."""
-        arr = np.asarray(arr)
-        uniq = np.unique(arr)
+        uniq, inv = unique_ints(arr, len(self._elems))
         vals = self._unary_kernel(op, uniq, n)
         if vals is None:
             fn = self._reference(op, n)
             vals = np.array([self.intern(fn(self.element(i))) for i in uniq.tolist()],
                             dtype=np.int64)
-        lk = np.zeros(int(uniq[-1]) + 1, dtype=np.int64)
-        lk[uniq] = vals
-        return lk[arr]
+        return vals[inv]
 
     def _unary_kernel(self, op, uniq, n):
         if op in ("nat_scalar", "mv_power"):
@@ -297,22 +303,18 @@ class OperationTables:
 
     def binary_table(self, op, a, b, out_bool=False):
         a, b = np.asarray(a), np.asarray(b)
-        ua, ub = np.unique(a), np.unique(b)
+        m = len(self._elems)
+        ua, inv_a = unique_ints(a, m)
+        ub, inv_b = unique_ints(b, m)
         # A dense table over the distinct operands costs no more than the
         # grid it indexes; otherwise only the pairs that occur are computed.
         if len(ua) * len(ub) <= math.prod(np.broadcast_shapes(a.shape, b.shape)):
             table = self._pair_values(op, ua[:, None], ub[None, :], out_bool)
-            pos_a = np.zeros(int(ua[-1]) + 1, dtype=np.int64)
-            pos_a[ua] = np.arange(len(ua))
-            pos_b = np.zeros(int(ub[-1]) + 1, dtype=np.int64)
-            pos_b[ub] = np.arange(len(ub))
-            return table[pos_a[a], pos_b[b]]
+            return table[inv_a, inv_b]
         # Sparse route: encode pairs as single codes, map the unique ones.
-        m = len(self._elems)
-        codes = a.astype(np.int64) * m + b
-        uniq = np.unique(codes)
+        uniq, inv = unique_ints(a.astype(np.int64) * m + b, m * m)
         vals = self._pair_values(op, uniq // m, uniq % m, out_bool)
-        return vals[np.searchsorted(uniq, codes)]
+        return vals[inv]
 
     def _pair_values(self, op, ia, ib, out_bool):
         """``op`` on the pairs of interned indices ``ia`` and ``ib``,
@@ -496,9 +498,14 @@ def check_grid(model, seq, ctx_enums, search, bound) -> Verdict:
         if k:
             chunk = ev.var_idx[seq.context[0]] = first[start:start + step]
             grid[0] = len(chunk)
-        av, _ = ev.formula(seq.antecedent)
+        av = to_grid(ev.formula(seq.antecedent)[0])
+        # The consequent is evaluated only where some cell reaches it, so
+        # that its errors are raised exactly when the scalar engine raises
+        # them (both engines evaluate both sides of every And and Or).
+        if not av.any():
+            continue
         cv, cdf = ev.formula(seq.consequent)
-        bad = to_grid(av) & ~to_grid(cv)
+        bad = av & ~to_grid(cv)
         if not bad.any():
             continue
         concrete = bad & to_grid(cdf)

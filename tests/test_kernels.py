@@ -1,14 +1,19 @@
 """The int64 kernels of the vector engine against the carriers' own
 operations, which stay the reference."""
 
+import math
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 import mvtool as mv
+from mvtool import kernels
 from mvtool.decompose import FiniteQuotientAlgebra
-from mvtool.kernels import codec_for
+from mvtool.kernels import codec_for, unique_ints, unique_rows
 
 OPS = {
     "mv": ("oplus", "neg", "odot", "inf", "sup", "leq", "d"),
@@ -159,3 +164,118 @@ def test_cached_window_rows_belong_to_their_codec():
     other, _ = vector._window_rows(model, window, shifted)
     assert other.tolist() == [shifted.encode(x) for x in window]
     assert (other == rows + 1).all()
+
+
+# -- distinct values by counting ------------------------------------------------
+
+
+def _counts(span: int, n: int) -> bool:
+    """Whether a span of ``span`` keys over ``n`` entries is counted."""
+    return span < 1 << 62 and span <= max(n, kernels._COUNT_SPAN)
+
+
+def _unique_rows_route(rows):
+    """``unique_rows(rows)``, and whether it counted."""
+    with mock.patch.object(kernels, "_count", wraps=kernels._count) as count:
+        got = unique_rows(rows)
+    span = math.prod(int(c.max()) - int(c.min()) + 1 for c in rows.T)
+    assert count.called == _counts(span, len(rows)), (span, len(rows))
+    return got
+
+
+def _assert_unique_rows(rows):
+    first, inverse = _unique_rows_route(rows)
+    _, ref_first, ref_inverse = np.unique(rows, axis=0, return_index=True,
+                                          return_inverse=True)
+    np.testing.assert_array_equal(first, ref_first, strict=True)
+    np.testing.assert_array_equal(inverse, ref_inverse.reshape(-1), strict=True)
+
+
+# Coordinate magnitudes: row spans under the counting rule, on either side
+# of it, far above it, and keys at or beyond 2^62, which np.unique(axis=0)
+# takes.
+_MAGNITUDES = [3, 8, 2_000, 2 ** 40, 2 ** 61]
+
+
+@given(data=st.data())
+def test_unique_rows_is_np_unique(data):
+    r = data.draw(st.sampled_from(_MAGNITUDES), label="magnitude")
+    rows = data.draw(arrays(np.int64, st.tuples(st.integers(1, 60), st.integers(1, 3)),
+                            elements=st.integers(-r, r)), label="rows")
+    _assert_unique_rows(rows)
+
+
+_RNG = np.random.default_rng(21)
+
+
+@pytest.mark.parametrize("rows", [
+    np.array([[-5, 7, -2**59]]),                        # one row
+    np.full((9, 3), -4),                                # all rows equal
+    np.array([[1], [0], [1], [0], [2], [1]]),           # least first positions
+    np.array([[-3, 2], [-3, 1], [4, 2], [-3, 2]]),      # negative coordinates
+    _RNG.integers(-2, 3, (50, 5)),                      # span 3125, counted
+    _RNG.integers(0, 5_000, (6_000, 1)),                # span ~5000 <= n, counted
+    _RNG.integers(0, 5_000, (3_000, 1)),                # span ~5000 > n, sorted
+    np.array([[2**61 - 1, 0], [-2**61 + 1, 1], [2**61 - 1, 0]]),  # key >= 2^62
+], ids=lambda rows: str(rows.shape))
+def test_unique_rows_on_both_routes(rows):
+    _assert_unique_rows(np.asarray(rows, dtype=np.int64))
+
+
+def _assert_unique_ints(arr, end):
+    with mock.patch.object(kernels, "_count", wraps=kernels._count) as count:
+        vals, inverse = unique_ints(arr, end)
+    assert count.called == _counts(end, arr.size), (end, arr.size)
+    ref_vals, ref_inverse = np.unique(arr, return_inverse=True)
+    np.testing.assert_array_equal(vals, ref_vals, strict=True)
+    np.testing.assert_array_equal(inverse, ref_inverse, strict=True)
+
+
+@given(data=st.data())
+def test_unique_ints_is_np_unique(data):
+    end = data.draw(st.sampled_from([1, 5, 4_096, 4_097, 10**6, 2**40]), label="end")
+    arr = data.draw(arrays(np.int64, array_shapes(min_dims=0, max_dims=3, min_side=0,
+                                                  max_side=6),
+                           elements=st.integers(0, end - 1)), label="arr")
+    _assert_unique_ints(arr, end)
+
+
+@pytest.mark.parametrize("arr, end", [
+    (np.array(7), 8),                                   # 0-d
+    (np.array(7), 2**40),
+    (_RNG.integers(0, 5_000, (2_000, 3)), 5_000),       # span <= n, counted
+    (_RNG.integers(0, 5_000, (1_000, 3)), 5_000),       # span > n, sorted
+], ids=lambda v: str(np.shape(v)) if isinstance(v, np.ndarray) else str(v))
+def test_unique_ints_on_both_routes(arr, end):
+    _assert_unique_ints(np.asarray(arr, dtype=np.int64), end)
+
+
+def test_tables_and_reconstructions_count_instead_of_sorting(monkeypatch):
+    """The vector engine's tables and the homomorphism checks find distinct
+    values without np.unique when the span is small; a wide span still
+    sorts, with the carrier's own results."""
+    from mvtool.vector import OperationTables
+
+    sorts = []
+
+    def spy(*args, real=np.unique, **kwargs):
+        sorts.append(np.shape(args[0]))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(np, "unique", spy)
+    C = mv.ChangAlgebra()
+    assert mv.check_sequent(C, mv.lookup("gamma_3"), 64, engine="vector") == mv.Holds()
+    CC = mv.parse_model("Prod(C,C)")
+    d = mv.decompose_product(CC, [(mv.Fin(1), mv.CoFin(1))], bound=8)
+    assert mv.product_reconstruction_check(CC, d, 8).ok
+    assert sorts == []
+
+    G = MODELS["Lex(Z,Z^2)"]
+    xs = [mv.LexPair(h, (a, b)) for h, a, b in
+          ((0, 0, 0), (1_000, -3, 7), (-1_000, 2_000, -2_000), (5, 5, 5))]
+    tables = OperationTables(G)
+    idx = tables.intern_all(xs)
+    table = tables.binary_table("add", idx[:, None], idx[None, :])
+    assert sorts
+    assert [[tables.element(i) for i in row] for row in table.tolist()] == \
+        [[G.add(x, y) for y in xs] for x in xs]

@@ -236,15 +236,17 @@ def test_one_compile_per_check(monkeypatch):
     ("false |-[x] exists x. x = x", None),
     ("true |-[x] exists x. x = x", "quantifier shadows variable 'x'"),
 ])
-@pytest.mark.parametrize("engine", ["auto", "scalar"])
+@pytest.mark.parametrize("engine", ["auto", "scalar", "vector"])
 def test_errors_are_raised_when_reached(src, error, engine):
     """u on a carrier without one, and an exists that shadows a variable,
     raise only when the check reaches them: never under a false
-    antecedent."""
+    antecedent, in either engine (auto picks the vector engine at bound
+    100, 202 cells)."""
     seq = mv.parse_sequent(src)
     C = mv.ChangAlgebra()
-    if error is None:
-        assert check_sequent(C, seq, 3, engine=engine) == mv.Holds()
-    else:
-        with pytest.raises(mv.SignatureError, match=re.escape(error)):
-            check_sequent(C, seq, 3, engine=engine)
+    for bound in (3, 100):
+        if error is None:
+            assert check_sequent(C, seq, bound, engine=engine) == mv.Holds()
+        else:
+            with pytest.raises(mv.SignatureError, match=re.escape(error)):
+                check_sequent(C, seq, bound, engine=engine)
