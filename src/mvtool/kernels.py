@@ -141,9 +141,12 @@ def unique_ints(arr, end: int):
     ``arr``: ``np.unique(arr, return_inverse=True)``.  Counted when the
     span is small (``_counted``), sorted otherwise."""
     arr = np.asarray(arr)
-    if not _counted(arr, end):
-        return np.unique(arr, return_inverse=True)
-    vals, inverse = _count(arr.reshape(-1), end)
+    if _counted(arr, end):
+        vals, inverse = _count(arr.reshape(-1), end)
+    else:
+        # np.unique's inverse is shaped like its input from numpy 2.0 on,
+        # and flat before that.
+        vals, inverse = np.unique(arr, return_inverse=True)
     return vals, inverse.reshape(arr.shape)
 
 

@@ -22,9 +22,12 @@ of its first context axis, one after the other, by the same evaluator;
 the verdict rule is the one an unsliced grid has, and the one of the
 scalar engine in ``checking``, which is the reference.  A slice's
 consequent is evaluated only when some cell of the slice satisfies the
-antecedent, so an error in the consequent (``u`` on a carrier without
-one, a shadowing quantifier) is raised exactly when the scalar engine
-raises it.
+antecedent, so a consequent's error that does not depend on the element
+(``u`` on a carrier without one, a shadowing quantifier) is raised
+exactly when the scalar engine raises it.  The consequent is still
+evaluated on every cell of such a slice, so an operation that raises on
+particular elements can raise from a cell whose antecedent is false,
+where the scalar engine would not (ROADMAP item 15).
 
 Each operation table is built over the unique operand pairs.  Interned
 indices are small dense integers, below the interner's length, so the
@@ -500,8 +503,9 @@ def check_grid(model, seq, ctx_enums, search, bound) -> Verdict:
             grid[0] = len(chunk)
         av = to_grid(ev.formula(seq.antecedent)[0])
         # The consequent is evaluated only where some cell reaches it, so
-        # that its errors are raised exactly when the scalar engine raises
-        # them (both engines evaluate both sides of every And and Or).
+        # that its errors that do not depend on the element (u, shadowing)
+        # are raised exactly when the scalar engine raises them (both
+        # engines evaluate both sides of every And and Or).
         if not av.any():
             continue
         cv, cdf = ev.formula(seq.consequent)

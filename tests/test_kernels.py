@@ -228,7 +228,7 @@ def _assert_unique_ints(arr, end):
     assert count.called == _counts(end, arr.size), (end, arr.size)
     ref_vals, ref_inverse = np.unique(arr, return_inverse=True)
     np.testing.assert_array_equal(vals, ref_vals, strict=True)
-    np.testing.assert_array_equal(inverse, ref_inverse, strict=True)
+    np.testing.assert_array_equal(inverse, ref_inverse.reshape(arr.shape), strict=True)
 
 
 @given(data=st.data())
@@ -248,6 +248,22 @@ def test_unique_ints_is_np_unique(data):
 ], ids=lambda v: str(np.shape(v)) if isinstance(v, np.ndarray) else str(v))
 def test_unique_ints_on_both_routes(arr, end):
     _assert_unique_ints(np.asarray(arr, dtype=np.int64), end)
+
+
+def test_unique_ints_inverse_keeps_the_shape_when_np_unique_is_flat(monkeypatch):
+    """Before numpy 2.0, np.unique's inverse is flat whatever the input's
+    shape; the sorted route still returns it shaped like the input."""
+    real = np.unique
+
+    def flat_unique(*args, **kwargs):
+        vals, inverse = real(*args, **kwargs)
+        return vals, inverse.reshape(-1)
+
+    monkeypatch.setattr(np, "unique", flat_unique)
+    arr = np.array([[10**6], [3], [10**6]], dtype=np.int64)
+    vals, inverse = unique_ints(arr, 2**40)
+    np.testing.assert_array_equal(vals, [3, 10**6])
+    np.testing.assert_array_equal(inverse, [[1], [0], [1]], strict=True)
 
 
 def test_tables_and_reconstructions_count_instead_of_sorting(monkeypatch):
