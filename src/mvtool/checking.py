@@ -1,22 +1,24 @@
 """Bounded evaluation and checking of sequents over concrete carriers.
 
-Two engines implement the same semantics.  The scalar engine, here,
-walks environments one by one and is the reference.  It compiles each
-formula once per check into closures, one per AST node
-(``_compile_formula``, ``_compile_term``): the carrier's bound
-operations, the constants, the operation and unit that ``n*t`` and
-``t^n`` repeat, and each variable's position in a tuple environment (the
-context, then the enclosing ``exists`` variables) are resolved there, so
-a cell is one call of the compiled antecedent and consequent on the
-context tuple.  The compiled walk is the reference semantics: it runs
-every carrier operation the formula names, in the order of the formula,
-and an error it meets (``u`` on a carrier without one, an ``exists``
-that shadows a variable) is raised when a cell reaches it; a consequent
-is never evaluated under a false antecedent.  ``tests/helpers`` keeps
-the per-cell tree walk as the tests' oracle.  The vector engine, in
-``vector``, interns carrier elements into integer indices and evaluates
-whole environment grids with numpy table lookups (see that module for
-its table routes, code space and slicing).
+One compiler serves both engines.  ``_compile_formula`` and
+``_compile_term``, the only code that reads the sequent AST, turn each
+formula once per check into closures, one per AST node, over a value
+domain.  They write the shared rules once: both sides of a conjunction
+and of a disjunction run, as ``&``/``|`` on (value, definitely_false);
+``true`` and ``false``; variables as positions in a tuple environment
+(the context, then the enclosing ``exists`` variables); and the errors
+(``u`` on a carrier without one, a shadowing ``exists``, an unbound
+variable or coefficient), each a node that raises when a cell reaches
+it.  The domain supplies the operations, the constants, ``n*t`` and
+``t^n``, the ``=``/``<=`` atoms and the ``exists`` and ``bigvee`` loops.
+The scalar engine, here, runs the closures over ``_Elements`` (elements
+and bools) one environment at a time and is the reference: it runs every
+carrier operation the formula names, in order, and never evaluates a
+consequent under a false antecedent; ``tests/helpers`` keeps the
+per-cell tree walk as its oracle.  The vector engine, in ``vector``,
+runs them over grids of interned indices; an error that an operation
+raises only on particular elements can come there from a cell whose
+antecedent is false (see that module).
 
 One size rule picks the engine.  A check with k >= 1 context variables
 goes to the vector engine once its context grid ``|window|^k`` reaches
@@ -95,7 +97,7 @@ _WINDOWS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
 # ---------------------------------------------------------------------------
-# Scalar evaluation: each term and formula compiled once into closures
+# The compiler: each term and formula compiled once into closures
 # ---------------------------------------------------------------------------
 
 
@@ -111,7 +113,7 @@ def eval_term(model, term, env: Dict[str, Any],
             f"{model.signature} carrier"
         )
     cells = {name: [n] for name, n in (scalars or {}).items()}
-    return _compile_term(model, term, tuple(env), cells)(tuple(env.values()))
+    return _compile_term(_Elements(model), term, tuple(env), cells)(tuple(env.values()))
 
 
 def _constant(M, t):
@@ -137,115 +139,55 @@ def _raising(error, message):
     return reached
 
 
-def _compile_term(M, t, scope: tuple, scalars: dict):
-    """``t`` as a function of a tuple environment whose i-th value is
-    bound to ``scope[i]``.  The carrier's operations, the constants and
-    the variables' positions are resolved here, once; a bigvee-bound
-    coefficient ``n`` is read from the cell ``scalars[n]`` when the node
-    runs.  An error the evaluation meets (u on a carrier without one, an
-    unbound variable) is raised when its node is reached, not here."""
-    op = S.BINARY_OPS.get(type(t))
-    if op is not None:
-        fn = getattr(M, op)
-        left = _compile_term(M, t.left, scope, scalars)
-        right = _compile_term(M, t.right, scope, scalars)
-        return lambda env: fn(left(env), right(env))
-    op = S.UNARY_OPS.get(type(t))
-    if op is not None:
-        fn = getattr(M, op)
-        arg = _compile_term(M, t.arg, scope, scalars)
-        return lambda env: fn(arg(env))
-    if isinstance(t, S.Var):
-        if t.name not in scope:
-            return _raising(UnboundVariableError, f"variable {t.name!r} is unbound")
-        return itemgetter(scope.index(t.name))
-    if isinstance(t, (S.NatScalar, S.MvPower)):
-        return _compile_repeat(M, t, _compile_term(M, t.arg, scope, scalars), scalars)
-    if isinstance(t, S.Unit) and getattr(M, "unit", None) is None:
-        return lambda env: _constant(M, t)  # raises the SignatureError
-    value = _constant(M, t)
-    return lambda env: value
+class _Elements:
+    """The scalar engine's value domain: a value is a carrier element, a
+    truth value a bool, and an environment a tuple of elements.
+    ``exists`` tries the elements of ``search`` one by one."""
 
+    def __init__(self, M, search=()):
+        self.M = M
+        self.search = search
 
-def _compile_repeat(M, t, arg, scalars: dict):
-    """n*t or t^n on the compiled ``arg``: ``mv_core._repeat`` with the
-    operation and unit resolved once.  A negative n goes to the reference
-    (``nat_scalar``, ``mv_power``), which raises its ValueError."""
-    if isinstance(t, S.MvPower):
-        name, unit = _repeated(M, "mv_power")
-        n = t.n
-        reference = lambda x, k: mv_power(M, x, k)  # noqa: E731
-    else:
-        name, unit = _repeated(M, "nat_scalar")
-        n = t.coeff
-        reference = lambda x, k: nat_scalar(M, k, x)  # noqa: E731
-    fn = getattr(M, name)
-    if isinstance(n, int):
-        if n < 0:
-            return lambda env: reference(arg(env), n)
-        return lambda env: _repeat(fn, unit, arg(env), n)
-    if n not in scalars:
-        return _raising(KeyError, n)
-    cell = scalars[n]
+    def binary(self, op):
+        return getattr(self.M, op)
 
-    def scaled(env):
-        k = cell[0]
-        x = arg(env)
-        return _repeat(fn, unit, x, k) if k >= 0 else reference(x, k)
-    return scaled
+    unary = binary
 
+    def constant(self, value):
+        return value
 
-def _compile_formula(M, f, scope: tuple, scalars: dict, search: list):
-    """``f`` as a function of a tuple environment (see ``_compile_term``)
-    giving (value, definitely_false): the second component marks a False
-    that no larger search window could repair.  ``exists x`` tries each
-    element of ``search`` as one more value after the environment's;
-    ``bigvee n`` sets its own cell.  Both sides of a conjunction and of a
-    disjunction are evaluated, so every operation runs that the semantics
-    names, in order."""
-    if isinstance(f, S.Top):
-        return lambda env: (True, False)
-    if isinstance(f, S.Bot):
-        return lambda env: (False, True)
-    if isinstance(f, S.Eq):
-        left = _compile_term(M, f.left, scope, scalars)
-        right = _compile_term(M, f.right, scope, scalars)
+    def repeat(self, op, arg, cell):
+        """n*t or t^n (``op`` is ``nat_scalar`` or ``mv_power``) on the
+        compiled ``arg``, with n read from ``cell``: ``mv_core._repeat``
+        with the operation and unit resolved once."""
+        M = self.M
+        name, unit = _repeated(M, op)
+        fn = getattr(M, name)
 
+        def repeated(env):
+            n = cell[0]
+            x = arg(env)
+            if n < 0:  # the reference raises its ValueError
+                return mv_power(M, x, n) if op == "mv_power" else nat_scalar(M, n, x)
+            return _repeat(fn, unit, x, n)
+        return repeated
+
+    def eq(self, left, right):
         def eq(env):
             v = left(env) == right(env)
             return v, not v
         return eq
-    if isinstance(f, S.Leq):
-        leq = M.leq
-        left = _compile_term(M, f.left, scope, scalars)
-        right = _compile_term(M, f.right, scope, scalars)
+
+    def leq(self, left, right):
+        leq = self.M.leq
 
         def le(env):
             v = leq(left(env), right(env))
             return v, not v
         return le
-    if isinstance(f, S.And):
-        left = _compile_formula(M, f.left, scope, scalars, search)
-        right = _compile_formula(M, f.right, scope, scalars, search)
 
-        def conjunction(env):
-            lv, ldf = left(env)
-            rv, rdf = right(env)
-            return lv and rv, ldf or rdf
-        return conjunction
-    if isinstance(f, S.Or):
-        left = _compile_formula(M, f.left, scope, scalars, search)
-        right = _compile_formula(M, f.right, scope, scalars, search)
-
-        def disjunction(env):
-            lv, ldf = left(env)
-            rv, rdf = right(env)
-            return lv or rv, ldf and rdf
-        return disjunction
-    if isinstance(f, S.Exists):
-        if f.var in scope:
-            return _raising(SignatureError, f"quantifier shadows variable {f.var!r}")
-        body = _compile_formula(M, f.body, scope + (f.var,), scalars, search)
+    def exists(self, body, axis):
+        search = self.search
 
         def exists(env):
             for cand in search:
@@ -253,10 +195,9 @@ def _compile_formula(M, f, scope: tuple, scalars: dict, search: list):
                     return True, False
             return False, False
         return exists
-    if isinstance(f, S.BoundedOrOverN):
-        cell = [0]
-        body = _compile_formula(M, f.body, scope, {**scalars, f.var: cell}, search)
-        ns = range(f.cap + 1)
+
+    def bigvee(self, body, cell, cap):
+        ns = range(cap + 1)
 
         def bigvee(env):
             for n in ns:
@@ -265,6 +206,89 @@ def _compile_formula(M, f, scope: tuple, scalars: dict, search: list):
                     return True, False
             return False, False
         return bigvee
+
+
+def _compile_term(D, t, scope: tuple, scalars: dict):
+    """``t`` as a function of an environment tuple whose i-th value is
+    bound to ``scope[i]``, over the value domain ``D`` (``_Elements``, or
+    the vector engine's index grids).  The domain's operations, the
+    constants and the variables' positions are resolved here, once; a
+    bigvee-bound coefficient ``n`` is read from the cell ``scalars[n]``
+    when the node runs.  An error the evaluation meets (u on a carrier
+    without one, an unbound variable, an unbound coefficient) is raised
+    when its node is reached, not here."""
+    op = S.BINARY_OPS.get(type(t))
+    if op is not None:
+        fn = D.binary(op)
+        left = _compile_term(D, t.left, scope, scalars)
+        right = _compile_term(D, t.right, scope, scalars)
+        return lambda env: fn(left(env), right(env))
+    op = S.UNARY_OPS.get(type(t))
+    if op is not None:
+        fn = D.unary(op)
+        arg = _compile_term(D, t.arg, scope, scalars)
+        return lambda env: fn(arg(env))
+    if isinstance(t, S.Var):
+        if t.name not in scope:
+            return _raising(UnboundVariableError, f"variable {t.name!r} is unbound")
+        return itemgetter(scope.index(t.name))
+    if isinstance(t, (S.NatScalar, S.MvPower)):
+        arg = _compile_term(D, t.arg, scope, scalars)
+        op, n = ("mv_power", t.n) if isinstance(t, S.MvPower) else ("nat_scalar", t.coeff)
+        cell = [n] if isinstance(n, int) else scalars.get(n)
+        if cell is None:
+            return _raising(KeyError, n)
+        return D.repeat(op, arg, cell)
+    M = D.M
+    if isinstance(t, S.Unit) and getattr(M, "unit", None) is None:
+        return lambda env: _constant(M, t)  # raises the SignatureError
+    value = D.constant(_constant(M, t))
+    return lambda env: value
+
+
+def _compile_formula(D, f, scope: tuple, scalars: dict):
+    """``f`` as a function of an environment tuple (see
+    ``_compile_term``) giving (value, definitely_false): the second
+    component marks a False that no larger search window could repair.
+    ``exists x`` is the domain's search over one more value after the
+    environment's; ``bigvee n`` sets its own cell.  Both sides of a
+    conjunction and of a disjunction are evaluated, so every operation
+    runs that the semantics names, in order."""
+    if isinstance(f, S.Top):
+        return lambda env: (True, False)
+    if isinstance(f, S.Bot):
+        return lambda env: (False, True)
+    if isinstance(f, (S.Eq, S.Leq)):
+        atom = D.eq if isinstance(f, S.Eq) else D.leq
+        return atom(_compile_term(D, f.left, scope, scalars),
+                    _compile_term(D, f.right, scope, scalars))
+    if isinstance(f, S.And):
+        left = _compile_formula(D, f.left, scope, scalars)
+        right = _compile_formula(D, f.right, scope, scalars)
+
+        def conjunction(env):
+            lv, ldf = left(env)
+            rv, rdf = right(env)
+            return lv & rv, ldf | rdf
+        return conjunction
+    if isinstance(f, S.Or):
+        left = _compile_formula(D, f.left, scope, scalars)
+        right = _compile_formula(D, f.right, scope, scalars)
+
+        def disjunction(env):
+            lv, ldf = left(env)
+            rv, rdf = right(env)
+            return lv | rv, ldf & rdf
+        return disjunction
+    if isinstance(f, S.Exists):
+        if f.var in scope:
+            return _raising(SignatureError, f"quantifier shadows variable {f.var!r}")
+        body = _compile_formula(D, f.body, scope + (f.var,), scalars)
+        return D.exists(body, len(scope))
+    if isinstance(f, S.BoundedOrOverN):
+        cell = [0]
+        body = _compile_formula(D, f.body, scope, {**scalars, f.var: cell})
+        return D.bigvee(body, cell, f.cap)
     raise TypeError(f"not a formula: {f!r}")
 
 
@@ -367,8 +391,9 @@ def check_sequent(model, seq: S.Sequent, bound: int, *,
 
 
 def _check_scalar(model, seq, ctx_enum, search, bound) -> Verdict:
-    antecedent = _compile_formula(model, seq.antecedent, seq.context, {}, search)
-    consequent = _compile_formula(model, seq.consequent, seq.context, {}, search)
+    D = _Elements(model, search)
+    antecedent = _compile_formula(D, seq.antecedent, seq.context, {})
+    consequent = _compile_formula(D, seq.consequent, seq.context, {})
     inconclusive = False
     for values in itertools.product(ctx_enum, repeat=len(seq.context)):
         if not antecedent(values)[0]:

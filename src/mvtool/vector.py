@@ -9,18 +9,21 @@ numpy at load time.  ``checking._check_vector`` and
 builds from code rows), so a check that the scalar engine or the product
 route answers never loads numpy.
 
-The engine interns carrier elements into integer indices and evaluates
-whole environment grids with numpy table lookups; elements produced by
-operations outside the enumerated window are interned lazily, so
-evaluation stays exact.  A table is dense, one entry per pair of distinct
-operands, when it has no more entries than the broadcast operand grid it
-indexes, and otherwise holds only the pairs that occur; so no table
-outgrows the arrays the evaluation already holds.  The grid has one axis
-per context variable and one per level of existential nesting.  A grid
+The engine runs the closures that ``checking._compile_formula`` compiles
+for the scalar engine, over another value domain, ``_IndexGrids``:
+carrier elements interned into integer indices, whole environment grids
+at a time, with numpy table lookups.  The grid has one axis per context
+variable and one per level of existential nesting; an ``exists``
+appends the search window on its axis and reduces it with ``any``.
+Elements produced outside the enumerated window are interned lazily, so
+evaluation stays exact.  A table is dense, one entry per pair of
+distinct operands, when it has no more entries than the broadcast
+operand grid it indexes, and otherwise holds only the pairs that occur;
+so no table outgrows the arrays the evaluation already holds.  A grid
 above ``_MAX_CELLS`` cells, search axes included, is evaluated in slices
-of its first context axis, one after the other, by the same evaluator;
-the verdict rule is the one an unsliced grid has, and the one of the
-scalar engine in ``checking``, which is the reference.  A slice's
+of its first context axis, one after the other, by the closures compiled
+once for the check; the verdict rule is the one an unsliced grid has,
+and the one of the scalar engine, which is the reference.  A slice's
 consequent is evaluated only when some cell of the slice satisfies the
 antecedent, so a consequent's error that does not depend on the element
 (``u`` on a carrier without one, a shadowing quantifier) is raised
@@ -67,13 +70,12 @@ from __future__ import annotations
 
 import itertools
 import math
-from typing import Any, Dict, List, Optional, Sequence
+from functools import partial
+from typing import Any, Dict, List, Optional
 
 import numpy as np
 
-from . import sequents as S
-from .checking import _constant, _exists_depth, _window_codes
-from .errors import SignatureError
+from . import checking
 from .kernels import _fit_rows, codec_for, unique_ints, unique_rows
 from .mv_core import _repeat, _repeated, mv_power, nat_scalar
 from .verdicts import CounterExample, Holds, InconclusiveAtBound, Verdict
@@ -100,7 +102,7 @@ def _window_rows(model, window: list, codec):
     ``window`` is not a window it holds, or has an element that cannot be
     encoded, a coordinate of magnitude ``LIMIT`` or more, or a repeated
     element."""
-    codes = _window_codes(model, window)
+    codes = checking._window_codes(model, window)
     if codes is None:
         return None
     # Rows are valid only for the codec that made them.
@@ -360,33 +362,24 @@ class OperationTables:
         return np.concatenate(out)
 
 
-class _VectorEval(OperationTables):
-    """Evaluates formulas over the full environment grid, sharing one
-    interner and its code rows among them.
+class _IndexGrids(OperationTables):
+    """The vector engine's value domain for ``checking``'s compiler: a
+    value is an array of interned indices, a truth value a bool array, and
+    an environment a tuple of index arrays, one per context variable and
+    enclosing ``exists``.  Every array has ``ndim`` dimensions, so that
+    any two broadcast, and ``exists`` reduces its axis with keepdims.
+    One instance, and its interner, serves a whole check."""
 
-    Every array has a fixed number of dimensions: one leading axis per
-    context variable (whose lengths may differ when the first axis is
-    chunked) followed by one axis per level of existential nesting, as
-    deep as the deepest of ``formulas``.  Existential reductions use
-    keepdims, so shapes stay aligned.
-    """
-
-    def __init__(self, model, ctx_vars: Sequence[str],
-                 ctx_enums: Sequence[list], search_enum: list, *formulas):
+    def __init__(self, model, ndim: int, search: list):
         super().__init__(model)
-        self.n_ctx = len(ctx_vars)
-        self.ndim = self.n_ctx + max(map(_exists_depth, formulas))
-        self.axes: Dict[str, int] = {v: i for i, v in enumerate(ctx_vars)}
+        self.ndim = ndim
+        self.search = search
         # The indices of each distinct window list, interned once: the
         # context axes and the search window usually share one list.
         self._windows: Dict[int, np.ndarray] = {}
-        self.var_idx: Dict[str, np.ndarray] = {
-            v: self._window(ctx_enums[i]) for i, v in enumerate(ctx_vars)
-        }
-        self.search_enum = search_enum
-        self.scalars: Dict[str, int] = {}
 
-    def _window(self, values: list) -> np.ndarray:
+    def axis(self, values: list, axis: int) -> np.ndarray:
+        """The interned indices of the window ``values`` along ``axis``."""
         idx = self._windows.get(id(values))
         if idx is None:
             coded = (None if self.codec is None
@@ -394,87 +387,54 @@ class _VectorEval(OperationTables):
             idx = (self.intern_all(values) if coded is None
                    else self._intern_distinct(*coded, values))
             self._windows[id(values)] = idx
-        return idx
+        return idx.reshape((1,) * axis + (-1,) + (1,) * (self.ndim - axis - 1))
 
-    # -- terms -------------------------------------------------------------------
+    def binary(self, op):
+        return partial(self.binary_table, op)
 
-    def _shaped(self, idx_array: np.ndarray, axis: int) -> np.ndarray:
-        shape = [1] * self.ndim
-        shape[axis] = len(idx_array)
-        return idx_array.reshape(shape)
+    def unary(self, op):
+        return partial(self.unary_table, op)
 
-    def term(self, t):
-        if isinstance(t, S.Var):
-            return self._shaped(self.var_idx[t.name], self.axes[t.name])
-        op = S.BINARY_OPS.get(type(t))
-        if op is not None:
-            return self.binary_table(op, self.term(t.left), self.term(t.right))
-        op = S.UNARY_OPS.get(type(t))
-        if op is not None:
-            return self.unary_table(op, self.term(t.arg))
-        if isinstance(t, S.NatScalar):
-            n = t.coeff if isinstance(t.coeff, int) else self.scalars[t.coeff]
-            return self.unary_table("nat_scalar", self.term(t.arg), n)
-        if isinstance(t, S.MvPower):
-            return self.unary_table("mv_power", self.term(t.arg), t.n)
-        return np.int64(self.intern(_constant(self.M, t)))
+    def constant(self, value):
+        return np.int64(self.intern(value))
 
-    # -- formulas ------------------------------------------------------------------
+    def repeat(self, op, arg, cell):
+        table = self.unary_table
+        return lambda env: table(op, arg(env), cell[0])
 
-    def formula(self, f, depth: int = 0):
-        if isinstance(f, S.Top):
-            return np.ones((), dtype=bool), np.zeros((), dtype=bool)
-        if isinstance(f, S.Bot):
-            return np.zeros((), dtype=bool), np.ones((), dtype=bool)
-        if isinstance(f, S.Eq):
-            v = np.asarray(self.term(f.left) == self.term(f.right))
+    def eq(self, left, right):
+        def eq(env):
+            v = left(env) == right(env)
             return v, ~v
-        if isinstance(f, S.Leq):
-            v = np.asarray(self.binary_table("leq", self.term(f.left),
-                                              self.term(f.right), out_bool=True))
+        return eq
+
+    def leq(self, left, right):
+        table = self.binary_table
+
+        def le(env):
+            v = table("leq", left(env), right(env), out_bool=True)
             return v, ~v
-        if isinstance(f, S.And):
-            lv, ldf = self.formula(f.left, depth)
-            rv, rdf = self.formula(f.right, depth)
-            return lv & rv, ldf | rdf
-        if isinstance(f, S.Or):
-            lv, ldf = self.formula(f.left, depth)
-            rv, rdf = self.formula(f.right, depth)
-            return lv | rv, ldf & rdf
-        if isinstance(f, S.Exists):
-            if f.var in self.axes:
-                raise SignatureError(f"quantifier shadows variable {f.var!r}")
-            ax = self.n_ctx + depth
-            self.axes[f.var] = ax
-            self.var_idx[f.var] = self._window(self.search_enum)
-            try:
-                bv, _ = self.formula(f.body, depth + 1)
-            finally:
-                del self.axes[f.var]
-                del self.var_idx[f.var]
-            if bv.ndim > ax:
-                v = np.asarray(bv.any(axis=ax, keepdims=True))
-            else:
-                v = bv  # body never materialized the quantified axis
-            return v, np.zeros(v.shape, dtype=bool)
-        if isinstance(f, S.BoundedOrOverN):
-            acc = None
-            saved = self.scalars.get(f.var)
-            try:
-                for n in range(f.cap + 1):
-                    self.scalars[f.var] = n
-                    bv, _ = self.formula(f.body, depth)
-                    acc = bv if acc is None else (acc | bv)
-                    if acc.all():
-                        break
-            finally:
-                if saved is None:
-                    self.scalars.pop(f.var, None)
-                else:
-                    self.scalars[f.var] = saved
-            acc = np.asarray(acc)
-            return acc, np.zeros(acc.shape, dtype=bool)
-        raise TypeError(f"not a formula: {f!r}")
+        return le
+
+    def exists(self, body, axis):
+        window = self.axis(self.search, axis)
+
+        def exists(env):
+            v = np.asarray(body(env + (window,))[0])
+            # A 0-d body (one that reads no variable) keeps its value.
+            return (v.any(axis=axis, keepdims=True) if v.ndim > axis else v), False
+        return exists
+
+    def bigvee(self, body, cell, cap):
+        def bigvee(env):
+            acc = False
+            for n in range(cap + 1):
+                cell[0] = n
+                acc = acc | body(env)[0]
+                if np.all(acc):
+                    break
+            return acc, False
+        return bigvee
 
 
 def check_grid(model, seq, ctx_enums, search, bound) -> Verdict:
@@ -482,13 +442,15 @@ def check_grid(model, seq, ctx_enums, search, bound) -> Verdict:
     with existential witnesses from ``search``: the vector engine behind
     ``checking._check_vector``."""
     k = len(seq.context)
-    ev = _VectorEval(model, seq.context, ctx_enums, search,
-                     seq.antecedent, seq.consequent)
+    ndim = k + max(map(checking._exists_depth, (seq.antecedent, seq.consequent)))
+    D = _IndexGrids(model, ndim, search)
+    axes = tuple(D.axis(e, i) for i, e in enumerate(ctx_enums))
+    antecedent = checking._compile_formula(D, seq.antecedent, seq.context, {})
+    consequent = checking._compile_formula(D, seq.consequent, seq.context, {})
     grid = [len(e) for e in ctx_enums]
     # Slices of the first context axis of at most _MAX_CELLS cells each.
-    row_cells = math.prod(grid[1:]) * len(search) ** (ev.ndim - k)
+    row_cells = math.prod(grid[1:]) * len(search) ** (ndim - k)
     step = max(1, _MAX_CELLS // max(1, row_cells))
-    first = ev.var_idx[seq.context[0]] if k else None
 
     def to_grid(arr):
         arr = np.asarray(arr)
@@ -498,17 +460,18 @@ def check_grid(model, seq, ctx_enums, search, bound) -> Verdict:
 
     inconclusive = False
     for start in range(0, grid[0] if k else 1, step):
+        chunk = axes
         if k:
-            chunk = ev.var_idx[seq.context[0]] = first[start:start + step]
-            grid[0] = len(chunk)
-        av = to_grid(ev.formula(seq.antecedent)[0])
+            chunk = (axes[0][start:start + step],) + axes[1:]
+            grid[0] = len(chunk[0])
+        av = to_grid(antecedent(chunk)[0])
         # The consequent is evaluated only where some cell reaches it, so
         # that its errors that do not depend on the element (u, shadowing)
         # are raised exactly when the scalar engine raises them (both
         # engines evaluate both sides of every And and Or).
         if not av.any():
             continue
-        cv, cdf = ev.formula(seq.consequent)
+        cv, cdf = consequent(chunk)
         bad = av & ~to_grid(cv)
         if not bad.any():
             continue

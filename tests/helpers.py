@@ -169,3 +169,26 @@ def record_codecs(monkeypatch):
 
         monkeypatch.setattr(cls, "__init__", spy)
     return codecs
+
+
+def spy_on_chunks(monkeypatch, seq):
+    """Record every evaluation of ``seq``'s compiled antecedent by the
+    vector engine, one per chunk: the value domain it was compiled over
+    and the length of its first context axis."""
+    from mvtool import checking, vector
+
+    chunks = []
+    compile_formula = checking._compile_formula
+
+    def spy(D, f, *rest):
+        compiled = compile_formula(D, f, *rest)
+        if f is not seq.antecedent or not isinstance(D, vector._IndexGrids):
+            return compiled
+
+        def antecedent(env):
+            chunks.append((D, len(env[0])))
+            return compiled(env)
+        return antecedent
+
+    monkeypatch.setattr(checking, "_compile_formula", spy)
+    return chunks

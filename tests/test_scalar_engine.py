@@ -1,25 +1,28 @@
-"""The scalar engine's compiled walk against the tree-walk oracle.
+"""Both checking engines against the tree-walk oracle.
 
-``checking._check_scalar`` compiles each formula once per check into
-closures; ``helpers.walk_check`` walks the tree at every cell, as the
-engine's definition reads.  Both must give the same verdict (kind, env
-and note), raise the same error at the same point, and call the
-carrier's operations in the same order.
+``checking._compile_formula`` compiles each formula once per check into
+closures, which the scalar engine runs on carrier elements one cell at a
+time and the vector engine on index grids one slice at a time;
+``helpers.walk_check`` walks the tree at every cell, as the definition
+reads.  Each engine, the vector engine sliced or not, must give the
+oracle's verdict (kind, env and note) or raise its error; the scalar
+engine must also call the carrier's operations in the same order.
 """
 
 import re
 from collections import Counter
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mvtool as mv
-from mvtool import checking
+from mvtool import checking, vector
 from mvtool import sequents as S
 from mvtool.checking import check_sequent
 
-from helpers import README_DESCRIPTORS, walk_check
+from helpers import README_DESCRIPTORS, spy_on_chunks, walk_check
 
 README_MODELS = {d: mv.parse_model(d) for d in README_DESCRIPTORS}
 # Cells a drawn check may visit, search cells included.
@@ -108,17 +111,37 @@ def _outcome(check):
         return type(e), str(e)
 
 
+def _drawn_check(desc, data):
+    """A carrier, a bound, its window and a sequent drawn for them."""
+    M = README_MODELS[desc]
+    bound = data.draw(st.integers(1, 2), label="bound")
+    window = M.enumerate(bound)
+    return M, bound, window, _draw_sequent(data, M, len(window))
+
+
 @pytest.mark.parametrize("desc", README_DESCRIPTORS)
 @settings(max_examples=30, deadline=None)
 @given(data=st.data())
 def test_compiled_walk_equals_the_tree_walk(desc, data):
-    M = README_MODELS[desc]
-    bound = data.draw(st.integers(1, 2), label="bound")
-    window = M.enumerate(bound)
-    seq = _draw_sequent(data, M, len(window))
+    M, bound, window, seq = _drawn_check(desc, data)
     got = _outcome(lambda: checking._check_scalar(M, seq, window, window, bound))
     assert got == _outcome(lambda: walk_check(M, seq, window, window, bound)), \
         S.print_sequent(seq)
+
+
+@pytest.mark.parametrize("desc", README_DESCRIPTORS)
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+def test_vector_engine_equals_the_tree_walk(desc, data):
+    """The vector engine on the same drawn sequents, over the whole grid
+    and in slices of at most 8 cells."""
+    M, bound, window, seq = _drawn_check(desc, data)
+    expect = _outcome(lambda: walk_check(M, seq, window, window, bound))
+    ctx = [window] * len(seq.context)
+    for max_cells in (vector._MAX_CELLS, 8):
+        with mock.patch.object(vector, "_MAX_CELLS", max_cells):
+            got = _outcome(lambda: checking._check_vector(M, seq, ctx, window, bound))
+        assert got == expect, (S.print_sequent(seq), max_cells)
 
 
 class _Logged(mv.ChangAlgebra):
@@ -212,7 +235,8 @@ def _nodes(f) -> Counter:
 
 def test_one_compile_per_check(monkeypatch):
     """Each check compiles every node of its sequent once, however many
-    cells it visits."""
+    cells it visits, and on the vector engine however many slices it
+    takes: here one per element of the first axis."""
     calls = Counter()
     for name in ("_compile_term", "_compile_formula"):
         def spy(*args, real=getattr(checking, name), name=name):
@@ -220,14 +244,20 @@ def test_one_compile_per_check(monkeypatch):
             return real(*args)
 
         monkeypatch.setattr(checking, name, spy)
+    monkeypatch.setattr(vector, "_MAX_CELLS", 1)
     seq = mv.parse_sequent(LOGGED_SEQUENTS[6])
+    chunks = spy_on_chunks(monkeypatch, seq)
     expect = _nodes(seq.antecedent) + _nodes(seq.consequent)
     C = mv.ChangAlgebra()
-    for bound in (1, 3, 8):
-        calls.clear()
-        check_sequent(C, seq, bound, engine="scalar")
-        assert calls == expect
+    for engine in ("scalar", "vector"):
+        for bound in (1, 3, 8):
+            calls.clear()
+            chunks.clear()
+            check_sequent(C, seq, bound, engine=engine)
+            assert calls == expect, (engine, bound)
+            assert len(chunks) == (C.window_size(bound) if engine == "vector" else 0)
     assert expect == Counter(_compile_formula=7, _compile_term=7)
+    assert C.window_size(1) >= 3
 
 
 @pytest.mark.parametrize("src, error", [

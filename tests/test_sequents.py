@@ -10,7 +10,7 @@ from mvtool import sequents as S
 from mvtool.checking import check_sequent, eval_term
 from mvtool.verdicts import CounterExample, Holds, InconclusiveAtBound
 
-from helpers import README_DESCRIPTORS, doubling_steps, record_codecs
+from helpers import README_DESCRIPTORS, doubling_steps, record_codecs, spy_on_chunks
 
 C = mv.ChangAlgebra()
 B = mv.FiniteChainAlgebra(1)
@@ -543,7 +543,7 @@ def test_vector_engine_chunking_agrees(monkeypatch):
     for model, label in ((CC, "MV.1"), (CC, "P.3"), (CC, "beta")):
         seq = registry.lookup(label)
         with monkeypatch.context() as m:
-            chunks = _spy_on_chunks(m, seq)
+            chunks = spy_on_chunks(m, seq)
             chunked = check_sequent(model, seq, 3, engine="vector")
         slices[label] = len(chunks)
         monkey_free = check_sequent(model, seq, 3, engine="scalar")
@@ -568,23 +568,6 @@ def _spy_on_check_vector(monkeypatch):
     return calls
 
 
-def _spy_on_chunks(monkeypatch, seq):
-    """Record every evaluation of ``seq``'s antecedent by the vector
-    engine, one per chunk: the evaluator and the length of its first
-    context axis."""
-    import mvtool.vector as vector
-    chunks = []
-    formula = vector._VectorEval.formula
-
-    def spy(self, f, depth=0):
-        if f is seq.antecedent:
-            chunks.append((self, len(self.var_idx[seq.context[0]])))
-        return formula(self, f, depth)
-
-    monkeypatch.setattr(vector._VectorEval, "formula", spy)
-    return chunks
-
-
 def test_vector_chunks_count_the_search_axes(monkeypatch):
     import mvtool.vector as vector
     monkeypatch.setattr(vector, "_MAX_CELLS", 64)
@@ -599,11 +582,11 @@ def test_vector_chunks_count_the_search_axes(monkeypatch):
     ]
     for seq, bound, exists_bound, kind in cases:
         with monkeypatch.context() as m:
-            chunks = _spy_on_chunks(m, seq)
+            chunks = spy_on_chunks(m, seq)
             chunked = check_sequent(N2, seq, bound, exists_bound=exists_bound,
                                     engine="vector")
         assert len(chunks) > 1, (seq.name, bound)
-        # one evaluator slices the whole first axis
+        # one compile, over one domain, slices the whole first axis
         assert len({id(ev) for ev, _ in chunks}) == 1
         assert sum(n for _, n in chunks) == len(N2.enumerate(bound))
         assert type(chunked) is kind
@@ -624,13 +607,13 @@ def test_auto_engine_follows_the_context_grid(monkeypatch):
 
 
 def test_dense_and_sparse_table_routes_equal_the_carrier():
-    from mvtool.vector import _VectorEval
+    from mvtool.vector import OperationTables
     cases = [(mv.ZnGroup(2), "add", False), (mv.parse_model("Groth(N^2)"), "leq", True),
              (mv.delta(C), "inf", False), (mv.pair_group_ops(C), "inf", False)]
     for model, op, out_bool in cases:
         window = model.enumerate(2)
         n = len(window)
-        ev = _VectorEval(model, ("x",), [window], window, S.Top())
+        ev = OperationTables(model)
         routes = []
         pair_values = ev._pair_values
 
@@ -639,7 +622,7 @@ def test_dense_and_sparse_table_routes_equal_the_carrier():
             return pair_values(name, ia, *rest)
 
         ev._pair_values = spy
-        idx = ev.var_idx["x"]
+        idx = ev.intern_all(window)
         dense = ev.binary_table(op, idx[:, None], idx[None, :], out_bool)
         sparse = ev.binary_table(op, idx, idx[::-1], out_bool)
         assert routes == [2, 1], model.descriptor()
@@ -697,7 +680,7 @@ def test_a_chunked_vector_check_encodes_each_element_once(monkeypatch):
         counts.update(encode=0, decode=0)
         with monkeypatch.context() as m:
             m.setattr(vector, "_MAX_CELLS", max_cells)
-            chunks = _spy_on_chunks(m, seq)
+            chunks = spy_on_chunks(m, seq)
             assert check_sequent(sigma, seq, bound, engine="vector").ok
         assert len(chunks) >= 3, label
         assert counts == {"encode": sigma.window_size(bound) + constants,
