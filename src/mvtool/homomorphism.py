@@ -121,17 +121,14 @@ class _Rows:
         self.codec = codec
 
     def keys(self, values: list):
-        import numpy as np
-
-        encode = self.codec.encode
         try:
-            rows = np.array([encode(v) for v in values], dtype=np.int64)
+            rows = self.codec.encode_all(values)
         except OverflowError:
             raise _AtLimit from None
-        return self._fit(rows.reshape(-1, self.codec.width))
+        return self._fit(rows)
 
     def elements(self, keys) -> list:
-        return list(map(self.codec.decode, keys.tolist()))
+        return self.codec.decode_all(keys)
 
     def unary(self, op, a):
         return self._fit(getattr(self.codec, op)(a))
@@ -164,7 +161,7 @@ class _Interned:
         return self.tables.intern_all(values)[:, None]
 
     def elements(self, keys) -> list:
-        return list(map(self.tables.element, keys[:, 0].tolist()))
+        return self.tables.elements(keys[:, 0].tolist())
 
     def unary(self, op, a):
         return self.tables.unary_table(op, a)

@@ -8,8 +8,13 @@ a class [u, v], the unit interval Gamma(G, u) as a part of G (Mundici
 C as Sigma(Z) = Gamma(Z x_lex Z, (1, 0)) under nc -> (0, n) and
 1 - nc -> (1, -n), and the radical monoid of such a unit interval as the
 same rows under oplus.  A codec maps elements to such rows of integers and
-back, and computes the carrier's operations with numpy on int64 arrays
-of shape (..., width), one row per element.
+back a batch at a time, ``encode_all(values)`` giving an (n, width) int64
+array and ``decode_all(rows)`` the list of elements, column by column
+(``Prod`` splits its tuples into per-factor lists, ``Lex`` its heads from
+its tails); ``encode_all`` raises ``OverflowError`` where a coordinate
+has no int64, and with ``dtype=object`` gives Python integers, which
+``Diff`` subtracts exactly beyond ``LIMIT``.  It computes the carrier's operations with numpy on int64
+arrays of shape (..., width), one row per element.
 
 ``codec_for(model)`` dispatches on the exact type of the model and its
 parts; a subclass (a test double, the radical pairs of ``equivalence``)
@@ -192,11 +197,13 @@ class Coords:
         self.width = width
         self.scalar = scalar
 
-    def encode(self, x):
-        return [x] if self.scalar else list(x)
+    def encode_all(self, values, dtype=np.int64):
+        return np.array(values, dtype=dtype).reshape(-1, self.width)
 
-    def decode(self, row):
-        return row[0] if self.scalar else tuple(row)
+    def decode_all(self, rows):
+        if self.scalar:
+            return rows[:, 0].tolist()
+        return list(map(tuple, rows.tolist()))
 
     add = staticmethod(np.add)
     sub = staticmethod(np.subtract)
@@ -216,11 +223,15 @@ class Lex:
         self.tail = tail
         self.width = 1 + tail.width
 
-    def encode(self, x):
-        return [x.head] + self.tail.encode(x.tail)
+    def encode_all(self, values, dtype=np.int64):
+        out = np.empty((len(values), self.width), dtype=dtype)
+        out[:, 0] = [x.head for x in values]
+        out[:, 1:] = self.tail.encode_all([x.tail for x in values], dtype)
+        return out
 
-    def decode(self, row):
-        return LexPair(row[0], self.tail.decode(row[1:]))
+    def decode_all(self, rows):
+        return list(map(LexPair, rows[:, 0].tolist(),
+                        self.tail.decode_all(rows[:, 1:])))
 
     # Each operation writes the head column and the tail's columns into
     # one int64 array of the operands' broadcast shape.
@@ -277,13 +288,13 @@ class Gamma:
         self.g = group
         self.width = group.width
         self.zero = np.zeros(group.width, dtype=np.int64)
-        self.unit = np.array(group.encode(unit), dtype=np.int64)
+        self.unit = group.encode_all([unit])[0]
 
-    def encode(self, x):
-        return self.g.encode(x)
+    def encode_all(self, values, dtype=np.int64):
+        return self.g.encode_all(values, dtype)
 
-    def decode(self, row):
-        return self.g.decode(row)
+    def decode_all(self, rows):
+        return self.g.decode_all(rows)
 
     def oplus(self, a, b):
         return self.g.inf(self.unit, self.g.add(a, b))
@@ -314,11 +325,15 @@ class Chang(Gamma):
     def __init__(self):
         super().__init__(Lex(Coords(1, scalar=True)), LexPair(1, 0))
 
-    def encode(self, x):
-        return [0, x.n] if x.kind == "fin" else [1, -x.n]
+    def encode_all(self, values, dtype=np.int64):
+        out = np.empty((len(values), 2), dtype=dtype)
+        out[:, 0] = [0 if x.kind == "fin" else 1 for x in values]
+        out[:, 1] = [x.n if x.kind == "fin" else -x.n for x in values]
+        return out
 
-    def decode(self, row):
-        return ChangElem("fin", row[1]) if row[0] == 0 else ChangElem("cofin", -row[1])
+    def decode_all(self, rows):
+        return [ChangElem("fin", n) if h == 0 else ChangElem("cofin", -n)
+                for h, n in rows.tolist()]
 
 
 class Radical:
@@ -329,11 +344,11 @@ class Radical:
         self.interval = interval
         self.width = interval.width
 
-    def encode(self, x):
-        return self.interval.encode(x)
+    def encode_all(self, values, dtype=np.int64):
+        return self.interval.encode_all(values, dtype)
 
-    def decode(self, row):
-        return self.interval.decode(row)
+    def decode_all(self, rows):
+        return self.interval.decode_all(rows)
 
     def add(self, a, b):
         return self.interval.oplus(a, b)
@@ -363,26 +378,37 @@ class Diff:
         self.add, self.sub, self.negate = group.add, group.sub, group.negate
         self.inf, self.sup, self.leq = group.inf, group.sup, group.leq
 
-    def encode(self, p):
-        u, v = self.m.encode(p.u), self.m.encode(p.v)
-        return [a - b for a, b in zip(u[self.head:], v[self.head:])]
+    def encode_all(self, pairs, dtype=np.int64):
+        """The rows u - v of the classes [u, v].  The monoid rows are
+        subtracted in int64 when both are below ``LIMIT``, where no
+        difference wraps; otherwise they are subtracted exactly, as Python
+        integers (``dtype=object``), so that a difference raises
+        ``OverflowError`` exactly when it has no int64."""
+        us, vs = [p.u for p in pairs], [p.v for p in pairs]
+        if dtype is np.int64 and pairs:
+            try:
+                u, v = self.m.encode_all(us), self.m.encode_all(vs)
+            except OverflowError:
+                pass
+            else:
+                if _fit_rows(u) and _fit_rows(v):
+                    return self.canon(u, v)
+        # Every group codec subtracts coordinatewise.
+        h = self.head
+        exact = self.m.encode_all(us, object)[:, h:] - self.m.encode_all(vs, object)[:, h:]
+        return np.array(exact.tolist(), dtype=dtype).reshape(-1, self.width)
 
     def canon(self, x, y):
         return self.group.sub(x[..., self.head:], y[..., self.head:])
 
-    def decode_rows(self, rows):
+    def decode_all(self, rows):
         """The canonical pairs (d+, d-) of the difference rows d, with the
         head put back and read by the monoid codec."""
-        rows = np.asarray(rows, dtype=np.int64).reshape(-1, self.width)
         g, zero = self.group, np.zeros_like(rows[:1])
         head = np.zeros_like(rows[:, :self.head])
-        pos = _cat(head, g.sup(rows, zero)).tolist()
-        neg = _cat(head, g.sup(g.negate(rows), zero)).tolist()
-        decode = self.m.decode
-        return [CanonPair(decode(u), decode(v)) for u, v in zip(pos, neg)]
-
-    def decode(self, row):
-        return self.decode_rows([row])[0]
+        us = self.m.decode_all(_cat(head, g.sup(rows, zero)))
+        vs = self.m.decode_all(_cat(head, g.sup(g.negate(rows), zero)))
+        return list(map(CanonPair, us, vs))
 
 
 class Prod:
@@ -397,14 +423,15 @@ class Prod:
             start += f.width
         self.width = start
 
-    def encode(self, x):
-        row = []
-        for f, a in zip(self.factors, x):
-            row.extend(f.encode(a))
-        return row
+    def encode_all(self, values, dtype=np.int64):
+        # Per-factor lists of the components; zip gives none for no values.
+        parts = list(zip(*values)) or [()] * len(self.factors)
+        return np.concatenate([f.encode_all(list(p), dtype)
+                               for f, p in zip(self.factors, parts)], axis=1)
 
-    def decode(self, row):
-        return tuple(f.decode(row[s]) for f, s in zip(self.factors, self.blocks))
+    def decode_all(self, rows):
+        return list(zip(*(f.decode_all(rows[:, s])
+                          for f, s in zip(self.factors, self.blocks))))
 
     def _each(self, name, *args):
         return _cat(*(getattr(f, name)(*(a[..., s] for a in args))
@@ -472,7 +499,7 @@ def groth_window(monoid, bound: int) -> Optional[list]:
     if not window:
         return []
     try:
-        rows = np.array([codec.m.encode(x) for x in window], dtype=np.int64)
+        rows = codec.m.encode_all(window)
     except OverflowError:
         return None
     if not _fit_rows(rows):
@@ -481,14 +508,18 @@ def groth_window(monoid, bound: int) -> Optional[list]:
     if not _fit_rows(pairs):
         return None
     first, _ = unique_rows(pairs)
-    return codec.decode_rows(pairs[np.sort(first)])
+    return codec.decode_all(pairs[np.sort(first)])
 
 
 def _gamma(model):
     group = codec_for(model.group)
-    if group is None or not fits(group.encode(model.unit)):
+    if group is None:
         return None
-    return Gamma(group, model.unit)
+    try:
+        codec = Gamma(group, model.unit)
+    except OverflowError:
+        return None
+    return codec if fits(codec.unit) else None
 
 
 def _chain(model):

@@ -5,12 +5,24 @@ integer tuples with the pointwise order, or lexicographic pairs
 ``LexPair(head, tail)`` realizing Z x_lex G.  The Grothendieck group of a
 cancellative monoid is represented by canonical pairs (u, v) with
 inf(u, v) = 0, so equality of group elements is structural.
+
+Its operations are defined through ``canon_pair``, in the monoid.  Over
+the cone of a built-in group G (N, N^n, PosCone(G), and the radical
+monoid of a Sigma-shaped algebra: Sigma(G), C, Pointed over those) they
+compute in G instead, on the differences u - v, because the group of
+differences of G+ is G; ``canon_pair`` stays the route over every other
+monoid, and over a subclass anywhere in the monoid.
+
+Zeros are built once per carrier, and Z^n and N^n compute with ``map``
+over the ``operator`` functions.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import partial
+from operator import add as _add, attrgetter, le as _le, neg as _neg, sub as _sub
 from typing import Any
 
 from .errors import CarrierMismatchError, InvalidUnitError
@@ -133,6 +145,9 @@ class ZGroup(LGroup):
     def negate(self, x):
         return -x
 
+    def sub(self, x, y):
+        return x - y
+
     def leq(self, x, y):
         return x <= y
 
@@ -169,25 +184,29 @@ class ZnGroup(LGroup):
         if rank < 0:
             raise ValueError("rank must be >= 0")
         self.rank = rank
+        self._zero = (0,) * rank
 
     @property
     def zero(self):
-        return (0,) * self.rank
+        return self._zero
 
     def add(self, x, y):
-        return tuple(a + b for a, b in zip(x, y))
+        return tuple(map(_add, x, y))
 
     def negate(self, x):
-        return tuple(-a for a in x)
+        return tuple(map(_neg, x))
+
+    def sub(self, x, y):
+        return tuple(map(_sub, x, y))
 
     def leq(self, x, y):
-        return all(a <= b for a, b in zip(x, y))
+        return all(map(_le, x, y))
 
     def inf(self, x, y):
-        return tuple(min(a, b) for a, b in zip(x, y))
+        return tuple(map(min, x, y))
 
     def sup(self, x, y):
-        return tuple(max(a, b) for a, b in zip(x, y))
+        return tuple(map(max, x, y))
 
     def enumerate(self, bound):
         rng = range(-bound, bound + 1)
@@ -237,16 +256,20 @@ class LexGroup(LGroup):
 
     def __init__(self, tail: LGroup):
         self.tail = tail
+        self._zero = LexPair(0, tail.zero)
 
     @property
     def zero(self):
-        return LexPair(0, self.tail.zero)
+        return self._zero
 
     def add(self, x, y):
         return LexPair(x.head + y.head, self.tail.add(x.tail, y.tail))
 
     def negate(self, x):
         return LexPair(-x.head, self.tail.negate(x.tail))
+
+    def sub(self, x, y):
+        return LexPair(x.head - y.head, self.tail.sub(x.tail, y.tail))
 
     def leq(self, x, y):
         return x.head < y.head or (x.head == y.head and self.tail.leq(x.tail, y.tail))
@@ -343,6 +366,9 @@ class UnitalGroup(LGroup):
 
     def negate(self, x):
         return self.group.negate(x)
+
+    def sub(self, x, y):
+        return self.group.sub(x, y)
 
     def leq(self, x, y):
         return self.group.leq(x, y)
@@ -481,24 +507,28 @@ class NnMonoid(LMonoid):
         if rank < 0:
             raise ValueError("rank must be >= 0")
         self.rank = rank
+        self._zero = (0,) * rank
 
     @property
     def zero(self):
-        return (0,) * self.rank
+        return self._zero
 
     def add(self, x, y):
-        return tuple(a + b for a, b in zip(x, y))
+        return tuple(map(_add, x, y))
+
+    def leq(self, x, y):
+        return all(map(_le, x, y))
 
     def inf(self, x, y):
-        return tuple(min(a, b) for a, b in zip(x, y))
+        return tuple(map(min, x, y))
 
     def sup(self, x, y):
-        return tuple(max(a, b) for a, b in zip(x, y))
+        return tuple(map(max, x, y))
 
     def subtract(self, x, y):
         if not self.leq(y, x):
             raise CarrierMismatchError(f"{y!r} is not below {x!r} in N^{self.rank}")
-        return tuple(a - b for a, b in zip(x, y))
+        return tuple(map(_sub, x, y))
 
     def enumerate(self, bound):
         rng = range(bound + 1)
@@ -590,29 +620,124 @@ def canon_pair(M: LMonoid, x, y) -> CanonPair:
     return CanonPair(M.subtract(x, i), M.subtract(y, i))
 
 
+def _builtin_group(G) -> bool:
+    """Whether G and every group it computes through have built-in exact
+    types; a Grothendieck group counts when it computes through G."""
+    t = type(G)
+    if t is ZGroup or t is ZnGroup:
+        return True
+    if t is LexGroup:
+        return _builtin_group(G.tail)
+    if t is UnitalGroup:
+        return _builtin_group(G.group)
+    return t is GrothendieckGroup and G._group is not None
+
+
+def _cone(monoid):
+    """(G, into, out) when ``monoid`` is the positive cone of the built-in
+    group G: ``into`` maps a monoid element into G and ``out`` maps an
+    element g >= 0 of G back, both None where the monoid's elements are
+    G's own.  None for any other monoid, a subclass included."""
+    t = type(monoid)
+    if t is NMonoid:
+        return ZGroup(), None, None
+    if t is NnMonoid:
+        return ZnGroup(monoid.rank), None, None
+    if t is PositiveConeMonoid:
+        return (monoid.group, None, None) if _builtin_group(monoid.group) else None
+    # mv_core imports this module.
+    from .mv_core import (ChangAlgebra, Fin, GammaAlgebra, PointedAlgebra,
+                          RadicalMonoid, SigmaAlgebra)
+    if t is not RadicalMonoid:
+        return None
+    # The radical of a Sigma-shaped algebra: nc is n in Z, (0, g) is g in G.
+    A = monoid.algebra
+    while type(A) is PointedAlgebra:
+        A = A.algebra
+    if type(A) is ChangAlgebra:
+        return ZGroup(), attrgetter("n"), Fin
+    if (type(A) in (GammaAlgebra, SigmaAlgebra) and type(A.group) is LexGroup
+            and A.unit == LexPair(1, A.group.tail.zero)
+            and _builtin_group(A.group.tail)):
+        return A.group.tail, attrgetter("tail"), partial(LexPair, 0)
+    return None
+
+
+def _difference_maps(G, into, out):
+    """For a cone of G (``_cone``): the difference u - v in G of a class
+    [u, v], and the canonical pair (d+, d-) of a difference d."""
+    sub, sup, negate, zero = G.sub, G.sup, G.negate, G.zero
+    if into is None:
+        def diff(p):
+            return sub(p.u, p.v)
+    else:
+        def diff(p):
+            return sub(into(p.u), into(p.v))
+    if type(G) is ZGroup:
+        # Z is a chain: (d+, d-) is (d, 0) or (0, -d).
+        lift = out or int  # int is the identity on Z's elements
+        base = lift(0)
+
+        def pair(d):
+            return CanonPair(lift(d), base) if d >= 0 else CanonPair(base, lift(-d))
+    elif out is None:
+        def pair(d):
+            return CanonPair(sup(d, zero), sup(negate(d), zero))
+    else:
+        def pair(d):
+            return CanonPair(out(sup(d, zero)), out(sup(negate(d), zero)))
+    return diff, pair
+
+
 class GrothendieckGroup(LGroup):
     """Group of differences of a cancellative monoid, on canonical pairs.
 
-    Every operation re-canonicalizes, so structural equality of
-    ``CanonPair`` values is group equality.  The lattice operations use
-    the pair formulas Inf([x,y],[h,k]) = [inf(x+k, y+h), y+k] and its
-    sup twin, then canonicalize.
+    Every operation returns a canonical pair, so structural equality of
+    ``CanonPair`` values is group equality.
 
-    The order is the group of differences' own, by cross-sums:
-    [x,y] <= [h,k] iff x + k <= h + y in the monoid.  It equals
-    ``inf(p, q) == p`` on canonical pairs, the reference it is tested
-    against, without building or canonicalizing the infimum.
+    Over a cone G+ of a built-in group the operations compute in G: the
+    group of differences of G+ is G itself (the Morita equivalence of
+    l-groups and cancellative l-monoids with bottom).  A class x = [u, v]
+    is its difference dx = u - v in G; for o in {+, inf, sup}, x o y is
+    the pair (d+, d-) = (sup(d, 0), sup(-d, 0)) of d = dx o dy in G, and
+    x <= y iff dx <= dy in G.  The cones are N and N^n (of Z and Z^n),
+    PosCone(G), and the radical monoid of a Sigma-shaped algebra
+    (Sigma(G), Gamma(Z x_lex G, (1, 0)), C, Pointed over those), whose
+    elements (0, g), or nc, are g, or n, in G's cone.  The route is chosen
+    once, in ``__init__``, by the exact type of the monoid and of every
+    part it computes through (``_cone``), as ``kernels.codec_for``
+    chooses a codec; a subclass of this class keeps the definition below.
+
+    The definition, and the route over every other monoid, is
+    ``canon_pair``: x + y = [x.u + y.u, x.v + y.v], the lattice
+    operations by the pair formulas Inf([x,y],[h,k]) = [inf(x+k, y+h),
+    y+k] and its sup twin, each canonicalized; the order is the group of
+    differences' own, by cross-sums: [x,y] <= [h,k] iff x + k <= h + y in
+    the monoid.  It equals ``inf(p, q) == p`` on canonical pairs, the
+    reference it is tested against, without building or canonicalizing
+    the infimum.
     """
 
     def __init__(self, monoid: LMonoid):
         self.monoid = monoid
+        z = monoid.zero
+        self._zero = CanonPair(z, z)
+        cone = _cone(monoid) if type(self) is GrothendieckGroup else None
+        # G, and a class's difference in G and a difference's canonical
+        # pair, on the route through G; None on canon_pair's.
+        self._group = self._diff = self._pair = None
+        if cone is not None:
+            self._group = cone[0]
+            self._diff, self._pair = _difference_maps(*cone)
 
     @property
     def zero(self):
-        z = self.monoid.zero
-        return CanonPair(z, z)
+        return self._zero
 
     def add(self, x, y):
+        G = self._group
+        if G is not None:
+            return self._pair(G.add(self._diff(x), self._diff(y)))
         m = self.monoid
         return canon_pair(m, m.add(x.u, y.u), m.add(x.v, y.v))
 
@@ -620,14 +745,23 @@ class GrothendieckGroup(LGroup):
         return CanonPair(x.v, x.u)
 
     def inf(self, x, y):
+        G = self._group
+        if G is not None:
+            return self._pair(G.inf(self._diff(x), self._diff(y)))
         m = self.monoid
         return canon_pair(m, m.inf(m.add(x.u, y.v), m.add(x.v, y.u)), m.add(x.v, y.v))
 
     def sup(self, x, y):
+        G = self._group
+        if G is not None:
+            return self._pair(G.sup(self._diff(x), self._diff(y)))
         m = self.monoid
         return canon_pair(m, m.sup(m.add(x.u, y.v), m.add(x.v, y.u)), m.add(x.v, y.v))
 
     def leq(self, x, y):
+        G = self._group
+        if G is not None:
+            return G.leq(self._diff(x), self._diff(y))
         m = self.monoid
         return m.leq(m.add(x.u, y.v), m.add(y.u, x.v))
 

@@ -393,10 +393,16 @@ class ProductAlgebra(MvAlgebra):
 
     def __init__(self, factors: Sequence[MvAlgebra]):
         self.factors = tuple(factors)
+        self._zero = tuple(f.zero for f in self.factors)
+        self._one = self.neg(self._zero)
 
     @property
     def zero(self):
-        return tuple(f.zero for f in self.factors)
+        return self._zero
+
+    @property
+    def one(self):
+        return self._one
 
     def oplus(self, x, y):
         return tuple(f.oplus(a, b) for f, a, b in zip(self.factors, x, y))

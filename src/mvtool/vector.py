@@ -116,8 +116,7 @@ def _encode_window(window: list, codec):
     """``(rows, keys)`` of ``window`` under ``codec``, or None (see
     ``_window_rows``)."""
     try:
-        rows = np.array([codec.encode(x) for x in window],
-                        dtype=np.int64).reshape(-1, codec.width)
+        rows = codec.encode_all(window)
     except OverflowError:
         return None
     if len(rows) and not _fit_rows(rows):
@@ -165,9 +164,17 @@ class OperationTables:
     def element(self, i: int):
         """The element with interned index ``i``."""
         v = self._elems[i]
-        if v is _PENDING:
-            v = self._elems[i] = self.codec.decode(self._codes[i].tolist())
-        return v
+        return self.elements([i])[0] if v is _PENDING else v
+
+    def elements(self, idx: list) -> list:
+        """The elements with the interned indices ``idx``; those that no
+        one has read yet are decoded in one batch."""
+        elems = self._elems
+        pending = list(dict.fromkeys(i for i in idx if elems[i] is _PENDING))
+        if pending:
+            for i, v in zip(pending, self.codec.decode_all(self._codes[pending])):
+                elems[i] = v
+        return [elems[i] for i in idx]
 
     def intern(self, v) -> int:
         idx = self.interner_index.get(v)
@@ -181,9 +188,8 @@ class OperationTables:
         """The indices of the list ``values``; in code space they are
         encoded in one batch and interned by row."""
         if self.codec is not None and values:
-            encode = self.codec.encode
             try:
-                rows = np.array([encode(v) for v in values], dtype=np.int64)
+                rows = self.codec.encode_all(values)
             except OverflowError:
                 self._leave_code_space()
             else:
@@ -208,7 +214,8 @@ class OperationTables:
     def _leave_code_space(self) -> None:
         """Key every interned element by itself and drop the codec, for
         good; the indices already handed out stay valid."""
-        self.interner_index = {self.element(i): i for i in range(len(self._elems))}
+        elems = self.elements(range(len(self._elems)))
+        self.interner_index = {v: i for i, v in enumerate(elems)}
         self.codec = self._row_index = self._codes = None
 
     # -- code rows -------------------------------------------------------------
@@ -270,7 +277,7 @@ class OperationTables:
         vals = self._unary_kernel(op, uniq, n)
         if vals is None:
             fn = self._reference(op, n)
-            vals = np.array([self.intern(fn(self.element(i))) for i in uniq.tolist()],
+            vals = np.array([self.intern(fn(v)) for v in self.elements(uniq.tolist())],
                             dtype=np.int64)
         return vals[inv]
 
@@ -330,12 +337,11 @@ class OperationTables:
         if vals is not None:
             return vals
         fn = self._reference(op)
-        el = self.element
+        el = self.elements
         if ia.ndim == 2:
-            pairs = itertools.product(list(map(el, ia[:, 0].tolist())),
-                                      list(map(el, ib[0].tolist())))
+            pairs = itertools.product(el(ia[:, 0].tolist()), el(ib[0].tolist()))
         else:
-            pairs = zip(map(el, ia.tolist()), map(el, ib.tolist()))
+            pairs = zip(el(ia.tolist()), el(ib.tolist()))
         if out_bool:
             vals = np.array([fn(x, y) for x, y in pairs], dtype=bool)
         else:

@@ -192,3 +192,77 @@ def spy_on_chunks(monkeypatch, seq):
 
     monkeypatch.setattr(checking, "_compile_formula", spy)
     return chunks
+
+
+def encode_one(codec, x) -> list:
+    """The code row of the element ``x`` under ``codec``, one element at a
+    time on Python integers: the definition that ``encode_all`` computes a
+    batch at a time."""
+    from mvtool import kernels as K
+
+    if isinstance(codec, K.Coords):
+        return [x] if codec.scalar else list(x)
+    if isinstance(codec, K.Lex):
+        return [x.head] + encode_one(codec.tail, x.tail)
+    if isinstance(codec, K.Chang):
+        return [0, x.n] if x.kind == "fin" else [1, -x.n]
+    if isinstance(codec, K.Gamma):
+        return encode_one(codec.g, x)
+    if isinstance(codec, K.Radical):
+        return encode_one(codec.interval, x)
+    if isinstance(codec, K.Diff):
+        u, v = encode_one(codec.m, x.u), encode_one(codec.m, x.v)
+        return [a - b for a, b in zip(u[codec.head:], v[codec.head:])]
+    if isinstance(codec, K.Prod):
+        return [c for f, a in zip(codec.factors, x) for c in encode_one(f, a)]
+    raise TypeError(f"not a codec: {codec!r}")
+
+
+def decode_one(codec, row: list):
+    """The element of the code row ``row`` (Python integers), one row at a
+    time: the definition that ``decode_all`` computes a batch at a time.
+    A difference row d is the class (d+, d-), with the parts taken by the
+    group codec's own sup."""
+    import numpy as np
+
+    from mvtool import kernels as K
+
+    if isinstance(codec, K.Coords):
+        return row[0] if codec.scalar else tuple(row)
+    if isinstance(codec, K.Lex):
+        return mv.LexPair(row[0], decode_one(codec.tail, row[1:]))
+    if isinstance(codec, K.Chang):
+        return mv.Fin(row[1]) if row[0] == 0 else mv.CoFin(-row[1])
+    if isinstance(codec, K.Gamma):
+        return decode_one(codec.g, row)
+    if isinstance(codec, K.Radical):
+        return decode_one(codec.interval, row)
+    if isinstance(codec, K.Diff):
+        g, d = codec.group, np.array(row, dtype=np.int64)
+        zero, head = np.zeros_like(d), [0] * codec.head
+        return mv.CanonPair(decode_one(codec.m, head + g.sup(d, zero).tolist()),
+                            decode_one(codec.m, head + g.sup(g.negate(d), zero).tolist()))
+    if isinstance(codec, K.Prod):
+        return tuple(decode_one(f, row[s]) for f, s in zip(codec.factors, codec.blocks))
+    raise TypeError(f"not a codec: {codec!r}")
+
+
+def canon_pair_ops(G):
+    """The operations of the Grothendieck group ``G`` by their definition
+    on its monoid M, through ``canon_pair``: x + y = [x.u + y.u, x.v + y.v],
+    inf and sup by the pair formulas [inf(x.u + y.v, x.v + y.u), x.v + y.v]
+    and its sup twin, each canonicalized; [x,y] <= [h,k] iff x + k <= h + y
+    in M; and -[u, v] = [v, u]."""
+    m = G.monoid
+
+    def lattice(op):
+        return lambda x, y: mv.canon_pair(
+            m, getattr(m, op)(m.add(x.u, y.v), m.add(x.v, y.u)), m.add(x.v, y.v))
+
+    return {
+        "add": lambda x, y: mv.canon_pair(m, m.add(x.u, y.u), m.add(x.v, y.v)),
+        "inf": lattice("inf"),
+        "sup": lattice("sup"),
+        "leq": lambda x, y: m.leq(m.add(x.u, y.v), m.add(y.u, x.v)),
+        "negate": lambda x: mv.CanonPair(x.v, x.u),
+    }

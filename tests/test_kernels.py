@@ -15,6 +15,8 @@ from mvtool import kernels
 from mvtool.decompose import FiniteQuotientAlgebra
 from mvtool.kernels import codec_for, unique_ints, unique_rows
 
+from helpers import decode_one, encode_one
+
 OPS = {
     "mv": ("oplus", "neg", "odot", "inf", "sup", "leq", "d"),
     "lgroup": ("add", "negate", "inf", "sup", "leq"),
@@ -66,18 +68,17 @@ def test_kernels_equal_the_carrier_operations(desc, data):
     window = model.enumerate(data.draw(st.integers(1, 6), label="bound"))
     elems = st.lists(st.sampled_from(window), min_size=1, max_size=4)
     xs, ys = data.draw(elems, label="xs"), data.draw(elems, label="ys")
-    for x in xs + ys:
-        assert codec.decode(codec.encode(x)) == x
+    assert codec.decode_all(codec.encode_all(xs + ys)) == xs + ys
 
     def decoded(row):
         # Rows are canonical: the vector engine keys elements by row.
-        value = codec.decode(row)
-        assert codec.encode(value) == row, row
+        [value] = codec.decode_all(np.array([row], dtype=np.int64))
+        assert codec.encode_all([value]).tolist() == [row], row
         return value
 
     # The engine's dense route: a (rows, 1) block against a (1, cols) one.
-    rx = np.array([codec.encode(x) for x in xs], dtype=np.int64)[:, None]
-    ry = np.array([codec.encode(y) for y in ys], dtype=np.int64)[None, :]
+    rx = codec.encode_all(xs)[:, None]
+    ry = codec.encode_all(ys)[None, :]
     for op in OPS[model.signature]:
         ref = _reference(model, op)
         if op in UNARY:
@@ -141,7 +142,7 @@ def test_cached_window_rows_equal_the_encoded_window():
         for bound in (1, 2, 3):
             window = checking._window(model, bound)
             rows, keys = vector._window_rows(model, window, codec)
-            assert rows.tolist() == [list(codec.encode(x))
+            assert rows.tolist() == [encode_one(codec, x)
                                      for x in model.enumerate(bound)], (desc, bound)
             assert len(set(keys)) == len(keys), (desc, bound)
             # Read once: a second reading hands back the same rows.
@@ -155,15 +156,97 @@ def test_cached_window_rows_belong_to_their_codec():
     codec = codec_for(model)
 
     class Shifted(type(codec)):
-        def encode(self, x):
-            return [c + 1 for c in super().encode(x)]
+        def encode_all(self, values):
+            return super().encode_all(values) + 1
 
     shifted = Shifted(codec.tail)
     window = checking._window(model, 2)
     rows, _ = vector._window_rows(model, window, codec)
     other, _ = vector._window_rows(model, window, shifted)
-    assert other.tolist() == [shifted.encode(x) for x in window]
+    assert other.tolist() == [[c + 1 for c in encode_one(codec, x)] for x in window]
     assert (other == rows + 1).all()
+
+
+# -- codecs a batch at a time ---------------------------------------------------
+
+
+@pytest.mark.parametrize("desc", list(MODELS))
+def test_batch_codecs_equal_the_per_element_definition(desc):
+    model = MODELS[desc]
+    codec = codec_for(model)
+    for bound in (1, 2, 3):
+        window = model.enumerate(bound)
+        rows = codec.encode_all(window)
+        assert rows.dtype == np.int64 and rows.shape == (len(window), codec.width)
+        assert rows.tolist() == [encode_one(codec, x) for x in window], bound
+        assert codec.decode_all(rows) == [decode_one(codec, r) for r in rows.tolist()] \
+            == window, bound
+    empty = codec.encode_all([])
+    assert empty.dtype == np.int64 and empty.shape == (0, codec.width)
+    assert codec.decode_all(empty) == []
+
+
+_BIG = 2 ** 63
+
+
+@pytest.mark.parametrize("desc, x, overflows", [
+    ("Z", _BIG, True), ("Z", -_BIG - 1, True), ("Z", -_BIG, False),
+    ("Z^3", (0, _BIG, 0), True),
+    ("Lex(Z,Z)", mv.LexPair(_BIG, 0), True), ("Lex(Z,Z)", mv.LexPair(0, _BIG), True),
+    ("N^2", (_BIG, 0), True),
+    ("C", mv.Fin(_BIG), True), ("C", mv.CoFin(_BIG), False),
+    ("C", mv.CoFin(_BIG + 1), True),
+    ("Prod(C,L(2))", (mv.Fin(_BIG), 0), True), ("Prod(C,L(2))", (mv.Fin(0), _BIG), True),
+    # A difference with no int64, one with -2^63 from a v without it, and
+    # a nested one.
+    ("Groth(N)", mv.CanonPair(_BIG, 0), True), ("Groth(N)", mv.CanonPair(0, _BIG), False),
+    ("Groth(N)", mv.CanonPair(2 ** 62, -2 ** 62), True),
+    ("Groth(N^2)", mv.CanonPair((0, _BIG), (0, 0)), True),
+    ("Groth(PosCone(Groth(N)))",
+     mv.CanonPair(mv.CanonPair(_BIG, 0), mv.CanonPair(0, 0)), True),
+    ("Groth(Rad(C))", mv.CanonPair(mv.Fin(0), mv.Fin(_BIG)), False),
+    ("Groth(Rad(C))", mv.CanonPair(mv.Fin(_BIG), mv.Fin(0)), True),
+])
+def test_batch_codecs_overflow_where_the_rows_do(desc, x, overflows):
+    """encode_all raises OverflowError exactly where an int64 array of
+    the per-element rows does."""
+    model = MODELS[desc]
+    codec = codec_for(model)
+    values = [model.zero, x]
+    try:
+        expect = np.array([encode_one(codec, v) for v in values], dtype=np.int64)
+    except OverflowError:
+        expect = None
+    assert (expect is None) == overflows
+    if overflows:
+        with pytest.raises(OverflowError):
+            codec.encode_all(values)
+    else:
+        np.testing.assert_array_equal(codec.encode_all(values), expect, strict=True)
+
+
+@pytest.mark.parametrize("desc, x", [
+    ("Z", 2 ** 60), ("Lex(Z,Z)", mv.LexPair(0, -2 ** 60)), ("C", mv.Fin(2 ** 60)),
+    ("Groth(N)", mv.CanonPair(0, 2 ** 60)),
+    ("Groth(PosCone(Groth(N)))",
+     mv.CanonPair(mv.CanonPair(2 ** 60, 0), mv.CanonPair(0, 0))),
+])
+def test_rows_at_the_limit_are_rejected_downstream(desc, x):
+    """A row reaching 2^60 is encoded as it is, and every caller rejects
+    it: the memoised window, the interner (which leaves code space), and a
+    homomorphism check's side in code space."""
+    from mvtool import homomorphism, vector
+
+    model = MODELS[desc]
+    codec = codec_for(model)
+    assert codec.encode_all([x]).tolist() == [encode_one(codec, x)]
+    assert vector._encode_window([model.zero, x], codec) is None
+    tables = vector.OperationTables(model)
+    idx = tables.intern_all([model.zero, x])
+    assert tables.codec is None
+    assert tables.elements(idx.tolist()) == [model.zero, x]
+    with pytest.raises(homomorphism._AtLimit):
+        homomorphism._Rows(codec).keys([model.zero, x])
 
 
 # -- distinct values by counting ------------------------------------------------

@@ -1,13 +1,14 @@
 """Group/monoid carriers, canonical pairs, the Grothendieck group."""
 
 import itertools
+from functools import partial
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 import mvtool as mv
-from helpers import grothendieck_walk
+from helpers import canon_pair_ops, grothendieck_walk
 from mvtool.descriptors import parse_group_element
 from mvtool.kernels import groth_window
 from mvtool.lgroup_core import CanonPair, LexPair
@@ -358,3 +359,94 @@ def test_trivial_group_is_rank_zero():
     assert T.zero == ()
     S = mv.sigma(T)
     assert len(S.enumerate(3)) == 2
+
+
+# -- Grothendieck operations through the group of differences -----------------
+
+_NAT = st.integers(0, 2 ** 70)
+_INT = st.integers(-2 ** 70, 2 ** 70)
+_LEX_CONE = st.one_of(st.builds(LexPair, st.just(0), _NAT),
+                      st.builds(LexPair, st.integers(1, 2 ** 70), _INT))
+
+# Each monoid whose Grothendieck group computes through its group, with a
+# strategy for its elements.
+_CONES = {
+    "N": (N, _NAT),
+    "N^2": (N2, st.tuples(_NAT, _NAT)),
+    "PosCone(Z)": (mv.positive_cone(Z), _NAT),
+    "PosCone(Z^2)": (mv.parse_model("PosCone(Z^2)"), st.tuples(_NAT, _NAT)),
+    "PosCone(Lex(Z,Z))": (mv.parse_model("PosCone(Lex(Z,Z))"), _LEX_CONE),
+    "PosCone(Groth(N))": (mv.parse_model("PosCone(Groth(N))"),
+                          st.builds(CanonPair, _NAT, st.just(0))),
+    "Rad(C)": (mv.RadicalMonoid(mv.ChangAlgebra()), st.builds(mv.Fin, _NAT)),
+    "Rad(Sigma(Z^2))": (mv.RadicalMonoid(mv.parse_model("Sigma(Z^2)")),
+                        st.builds(lambda a, b: LexPair(0, (a, b)), _NAT, _NAT)),
+    "Rad(Sigma(Lex(Z,Z)))": (mv.RadicalMonoid(mv.parse_model("Sigma(Lex(Z,Z))")),
+                             st.builds(partial(LexPair, 0), _LEX_CONE)),
+    "Rad(Gamma(Lex(Z,Z),(1,0)))": (mv.RadicalMonoid(mv.parse_model("Gamma(Lex(Z,Z),(1,0))")),
+                                   st.builds(partial(LexPair, 0), _NAT)),
+    "Rad(Pointed(C,1c))": (mv.RadicalMonoid(mv.parse_model("Pointed(C,1c)")),
+                           st.builds(mv.Fin, _NAT)),
+}
+
+
+@pytest.mark.parametrize("desc", list(_CONES))
+@given(data=st.data())
+def test_grothendieck_operations_through_the_group_equal_canon_pair(desc, data):
+    M, elements = _CONES[desc]
+    G = mv.GrothendieckGroup(M)
+    assert G._group is not None, desc
+    assert G.zero == CanonPair(M.zero, M.zero)
+    # Random canonical pairs: the classes of random pairs of the monoid.
+    p, q = (mv.canon_pair(M, data.draw(elements), data.draw(elements))
+            for _ in range(2))
+    for op, reference in canon_pair_ops(G).items():
+        args = (p,) if op == "negate" else (p, q)
+        assert getattr(G, op)(*args) == reference(*args), op
+    assert G.sub(p, q) == G.add(p, G.negate(q))
+
+
+class _WrongSupZ2(mv.ZnGroup):
+    def sup(self, x, y):
+        if x == (1, 0):
+            return (0, 0)
+        return super().sup(x, y)
+
+
+def test_subclasses_keep_canon_pair():
+    """A subclass anywhere in the monoid, or of GrothendieckGroup itself,
+    keeps the canon_pair route: its operations are not the built-in
+    carrier's, so G's need not be either."""
+
+    class SubN(mv.NMonoid):
+        pass
+
+    class SubZ(mv.ZGroup):
+        pass
+
+    class SubChang(mv.ChangAlgebra):
+        pass
+
+    class SubGroth(mv.GrothendieckGroup):
+        pass
+
+    for G in (mv.GrothendieckGroup(SubN()),
+              mv.GrothendieckGroup(mv.positive_cone(SubZ())),
+              mv.GrothendieckGroup(mv.positive_cone(mv.LexGroup(SubZ()))),
+              mv.GrothendieckGroup(mv.positive_cone(mv.GrothendieckGroup(SubN()))),
+              mv.GrothendieckGroup(mv.RadicalMonoid(SubChang())),
+              mv.GrothendieckGroup(mv.RadicalMonoid(mv.sigma(SubZ()))),
+              mv.GrothendieckGroup(mv.RadicalMonoid(mv.parse_model("L(3)"))),
+              SubGroth(N), mv.pair_group_ops(mv.ChangAlgebra())):
+        assert G._group is None, G.descriptor()
+    # A cone of a Z^2 whose sup is broken: through the group, the pair
+    # (d+, d-) of d = (1, 0) would read the broken sup; canon_pair's add,
+    # inf and leq never call it.
+    G = mv.GrothendieckGroup(mv.positive_cone(_WrongSupZ2(2)))
+    window = G.enumerate(2)
+    reference = canon_pair_ops(G)
+    for op in ("add", "inf", "sup", "leq"):
+        assert [getattr(G, op)(p, q) for p in window for q in window] == \
+            [reference[op](p, q) for p in window for q in window], op
+    one = CanonPair((1, 0), (0, 0))
+    assert G.add(one, G.zero) == one

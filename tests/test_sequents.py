@@ -481,7 +481,7 @@ def test_nested_differences_leave_code_space_at_the_limit():
     # reaches 2^60.
     x = mv.CanonPair(mv.CanonPair(2 ** 59 + 3, 0), mv.CanonPair(0, 0))
     tables = OperationTables(G)
-    assert tables.codec.encode(x) == [2 ** 59 + 3]
+    assert tables.codec.encode_all([x]).tolist() == [[2 ** 59 + 3]]
     i = tables.intern_all([x])
     total = tables.binary_table("add", i, i)
     assert tables.codec is None
@@ -638,17 +638,18 @@ def test_dense_and_sparse_table_routes_equal_the_carrier():
 
 
 def _count_codec_calls(monkeypatch, model):
-    """Count the calls of ``encode`` and ``decode`` on the codec that the
-    vector engine gets for ``model``."""
+    """Count the elements that pass through ``encode_all`` and
+    ``decode_all`` on the codec that the vector engine gets for
+    ``model``."""
     import mvtool.vector as vector
     codec = vector.codec_for(model)
     counts = {"encode": 0, "decode": 0}
     for name in counts:
-        def counted(x, name=name, method=getattr(codec, name)):
-            counts[name] += 1
-            return method(x)
+        def counted(batch, name=name, method=getattr(codec, name + "_all")):
+            counts[name] += len(batch)
+            return method(batch)
 
-        setattr(codec, name, counted)
+        setattr(codec, name + "_all", counted)
     monkeypatch.setattr(vector, "codec_for", lambda _: codec)
     return counts
 
