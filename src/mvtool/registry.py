@@ -14,6 +14,11 @@ Infinitary disjunctions carry an explicit cap (16); their checks are
 sound for witnessed truth but cannot refute, and the checker reports
 inconclusive-at-bound in that case.
 
+The first access builds the table of labels and sources and parses no
+sequent: an entry's sequent is parsed the first time it is asked for and
+kept, so checking one axiom parses one sequent, and ``all_entries`` and
+``named_sequents`` parse the rest.
+
 The named axiom checks at the end (``check_perfect``,
 ``check_chang_variety``, ``check_monoid_axioms``, ``ant_check``) are
 batches of registry sequents; they restate no formula.
@@ -24,7 +29,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from .checking import check_sequent
 from .errors import UnknownLabelError
 from .lgroup_core import LexGroup, UnitalGroup, ZGroup, ZnGroup
 from .mv_core import ChangAlgebra, SigmaAlgebra
@@ -44,7 +48,11 @@ class RegistryEntry:
     models: Tuple[str, ...]  # descriptors of the registered model family
 
 
-def _entries() -> List[RegistryEntry]:
+# (label, sequent source, theory, kind, doc, models) of one entry.
+_Source = Tuple[str, str, str, str, str, Tuple[str, ...]]
+
+
+def _sources() -> List[_Source]:
     mv_models = ("C", "B", "Prod(C,C)", "Gamma(Z,2)", "Sigma(Z^2)")
     chang_models = ("C", "B", "Prod(C,C)", "Sigma(Z^2)")
     perfect_models = ("C", "Sigma(Z^2)")
@@ -54,13 +62,10 @@ def _entries() -> List[RegistryEntry]:
     pstar_models = ("Pointed(C,1c)", "Pointed(Sigma(Z^2),(0,(1,1)))")
     ant_models = ("Unital(Lex(Z,Z),(1,0))", "Unital(Z,1)")
 
-    out: List[RegistryEntry] = []
+    out: List[_Source] = []
 
     def add(label, src, theory, kind, doc, models):
-        seq = parse_sequent(src)
-        out.append(RegistryEntry(label, Sequent(seq.context, seq.antecedent,
-                                                seq.consequent, name=label),
-                                 theory, kind, doc, tuple(models)))
+        out.append((label, src, theory, kind, doc, tuple(models)))
 
     # --- MV-algebra axioms ------------------------------------------------
     add("MV.1", "true |-[x,y,z] x (+) (y (+) z) = (x (+) y) (+) z",
@@ -236,50 +241,61 @@ def _entries() -> List[RegistryEntry]:
     return out
 
 
-_REGISTRY: Optional[Dict[str, RegistryEntry]] = None
+_SOURCES: Optional[Dict[str, _Source]] = None
+_PARSED: Dict[str, RegistryEntry] = {}
 
 
-def _registry() -> Dict[str, RegistryEntry]:
-    global _REGISTRY
-    if _REGISTRY is None:
-        entries = _entries()
-        reg: Dict[str, RegistryEntry] = {}
-        for e in entries:
-            if e.label in reg:
-                raise ValueError(f"duplicate registry label {e.label}")
-            reg[e.label] = e
-        _REGISTRY = reg
-    return _REGISTRY
+def _registry() -> Dict[str, _Source]:
+    """Label-to-source table of every entry, in registry order; built on
+    the first access, which parses no sequent."""
+    global _SOURCES
+    if _SOURCES is None:
+        reg: Dict[str, _Source] = {}
+        for source in _sources():
+            if source[0] in reg:
+                raise ValueError(f"duplicate registry label {source[0]}")
+            reg[source[0]] = source
+        _SOURCES = reg
+    return _SOURCES
+
+
+def entry(label: str) -> RegistryEntry:
+    """The entry under ``label``, its sequent parsed on the first request
+    and kept, so every request returns the same object."""
+    try:
+        return _PARSED[label]
+    except KeyError:
+        pass
+    try:
+        _, src, theory, kind, doc, models = _registry()[label]
+    except KeyError:
+        raise UnknownLabelError(f"no sequent registered under {label!r}") from None
+    seq = parse_sequent(src)
+    parsed = _PARSED[label] = RegistryEntry(
+        label, Sequent(seq.context, seq.antecedent, seq.consequent, name=label),
+        theory, kind, doc, models)
+    return parsed
+
+
+def lookup(label: str) -> Sequent:
+    return entry(label).sequent
+
+
+def all_entries() -> List[RegistryEntry]:
+    """Every entry, in registry order; parses the sequents not yet parsed."""
+    return [entry(label) for label in _registry()]
 
 
 def named_sequents() -> Dict[str, Sequent]:
     """Label-to-sequent mapping for every named sequent."""
-    return {label: e.sequent for label, e in _registry().items()}
-
-
-def lookup(label: str) -> Sequent:
-    try:
-        return _registry()[label].sequent
-    except KeyError:
-        raise UnknownLabelError(f"no sequent registered under {label!r}") from None
-
-
-def entry(label: str) -> RegistryEntry:
-    try:
-        return _registry()[label]
-    except KeyError:
-        raise UnknownLabelError(f"no sequent registered under {label!r}") from None
-
-
-def all_entries() -> List[RegistryEntry]:
-    return list(_registry().values())
+    return {e.label: e.sequent for e in all_entries()}
 
 
 def registered_models(theory: str) -> Tuple[str, ...]:
     """Descriptors of the carriers registered as models of a theory."""
-    for e in _registry().values():
-        if e.theory == theory:
-            return e.models
+    for _, _, source_theory, _, _, models in _registry().values():
+        if source_theory == theory:
+            return models
     raise UnknownLabelError(f"no theory registered under {theory!r}")
 
 
@@ -312,13 +328,15 @@ def check_family(model, labels: List[str], bound: int, *,
     records whether the two family verdicts agree (they must, on genuine
     MV carriers).
     """
+    from . import checking
+
     if exists_bound is None:
         exists_bound = 2 * bound
     verdicts: Dict[str, Verdict] = {}
     for label in labels:
         seq = lookup(label)
-        verdicts[label] = check_sequent(model, seq, bound,
-                                        exists_bound=exists_bound)
+        verdicts[label] = checking.check_sequent(model, seq, bound,
+                                                 exists_bound=exists_bound)
     family_checks = []
     label_set = set(labels)
     for fam_a, fam_b in EQUIVALENT_FAMILIES:
@@ -339,10 +357,10 @@ def axiom_suite() -> List[Tuple[str, str]]:
     """(label, model descriptor) pairs for every registered axiom over
     its model family."""
     out = []
-    for e in _registry().values():
-        if e.kind == "axiom":
-            for m in e.models:
-                out.append((e.label, m))
+    for label, _, _, kind, _, models in _registry().values():
+        if kind == "axiom":
+            for m in models:
+                out.append((label, m))
     return out
 
 

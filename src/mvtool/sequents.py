@@ -8,12 +8,16 @@ conjunction and disjunction, ``exists x.`` for quantification,
 ``bigvee n<=N.`` for a capped infinitary disjunction, and
 ``phi |-[x,y] psi`` for sequents.  ``u`` is the reserved distinguished
 constant (strong unit, or the marked radical element).
+
+The term and formula nodes (and the tokenizer's tokens) derive from
+``_Node``, an immutable record that behaves as a frozen dataclass without
+generating code for each class.  ``Sequent`` is a frozen dataclass.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from typing import FrozenSet, Optional, Tuple, Union
 
 from .errors import ParseError, SignatureError
@@ -21,73 +25,127 @@ from .errors import ParseError, SignatureError
 ALL_SIGS = frozenset({"mv", "lgroup", "monoid"})
 
 
+class _Node:
+    """An immutable record whose fields are its class's annotations, in
+    order.  It behaves as ``@dataclass(frozen=True)``: construction by
+    position or keyword, ``==`` only between instances of one class, the
+    hash of the field tuple, the dataclass ``repr``, ``FrozenInstanceError``
+    on assignment and deletion, and ``__match_args__``.  Unlike a
+    dataclass it compiles no methods for each class, which is most of the
+    cost of defining one."""
+
+    __match_args__ = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls.__match_args__ += tuple(cls.__annotations__)
+
+    def __init__(self, *args, **kwargs):
+        if kwargs or len(args) != len(self.__match_args__):
+            args = self._bind(args, kwargs)
+        # As a frozen dataclass sets its fields: an instance then keeps the
+        # interpreter's inline attribute values, which a write to
+        # ``__dict__`` would give up, slowing every later read.
+        for name, value in zip(self.__match_args__, args):
+            object.__setattr__(self, name, value)
+
+    def _bind(self, args, kwargs):
+        """The field values of a call that is not one positional argument
+        per field, or a TypeError."""
+        names = self.__match_args__
+        where = f"{type(self).__qualname__}.__init__()"
+        if len(args) > len(names):
+            raise TypeError(f"{where} takes {len(names) + 1} positional "
+                            f"arguments but {len(args) + 1} were given")
+        for name in kwargs:
+            if name not in names:
+                raise TypeError(f"{where} got an unexpected keyword argument {name!r}")
+            if names.index(name) < len(args):
+                raise TypeError(f"{where} got multiple values for argument {name!r}")
+        missing = [name for name in names[len(args):] if name not in kwargs]
+        if missing:
+            raise TypeError(f"{where} missing required arguments: "
+                            f"{', '.join(map(repr, missing))}")
+        return args + tuple(kwargs[name] for name in names[len(args):])
+
+    def _astuple(self):
+        return tuple([getattr(self, name) for name in self.__match_args__])
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._astuple() == other._astuple()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._astuple())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}"
+                           for name in self.__match_args__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
 # ---------------------------------------------------------------------------
 # Terms
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Var:
+class Var(_Node):
     name: str
 
 
-@dataclass(frozen=True)
-class Zero:
+class Zero(_Node):
     pass
 
 
-@dataclass(frozen=True)
-class One:
+class One(_Node):
     pass
 
 
-@dataclass(frozen=True)
-class Unit:
+class Unit(_Node):
     pass
 
 
-@dataclass(frozen=True)
-class Oplus:
+class Oplus(_Node):
     left: "Term"
     right: "Term"
 
 
-@dataclass(frozen=True)
-class Odot:
+class Odot(_Node):
     left: "Term"
     right: "Term"
 
 
-@dataclass(frozen=True)
-class Neg:
+class Neg(_Node):
     arg: "Term"
 
 
-@dataclass(frozen=True)
-class Inf:
+class Inf(_Node):
     left: "Term"
     right: "Term"
 
 
-@dataclass(frozen=True)
-class Sup:
+class Sup(_Node):
     left: "Term"
     right: "Term"
 
 
-@dataclass(frozen=True)
-class Add:
+class Add(_Node):
     left: "Term"
     right: "Term"
 
 
-@dataclass(frozen=True)
-class Minus:
+class Minus(_Node):
     arg: "Term"
 
 
-@dataclass(frozen=True)
-class NatScalar:
+class NatScalar(_Node):
     """n * t; the coefficient is a literal natural number or the name of
     an enclosing bigvee variable."""
 
@@ -95,14 +153,12 @@ class NatScalar:
     arg: "Term"
 
 
-@dataclass(frozen=True)
-class MvPower:
+class MvPower(_Node):
     arg: "Term"
     n: int
 
 
-@dataclass(frozen=True)
-class D:
+class D(_Node):
     left: "Term"
     right: "Term"
 
@@ -133,48 +189,40 @@ _NODE_SIGS = {
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Top:
+class Top(_Node):
     pass
 
 
-@dataclass(frozen=True)
-class Bot:
+class Bot(_Node):
     pass
 
 
-@dataclass(frozen=True)
-class Eq:
+class Eq(_Node):
     left: Term
     right: Term
 
 
-@dataclass(frozen=True)
-class Leq:
+class Leq(_Node):
     left: Term
     right: Term
 
 
-@dataclass(frozen=True)
-class And:
+class And(_Node):
     left: "Formula"
     right: "Formula"
 
 
-@dataclass(frozen=True)
-class Or:
+class Or(_Node):
     left: "Formula"
     right: "Formula"
 
 
-@dataclass(frozen=True)
-class Exists:
+class Exists(_Node):
     var: str
     body: "Formula"
 
 
-@dataclass(frozen=True)
-class BoundedOrOverN:
+class BoundedOrOverN(_Node):
     """Disjunction over n = 0..cap of the body, which may use n as a
     scalar coefficient.  Approximates an infinitary disjunction; checks
     are incomplete for validation above the cap."""
@@ -338,8 +386,7 @@ _TOKEN_RE = re.compile(
 _KEYWORDS = {"neg", "inf", "sup", "d", "exists", "bigvee", "true", "false", "u"}
 
 
-@dataclass(frozen=True)
-class _Tok:
+class _Tok(_Node):
     kind: str
     text: str
     line: int

@@ -1,5 +1,6 @@
 """Reference constructions shared by the tests."""
 
+import dataclasses
 import itertools
 
 import mvtool as mv
@@ -118,6 +119,66 @@ def walk_check(M, seq, ctx_enum, search, bound):
     if inconclusive:
         return mv.InconclusiveAtBound(bound, note="unwitnessed bounded search")
     return mv.Holds()
+
+
+# A frozen dataclass with the name and fields of each syntax node class
+# (and of the tokenizer's token): the behaviour the node base reproduces.
+NODE_TWINS = {
+    cls: dataclasses.make_dataclass(cls.__name__, cls.__match_args__, frozen=True)
+    for cls in S._Node.__subclasses__()
+}
+
+
+def to_twin(value):
+    """``value`` with every syntax node in it replaced by its twin."""
+    twin = NODE_TWINS.get(type(value))
+    if twin is None:
+        return value
+    return twin(*[to_twin(getattr(value, name)) for name in value.__match_args__])
+
+
+def _subnodes(node):
+    yield node
+    for name in node.__match_args__:
+        child = getattr(node, name)
+        if type(child) in NODE_TWINS:
+            yield from _subnodes(child)
+
+
+def _raised(action):
+    try:
+        action()
+    except Exception as e:
+        return type(e), str(e)
+    return None
+
+
+def assert_nodes_behave_as_twins(node):
+    """Compare ``node`` and every node below it with its dataclass twin:
+    the fields, keyword construction, ``repr``, ``hash``, ``==`` and
+    ``!=`` against an equal node and against a node of each other class
+    with the same fields (``Oplus(a, b)`` and ``Odot(a, b)``), and the
+    errors of assigning or deleting a field or another attribute."""
+    for n in _subnodes(node):
+        cls, twin = type(n), to_twin(n)
+        names = cls.__match_args__
+        assert names == type(twin).__match_args__
+        values = [getattr(n, name) for name in names]
+        assert repr(n) == repr(twin)
+        assert hash(n) == hash(twin)
+        same = cls(**dict(zip(names, values)))
+        assert (n == same, n != same) == (True, False)
+        assert (twin == to_twin(same), twin != to_twin(same)) == (True, False)
+        for other_cls in NODE_TWINS:
+            if other_cls is not cls and other_cls.__match_args__ == names:
+                other = other_cls(*values)
+                assert (n == other, n != other) == (False, True), (n, other)
+                assert (twin == to_twin(other), twin != to_twin(other)) == (False, True)
+        for name in names + ("extra",):
+            for action in (lambda x: setattr(x, name, 0),
+                           lambda x: delattr(x, name)):
+                raised = _raised(lambda: action(n))
+                assert raised is not None and raised == _raised(lambda: action(twin))
 
 
 def doubling_steps(n):

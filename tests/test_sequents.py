@@ -1,7 +1,9 @@
 """Parser, printer, evaluation, bounded checking, registry."""
 
+import dataclasses
+
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mvtool as mv
@@ -10,7 +12,9 @@ from mvtool import sequents as S
 from mvtool.checking import check_sequent, eval_term
 from mvtool.verdicts import CounterExample, Holds, InconclusiveAtBound
 
-from helpers import README_DESCRIPTORS, doubling_steps, record_codecs, spy_on_chunks
+from helpers import (README_DESCRIPTORS, assert_nodes_behave_as_twins,
+                     doubling_steps, record_codecs, spy_on_chunks)
+from test_scalar_engine import _draw_sequent
 
 C = mv.ChangAlgebra()
 B = mv.FiniteChainAlgebra(1)
@@ -946,6 +950,75 @@ def test_registry_lookup_and_docs():
         registry.lookup("nosuch")
     for e in registry.all_entries():
         assert e.doc and e.models
+
+
+def test_registry_parses_each_entry_once():
+    assert registry.lookup("MV.1") is registry.lookup("MV.1")
+    assert registry.entry("xi") is registry.entry("xi")
+    assert registry.lookup("xi") is registry.entry("xi").sequent
+
+
+def test_all_entries_equal_an_eager_build():
+    eager = []
+    for label, src, theory, kind, doc, models in registry._sources():
+        seq = mv.parse_sequent(src)
+        eager.append(registry.RegistryEntry(
+            label, S.Sequent(seq.context, seq.antecedent, seq.consequent,
+                             name=label),
+            theory, kind, doc, models))
+    entries = registry.all_entries()
+    assert [e.label for e in entries] == [e.label for e in eager]
+    for got, want in zip(entries, eager):
+        for field in dataclasses.fields(registry.RegistryEntry):
+            assert getattr(got, field.name) == getattr(want, field.name), \
+                (got.label, field.name)
+    assert list(registry.named_sequents().items()) == \
+        [(e.label, e.sequent) for e in eager]
+
+
+def test_registry_errors(monkeypatch):
+    for find in (registry.lookup, registry.entry):
+        with pytest.raises(mv.UnknownLabelError,
+                           match="^no sequent registered under 'nosuch'$"):
+            find("nosuch")
+    with pytest.raises(mv.UnknownLabelError,
+                       match="^no theory registered under 'nosuch'$"):
+        registry.registered_models("nosuch")
+    # A registry whose sources repeat a label fails on its first access.
+    sources = registry._sources()
+    monkeypatch.setattr(registry, "_SOURCES", None)
+    monkeypatch.setattr(registry, "_PARSED", {})
+    monkeypatch.setattr(registry, "_sources", lambda: sources + sources[:1])
+    with pytest.raises(ValueError, match=r"^duplicate registry label MV\.1$"):
+        registry.lookup("xi")
+
+
+def test_registry_parses_only_what_is_asked_for(monkeypatch):
+    monkeypatch.setattr(registry, "_SOURCES", None)
+    monkeypatch.setattr(registry, "_PARSED", {})
+    assert registry.registered_models("C") == ("C", "B", "Prod(C,C)", "Sigma(Z^2)")
+    assert ("MV.1", "C") in registry.axiom_suite()
+    assert registry._PARSED == {}
+    registry.lookup("xi")
+    assert list(registry._PARSED) == ["xi"]
+    assert len(registry.all_entries()) == len(registry._PARSED)
+
+
+def test_registry_nodes_behave_as_dataclasses():
+    for seq in registry.named_sequents().values():
+        assert_nodes_behave_as_twins(seq.antecedent)
+        assert_nodes_behave_as_twins(seq.consequent)
+        for tok in S._tokenize(mv.print_sequent(seq)):
+            assert_nodes_behave_as_twins(tok)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_drawn_nodes_behave_as_dataclasses(data):
+    M = mv.parse_model(data.draw(st.sampled_from(README_DESCRIPTORS)))
+    seq = _draw_sequent(data, M, data.draw(st.integers(1, 30)))
+    assert_nodes_behave_as_twins(seq.antecedent)
+    assert_nodes_behave_as_twins(seq.consequent)
 
 
 def test_axiom_suite_covers_registered_models():
