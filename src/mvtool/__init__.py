@@ -1,18 +1,7 @@
 """Exact computation with perfect MV-algebras, lattice-ordered abelian
 groups, and the functors between them, plus a bounded sequent checker
 over a small ASCII DSL.
-
-``import mvtool`` loads the carriers, the sequent syntax, the registry and
-the descriptor parser.  The checker (``checking``), the functors and
-round-trip reports (``equivalence``), the decompositions (``decompose``)
-and the homomorphism checks (``homomorphism``) load on the first access
-to the module or to a name it owns.  The package forwards each access to
-such a name to the owning module and binds nothing itself, so a name
-replaced in that module is seen through the package.
 """
-
-import sys as _sys
-from importlib import import_module as _import_module
 
 from .errors import (
     CarrierCapExceededError,
@@ -69,6 +58,27 @@ from .mv_core import (
     order_of,
     radical_membership,
 )
+from .equivalence import (
+    RadPairGroup,
+    SigmaElem,
+    beta_A,
+    beta_A_inverse,
+    beta_roundtrip_report,
+    chi_roundtrip_report,
+    delta,
+    delta_map,
+    delta_star,
+    gamma,
+    pair_group_ops,
+    phi_G,
+    phi_G_inverse,
+    phi_M_roundtrip_report,
+    phi_roundtrip_report,
+    sigma,
+    sigma_map,
+    sigma_star,
+    strong_unit_check,
+)
 from .sequents import (
     Sequent,
     parse_formula,
@@ -78,6 +88,7 @@ from .sequents import (
     print_sequent,
     print_term,
 )
+from .checking import check_sequent, eval_term
 from .registry import (
     ant_check,
     check_chang_variety,
@@ -87,6 +98,16 @@ from .registry import (
     lookup,
     named_sequents,
     registered_models,
+)
+from .decompose import (
+    AtomDecomposition,
+    atoms_from_generators,
+    decompose_product,
+    is_perfect_element,
+    product_reconstruction_check,
+    pushout_pullback_check,
+    quotient_by_boolean,
+    weak_subdirect_check,
 )
 from .descriptors import parse_group, parse_model, parse_monoid, parse_mv
 from .verdicts import (
@@ -99,46 +120,3 @@ from .verdicts import (
 )
 
 __version__ = "0.1.0"
-
-# Submodules that load on first access, and the names they own that the
-# package re-exports.
-_LAZY = {
-    "checking": ("check_sequent", "eval_term"),
-    "decompose": (
-        "AtomDecomposition", "atoms_from_generators", "decompose_product",
-        "is_perfect_element", "product_reconstruction_check",
-        "pushout_pullback_check", "quotient_by_boolean",
-        "weak_subdirect_check",
-    ),
-    "equivalence": (
-        "RadPairGroup", "SigmaElem", "beta_A", "beta_A_inverse",
-        "beta_roundtrip_report", "chi_roundtrip_report", "delta", "delta_map",
-        "delta_star", "gamma", "pair_group_ops", "phi_G", "phi_G_inverse",
-        "phi_M_roundtrip_report", "phi_roundtrip_report", "sigma",
-        "sigma_map", "sigma_star", "strong_unit_check",
-    ),
-    "homomorphism": (),
-}
-_DEFERRED = {name: f"{__name__}.{module}"
-             for module, names in _LAZY.items() for name in names}
-
-
-def __getattr__(name):
-    # Once the owner is loaded, a forward makes no call but this one.
-    try:
-        owner = _DEFERRED[name]
-    except KeyError:
-        if name in _LAZY:
-            return _import_module(f"{__name__}.{name}")
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
-    if owner not in _sys.modules:
-        _import_module(owner)
-    return _sys.modules[owner].__dict__[name]
-
-
-def __dir__():
-    return sorted({*globals(), *_LAZY, *_DEFERRED})
-
-
-# What ``from mvtool import *`` binds: every public name, deferred or not.
-__all__ = [name for name in __dir__() if not name.startswith("_")]

@@ -29,6 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
+from .checking import check_sequent
 from .errors import UnknownLabelError
 from .lgroup_core import LexGroup, UnitalGroup, ZGroup, ZnGroup
 from .mv_core import ChangAlgebra, SigmaAlgebra
@@ -328,15 +329,13 @@ def check_family(model, labels: List[str], bound: int, *,
     records whether the two family verdicts agree (they must, on genuine
     MV carriers).
     """
-    from . import checking
-
     if exists_bound is None:
         exists_bound = 2 * bound
     verdicts: Dict[str, Verdict] = {}
     for label in labels:
         seq = lookup(label)
-        verdicts[label] = checking.check_sequent(model, seq, bound,
-                                                 exists_bound=exists_bound)
+        verdicts[label] = check_sequent(model, seq, bound,
+                                        exists_bound=exists_bound)
     family_checks = []
     label_set = set(labels)
     for fam_a, fam_b in EQUIVALENT_FAMILIES:

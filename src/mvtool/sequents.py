@@ -41,32 +41,18 @@ class _Node:
         cls.__match_args__ += tuple(cls.__annotations__)
 
     def __init__(self, *args, **kwargs):
-        if kwargs or len(args) != len(self.__match_args__):
-            args = self._bind(args, kwargs)
+        names = self.__match_args__
+        if kwargs:
+            args += tuple([kwargs.pop(name) for name in names[len(args):]
+                           if name in kwargs])
+        if kwargs or len(args) != len(names):
+            raise TypeError(f"{type(self).__qualname__}() takes the "
+                            f"arguments ({', '.join(names)})")
         # As a frozen dataclass sets its fields: an instance then keeps the
         # interpreter's inline attribute values, which a write to
         # ``__dict__`` would give up, slowing every later read.
-        for name, value in zip(self.__match_args__, args):
+        for name, value in zip(names, args):
             object.__setattr__(self, name, value)
-
-    def _bind(self, args, kwargs):
-        """The field values of a call that is not one positional argument
-        per field, or a TypeError."""
-        names = self.__match_args__
-        where = f"{type(self).__qualname__}.__init__()"
-        if len(args) > len(names):
-            raise TypeError(f"{where} takes {len(names) + 1} positional "
-                            f"arguments but {len(args) + 1} were given")
-        for name in kwargs:
-            if name not in names:
-                raise TypeError(f"{where} got an unexpected keyword argument {name!r}")
-            if names.index(name) < len(args):
-                raise TypeError(f"{where} got multiple values for argument {name!r}")
-        missing = [name for name in names[len(args):] if name not in kwargs]
-        if missing:
-            raise TypeError(f"{where} missing required arguments: "
-                            f"{', '.join(map(repr, missing))}")
-        return args + tuple(kwargs[name] for name in names[len(args):])
 
     def _astuple(self):
         return tuple([getattr(self, name) for name in self.__match_args__])

@@ -12,8 +12,9 @@ from mvtool import sequents as S
 from mvtool.checking import check_sequent, eval_term
 from mvtool.verdicts import CounterExample, Holds, InconclusiveAtBound
 
-from helpers import (README_DESCRIPTORS, assert_nodes_behave_as_twins,
-                     doubling_steps, record_codecs, spy_on_chunks)
+from helpers import (NODE_TWINS, README_DESCRIPTORS,
+                     assert_nodes_behave_as_twins, doubling_steps,
+                     record_codecs, spy_on_chunks)
 from test_scalar_engine import _draw_sequent
 
 C = mv.ChangAlgebra()
@@ -1019,6 +1020,24 @@ def test_drawn_nodes_behave_as_dataclasses(data):
     seq = _draw_sequent(data, M, data.draw(st.integers(1, 30)))
     assert_nodes_behave_as_twins(seq.antecedent)
     assert_nodes_behave_as_twins(seq.consequent)
+
+
+def test_node_construction_binds_as_dataclasses():
+    for cls, twin in NODE_TWINS.items():
+        names = cls.__match_args__
+        values = tuple(range(len(names)))
+        bound = [(values, {}), ((), dict(zip(names, values))),
+                 (values[:1], dict(zip(names[1:], values[1:])))]
+        for args, kwargs in bound:
+            assert repr(cls(*args, **kwargs)) == repr(twin(*args, **kwargs))
+        wrong = [(values + (0,), {}), (values, {"extra": 0})]
+        if names:
+            wrong += [(values[:-1], {}), (values, {names[0]: 0}),
+                      ((), dict(zip(names[1:], values[1:])))]
+        for args, kwargs in wrong:
+            for make in (cls, twin):
+                with pytest.raises(TypeError):
+                    make(*args, **kwargs)
 
 
 def test_axiom_suite_covers_registered_models():

@@ -2,10 +2,9 @@
 descriptors and the checks that the scalar engine or the product route
 answers load neither numpy nor the kernels; the first vector-engine table
 loads both, and its report is the one of a process that loaded numpy
-first.  Without the CLI, the same set-up loads only the modules it reads
-and parses one registry sequent; the checker loads with the first check.
-Each case runs in a fresh interpreter, since the test process itself has
-loaded numpy and every mvtool module long before."""
+first.  Set-up parses one registry sequent.  Each case runs in a fresh
+interpreter, since the test process itself has loaded numpy and parsed
+every registry sequent long before."""
 
 import json
 import os
@@ -61,6 +60,7 @@ for d in sorted(descriptors):
     mvtool.parse_model(d)
 phases["parse_model"] = loaded()
 phases["descriptors"] = len(descriptors)
+phases["parsed"] = sorted(mvtool.registry._PARSED)
 for config in %r:
     report(config)
 phases["scalar checks"] = loaded()
@@ -68,30 +68,6 @@ phases["chi_4"] = report(%r)
 phases["after chi_4"] = loaded()
 print(json.dumps(phases))
 """ % (str(ROOT / "perfbench"), README_DESCRIPTORS, NUMPY_FREE_CONFIGS, CHI_4)
-
-# Set-up through the library alone: what it loads and what it parses.
-LIBRARY = """
-import json, sys
-def loaded():
-    return sorted(m for m in sys.modules if m.split(".")[0] == "mvtool")
-sys.path.insert(0, %r)
-import workloads
-import mvtool
-mvtool.lookup("MV.1")
-descriptors = set(%r)
-for items in workloads.WORKLOADS.values():
-    descriptors.update(workloads.descriptors(items))
-for d in sorted(descriptors):
-    mvtool.parse_model(d)
-phases = {"set-up": loaded(), "parsed": sorted(mvtool.registry._PARSED)}
-mvtool.check_sequent(mvtool.parse_model("C"), mvtool.lookup("MV.3"), 2)
-phases["check"] = loaded()
-print(json.dumps(phases))
-""" % (str(ROOT / "perfbench"), README_DESCRIPTORS)
-
-SET_UP_MODULES = ["mvtool"] + [f"mvtool.{m}" for m in (
-    "descriptors", "errors", "lgroup_core", "mv_core", "registry",
-    "sequents", "verdicts")]
 
 WARM = PRELUDE + """
 import numpy
@@ -115,14 +91,9 @@ def test_start_up_loads_no_numpy_until_a_vector_table():
         assert cold[phase] == [], phase
     # The four workloads add descriptors beyond the README's.
     assert cold["descriptors"] > len(README_DESCRIPTORS)
+    # Set-up parses the one registry sequent it looks up.
+    assert cold["parsed"] == ["MV.1"]
     assert cold["after chi_4"] == list(WATCHED)
     warm = _run(WARM)
     assert cold["chi_4"] == warm["chi_4"]
     assert cold["chi_4"][0] == 0
-
-
-def test_library_set_up_loads_only_what_it_reads():
-    phases = _run(LIBRARY)
-    assert phases["set-up"] == SET_UP_MODULES
-    assert phases["parsed"] == ["MV.1"]
-    assert "mvtool.checking" in phases["check"]
