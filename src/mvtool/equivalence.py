@@ -266,7 +266,9 @@ def _bijection_failures(fmt_dom, fmt_cod, image: dict, collisions: list,
     """Bijectivity evidence on windows: injectivity of the image (its
     ``map_once`` collisions), image contained in the codomain window, and
     surjectivity witnessed by the explicit inverse (every codomain-window
-    element has a preimage that maps back onto it).
+    element has a preimage that maps back onto it).  ``image`` holds
+    forward's images of the domain window, so a preimage in the window is
+    read from it and only one outside the window is mapped.
 
     Set equality of the two windows is deliberately not required: over a
     lexicographic carrier, canonicalizing pairs of window elements can
@@ -280,7 +282,8 @@ def _bijection_failures(fmt_dom, fmt_cod, image: dict, collisions: list,
     for v in sorted(set(image.values()) - cod, key=repr):
         failures.append({"kind": "image-outside-window", "element": fmt_cod(v)})
     for p in codomain:
-        if forward(inverse(p)) != p:
+        q = inverse(p)
+        if (image[q] if q in image else forward(q)) != p:
             failures.append({"kind": "not-surjective", "element": fmt_cod(p)})
     return failures
 

@@ -17,17 +17,20 @@ own operations.  One comparison procedure serves both: it computes an
 operation's source and target results in row blocks of at most
 ``vector._KERNEL_BLOCK`` pairs, takes the distinct source results of
 each block (``kernels.unique_rows``, which counts their keys when they
-span few values and sorts them otherwise), maps those not seen in an
-earlier block through ``forward`` into target keys (decode, forward,
-encode), and compares the gathered keys with the target's results.  So
-``forward`` runs once per distinct source result, the target side is
+span few values and sorts them otherwise), maps those no earlier block
+of any operation had into target keys (decode, forward, encode), and
+compares the gathered keys with the target's results column by column
+(``kernels.rows_differ``).  The keys known from the start are the
+window's, mapped to the image's, and the images ``forward`` gives are
+kept in one memo per check.  So ``forward`` runs once per distinct
+element outside the window, over all operations, the target side is
 never interned in code space, and no grid is sorted whole.  The first
 code row of magnitude ``LIMIT`` (2^60) or more, an element that cannot
 be encoded included, starts the whole check over on interned indices on
-both sides, with ``forward``'s images found so far kept.  Row equality
-is element equality below ``LIMIT``, which the kernel tests pin, so both
-keyings give the same failures.  The check imports numpy and ``vector``
-on its first call, so this module loads without them.
+both sides, with the memo kept.  Row equality is element equality below
+``LIMIT``, which the kernel tests pin, so both keyings give the same
+failures.  The check imports numpy and ``vector`` on its first call, so
+this module loads without them.
 """
 
 from __future__ import annotations
@@ -70,7 +73,8 @@ def homomorphism_failures(src, target, window: list, image: list,
     (x, y) in window order, (op, (x, y)) for each binary op with
     forward(src.op(x, y)) != target.op(forward(x), forward(y)).
     An empty window has no failures.  ``forward`` is called once per
-    distinct result of each source operation.
+    distinct element outside the window, over all operations: never on a
+    window element, whose image ``image`` holds.
     """
     if not window:
         return []
@@ -79,15 +83,15 @@ def homomorphism_failures(src, target, window: list, image: list,
     bad_inverse = np.array([inverse(y) != x for x, y in zip(window, image)],
                            dtype=bool)
     ops = (*unary_ops, *binary_ops)
-    # forward's images of each operation's results, in batches, kept for
-    # a restart.
-    made: Dict[str, list] = {op: [] for op in ops}
+    # forward's images of the elements outside the window, kept for a
+    # restart.
+    memo: dict = {}
     try:
         bad = _differences(_side(src, ops), _side(target, ops), window, image,
-                           forward, made, unary_ops, binary_ops)
+                           forward, memo, unary_ops, binary_ops)
     except _AtLimit:
         bad = _differences(_Interned(src), _Interned(target), window, image,
-                           forward, made, unary_ops, binary_ops)
+                           forward, memo, unary_ops, binary_ops)
     bad_elements = np.stack([bad_inverse] + bad[:len(unary_ops)], axis=-1)
     bad_pairs = np.stack(bad[len(unary_ops):], axis=-1)
     kinds = ("inverse",) + tuple(unary_ops)
@@ -170,44 +174,46 @@ class _Interned:
         return self.tables.binary_table(op, a, b.T)[..., None]
 
 
-def _differences(source, dest, window, image, forward, made,
+def _differences(source, dest, window, image, forward, memo: dict,
                  unary_ops, binary_ops) -> list:
     """For each unary op, then each binary op, where forward of the
     source's results differs from the target's results over the image:
-    an (n,) or an (n, n) boolean array.  ``made[op]`` holds forward's
-    images of op's source results, as (elements, images) batches, and
-    gets those mapped here."""
+    an (n,) or an (n, n) boolean array.  ``memo`` maps source elements
+    outside the window to their images under forward, and gets those
+    mapped here."""
     import numpy as np
 
+    from .kernels import rows_differ
     from .vector import _KERNEL_BLOCK
 
     xs, ys = source.keys(window), dest.keys(image)
-    out = [(_mapper(source, dest, forward, made[op])(source.unary(op, xs))
-            != dest.unary(op, ys)).any(axis=-1)
+    mapped = _mapper(source, dest, forward, memo, xs, ys)
+    out = [rows_differ(mapped(source.unary(op, xs)), dest.unary(op, ys))
            for op in unary_ops]
     step = max(1, _KERNEL_BLOCK // len(xs))
     for op in binary_ops:
-        mapped = _mapper(source, dest, forward, made[op])
         out.append(np.concatenate(
-            [(mapped(source.binary(op, xs[s:s + step], xs))
-              != dest.binary(op, ys[s:s + step], ys)).any(axis=-1)
+            [rows_differ(mapped(source.binary(op, xs[s:s + step], xs)),
+                         dest.binary(op, ys[s:s + step], ys))
              for s in range(0, len(xs), step)]))
     return out
 
 
-def _mapper(source, dest, forward, made: list):
-    """forward on arrays of one operation's source keys, giving target
-    keys: each block's distinct keys are found by ``unique_rows``, and
-    only those no earlier block had are decoded, mapped (or read from
-    ``made``, which gets them) and encoded."""
+def _mapper(source, dest, forward, memo: dict, xs, ys):
+    """forward on arrays of source keys, giving target keys, for every
+    operation of one check: it starts from the window's keys ``xs``,
+    mapped to the image's keys ``ys``; each block's distinct keys are
+    found by ``unique_rows``, and only those no earlier block had are
+    decoded, mapped (read from ``memo``, or forward's image, which
+    ``memo`` gets) and encoded."""
     import numpy as np
 
     from .kernels import unique_rows
     from .vector import _row_keys
 
-    seen: Dict[bytes, int] = {}  # a source key's bytes -> its row in mapped
-    mapped = None
-    known = {x: y for elems, values in made for x, y in zip(elems, values)}
+    # A source key's bytes -> its row in mapped.
+    seen: Dict[bytes, int] = {name: i for i, name in enumerate(_row_keys(xs))}
+    mapped = ys
 
     def apply(keys):
         nonlocal mapped
@@ -219,13 +225,13 @@ def _mapper(source, dest, forward, made: list):
         new = [j for j, p in enumerate(pos) if p is None]
         if new:
             elems = source.elements(uniq[new])
-            values = ([known[x] if x in known else forward(x) for x in elems]
-                      if known else list(map(forward, elems)))
-            made.append((elems, values))
-            rows = dest.keys(values)
-            for p, j in enumerate(new, len(seen)):
+            for x in elems:
+                if x not in memo:
+                    memo[x] = forward(x)
+            rows = dest.keys([memo[x] for x in elems])
+            for p, j in enumerate(new, len(mapped)):
                 pos[j] = seen[names[j]] = p
-            mapped = rows if mapped is None else np.concatenate([mapped, rows])
+            mapped = np.concatenate([mapped, rows])
         return mapped[np.array(pos)[inverse]].reshape(keys.shape[:-1] + (-1,))
 
     return apply

@@ -190,6 +190,18 @@ def unique_rows(rows):
     return first, inverse
 
 
+def rows_differ(a, b):
+    """``(a != b).any(axis=-1)`` for rows of at least one column, one
+    column at a time: a reduction over the short last axis of a broadcast
+    is several times slower (on a 2-core Xeon, about 370 against 95 us on
+    a (50, 324, 4) block, and 650 against 50 us for ``Coords.leq`` on
+    (50, 1, 2) against (1, 324, 2) operands)."""
+    out = a[..., 0] != b[..., 0]
+    for c in range(1, a.shape[-1]):
+        out |= a[..., c] != b[..., c]
+    return out
+
+
 class Coords:
     """Z^n or N^n (Z and N when ``scalar``): the pointwise operations."""
 
@@ -213,7 +225,11 @@ class Coords:
 
     @staticmethod
     def leq(a, b):
-        return (a <= b).all(axis=-1)
+        # Column by column, as in rows_differ.
+        out = a[..., 0] <= b[..., 0]
+        for c in range(1, a.shape[-1]):
+            out &= a[..., c] <= b[..., c]
+        return out
 
 
 class Lex:

@@ -239,6 +239,66 @@ def test_roundtrip_report_lists_failures_by_operation():
     assert rep["failures"][0]["elements"] == ["1", "1"]
 
 
+_GROUP_OPS = (("negate",), ("add", "inf", "sup"))
+
+
+def test_roundtrip_report_lists_a_colliding_forward_as_not_injective():
+    from mvtool.equivalence import _roundtrip_report
+
+    # Z onto the trivial group: a homomorphism that identifies everything.
+    rep = _roundtrip_report("group", Z, mv.ZnGroup(0), lambda g: (),
+                            lambda p: 0, *_GROUP_OPS, 1)
+    assert rep["failures"] == [
+        {"kind": "not-injective", "elements": ["-1", "0"]},
+        {"kind": "not-injective", "elements": ["0", "1"]},
+        {"kind": "inverse", "element": "-1"},
+        {"kind": "inverse", "element": "1"},
+    ]
+
+
+def test_roundtrip_report_lists_images_outside_the_codomain_window():
+    from mvtool.equivalence import _roundtrip_report
+
+    class NarrowZ(mv.ZGroup):
+        def enumerate(self, bound):
+            return super().enumerate(bound - 1)
+
+    rep = _roundtrip_report("group", Z, NarrowZ(), lambda g: g, lambda g: g,
+                            *_GROUP_OPS, 2)
+    assert rep["failures"] == [
+        {"kind": "image-outside-window", "element": "-2"},
+        {"kind": "image-outside-window", "element": "2"},
+    ]
+
+
+@pytest.mark.parametrize("preimage", [1, 3])
+def test_roundtrip_report_lists_a_broken_inverse_as_not_surjective(preimage):
+    # The inverse sends 2 to a window element (1) or to one beyond the
+    # window (3); the identity maps either back onto something other
+    # than 2.
+    from mvtool.equivalence import _roundtrip_report
+
+    calls = []
+
+    def forward(g):
+        calls.append(g)
+        return g
+
+    rep = _roundtrip_report("group", Z, Z, forward,
+                            lambda g: preimage if g == 2 else g,
+                            *_GROUP_OPS, 2)
+    assert rep["failures"] == [
+        {"kind": "not-surjective", "element": "2"},
+        {"kind": "inverse", "element": "2"},
+    ]
+    # The window's images, then the preimage when it lies outside the
+    # window (its image is read otherwise), then the homomorphism
+    # check's sums outside the window.
+    outside = [3] if preimage == 3 else []
+    assert calls[:5 + len(outside)] == Z.enumerate(2) + outside
+    assert sorted(calls[5 + len(outside):]) == [-4, -3, 3, 4]
+
+
 def test_pair_group_examples():
     P = mv.pair_group_ops(C)
     s = P.add(CanonPair(mv.Fin(1), mv.Fin(0)), CanonPair(mv.Fin(0), mv.Fin(2)))

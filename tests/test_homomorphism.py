@@ -84,6 +84,48 @@ def test_reports_equal_the_carrier_operations(monkeypatch):
     assert [v.ok for v in with_kernels[-2:]] == [True, False]
 
 
+def _spy_on_forward(monkeypatch):
+    """For each homomorphism check of a report or a reconstruction made
+    while ``monkeypatch`` is active: its window and the elements its
+    ``forward`` received, in order."""
+    from mvtool import decompose, equivalence
+
+    checks = []
+
+    def spy(src, target, window, image, forward, *rest):
+        calls = []
+
+        def counted(x):
+            calls.append(x)
+            return forward(x)
+
+        checks.append((window, calls))
+        return homomorphism_failures(src, target, window, image, counted, *rest)
+
+    for module in (equivalence, decompose):
+        monkeypatch.setattr(module, "homomorphism_failures", spy)
+    return checks
+
+
+def test_forward_maps_each_element_outside_the_window_once(monkeypatch):
+    for bound in (2, 3):
+        with monkeypatch.context() as m:
+            with_kernels = _spy_on_forward(m)
+            reports = len(_results(bound))
+        with monkeypatch.context() as m:
+            m.setattr(vector, "codec_for", lambda model: None)
+            m.setattr(kernels, "codec_for", lambda model: None)
+            without = _spy_on_forward(m)
+            _results(bound)
+        # One check per report and per reconstruction.
+        assert len(with_kernels) == len(without) == reports
+        for (window, calls), (_, other) in zip(with_kernels, without):
+            assert not set(calls) & set(window)
+            assert len(set(calls)) == len(calls)
+            assert set(calls) == set(other)
+        assert any(calls for _, calls in with_kernels)
+
+
 def test_map_once_lists_each_collision_with_the_latest_earlier_element():
     image, collisions = map_once([0, 1, 2, 3, 4, 3], lambda x: x % 2)
     assert image == {0: 0, 1: 1, 2: 0, 3: 1, 4: 0}
@@ -127,7 +169,8 @@ def test_a_window_past_the_kernel_limit_gives_the_reference_failures(monkeypatch
         m.setattr(kernels, "codec_for", lambda model: None)
         assert run() == (failures, calls)
     assert {kind for kind, _ in failures} == {"inf", "sup"}
-    # One call per distinct result of each operation, the negations mapped
-    # before the restart included: 9 negations, 5 x 5 sums, 3 x 3 infima
-    # and as many suprema.
-    assert calls == 9 + 25 + 9 + 9
+    # One call per distinct element outside the window, over all
+    # operations and the restart: the 9 negations (mapped before the
+    # restart) and the 5 x 5 sums all lie outside the window, while every
+    # infimum and supremum is a window element, whose image is given.
+    assert calls == 9 + 25

@@ -1,6 +1,7 @@
 """The int64 kernels of the vector engine against the carriers' own
 operations, which stay the reference."""
 
+import itertools
 import math
 from unittest import mock
 
@@ -13,7 +14,7 @@ from hypothesis.extra.numpy import array_shapes, arrays
 import mvtool as mv
 from mvtool import kernels
 from mvtool.decompose import FiniteQuotientAlgebra
-from mvtool.kernels import codec_for, unique_ints, unique_rows
+from mvtool.kernels import codec_for, rows_differ, unique_ints, unique_rows
 
 from helpers import decode_one, encode_one
 
@@ -303,6 +304,21 @@ _RNG = np.random.default_rng(21)
 ], ids=lambda rows: str(rows.shape))
 def test_unique_rows_on_both_routes(rows):
     _assert_unique_rows(np.asarray(rows, dtype=np.int64))
+
+
+@pytest.mark.parametrize("width", [1, 2, 3, 4])
+def test_column_wise_comparisons_reduce_the_last_axis(width):
+    # Every row over {-1, 0, 1} (so some pairs differ in the last column
+    # only), from all the rows and from none against every row.
+    rows = np.array(list(itertools.product((-1, 0, 1), repeat=width)),
+                    dtype=np.int64)
+    leq = kernels.Coords(width, scalar=False).leq
+    for a in (rows[:, None], rows[:0, None]):
+        b = rows[None, :]
+        np.testing.assert_array_equal(leq(a, b), (a <= b).all(axis=-1),
+                                      strict=True)
+        np.testing.assert_array_equal(rows_differ(a, b), (a != b).any(axis=-1),
+                                      strict=True)
 
 
 def _assert_unique_ints(arr, end):
