@@ -47,9 +47,10 @@ Horn sequents on direct products are checked one factor at a time.  The
 ``auto`` engine takes this route for a sequent with context variables
 whose antecedent is ``true`` or a conjunction of ``=``/``<=`` atoms,
 whose consequent is a conjunction of atoms or ``false``, and which does
-not mention ``u``, on a ``ProductAlgebra``, ``ZnGroup`` or ``NnMonoid``
-(by exact type) with at least one factor.  Their operations and order
-are componentwise, so a tuple fails iff every factor's part satisfies
+not mention ``u``, on a ``ProductAlgebra``, a ``ZnGroup`` or the
+``PositiveConeMonoid`` of one (N^n and PosCone(Z^n), whose factors are
+cones of Z), by exact type, with at least one factor.  Their operations
+and order are componentwise, so a tuple fails iff every factor's part satisfies
 the antecedent and some factor's part fails the sequent (Horn, JSL 16,
 1951).  Each factor goes back through ``check_sequent``, so it picks its
 own engine and a nested product recurses; the product's window is never
@@ -76,7 +77,7 @@ from typing import Any, Dict, Optional
 
 from . import sequents as S
 from .errors import SignatureError, UnboundVariableError
-from .lgroup_core import NMonoid, NnMonoid, ZGroup, ZnGroup
+from .lgroup_core import PositiveConeMonoid, ZGroup, ZnGroup
 from .mv_core import ProductAlgebra, _repeat, _repeated, mv_power, nat_scalar
 from .verdicts import CounterExample, Holds, InconclusiveAtBound, Verdict
 
@@ -423,14 +424,15 @@ def _check_vector(model, seq, ctx_enums, search, bound) -> Verdict:
 
 def _product_factors(model) -> tuple:
     """The factors of a carrier that is, by its exact type, a direct
-    product with componentwise operations and order; () otherwise."""
+    product with componentwise operations and order; () otherwise.  The
+    cone of a product group is the product of the factors' cones."""
     kind = type(model)
     if kind is ProductAlgebra:
         return model.factors
     if kind is ZnGroup:
         return (ZGroup(),) * model.rank
-    if kind is NnMonoid:
-        return (NMonoid(),) * model.rank
+    if kind is PositiveConeMonoid:
+        return tuple(map(PositiveConeMonoid, _product_factors(model.group)))
     return ()
 
 

@@ -6,14 +6,16 @@ families, tests):
     MV carriers:   C | B | Trivial | L(m) | Sigma(<group>)
                  | Gamma(<group>,<elem>) | Prod(<mv>,...)
     groups:        Z | Z^n | Lex(Z,<group>) | Groth(<monoid>)
-    monoids:       N | N^n | PosCone(<group>)
+    monoids:       N | N^n | PosCone(<group>)     (N, N^n: PosCone(Z), PosCone(Z^n))
     wrappers:      Unital(<group>,<elem>) | Pointed(<mv>,<elem>)
 
 Element syntax depends on the carrier: Chang elements are ``0``, ``1``,
 ``Nc`` and ``1-Nc``; chain elements are indices; vectors are
 ``(a,b,...)``; lexicographic pairs are ``(head,<tail>)``; Grothendieck
 elements are canonical pairs ``[<u>,<v>]`` of monoid elements; positive
-cone elements use their group's syntax.
+cone elements use their group's syntax, so N's are integers and N^n's
+vectors.  ``N`` and ``N^n`` parse to the cones of Z and Z^n, spelled as
+written.
 """
 
 from __future__ import annotations
@@ -239,14 +241,9 @@ def parse_group_element(group: LGroup, text: str):
 
 def parse_monoid_element(monoid: LMonoid, text: str):
     text = text.strip()
-    if isinstance(monoid, NMonoid):
-        x = _parse_int(text)
-    elif isinstance(monoid, NnMonoid):
-        x = _parse_vector(text, monoid.rank)
-    elif isinstance(monoid, PositiveConeMonoid):
-        x = parse_group_element(monoid.group, text)
-    else:
+    if not isinstance(monoid, PositiveConeMonoid):
         raise DescriptorError(f"no element syntax for monoid {monoid.descriptor()}")
+    x = parse_group_element(monoid.group, text)
     monoid.validate(x)
     return x
 

@@ -262,11 +262,12 @@ def delta_star(A: MvAlgebra, a, bound: int = 4) -> Tuple[GrothendieckGroup, Cano
 
 
 def _bijection_failures(fmt_dom, fmt_cod, image: dict, collisions: list,
-                        codomain: list, inverse, forward) -> list:
+                        inverses: dict, forward) -> list:
     """Bijectivity evidence on windows: injectivity of the image (its
     ``map_once`` collisions), image contained in the codomain window, and
     surjectivity witnessed by the explicit inverse (every codomain-window
-    element has a preimage that maps back onto it).  ``image`` holds
+    element has a preimage that maps back onto it).  ``inverses`` maps
+    the codomain window, in order, to its preimages.  ``image`` holds
     forward's images of the domain window, so a preimage in the window is
     read from it and only one outside the window is mapped.
 
@@ -278,11 +279,9 @@ def _bijection_failures(fmt_dom, fmt_cod, image: dict, collisions: list,
     """
     failures = [{"kind": "not-injective", "elements": [fmt_dom(a), fmt_dom(b)]}
                 for a, b in collisions]
-    cod = set(codomain)
-    for v in sorted(set(image.values()) - cod, key=repr):
+    for v in sorted(set(image.values()).difference(inverses), key=repr):
         failures.append({"kind": "image-outside-window", "element": fmt_cod(v)})
-    for p in codomain:
-        q = inverse(p)
+    for p, q in inverses.items():
         if (image[q] if q in image else forward(q)) != p:
             failures.append({"kind": "not-surjective", "element": fmt_cod(p)})
     return failures
@@ -298,16 +297,28 @@ def _roundtrip_report(direction: str, src, target, forward: Callable,
     must satisfy forward(src.op(x)) = target.op(forward(x)) on the
     window, and a binary one the same on every pair.  Returns counts and
     a list of failures (empty on success): the bijection failures, then
-    those of ``homomorphism_failures`` in its order.
+    those of ``homomorphism_failures`` in its order.  The two checks share
+    one dict of inverses, which starts as the codomain window's, so
+    ``inverse`` runs once per distinct argument: the image mostly lies in
+    that window.
     """
     window = src.enumerate(bound)
     fmt = src.format_element
     image, collisions = map_once(window, forward)
+    inverses = {p: inverse(p) for p in target.enumerate(bound)}
+
+    def inverse_once(p):
+        try:
+            return inverses[p]
+        except KeyError:
+            q = inverses[p] = inverse(p)
+            return q
+
     failures = _bijection_failures(fmt, target.format_element, image, collisions,
-                                   target.enumerate(bound), inverse, forward)
+                                   inverses, forward)
     for kind, elements in homomorphism_failures(
-            src, target, window, [image[x] for x in window], forward, inverse,
-            unary_ops, binary_ops):
+            src, target, window, [image[x] for x in window], forward,
+            inverse_once, unary_ops, binary_ops):
         if len(elements) == 1:
             failures.append({"kind": kind, "element": fmt(elements[0])})
         else:

@@ -35,8 +35,9 @@ Morita equivalence between l-groups and cancellative lattice-ordered
 abelian monoids with bottom element), and there is one codec for it,
 ``Diff``: a class [u, v] is coded as the
 row of u - v in G, its canonical pair is ((u - v)+, (u - v)-), and the
-group operations are G's own kernels.  N, N^n and PosCone(G) are cones
-of Z, Z^n and G.  So is the radical monoid of a Sigma-shaped interval (a
+group operations are G's own kernels.  PosCone(G) is the cone of G, and
+N and N^n are PosCone(Z) and PosCone(Z^n), coded by Z's and Z^n's
+codecs.  So is the radical monoid of a Sigma-shaped interval (a
 lexicographic Z x_lex G with unit (1, 0), as in Sigma(G), C and Pointed
 over them): every radical element is (0, g) with g >= 0, and oplus is
 the tails' plain sum, which never reaches the unit, so the monoid is G's
@@ -69,8 +70,6 @@ from .lgroup_core import (
     GrothendieckGroup,
     LexGroup,
     LexPair,
-    NMonoid,
-    NnMonoid,
     PositiveConeMonoid,
     UnitalGroup,
     ZGroup,
@@ -489,7 +488,7 @@ def _lex(model):
 
 def groth_codec(monoid):
     """The codec of the Grothendieck group of ``monoid``, or None.  A cone
-    (N, N^n, PosCone(G)) is coded by its own group codec; the radical
+    (PosCone(G), N and N^n among them) is coded by its own group codec; the radical
     monoid of a Sigma-shaped interval Z x_lex G at (1, 0) by G's codec
     past the zero head."""
     m = codec_for(monoid)
@@ -556,8 +555,6 @@ def _product(model):
 _BUILDERS = {
     ZGroup: lambda model: Coords(1, scalar=True),
     ZnGroup: lambda model: _coords(model.rank),
-    NMonoid: lambda model: Coords(1, scalar=True),
-    NnMonoid: lambda model: _coords(model.rank),
     LexGroup: _lex,
     UnitalGroup: lambda model: codec_for(model.group),
     PositiveConeMonoid: lambda model: codec_for(model.group),

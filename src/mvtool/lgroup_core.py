@@ -6,15 +6,20 @@ integer tuples with the pointwise order, or lexicographic pairs
 cancellative monoid is represented by canonical pairs (u, v) with
 inf(u, v) = 0, so equality of group elements is structural.
 
-Its operations are defined through ``canon_pair``, in the monoid.  Over
-the cone of a built-in group G (N, N^n, PosCone(G), and the radical
-monoid of a Sigma-shaped algebra: Sigma(G), C, Pointed over those) they
-compute in G instead, on the differences u - v, because the group of
-differences of G+ is G; ``canon_pair`` stays the route over every other
-monoid, and over a subclass anywhere in the monoid.
+N and N^n are the positive cones of Z and Z^n: ``NMonoid()`` and
+``NnMonoid(n)`` build ``PositiveConeMonoid``s that print as ``N`` and
+``N^n``, and no code branches on the spelling.
 
-Zeros are built once per carrier, and Z^n and N^n compute with ``map``
-over the ``operator`` functions.
+The Grothendieck group's operations are defined through ``canon_pair``,
+in the monoid.  Over the cone of a built-in group G (PosCone(G), N and
+N^n among them, and the radical monoid of a Sigma-shaped algebra:
+Sigma(G), C, Pointed over those) they compute in G instead, on the
+differences u - v, because the group of differences of G+ is G;
+``canon_pair`` stays the route over every other monoid, and over a
+subclass anywhere in the monoid.
+
+Zeros are built once per carrier, and Z^n computes with ``map`` over the
+``operator`` functions.
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ import itertools
 from dataclasses import dataclass
 from functools import partial
 from operator import add as _add, attrgetter, le as _le, neg as _neg, sub as _sub
-from typing import Any
+from typing import Any, Optional
 
 from .errors import CarrierMismatchError, InvalidUnitError
 
@@ -465,98 +470,17 @@ class LMonoid:
         return f"<{type(self).__name__} {self.descriptor()}>"
 
 
-class NMonoid(LMonoid):
-    """The natural numbers under addition."""
-
-    @property
-    def zero(self):
-        return 0
-
-    def add(self, x, y):
-        return x + y
-
-    def inf(self, x, y):
-        return min(x, y)
-
-    def sup(self, x, y):
-        return max(x, y)
-
-    def subtract(self, x, y):
-        if y > x:
-            raise CarrierMismatchError(f"cannot subtract {y} from {x} in N")
-        return x - y
-
-    def enumerate(self, bound):
-        return list(range(bound + 1))
-
-    def window_size(self, bound):
-        return bound + 1
-
-    def validate(self, x):
-        if not isinstance(x, int) or isinstance(x, bool) or x < 0:
-            raise CarrierMismatchError(f"{x!r} is not a natural number")
-
-    def descriptor(self):
-        return "N"
-
-
-class NnMonoid(LMonoid):
-    """N^n with pointwise operations."""
-
-    def __init__(self, rank: int):
-        if rank < 0:
-            raise ValueError("rank must be >= 0")
-        self.rank = rank
-        self._zero = (0,) * rank
-
-    @property
-    def zero(self):
-        return self._zero
-
-    def add(self, x, y):
-        return tuple(map(_add, x, y))
-
-    def leq(self, x, y):
-        return all(map(_le, x, y))
-
-    def inf(self, x, y):
-        return tuple(map(min, x, y))
-
-    def sup(self, x, y):
-        return tuple(map(max, x, y))
-
-    def subtract(self, x, y):
-        if not self.leq(y, x):
-            raise CarrierMismatchError(f"{y!r} is not below {x!r} in N^{self.rank}")
-        return tuple(map(_sub, x, y))
-
-    def enumerate(self, bound):
-        rng = range(bound + 1)
-        return [tuple(t) for t in itertools.product(rng, repeat=self.rank)]
-
-    def window_size(self, bound):
-        return (bound + 1) ** self.rank
-
-    def validate(self, x):
-        if not isinstance(x, tuple) or len(x) != self.rank:
-            raise CarrierMismatchError(f"{x!r} is not a rank-{self.rank} vector")
-        for a in x:
-            if not isinstance(a, int) or isinstance(a, bool) or a < 0:
-                raise CarrierMismatchError(f"{x!r} has a negative coordinate")
-
-    def descriptor(self):
-        return f"N^{self.rank}"
-
-    def format_element(self, x):
-        return "(" + ",".join(str(a) for a in x) + ")"
-
-
 class PositiveConeMonoid(LMonoid):
     """The positive cone {g | 0 <= g} of a group, with the restricted
-    operations.  Subtractivity is witnessed by subtraction in the group."""
+    operations.  Subtractivity is witnessed by subtraction in the group.
 
-    def __init__(self, group: LGroup):
+    ``spelling`` is the descriptor the cone prints, ``PosCone(<group>)``
+    when None: N and N^n are the cones of Z and Z^n (``NMonoid``,
+    ``NnMonoid``), and print as they are spelled."""
+
+    def __init__(self, group: LGroup, spelling: Optional[str] = None):
         self.group = group
+        self.spelling = spelling
 
     @property
     def zero(self):
@@ -593,7 +517,7 @@ class PositiveConeMonoid(LMonoid):
             )
 
     def descriptor(self):
-        return f"PosCone({self.group.descriptor()})"
+        return self.spelling or f"PosCone({self.group.descriptor()})"
 
     def format_element(self, x):
         return self.group.format_element(x)
@@ -602,6 +526,16 @@ class PositiveConeMonoid(LMonoid):
 def positive_cone(G: LGroup) -> PositiveConeMonoid:
     """The functor sending a group to its positive cone."""
     return PositiveConeMonoid(G)
+
+
+def NMonoid() -> PositiveConeMonoid:
+    """The natural numbers under addition: the positive cone of Z."""
+    return PositiveConeMonoid(ZGroup(), "N")
+
+
+def NnMonoid(rank: int) -> PositiveConeMonoid:
+    """N^n with pointwise operations: the positive cone of Z^n."""
+    return PositiveConeMonoid(ZnGroup(rank), f"N^{rank}")
 
 
 # ---------------------------------------------------------------------------
@@ -639,10 +573,6 @@ def _cone(monoid):
     element g >= 0 of G back, both None where the monoid's elements are
     G's own.  None for any other monoid, a subclass included."""
     t = type(monoid)
-    if t is NMonoid:
-        return ZGroup(), None, None
-    if t is NnMonoid:
-        return ZnGroup(monoid.rank), None, None
     if t is PositiveConeMonoid:
         return (monoid.group, None, None) if _builtin_group(monoid.group) else None
     # mv_core imports this module.
@@ -700,8 +630,8 @@ class GrothendieckGroup(LGroup):
     l-groups and cancellative l-monoids with bottom).  A class x = [u, v]
     is its difference dx = u - v in G; for o in {+, inf, sup}, x o y is
     the pair (d+, d-) = (sup(d, 0), sup(-d, 0)) of d = dx o dy in G, and
-    x <= y iff dx <= dy in G.  The cones are N and N^n (of Z and Z^n),
-    PosCone(G), and the radical monoid of a Sigma-shaped algebra
+    x <= y iff dx <= dy in G.  The cones are PosCone(G), N and N^n (of
+    Z and Z^n) among them, and the radical monoid of a Sigma-shaped algebra
     (Sigma(G), Gamma(Z x_lex G, (1, 0)), C, Pointed over those), whose
     elements (0, g), or nc, are g, or n, in G's cone.  The route is chosen
     once, in ``__init__``, by the exact type of the monoid and of every
@@ -769,15 +699,17 @@ class GrothendieckGroup(LGroup):
         return self.interval_size(bound)
 
     def _difference_ranges(self, bound, lo, hi):
-        """Over N or N^n a canonical pair [u, v] is determined by its
-        difference u - v, and the window is the box [-bound, bound]^n:
-        the per-coordinate ranges of the differences in [lo, hi] within
-        that box.  None over other monoids."""
+        """Over the cone of Z or Z^n (N, N^n) a canonical pair [u, v] is
+        determined by its difference u - v, and the window is the box
+        [-bound, bound]^n: the per-coordinate ranges of the differences in
+        [lo, hi] within that box.  None over other monoids."""
         m = self.monoid
-        if type(m) is NMonoid:
+        if type(m) is not PositiveConeMonoid:
+            return None
+        if type(m.group) is ZGroup:
             rank, coords = 1, lambda x: (x,)
-        elif type(m) is NnMonoid:
-            rank, coords = m.rank, lambda x: x
+        elif type(m.group) is ZnGroup:
+            rank, coords = m.group.rank, lambda x: x
         else:
             return None
 
@@ -799,7 +731,7 @@ class GrothendieckGroup(LGroup):
             (tuple(max(a, 0) for a in d), tuple(max(-a, 0) for a in d))
             for d in itertools.product(*ranges)
         )
-        if type(self.monoid) is NMonoid:
+        if type(self.monoid.group) is ZGroup:
             return [CanonPair(u, v) for (u,), (v,) in pairs]
         return [CanonPair(u, v) for u, v in pairs]
 
@@ -814,9 +746,9 @@ class GrothendieckGroup(LGroup):
 
     def enumerate(self, bound):
         """The canonical pairs of the pairs (x, y) of the monoid window,
-        in order of first appearance.  Over N/N^n that list is the box of
-        differences, which ``interval`` builds directly.  Over another
-        cone (PosCone(G)) or the radical monoid of a Sigma-shaped interval
+        in order of first appearance.  Over the cone of Z or Z^n that list
+        is the box of differences, which ``interval`` builds directly.
+        Over another cone or the radical monoid of a Sigma-shaped interval
         it is built in one pass from the differences x - y of the monoid's
         code rows (``kernels.groth_window``); otherwise the pairs are
         walked."""

@@ -18,6 +18,19 @@ README_DESCRIPTORS = [
 ]
 
 
+class ConeOfZ(mv.PositiveConeMonoid):
+    """N, the positive cone of Z printed as ``N``, for test doubles to
+    subclass: a subclass keeps the generic routes (no codec, no route
+    through Z for its Grothendieck group).  Its order is read off ``inf``,
+    as ``LMonoid`` defines it, so a double that breaks ``inf`` breaks the
+    order with it."""
+
+    leq = mv.LMonoid.leq
+
+    def __init__(self):
+        super().__init__(mv.ZGroup(), "N")
+
+
 def left_fold(A, op, identity, x, n):
     """op(... op(op(identity, x), x) ..., x) with n copies of x: the
     definition of n*x and x^n, one operation per copy."""

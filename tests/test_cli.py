@@ -241,7 +241,7 @@ def test_ant_check_command(capsys):
             ("Groth(N)", "[1,0", "not a pair"),
             ("Groth(N)", "(1,0)", "not a pair"),
             ("Groth(N)", "[1,0,0]", "not a pair"),
-            ("Groth(N)", "[-1,0]", "not a natural number"),
+            ("Groth(N)", "[-1,0]", "-1 is not in the positive cone"),
             ("Groth(N^2)", "[(1,0),(0)]", "does not have rank 2"),
             ("Groth(PosCone(Z^2))", "[(-1,0),(0,1)]", "not in the positive cone")):
         assert run_cli("ant-check", "--group", group, "--unit", unit) == 64

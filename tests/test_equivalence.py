@@ -2,11 +2,12 @@
 variants, and the antiarchimedean checks."""
 
 import itertools
+from collections import Counter
 
 import pytest
 
 import mvtool as mv
-from helpers import first_beyond_multiples_walk
+from helpers import ConeOfZ, first_beyond_multiples_walk
 from mvtool.descriptors import parse_group_element, parse_mv_element
 from mvtool.lgroup_core import CanonPair, LexPair
 from mvtool.verdicts import Finite, NoneUpTo
@@ -225,7 +226,7 @@ def test_monoid_group_roundtrips():
 def test_roundtrip_report_lists_failures_by_operation():
     from mvtool.equivalence import _roundtrip_report
 
-    class BrokenInf(mv.NMonoid):
+    class BrokenInf(ConeOfZ):
         def inf(self, x, y):
             return 0
 
@@ -532,3 +533,37 @@ def test_functor_action_on_homomorphisms():
     for p in D.enumerate(3):
         for q in D.enumerate(3):
             assert Df(D.add(p, q)) == D.add(Df(p), Df(q))
+
+
+def test_roundtrip_reports_invert_each_argument_once(monkeypatch):
+    # The bijection check inverts every codomain-window element and the
+    # homomorphism check every image; they share one dict of inverses.
+    import mvtool.equivalence as equivalence
+
+    original = equivalence._roundtrip_report
+    spied = []
+
+    def spy(direction, src, target, forward, inverse, unary, binary, bound):
+        calls = Counter()
+
+        def counted(p):
+            calls[p] += 1
+            return inverse(p)
+
+        arguments = set(target.enumerate(bound)) | {
+            forward(x) for x in src.enumerate(bound)}
+        spied.append((src.descriptor(), calls, arguments))
+        return original(direction, src, target, forward, counted, unary,
+                        binary, bound)
+
+    monkeypatch.setattr(equivalence, "_roundtrip_report", spy)
+    reports = [mv.phi_roundtrip_report(Z, 6), mv.phi_roundtrip_report(Z2, 3),
+               mv.phi_roundtrip_report(LexZZ, 3), mv.beta_roundtrip_report(C, 6),
+               mv.beta_roundtrip_report(mv.sigma(Z2), 3),
+               mv.chi_roundtrip_report(Z2, 3),
+               mv.phi_M_roundtrip_report(mv.NnMonoid(2), 4)]
+    assert all(rep["failures"] == [] for rep in reports)
+    assert len(spied) == len(reports)
+    for descriptor, calls, arguments in spied:
+        assert set(calls) == arguments, descriptor
+        assert set(calls.values()) == {1}, descriptor

@@ -11,14 +11,14 @@ from mvtool.equivalence import _roundtrip_report
 from mvtool.homomorphism import homomorphism_failures, map_once
 from mvtool.lgroup_core import CanonPair
 
-from helpers import record_codecs
+from helpers import ConeOfZ, record_codecs
 
 C = mv.ChangAlgebra()
 CC = mv.ProductAlgebra([C, C])
 N = mv.NMonoid()
 
 
-class BrokenInf(mv.NMonoid):
+class BrokenInf(ConeOfZ):
     def inf(self, x, y):
         return 0
 

@@ -8,7 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import mvtool as mv
-from helpers import canon_pair_ops, grothendieck_walk
+from helpers import ConeOfZ, canon_pair_ops, grothendieck_walk
 from mvtool.descriptors import parse_group_element
 from mvtool.kernels import groth_window
 from mvtool.lgroup_core import CanonPair, LexPair
@@ -184,14 +184,14 @@ def test_monoid_axioms():
     assert mv.check_monoid_axioms(mv.positive_cone(LexZZ), 3).ok
     assert mv.check_monoid_axioms(mv.positive_cone(Z2), 3).ok
 
-    class BrokenInf(mv.NMonoid):
+    class BrokenInf(ConeOfZ):
         def inf(self, x, y):
             return 0
 
     v = mv.check_monoid_axioms(BrokenInf(), 2)
     assert v.axiom == "M.4" and v.env == 1  # 1 <= 1 fails: inf(1, 1) = 0
 
-    class LeftAdd(mv.NMonoid):
+    class LeftAdd(ConeOfZ):
         def add(self, x, y):
             return x
 
@@ -199,7 +199,7 @@ def test_monoid_axioms():
     v = mv.check_monoid_axioms(LeftAdd(), 2)
     assert v.axiom == "M.3" and v.env == (0, 1)
 
-    class FarWindow(mv.NMonoid):
+    class FarWindow(ConeOfZ):
         def enumerate(self, bound):
             return super().enumerate(bound) + [10 * bound]
 
@@ -342,10 +342,13 @@ def test_grothendieck_window_falls_back_to_the_walk_at_the_limit(monkeypatch):
     rad = mv.RadicalMonoid(mv.parse_model("Sigma(Lex(Z,Z))"))
     rad_window = [LexPair(0, LexPair(0, 0)), LexPair(0, LexPair(1, big)),
                   LexPair(0, LexPair(1, -big))]
-    # A cone element with no valid code, and one beyond int64.
-    cone = mv.parse_model("PosCone(Z^2)")
-    for M, window in ((rad, rad_window), (cone, [(0, 0), (big + 1, 0), (0, 1)]),
-                      (cone, [(0, 0), (2 ** 63, 1)])):
+    # A cone element with no valid code, and one beyond int64.  (The
+    # cones of Z and Z^n take the box of differences, which reads no
+    # monoid window.)
+    cone = mv.parse_model("PosCone(Lex(Z,Z))")
+    for M, window in ((rad, rad_window),
+                      (cone, [LexPair(0, 0), LexPair(big + 1, 0), LexPair(0, 1)]),
+                      (cone, [LexPair(0, 0), LexPair(2 ** 63, 1)])):
         monkeypatch.setattr(M, "enumerate", lambda b, window=window: window)
         G = mv.GrothendieckGroup(M)
         assert groth_window(M, 1) is None
@@ -418,7 +421,7 @@ def test_subclasses_keep_canon_pair():
     keeps the canon_pair route: its operations are not the built-in
     carrier's, so G's need not be either."""
 
-    class SubN(mv.NMonoid):
+    class SubN(ConeOfZ):
         pass
 
     class SubZ(mv.ZGroup):

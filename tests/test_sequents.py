@@ -12,7 +12,7 @@ from mvtool import sequents as S
 from mvtool.checking import check_sequent, eval_term
 from mvtool.verdicts import CounterExample, Holds, InconclusiveAtBound
 
-from helpers import (NODE_TWINS, README_DESCRIPTORS,
+from helpers import (NODE_TWINS, README_DESCRIPTORS, ConeOfZ,
                      assert_nodes_behave_as_twins, doubling_steps,
                      record_codecs, spy_on_chunks)
 from test_scalar_engine import _draw_sequent
@@ -179,8 +179,9 @@ def test_check_sequent_examples():
 
 
 def test_search_window_is_built_only_for_existentials():
-    class RecordingN(mv.NMonoid):
+    class RecordingN(ConeOfZ):
         def __init__(self):
+            super().__init__()
             self.bounds = []
 
         def enumerate(self, bound):
@@ -247,10 +248,11 @@ def test_a_bound_sweep_keeps_a_few_windows():
 
 
 def test_a_carrier_that_cannot_be_hashed_is_read_every_time():
-    class Unhashable(mv.NMonoid):
+    class Unhashable(ConeOfZ):
         __hash__ = None
 
         def __init__(self):
+            super().__init__()
             self.bounds = []
 
         def enumerate(self, bound):
@@ -495,7 +497,7 @@ def test_nested_differences_leave_code_space_at_the_limit():
 
 
 def test_vector_engine_keeps_subclass_operations():
-    class BrokenInf(mv.NMonoid):
+    class BrokenInf(ConeOfZ):
         def inf(self, x, y):
             return 0
 
@@ -749,7 +751,7 @@ _PRODUCTS = {
     "mv": ["Prod(C,L(2))", "Prod(L(2),C)", "Prod(B,L(3))", "Prod(C,C)",
            "Prod(Prod(C,B),L(2))"],
     "lgroup": ["Z^2", "Z^3"],
-    "monoid": ["N^2"],
+    "monoid": ["N^2", "PosCone(Z^2)"],
 }
 
 
@@ -806,8 +808,8 @@ def test_product_route_equals_the_full_grid(monkeypatch):
                 # the route is taken, and every walk is over a factor that
                 # is not a product
                 assert calls[0] == (d, None), (d, seq)
-                assert all(size is None or not name.startswith(("Prod", "Z^", "N^"))
-                           for name, size in calls), calls
+                assert all(size is None or not name.startswith(
+                    ("Prod", "Z^", "N^", "PosCone(Z^")) for name, size in calls), calls
                 for engine in ("scalar", "vector"):
                     _assert_same_verdict(
                         routed, check_sequent(model, seq, bound, engine=engine),
@@ -844,18 +846,30 @@ def test_the_product_route_builds_no_product_window(monkeypatch):
              ("Prod(Prod(C,B),L(2))", "true |-[x,y] false", 3),
              ("Prod(C,Prod(L(2),C))", "x (+) x = 1 |-[x] false", 3),
              ("N^2", "x <= y |-[x,y] y <= x", 3),
+             ("PosCone(Z^2)", "M.11", 3),
+             ("PosCone(Z^2)", "x <= y |-[x,y] y <= x", 3),
              ("Z^2", "x + x = y |-[x,y] x <= 0", 3)]
     seqs = [registry.named_sequents().get(s) or mv.parse_sequent(s)
             for _, s, _ in cases]
     expected = [check_sequent(mv.parse_model(d), seq, b, engine="vector")
                 if b < 7 else Holds() for (d, _, b), seq in zip(cases, seqs)]
-    assert sum(isinstance(v, CounterExample) for v in expected) == 5
+    assert sum(isinstance(v, CounterExample) for v in expected) == 6
 
     def refuse(self, bound):
         raise AssertionError(f"{self.descriptor()} window built")
 
-    for cls in (mv.ProductAlgebra, mv.ZnGroup, mv.NnMonoid):
+    # The cone of Z^n is a product; the cones of Z that are its factors
+    # build their windows.
+    cone_enumerate = mv.PositiveConeMonoid.enumerate
+
+    def refuse_product_cones(self, bound):
+        if type(self.group) is mv.ZnGroup:
+            refuse(self, bound)
+        return cone_enumerate(self, bound)
+
+    for cls in (mv.ProductAlgebra, mv.ZnGroup):
         monkeypatch.setattr(cls, "enumerate", refuse)
+    monkeypatch.setattr(mv.PositiveConeMonoid, "enumerate", refuse_product_cones)
     for (d, _, b), seq, want in zip(cases, seqs, expected):
         _assert_same_verdict(check_sequent(mv.parse_model(d), seq, b), want, d)
 
@@ -873,8 +887,8 @@ def test_other_sequents_and_carriers_keep_the_full_grid(monkeypatch):
         (Z2, "L.12", {"engine": "scalar"}),
         # orders that are not componentwise
         (mv.parse_model("Lex(Z,Z)"), "L.12", {}),
-        (mv.parse_model("PosCone(Z^2)"), "M.11", {}),
-        (mv.parse_model("PosCone(Z^2)"), "x <= y |-[x,y] y <= x", {}),
+        (mv.parse_model("PosCone(Lex(Z,Z))"), "M.11", {}),
+        (mv.parse_model("PosCone(Lex(Z,Z))"), "x <= y |-[x,y] y <= x", {}),
     ]
     for model, label, kw in cases:
         seq = registry.named_sequents().get(label) or mv.parse_sequent(label)
