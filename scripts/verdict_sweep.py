@@ -28,7 +28,8 @@ from pathlib import Path
 import mvtool as mv
 from mvtool.errors import MvToolError
 
-CORPUS = Path(__file__).resolve().parent.parent / "tests" / "data" / "verdict_corpus.tsv"
+ROOT = Path(__file__).resolve().parent.parent
+CORPUS = ROOT / "tests" / "data" / "verdict_corpus.tsv"
 
 # N and N^n next to the cones of Z and Z^n that they are, Grothendieck
 # groups over both spellings, a cone whose order is not componentwise,

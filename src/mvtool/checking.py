@@ -47,10 +47,10 @@ Horn sequents on direct products are checked one factor at a time.  The
 ``auto`` engine takes this route for a sequent with context variables
 whose antecedent is ``true`` or a conjunction of ``=``/``<=`` atoms,
 whose consequent is a conjunction of atoms or ``false``, and which does
-not mention ``u``, on a ``ProductAlgebra``, a ``ZnGroup`` or the
-``PositiveConeMonoid`` of one (N^n and PosCone(Z^n), whose factors are
-cones of Z), by exact type, with at least one factor.  Their operations
-and order are componentwise, so a tuple fails iff every factor's part satisfies
+not mention ``u``, on a ``ProductAlgebra``, a ``ZnGroup`` or the cone of
+one (N^n, PosCone(Z^n): its factors are cones of Z), by exact type,
+with at least one factor.  Their operations and order
+are componentwise, so a tuple fails iff every factor's part satisfies
 the antecedent and some factor's part fails the sequent (Horn, JSL 16,
 1951).  Each factor goes back through ``check_sequent``, so it picks its
 own engine and a nested product recurses; the product's window is never

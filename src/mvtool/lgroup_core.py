@@ -703,13 +703,11 @@ class GrothendieckGroup(LGroup):
         determined by its difference u - v, and the window is the box
         [-bound, bound]^n: the per-coordinate ranges of the differences in
         [lo, hi] within that box.  None over other monoids."""
-        m = self.monoid
-        if type(m) is not PositiveConeMonoid:
-            return None
-        if type(m.group) is ZGroup:
+        G = self.monoid.group if type(self.monoid) is PositiveConeMonoid else None
+        if type(G) is ZGroup:
             rank, coords = 1, lambda x: (x,)
-        elif type(m.group) is ZnGroup:
-            rank, coords = m.group.rank, lambda x: x
+        elif type(G) is ZnGroup:
+            rank, coords = G.rank, lambda x: x
         else:
             return None
 

@@ -19,5 +19,6 @@ def test_auto_lines_at_bounds_1_and_2_match_the_corpus():
     committed = [line for line in verdict_sweep.CORPUS.read_text().splitlines()
                  if line.split("\t")[2:4] in (["1", "auto"], ["2", "auto"])]
     computed = list(verdict_sweep.sweep(bounds=(1, 2), engines=("auto",)))
-    assert len(computed) == 2 * len(mv.named_sequents()) * len(verdict_sweep.DESCRIPTORS)
+    labels = len(mv.named_sequents())
+    assert len(computed) == 2 * labels * len(verdict_sweep.DESCRIPTORS)
     assert computed == committed
