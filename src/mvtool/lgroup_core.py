@@ -6,6 +6,13 @@ integer tuples with the pointwise order, or lexicographic pairs
 cancellative monoid is represented by canonical pairs (u, v) with
 inf(u, v) = 0, so equality of group elements is structural.
 
+``LexPair`` and ``CanonPair`` are named tuples, so they are built,
+hashed and compared by the tuple type's own code.  Each therefore equals
+the plain tuple with the same fields, and a LexPair equals the CanonPair
+with the same fields: a carrier that takes plain tuples (Z^n here,
+products in ``mv_core``) tests for the exact type ``tuple`` in
+``validate``.
+
 N and N^n are the positive cones of Z and Z^n: ``NMonoid()`` and
 ``NnMonoid(n)`` build ``PositiveConeMonoid``s that print as ``N`` and
 ``N^n``, and no code branches on the spelling.
@@ -25,28 +32,26 @@ Zeros are built once per carrier, and Z^n computes with ``map`` over the
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import partial
 from operator import add as _add, attrgetter, le as _le, neg as _neg, sub as _sub
-from typing import Any, Optional
+from typing import Any, NamedTuple, Optional
 
 from .errors import CarrierMismatchError, InvalidUnitError
 
 
-@dataclass(frozen=True)
-class LexPair:
+class LexPair(NamedTuple):
     """Element of Z x_lex G: an integer head and a group-element tail.
 
     Order is lexicographic: (a, x) <= (b, y) iff a < b, or a = b and
-    x <= y in the tail group.
+    x <= y in the tail group.  As a tuple the pair compares and orders
+    like (head, tail), which is not the tail group's order.
     """
 
     head: int
     tail: Any
 
 
-@dataclass(frozen=True)
-class CanonPair:
+class CanonPair(NamedTuple):
     """Canonical Grothendieck-group representative: the unique pair
     (u, v) in the class of (x, y) with inf(u, v) = 0."""
 
@@ -239,7 +244,8 @@ class ZnGroup(LGroup):
         return size
 
     def validate(self, x):
-        if not isinstance(x, tuple) or len(x) != self.rank:
+        # Exactly a tuple: a LexPair or CanonPair is a tuple too.
+        if type(x) is not tuple or len(x) != self.rank:
             raise CarrierMismatchError(f"{x!r} is not a rank-{self.rank} vector")
         for a in x:
             if not isinstance(a, int) or isinstance(a, bool):

@@ -5,12 +5,17 @@ chains L(m) (with B = L(1) and the trivial algebra = L(0)), unit
 intervals Gamma(G, u) of unital groups, lexicographic unit intervals
 Sigma(G) = Gamma(Z x_lex G, (1, 0)), and finite products.  Everything is
 exact and immutable; Chang indices are arbitrary-precision naturals.
+
+``ChangElem`` is a named tuple, as ``LexPair`` is (see ``lgroup_core``),
+so it equals the plain tuple (kind, n).  Product elements and vectors are
+plain tuples: ``ProductAlgebra.validate`` and ``_interval_carrier`` test
+for the exact type ``tuple``.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import Iterable, Literal, Optional, Sequence
 
 from .errors import CarrierMismatchError, InvalidUnitError
@@ -18,18 +23,19 @@ from .lgroup_core import LexGroup, LexPair, LGroup, LMonoid
 from .verdicts import Finite, NoneUpTo
 
 
-@dataclass(frozen=True)
-class ChangElem:
+class ChangElem(namedtuple("ChangElem", ("kind", "n"))):
     """Element of Chang's algebra: Fin(n) denotes nc, CoFin(n) denotes
     1 - nc.  The two families are disjoint as denoted elements; Fin(0)
-    is 0 and CoFin(0) is 1."""
+    is 0 and CoFin(0) is 1.  ``kind`` is "fin" or "cofin" and ``n`` a
+    natural number; as a tuple the element compares and orders like
+    (kind, n), which is not C's order."""
 
-    kind: Literal["fin", "cofin"]
-    n: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.n < 0:
+    def __new__(cls, kind: Literal["fin", "cofin"], n: int):
+        if n < 0:
             raise ValueError("Chang index must be a natural number")
+        return tuple.__new__(cls, (kind, n))
 
     def __repr__(self):
         return f"ChangElem({self.kind!r}, {self.n})"
@@ -122,7 +128,9 @@ class ChangAlgebra(MvAlgebra):
     """Chang's algebra C = {0, c, 2c, ..., 1-2c, 1-c, 1}.
 
     nc oplus mc = (n+m)c; (1-nc) oplus mc = 1-(n-m)c truncated at 1;
-    coinfinite elements absorb to 1; neg swaps the families.
+    coinfinite elements absorb to 1; neg swaps the families.  Dually,
+    odot is computed directly: nc odot mc = 0; (1-nc) odot (1-mc) =
+    1-(n+m)c; nc odot (1-mc) = (n-m)c truncated at 0.
 
     C is a chain, so the natural order and the lattice operations are
     computed directly: the Fin family lies below the CoFin family, nc
@@ -147,6 +155,14 @@ class ChangAlgebra(MvAlgebra):
 
     def neg(self, x):
         return Fin(x.n) if x.kind == "cofin" else CoFin(x.n)
+
+    def odot(self, x, y):
+        if x.kind == "cofin" and y.kind == "cofin":
+            return CoFin(x.n + y.n)
+        if x.kind == "fin" and y.kind == "fin":
+            return Fin(0)
+        fin, cof = (x, y) if x.kind == "fin" else (y, x)
+        return Fin(max(0, fin.n - cof.n))
 
     def leq(self, x, y):
         if x.kind != y.kind:
@@ -324,7 +340,8 @@ class GammaAlgebra(MvAlgebra):
 def _interval_carrier(group: LGroup, unit) -> Optional[list]:
     if isinstance(unit, int):
         return list(range(unit + 1))
-    if isinstance(unit, tuple):
+    # Exactly a tuple, a vector: a LexPair is a tuple too.
+    if type(unit) is tuple:
         return [tuple(t) for t in itertools.product(*(range(a + 1) for a in unit))]
     if isinstance(unit, LexPair):
         # A lexicographic interval [0, (h, t)] is infinite unless the
@@ -438,7 +455,8 @@ class ProductAlgebra(MvAlgebra):
         return [tuple(t) for t in itertools.product(*parts)]
 
     def validate(self, x):
-        if not isinstance(x, tuple) or len(x) != len(self.factors):
+        # Exactly a tuple: a LexPair or CanonPair is a tuple too.
+        if type(x) is not tuple or len(x) != len(self.factors):
             raise CarrierMismatchError(
                 f"{x!r} does not have arity {len(self.factors)}"
             )

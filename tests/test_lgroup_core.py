@@ -453,3 +453,37 @@ def test_subclasses_keep_canon_pair():
             [reference[op](p, q) for p in window for q in window], op
     one = CanonPair((1, 0), (0, 0))
     assert G.add(one, G.zero) == one
+
+
+# -- The element records ------------------------------------------------------
+
+
+def test_record_reprs():
+    assert repr(LexPair(1, 2)) == "LexPair(head=1, tail=2)"
+    assert repr(CanonPair(LexPair(0, (1, 0)), LexPair(0, (0, 2)))) == (
+        "CanonPair(u=LexPair(head=0, tail=(1, 0)), v=LexPair(head=0, tail=(0, 2)))")
+    assert repr(mv.Fin(3)) == "ChangElem('fin', 3)"
+    assert repr(mv.CoFin(0)) == "ChangElem('cofin', 0)"
+
+
+def test_records_of_one_kind_hash_and_compare_by_their_fields():
+    for make, fields, other in ((LexPair, (1, (2, 3)), LexPair(1, (2, 4))),
+                                (CanonPair, ((1, 0), (0, 3)), CanonPair((1, 0), (0, 2))),
+                                (mv.ChangElem, ("fin", 2 ** 70), mv.CoFin(2 ** 70))):
+        x, y = make(*fields), make(*fields)
+        assert x == y and hash(x) == hash(y) and not x != y
+        assert x is not y and len({x, y}) == 1
+        assert x != other and len({x, other}) == 2
+        assert type(x) is type(y) is make
+    assert mv.Fin(2) != mv.CoFin(2)
+    assert {LexPair(0, 1): "a"}[LexPair(0, 1)] == "a"
+
+
+def test_vectors_are_plain_tuples():
+    # A lexicographic pair of integers has two integer fields, as a rank-2
+    # vector has two integer coordinates; it is still not a vector.
+    with pytest.raises(mv.CarrierMismatchError):
+        Z2.validate(LexPair(0, 1))
+    with pytest.raises(mv.CarrierMismatchError):
+        Z2.validate(CanonPair(0, 1))
+    Z2.validate((0, 1))

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import mvtool as mv
 from helpers import README_DESCRIPTORS, doubling_steps, left_fold
-from mvtool.lgroup_core import LexPair
+from mvtool.lgroup_core import CanonPair, LexPair
 from mvtool.verdicts import Finite, NoneUpTo
 
 C = mv.ChangAlgebra()
@@ -255,6 +255,33 @@ def test_carrier_mismatch_is_reported():
         L2.validate(5)
 
 
+def test_chang_indices_stay_natural():
+    for make in (lambda n: mv.ChangElem("fin", n),
+                 lambda n: mv.ChangElem("cofin", n), mv.Fin, mv.CoFin):
+        with pytest.raises(ValueError, match="natural number"):
+            make(-1)
+
+
+def test_products_take_plain_tuples_only():
+    # Records with two Chang elements as fields have CC's arity; they are
+    # still not elements of CC.
+    a, b = mv.Fin(1), mv.CoFin(0)
+    for record in (LexPair(a, b), CanonPair(a, b)):
+        with pytest.raises(mv.CarrierMismatchError):
+            CC.validate(record)
+    CC.validate((a, b))
+
+
+def test_lexicographic_intervals_are_infinite_over_an_infinite_tail():
+    # [0, (1, 0)] in Z x_lex Z holds (0, g) for every g >= 0.
+    assert mv.gamma(mv.LexGroup(mv.ZGroup()), LexPair(1, 0)).carrier() is None
+    trivial = mv.LexGroup(mv.ZnGroup(0))
+    assert mv.gamma(trivial, LexPair(2, ())).carrier() == [
+        LexPair(0, ()), LexPair(1, ()), LexPair(2, ())]
+    assert mv.gamma(mv.ZnGroup(2), (1, 2)).carrier() == [
+        (0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (1, 2)]
+
+
 def test_enumerate_monotone_and_deterministic():
     for A in (C, CC, mv.sigma(mv.ZGroup())):
         a = A.enumerate(3)
@@ -311,7 +338,7 @@ chang_elems = st.builds(mv.ChangElem, st.sampled_from(["fin", "cofin"]), natural
 
 @given(chang_elems, chang_elems)
 def test_chang_order_equals_the_derived_one_at_arbitrary_precision(x, y):
-    for op in ("inf", "sup", "leq"):
+    for op in ("odot", "inf", "sup", "leq"):
         assert getattr(C, op)(x, y) == getattr(mv.MvAlgebra, op)(C, x, y), op
 
 
