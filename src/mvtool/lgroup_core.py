@@ -43,8 +43,8 @@ class LexPair(NamedTuple):
     """Element of Z x_lex G: an integer head and a group-element tail.
 
     Order is lexicographic: (a, x) <= (b, y) iff a < b, or a = b and
-    x <= y in the tail group.  As a tuple the pair compares and orders
-    like (head, tail), which is not the tail group's order.
+    x <= y in the tail group.  As a tuple the pair also compares and
+    orders like (head, tail); that order is not the carrier's ``leq``.
     """
 
     head: int

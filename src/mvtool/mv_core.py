@@ -27,8 +27,8 @@ class ChangElem(namedtuple("ChangElem", ("kind", "n"))):
     """Element of Chang's algebra: Fin(n) denotes nc, CoFin(n) denotes
     1 - nc.  The two families are disjoint as denoted elements; Fin(0)
     is 0 and CoFin(0) is 1.  ``kind`` is "fin" or "cofin" and ``n`` a
-    natural number; as a tuple the element compares and orders like
-    (kind, n), which is not C's order."""
+    natural number.  As a tuple the element also compares and orders like
+    (kind, n); that order is not C's ``leq``."""
 
     __slots__ = ()
 
