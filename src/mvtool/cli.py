@@ -17,8 +17,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import List, Optional, Sequence
 
 from . import decompose as dec
 from . import registry
@@ -37,7 +36,7 @@ from .errors import (
     DecompositionError,
     MvToolError,
 )
-from .sequents import parse_sequent, print_sequent
+from .sequents import _Node, parse_sequent, print_sequent
 from .verdicts import CounterExample, InconclusiveAtBound, Verdict
 
 SCHEMA_VERSION = 1
@@ -49,12 +48,11 @@ EXIT_INCONCLUSIVE = 2
 EXIT_USAGE = 64
 
 
-@dataclass
-class RunConfig:
+class RunConfig(_Node):
     command: str
     model: Optional[str] = None
     sequent: Optional[str] = None
-    sequents: List[str] = field(default_factory=list)
+    sequents: Sequence[str] = ()
     group: Optional[str] = None
     algebra: Optional[str] = None
     gens: Optional[str] = None

@@ -10,8 +10,7 @@ quotients of infinite algebras are out of scope.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from typing import Callable, List, Tuple
+from typing import Callable, List, Sequence, Tuple
 
 from .errors import DecompositionError, MvToolError
 from .homomorphism import homomorphism_failures, map_once
@@ -28,11 +27,11 @@ from .registry import (
     _perfect_by_construction,
     not_perfect_message,
 )
+from .sequents import _Node
 from .verdicts import CounterExample, Holds, Verdict
 
 
-@dataclass
-class AtomDecomposition:
+class AtomDecomposition(_Node):
     """A direct-product presentation of an algebra: pairwise disjoint
     Boolean atoms with sup 1, the perfect factors they cut out, and the
     two mutually inverse isomorphisms."""
@@ -41,8 +40,8 @@ class AtomDecomposition:
     factors: List[MvAlgebra]
     iso_forward: Callable
     iso_backward: Callable
-    projections: List[Callable] = field(default_factory=list)
-    embeddings: List[Callable] = field(default_factory=list)
+    projections: Sequence[Callable] = ()
+    embeddings: Sequence[Callable] = ()
 
 
 class FiniteQuotientAlgebra(MvAlgebra):

@@ -269,7 +269,8 @@ def _bijection_failures(fmt_dom, fmt_cod, image: dict, collisions: list,
     element has a preimage that maps back onto it).  ``inverses`` maps
     the codomain window, in order, to its preimages.  ``image`` holds
     forward's images of the domain window, so a preimage in the window is
-    read from it and only one outside the window is mapped.
+    read from it; one outside the window is mapped once, and ``image``
+    keeps its image.
 
     Set equality of the two windows is deliberately not required: over a
     lexicographic carrier, canonicalizing pairs of window elements can
@@ -282,7 +283,9 @@ def _bijection_failures(fmt_dom, fmt_cod, image: dict, collisions: list,
     for v in sorted(set(image.values()).difference(inverses), key=repr):
         failures.append({"kind": "image-outside-window", "element": fmt_cod(v)})
     for p, q in inverses.items():
-        if (image[q] if q in image else forward(q)) != p:
+        if q not in image:
+            image[q] = forward(q)
+        if image[q] != p:
             failures.append({"kind": "not-surjective", "element": fmt_cod(p)})
     return failures
 
@@ -300,7 +303,8 @@ def _roundtrip_report(direction: str, src, target, forward: Callable,
     those of ``homomorphism_failures`` in its order.  The two checks share
     one dict of inverses, which starts as the codomain window's, so
     ``inverse`` runs once per distinct argument: the image mostly lies in
-    that window.
+    that window.  They share one dict of images too, which starts as the
+    window's, so ``forward`` also runs once per distinct argument.
     """
     window = src.enumerate(bound)
     fmt = src.format_element
@@ -318,7 +322,7 @@ def _roundtrip_report(direction: str, src, target, forward: Callable,
                                    inverses, forward)
     for kind, elements in homomorphism_failures(
             src, target, window, [image[x] for x in window], forward,
-            inverse_once, unary_ops, binary_ops):
+            inverse_once, unary_ops, binary_ops, image):
         if len(elements) == 1:
             failures.append({"kind": kind, "element": fmt(elements[0])})
         else:

@@ -35,7 +35,7 @@ this module loads without them.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 
 def map_once(window, f: Callable) -> Tuple[dict, list]:
@@ -60,7 +60,8 @@ def map_once(window, f: Callable) -> Tuple[dict, list]:
 def homomorphism_failures(src, target, window: list, image: list,
                           forward: Callable, inverse: Callable,
                           unary_ops: Sequence[str],
-                          binary_ops: Sequence[str]) -> List[Tuple[str, tuple]]:
+                          binary_ops: Sequence[str],
+                          memo: Optional[dict] = None) -> List[Tuple[str, tuple]]:
     """Where ``forward`` fails to be a homomorphism from ``src`` to
     ``target`` with inverse ``inverse`` on ``window``.
 
@@ -74,7 +75,10 @@ def homomorphism_failures(src, target, window: list, image: list,
     forward(src.op(x, y)) != target.op(forward(x), forward(y)).
     An empty window has no failures.  ``forward`` is called once per
     distinct element outside the window, over all operations: never on a
-    window element, whose image ``image`` holds.
+    window element, whose image ``image`` holds.  ``memo``, when given,
+    maps elements to their images under ``forward``: the check reads the
+    images of the elements outside the window from it before it calls
+    ``forward``, and keeps there those it computes.
     """
     if not window:
         return []
@@ -85,7 +89,8 @@ def homomorphism_failures(src, target, window: list, image: list,
     ops = (*unary_ops, *binary_ops)
     # forward's images of the elements outside the window, kept for a
     # restart.
-    memo: dict = {}
+    if memo is None:
+        memo = {}
     try:
         bad = _differences(_side(src, ops), _side(target, ops), window, image,
                            forward, memo, unary_ops, binary_ops)

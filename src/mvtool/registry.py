@@ -26,21 +26,19 @@ batches of registry sequents; they restate no formula.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from .checking import check_sequent
 from .errors import UnknownLabelError
 from .lgroup_core import LexGroup, UnitalGroup, ZGroup, ZnGroup
 from .mv_core import ChangAlgebra, SigmaAlgebra
-from .sequents import Sequent, parse_sequent
+from .sequents import Sequent, _Node, parse_sequent
 from .verdicts import CounterExample, Holds, Verdict
 
 BIGVEE_CAP = 16
 
 
-@dataclass(frozen=True)
-class RegistryEntry:
+class RegistryEntry(_Node):
     label: str
     sequent: Sequent
     theory: str
@@ -307,8 +305,7 @@ EQUIVALENT_FAMILIES: List[Tuple[Tuple[str, ...], Tuple[str, ...]]] = [
 ]
 
 
-@dataclass
-class FamilyReport:
+class FamilyReport(_Node):
     model: str
     bound: int
     verdicts: Dict[str, Verdict]

@@ -9,15 +9,16 @@ conjunction and disjunction, ``exists x.`` for quantification,
 ``phi |-[x,y] psi`` for sequents.  ``u`` is the reserved distinguished
 constant (strong unit, or the marked radical element).
 
-The term and formula nodes (and the tokenizer's tokens) derive from
-``_Node``, an immutable record that behaves as a frozen dataclass without
-generating code for each class.  ``Sequent`` is a frozen dataclass.
+The term and formula nodes, ``Sequent`` and the tokenizer's tokens derive
+from ``_Node``, an immutable record that behaves as a frozen dataclass
+without generating code for each class.  It is the one record base of the
+package: the verdicts, the registry's records, ``AtomDecomposition`` and
+the CLI's ``RunConfig`` derive from it too.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import FrozenInstanceError, dataclass
 from typing import FrozenSet, Optional, Tuple, Union
 
 from .errors import ParseError, SignatureError
@@ -27,24 +28,40 @@ ALL_SIGS = frozenset({"mv", "lgroup", "monoid"})
 
 class _Node:
     """An immutable record whose fields are its class's annotations, in
-    order.  It behaves as ``@dataclass(frozen=True)``: construction by
-    position or keyword, ``==`` only between instances of one class, the
-    hash of the field tuple, the dataclass ``repr``, ``FrozenInstanceError``
-    on assignment and deletion, and ``__match_args__``.  Unlike a
-    dataclass it compiles no methods for each class, which is most of the
-    cost of defining one."""
+    order, after those of the record classes it derives from.  It behaves
+    as ``@dataclass(frozen=True)``: construction by position or keyword, a
+    field whose class attribute holds a value takes that value as its
+    default, ``==`` only between instances of one class, the hash of the
+    field tuple, the dataclass ``repr``, ``FrozenInstanceError`` on
+    assignment and deletion, and ``__match_args__`` (the arguments).  A
+    field named in ``_fixed`` is not an argument: it keeps its class
+    attribute's value and comes after the arguments, as a dataclass field
+    declared with ``init=False``.  ``_replace`` is ``dataclasses.replace``.
+    Unlike a dataclass it compiles no methods for each class, which is most
+    of the cost of defining one."""
 
     __match_args__ = ()
+    _fixed = ()
+    _fields = ()
+    _defaults = {}
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
-        cls.__match_args__ += tuple(cls.__annotations__)
+        cls.__match_args__ += tuple([name for name in cls.__annotations__
+                                     if name not in cls._fixed])
+        cls._fields = cls.__match_args__ + cls._fixed
+        cls._defaults = {name: getattr(cls, name) for name in cls.__match_args__
+                         if hasattr(cls, name)}
 
     def __init__(self, *args, **kwargs):
         names = self.__match_args__
-        if kwargs:
-            args += tuple([kwargs.pop(name) for name in names[len(args):]
-                           if name in kwargs])
+        if kwargs or len(args) < len(names):
+            values = {**self._defaults, **kwargs}
+            args += tuple([values.pop(name) for name in names[len(args):]
+                           if name in values])
+            # What is left of the keywords names no field after the
+            # positional arguments.
+            kwargs = values.keys() & kwargs.keys()
         if kwargs or len(args) != len(names):
             raise TypeError(f"{type(self).__qualname__}() takes the "
                             f"arguments ({', '.join(names)})")
@@ -55,7 +72,11 @@ class _Node:
             object.__setattr__(self, name, value)
 
     def _astuple(self):
-        return tuple([getattr(self, name) for name in self.__match_args__])
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def _replace(self, **changes):
+        return type(self)(*[changes.pop(name, getattr(self, name))
+                            for name in self.__match_args__], **changes)
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
@@ -67,13 +88,17 @@ class _Node:
 
     def __repr__(self):
         fields = ", ".join(f"{name}={getattr(self, name)!r}"
-                           for name in self.__match_args__)
+                           for name in self._fields)
         return f"{type(self).__qualname__}({fields})"
 
+    # dataclasses is imported on the error path only, so that importing
+    # the package loads neither it nor the inspect it imports.
     def __setattr__(self, name, value):
+        from dataclasses import FrozenInstanceError
         raise FrozenInstanceError(f"cannot assign to field {name!r}")
 
     def __delattr__(self, name):
+        from dataclasses import FrozenInstanceError
         raise FrozenInstanceError(f"cannot delete field {name!r}")
 
 
@@ -221,14 +246,14 @@ class BoundedOrOverN(_Node):
 Formula = Union[Top, Bot, Eq, Leq, And, Or, Exists, BoundedOrOverN]
 
 
-@dataclass(frozen=True)
-class Sequent:
+class Sequent(_Node):
     context: Tuple[str, ...]
     antecedent: Formula
     consequent: Formula
     name: Optional[str] = None
 
-    def __post_init__(self):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
         for i, v in enumerate(self.context):
             if v in self.context[:i]:
                 raise SignatureError(f"context repeats variable {v!r}")

@@ -8,11 +8,15 @@ cannot soundly be "fails").
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Any
 
+from .sequents import _Node
 
-class Verdict:
+
+class Verdict(_Node):
+    # Each kind of verdict names itself: a field that ``repr`` and ``==``
+    # read but no constructor takes.
+    _fixed = ("kind",)
     kind: str = ""
 
     @property
@@ -20,12 +24,10 @@ class Verdict:
         return isinstance(self, Holds)
 
 
-@dataclass(frozen=True)
 class Holds(Verdict):
-    kind: str = field(default="holds", init=False)
+    kind = "holds"
 
 
-@dataclass(frozen=True)
 class CounterExample(Verdict):
     """A concrete refutation.
 
@@ -38,10 +40,9 @@ class CounterExample(Verdict):
     env: Any
     axiom: str | None = None
     note: str | None = None
-    kind: str = field(default="counterexample", init=False)
+    kind = "counterexample"
 
 
-@dataclass(frozen=True)
 class InconclusiveAtBound(Verdict):
     """Every concrete failure candidate involved an unwitnessed bounded
     existential or capped infinitary disjunction, so the check is neither
@@ -49,18 +50,16 @@ class InconclusiveAtBound(Verdict):
 
     bound: int
     note: str | None = None
-    kind: str = field(default="inconclusive-at-bound", init=False)
+    kind = "inconclusive-at-bound"
 
 
-@dataclass(frozen=True)
-class Finite:
+class Finite(_Node):
     """Result of an order computation: the least n with nx = 1."""
 
     n: int
 
 
-@dataclass(frozen=True)
-class NoneUpTo:
+class NoneUpTo(_Node):
     """No n <= bound satisfied nx = 1 (sound under-approximation of
     infinite order)."""
 

@@ -4,6 +4,7 @@ import dataclasses
 import itertools
 
 import mvtool as mv
+from mvtool import cli, registry
 from mvtool import sequents as S
 
 # A concrete descriptor for every constructor in the README carrier table.
@@ -136,9 +137,47 @@ def walk_check(M, seq, ctx_enum, search, bound):
 
 # A frozen dataclass with the name and fields of each syntax node class
 # (and of the tokenizer's token): the behaviour the node base reproduces.
+# The node base's other direct subclasses are the records below.
 NODE_TWINS = {
     cls: dataclasses.make_dataclass(cls.__name__, cls.__match_args__, frozen=True)
     for cls in S._Node.__subclasses__()
+    if cls.__module__ == S.__name__ and cls is not S.Sequent
+}
+
+
+def _fixed(value):
+    return ("kind", str, dataclasses.field(default=value, init=False))
+
+
+# A frozen dataclass declared with the fields and defaults of each value
+# record that derives from the node base and is not a syntax node: the
+# verdicts' ``kind`` is a field no constructor takes, as ``init=False``.
+RECORD_TWINS = {
+    cls: dataclasses.make_dataclass(cls.__name__, fields, frozen=True)
+    for cls, fields in [
+        (mv.Holds, [_fixed("holds")]),
+        (mv.CounterExample, ["env", ("axiom", object, None),
+                             ("note", object, None), _fixed("counterexample")]),
+        (mv.InconclusiveAtBound, ["bound", ("note", object, None),
+                                  _fixed("inconclusive-at-bound")]),
+        (mv.Finite, ["n"]),
+        (mv.NoneUpTo, ["bound"]),
+        (S.Sequent, ["context", "antecedent", "consequent",
+                     ("name", object, None)]),
+        (registry.RegistryEntry, ["label", "sequent", "theory", "kind", "doc",
+                                  "models"]),
+        (registry.FamilyReport, ["model", "bound", "verdicts", "family_checks"]),
+        (mv.AtomDecomposition, ["atoms", "factors", "iso_forward", "iso_backward",
+                                ("projections", object, ()),
+                                ("embeddings", object, ())]),
+        (cli.RunConfig, ["command", *[(name, object, None) for name in
+                                      ("model", "sequent")],
+                         ("sequents", object, ()),
+                         *[(name, object, None) for name in
+                           ("group", "algebra", "gens", "unit")],
+                         ("bound", object, 6), ("output", object, "text"),
+                         ("seed", object, 0), ("exists_bound", object, None)]),
+    ]
 }
 
 

@@ -1,6 +1,5 @@
 """Boolean quotients, atoms, and the product decomposition."""
 
-import dataclasses
 import itertools
 
 import pytest
@@ -193,11 +192,11 @@ def test_reconstruction_maps_each_window_element_once(monkeypatch):
             return d.iso_forward(x)
 
         assert mv.product_reconstruction_check(
-            CC, dataclasses.replace(d, iso_forward=counted), 3).ok
+            CC, d._replace(iso_forward=counted), 3).ok
         assert len(calls) == 64 + 57, block
 
         v = mv.product_reconstruction_check(
-            CC, dataclasses.replace(d, factors=[SkewChang(), d.factors[1]]), 3)
+            CC, d._replace(factors=[SkewChang(), d.factors[1]]), 3)
         assert v.note == "forward map does not preserve oplus"
         assert v.env == ((mv.Fin(0), mv.Fin(2)), (mv.Fin(0), mv.Fin(1)))
         assert window.index(v.env[0]) == 2

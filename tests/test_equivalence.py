@@ -294,10 +294,14 @@ def test_roundtrip_report_lists_a_broken_inverse_as_not_surjective(preimage):
     ]
     # The window's images, then the preimage when it lies outside the
     # window (its image is read otherwise), then the homomorphism
-    # check's sums outside the window.
+    # check's sums outside the window: x + y over the window [-2, 2]
+    # leaves it at -4, -3, 3 and 4, and inf and sup never do.  The two
+    # checks share one memo of images, so a preimage of 3 leaves three
+    # of the four sums to map.
     outside = [3] if preimage == 3 else []
     assert calls[:5 + len(outside)] == Z.enumerate(2) + outside
-    assert sorted(calls[5 + len(outside):]) == [-4, -3, 3, 4]
+    assert sorted(calls[5 + len(outside):]) == \
+        [s for s in [-4, -3, 3, 4] if s not in outside]
 
 
 def test_pair_group_examples():

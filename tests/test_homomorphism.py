@@ -1,7 +1,6 @@
 """The homomorphism checker behind the round-trip reports and the
 product reconstruction, against the carriers' own operations."""
 
-import dataclasses
 from functools import partial
 
 import mvtool as mv
@@ -58,7 +57,7 @@ def _results(bound):
     d = mv.decompose_product(CC, [(mv.Fin(1), mv.CoFin(1))], bound=4)
     for factors in (d.factors, [SkewChang(), d.factors[1]]):
         out.append(mv.product_reconstruction_check(
-            CC, dataclasses.replace(d, factors=factors), bound))
+            CC, d._replace(factors=factors), bound))
     return out
 
 

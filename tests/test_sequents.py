@@ -1,6 +1,7 @@
 """Parser, printer, evaluation, bounded checking, registry."""
 
 import dataclasses
+import itertools
 
 import pytest
 from hypothesis import given, settings
@@ -12,8 +13,8 @@ from mvtool import sequents as S
 from mvtool.checking import check_sequent, eval_term
 from mvtool.verdicts import CounterExample, Holds, InconclusiveAtBound
 
-from helpers import (NODE_TWINS, README_DESCRIPTORS, ConeOfZ,
-                     assert_nodes_behave_as_twins, doubling_steps,
+from helpers import (NODE_TWINS, README_DESCRIPTORS, RECORD_TWINS, ConeOfZ,
+                     _raised, assert_nodes_behave_as_twins, doubling_steps,
                      record_codecs, spy_on_chunks)
 from test_scalar_engine import _draw_sequent
 
@@ -984,9 +985,9 @@ def test_all_entries_equal_an_eager_build():
     entries = registry.all_entries()
     assert [e.label for e in entries] == [e.label for e in eager]
     for got, want in zip(entries, eager):
-        for field in dataclasses.fields(registry.RegistryEntry):
-            assert getattr(got, field.name) == getattr(want, field.name), \
-                (got.label, field.name)
+        for field in registry.RegistryEntry.__match_args__:
+            assert getattr(got, field) == getattr(want, field), \
+                (got.label, field)
     assert list(registry.named_sequents().items()) == \
         [(e.label, e.sequent) for e in eager]
 
@@ -1052,6 +1053,55 @@ def test_node_construction_binds_as_dataclasses():
             for make in (cls, twin):
                 with pytest.raises(TypeError):
                     make(*args, **kwargs)
+
+
+def test_records_behave_as_dataclasses():
+    xi = registry.lookup("xi")
+    made = []
+    for cls, twin in RECORD_TWINS.items():
+        names = cls.__match_args__
+        assert names == twin.__match_args__
+        required = [f.name for f in dataclasses.fields(twin)
+                    if f.init and f.default is dataclasses.MISSING]
+        if cls is S.Sequent:
+            values = (xi.context, xi.antecedent, xi.consequent, "xi")
+            others = ((*xi.context, "y"), S.Bot(), S.Top(), None)
+        else:
+            values, others = tuple(range(len(names))), (-1,) * len(names)
+        given = dict(zip(names, values))
+        # All by position; and the required arguments by position or by
+        # keyword, with every choice of the others by keyword.
+        calls = [(values, {})]
+        for k in range(len(names) - len(required) + 1):
+            for chosen in itertools.combinations(names[len(required):], k):
+                kwargs = {name: given[name] for name in chosen}
+                calls += [(values[:len(required)], kwargs),
+                          ((), {**dict(zip(required, values)), **kwargs})]
+        for args, kwargs in calls:
+            x, y = cls(*args, **kwargs), twin(*args, **kwargs)
+            assert (repr(x), hash(x)) == (repr(y), hash(y))
+        x, y = cls(*values), twin(*values)
+        made.append((x, y))
+        assert (x == cls(*values), x != cls(*values)) == (True, False)
+        for name, other in zip(names, others):
+            a, b = x._replace(**{name: other}), dataclasses.replace(y, **{name: other})
+            assert repr(a) == repr(b)
+            assert (x == a, x != a) == (y == b, y != b) == (False, True)
+        wrong = [(values + (0,), {}), (values, {"extra": 0})]
+        wrong += [(values, {names[0]: 0})] if names else []
+        wrong += [(values[:len(required) - 1], {})] if required else []
+        wrong += [(values, {"kind": 0})] if "kind" not in names else []
+        for args, kwargs in wrong:
+            for make in (cls, twin):
+                with pytest.raises(TypeError):
+                    make(*args, **kwargs)
+        for name in names + ("kind", "extra"):
+            for action in (lambda r: setattr(r, name, 0),
+                           lambda r: delattr(r, name)):
+                raised = _raised(lambda: action(x))
+                assert raised is not None and raised == _raised(lambda: action(y))
+    for (x, y), (u, v) in itertools.product(made, repeat=2):
+        assert (x == u, x != u) == (y == v, y != v)
 
 
 def test_axiom_suite_covers_registered_models():

@@ -97,3 +97,19 @@ def test_start_up_loads_no_numpy_until_a_vector_table():
     warm = _run(WARM)
     assert cold["chi_4"] == warm["chi_4"]
     assert cold["chi_4"][0] == 0
+
+
+def test_import_loads_no_dataclasses_inspect_or_numpy():
+    # The records derive from a base that generates no code, so neither
+    # import needs dataclasses (nor the inspect it imports).
+    unwanted = ("dataclasses", "inspect", "numpy")
+    loaded = _run("""
+import json, sys
+def loaded():
+    return [m for m in %r if m in sys.modules]
+import mvtool
+package = loaded()
+import mvtool.cli
+print(json.dumps([package, loaded()]))
+""" % (unwanted,))
+    assert loaded == [[], []]
