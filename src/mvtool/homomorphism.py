@@ -24,13 +24,12 @@ compares the gathered keys with the target's results column by column
 window's, mapped to the image's, and the images ``forward`` gives are
 kept in one memo per check.  So ``forward`` runs once per distinct
 element outside the window, over all operations, the target side is
-never interned in code space, and no grid is sorted whole.  The first
-code row of magnitude ``LIMIT`` (2^60) or more, an element that cannot
-be encoded included, starts the whole check over on interned indices on
-both sides, with the memo kept.  Row equality is element equality below
-``LIMIT``, which the kernel tests pin, so both keyings give the same
-failures.  The check imports numpy and ``vector`` on its first call, so
-this module loads without them.
+never interned in code space, and no grid is sorted whole.  At
+``LIMIT`` the check starts over by the rule that ``kernels`` states:
+both sides are then interned with no codec, and the memo is kept.  Row
+equality is element equality below ``LIMIT``, which the kernel tests
+pin, so every keying gives the same failures.  The check imports numpy
+and ``vector`` on its first call, so this module loads without them.
 """
 
 from __future__ import annotations
@@ -84,6 +83,8 @@ def homomorphism_failures(src, target, window: list, image: list,
         return []
     import numpy as np
 
+    from .kernels import _AtLimit
+
     bad_inverse = np.array([inverse(y) != x for x, y in zip(window, image)],
                            dtype=bool)
     ops = (*unary_ops, *binary_ops)
@@ -105,11 +106,6 @@ def homomorphism_failures(src, target, window: list, image: list,
                for i, j, k in np.argwhere(bad_pairs).tolist()])
 
 
-class _AtLimit(Exception):
-    """A code row reached ``LIMIT``: the check starts over on interned
-    indices."""
-
-
 def _side(model, ops):
     """The keys of one side: code rows when ``model`` has a codec with a
     kernel for each of ``ops``, interned indices otherwise."""
@@ -118,18 +114,20 @@ def _side(model, ops):
     codec = codec_for(model)
     if codec is not None and all(hasattr(codec, op) for op in ops):
         return _Rows(codec)
-    return _Interned(model)
+    return _Interned(model, codec)
 
 
 class _Rows:
     """A side in code space: an element's key is its int64 code row, and
     an operation's results are one kernel call; a row of magnitude
-    ``LIMIT`` or more raises ``_AtLimit``."""
+    ``LIMIT`` or more raises ``kernels._AtLimit``."""
 
     def __init__(self, codec):
         self.codec = codec
 
     def keys(self, values: list):
+        from .kernels import _AtLimit
+
         try:
             rows = self.codec.encode_all(values)
         except OverflowError:
@@ -149,7 +147,7 @@ class _Rows:
 
     @staticmethod
     def _fit(rows):
-        from .kernels import _fit_rows
+        from .kernels import _AtLimit, _fit_rows
 
         if not _fit_rows(rows):
             raise _AtLimit
@@ -158,13 +156,14 @@ class _Rows:
 
 class _Interned:
     """A side on interned indices: an element's key is a row holding its
-    index in a ``vector.OperationTables``, whose tables call the carrier's
-    own operations (or its kernels, while the tables stay in code space)."""
+    index in a ``vector.OperationTables`` with the codec ``codec``, whose
+    tables call the carrier's kernels, or its own operations when
+    ``codec`` is None."""
 
-    def __init__(self, model):
+    def __init__(self, model, codec=None):
         from .vector import OperationTables
 
-        self.tables = OperationTables(model)
+        self.tables = OperationTables(model, codec)
 
     def keys(self, values: list):
         return self.tables.intern_all(values)[:, None]

@@ -22,7 +22,11 @@ or any other carrier gets ``None``.
 
 Exactness.  A caller encodes only elements whose coordinates are all
 below ``LIMIT`` = 2^60 in absolute value, and accepts a kernel's result
-only if its coordinates are below ``LIMIT`` too.  Every group codec
+only if its coordinates are below ``LIMIT`` too.  A check (the vector
+engine's, a homomorphism check) has one rule at the limit: a value that
+reaches ``LIMIT`` in code space (an element that cannot be encoded, a
+kernel result row, a step of n*x or x^n) raises ``_AtLimit``, and the
+check starts over on the carriers' own operations.  Every group codec
 computes with the coordinate and lexicographic arithmetic, and no kernel
 composes more than two additions or subtractions of such coordinates (the
 deepest is Gamma's x odot y = sup(0, x + y - u)), so every intermediate
@@ -87,6 +91,11 @@ from .mv_core import (
 )
 
 LIMIT = 1 << 60
+
+
+class _AtLimit(Exception):
+    """A value reached ``LIMIT`` in code space: the check starts over on
+    the carriers' own operations."""
 
 
 def fits(row) -> bool:

@@ -1,6 +1,6 @@
 """The vector engine: sequent checks over whole environment grids, and
-the operation tables it shares with the homomorphism checks (their sides
-without a codec, and every side after a switch at ``LIMIT``).
+the operation tables it shares with the homomorphism checks' interned
+sides.
 
 Besides ``kernels``, this is the one module of the package that imports
 numpy at load time.  ``checking._check_vector`` and
@@ -48,22 +48,17 @@ and their keys with it, one set per codec type and width: they are
 encoded on the window's first use, and every later check at that
 carrier and bound interns them with one append and one dict update (its elements are
 distinct), or, after another window, appends only the rows not interned
-yet.  Any other window, and one with an element that cannot be encoded
-below ``LIMIT`` or a repeated element, is encoded once per check, in one
-batch, by ``intern_all``.  This rests on row equality being element
-equality, which the kernel tests pin.  ``leq`` tables are boolean and
-intern nothing.  Below 2^60 no kernel can overflow int64, so
-the kernels are exact: no floats, no tolerances, no wraparound.  The
-switch out of code space is one-way: the first value of magnitude 2^60
-or more (an input it cannot encode, a kernel result row, a step of n*x
-or x^n) keys every element interned so far by itself and drops the
-codec, and from then on every table, the current one included, calls the
-carrier's own operation on each operand pair.  The indices already
-handed out stay valid, so the check goes on where it was.  Without a
-codec the engine takes the per-pair path throughout.  The interning, the
-code rows and the tables live in ``OperationTables``; one interner
-serves a whole check, antecedent and consequent alike, and every slice
-of a sliced grid.
+yet.  Any other window, and one with a repeated element, is encoded once
+per check, in one batch, by ``intern_all``.  This rests on row equality
+being element equality, which the kernel tests pin.  ``leq`` tables are
+boolean and intern nothing.  Below 2^60 no kernel can overflow int64, so
+the kernels are exact: no floats, no tolerances, no wraparound.  At
+``LIMIT`` the check starts over without a codec, by the rule that
+``kernels`` states; then, as throughout for a carrier without a codec,
+every table calls the carrier's own operation on each operand pair.  The
+interning, the code rows and the tables live in ``OperationTables``; one
+interner serves a whole run of a check, antecedent and consequent alike,
+and every slice of a sliced grid.
 """
 
 from __future__ import annotations
@@ -71,12 +66,12 @@ from __future__ import annotations
 import itertools
 import math
 from functools import partial
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List
 
 import numpy as np
 
 from . import checking
-from .kernels import _fit_rows, codec_for, unique_ints, unique_rows
+from .kernels import _AtLimit, _fit_rows, codec_for, unique_ints, unique_rows
 from .mv_core import _repeat, _repeated, mv_power, nat_scalar
 from .verdicts import CounterExample, Holds, InconclusiveAtBound, Verdict
 
@@ -128,36 +123,33 @@ def _encode_window(window: list, codec):
 class OperationTables:
     """Interned elements of one carrier and its operation tables over them.
 
-    Elements are interned into integer indices.  An instance over a
-    carrier with a codec starts in code space, where every interned index
-    has an int64 code row and an element is keyed by its row: a table is
-    one kernel call over the rows of its operands, and its distinct
-    result rows are looked up and appended as rows, so a kernel result is
-    decoded only when something reads it through ``element``.  The first
-    value of magnitude ``LIMIT`` or more (an input that cannot be
-    encoded, a kernel result row, a step of n*x or x^n) makes the
-    instance leave code space for good: every element is then keyed by
-    itself, and the current table and every later one call the carrier's
-    own operation on each operand (pair).  Indices already handed out
-    stay valid.  Without a codec an instance is never in code space.  One
-    instance serves a whole check: a sequent's antecedent and consequent,
-    or a homomorphism check's source or target side when it is keyed by
-    interned indices.
+    Elements are interned into integer indices.  An instance with a codec
+    (``codec_for(model)``, given by the caller) is in code space, where
+    every interned index has an int64 code row and an element is keyed by
+    its row: a table is one kernel call over the rows of its operands, and
+    its distinct result rows are looked up and appended as rows, so a
+    kernel result is decoded only when something reads it through
+    ``element``.  A value that reaches ``LIMIT`` there raises
+    ``_AtLimit`` (see ``kernels``).  An instance without a codec keys
+    every element by itself and calls the carrier's own operation on each
+    operand (pair).  One instance serves a whole run of a check: a
+    sequent's antecedent and consequent, or a homomorphism check's source
+    or target side when it is keyed by interned indices.
     """
 
-    def __init__(self, model):
+    def __init__(self, model, codec=None):
         self.M = model
-        self.codec = codec_for(model)
+        self.codec = codec
         # Element i, or _PENDING until a kernel result is first read.
         self._elems: List[Any] = []
-        # Element -> index: in code space a cache, in front of _row_index,
-        # of the elements interned one by one; outside it every element.
+        # Element -> index: with a codec a cache, in front of _row_index,
+        # of the elements interned one by one; without one every element.
         self.interner_index: Dict[Any, int] = {}
-        # In code space: code row (its bytes) -> index, and the code row of
+        # With a codec: code row (its bytes) -> index, and the code row of
         # every interned element, with spare capacity beyond len(self._elems).
-        self._row_index: Optional[Dict[bytes, int]] = {}
-        width = 0 if self.codec is None else self.codec.width
-        self._codes: Optional[np.ndarray] = np.zeros((16, width), dtype=np.int64)
+        self._row_index: Dict[bytes, int] = {}
+        width = 0 if codec is None else codec.width
+        self._codes = np.zeros((16, width), dtype=np.int64)
 
     # -- interning -----------------------------------------------------------
 
@@ -187,16 +179,13 @@ class OperationTables:
     def intern_all(self, values) -> np.ndarray:
         """The indices of the list ``values``; in code space they are
         encoded in one batch and interned by row."""
-        if self.codec is not None and values:
-            try:
-                rows = self.codec.encode_all(values)
-            except OverflowError:
-                self._leave_code_space()
-            else:
-                idx = self._intern_rows(rows, values)
-                if idx is not None:
-                    return idx
-        return np.array([self.intern(v) for v in values], dtype=np.int64)
+        if self.codec is None or not values:
+            return np.array([self.intern(v) for v in values], dtype=np.int64)
+        try:
+            rows = self.codec.encode_all(values)
+        except OverflowError:
+            raise _AtLimit from None
+        return self._intern_rows(rows, values)
 
     def _append(self, elems, rows=None) -> int:
         """Append new elements, with their code rows in code space;
@@ -211,24 +200,15 @@ class OperationTables:
             self._codes[start:end] = rows
         return start
 
-    def _leave_code_space(self) -> None:
-        """Key every interned element by itself and drop the codec, for
-        good; the indices already handed out stay valid."""
-        elems = self.elements(range(len(self._elems)))
-        self.interner_index = {v: i for i, v in enumerate(elems)}
-        self.codec = self._row_index = self._codes = None
-
     # -- code rows -------------------------------------------------------------
 
-    def _intern_rows(self, rows, elems=None) -> Optional[np.ndarray]:
+    def _intern_rows(self, rows, elems=None) -> np.ndarray:
         """Intern the elements whose code rows are ``rows``: a kernel's
         results, or the rows of the list ``elems``.  A row reaching
-        ``LIMIT`` leaves code space and gives None, so that the caller
-        takes the per-pair path."""
+        ``LIMIT`` raises ``_AtLimit``."""
         rows = rows.reshape(-1, self.codec.width)
         if not _fit_rows(rows):
-            self._leave_code_space()
-            return None
+            raise _AtLimit
         first, inverse = unique_rows(rows)
         uniq = rows[first]
         if elems is not None:
@@ -285,7 +265,7 @@ class OperationTables:
         if op in ("nat_scalar", "mv_power"):
             # n*x and x^n by the reference's doubling (mv_core._repeat) on
             # code rows, from the row of 0 or 1; every step's rows must
-            # stay below LIMIT, else the whole table leaves code space.
+            # stay below LIMIT.
             name, unit = _repeated(self.M, op)
             kernel = self._kernel(name)
             if kernel is None:
@@ -294,18 +274,14 @@ class OperationTables:
             def step(a, b):
                 out = kernel(a, b)
                 if not _fit_rows(out):
-                    raise OverflowError
+                    raise _AtLimit
                 return out
 
             # 0 and 1 always have a code (kernels.codec_for).
             unit = self.intern(unit)
             rows = self._codes[uniq]
-            try:
-                acc = _repeat(step, self._codes[[unit]], rows, n)
-            except OverflowError:
-                self._leave_code_space()
-                return None
-            acc = np.broadcast_to(acc, rows.shape)
+            acc = np.broadcast_to(_repeat(step, self._codes[[unit]], rows, n),
+                                  rows.shape)
         else:
             kernel = self._kernel(op)
             if kernel is None:
@@ -362,8 +338,6 @@ class OperationTables:
                        self._codes[ib if len(ib) == 1 else ib[s:s + step]])
             if not out_bool:
                 r = self._intern_rows(r)
-                if r is None:
-                    return None
             out.append(r.reshape((-1,) + shape[1:]))
         return np.concatenate(out)
 
@@ -374,10 +348,10 @@ class _IndexGrids(OperationTables):
     an environment a tuple of index arrays, one per context variable and
     enclosing ``exists``.  Every array has ``ndim`` dimensions, so that
     any two broadcast, and ``exists`` reduces its axis with keepdims.
-    One instance, and its interner, serves a whole check."""
+    One instance, and its interner, serves a whole run of a check."""
 
-    def __init__(self, model, ndim: int, search: list):
-        super().__init__(model)
+    def __init__(self, model, codec, ndim: int, search: list):
+        super().__init__(model, codec)
         self.ndim = ndim
         self.search = search
         # The indices of each distinct window list, interned once: the
@@ -446,10 +420,18 @@ class _IndexGrids(OperationTables):
 def check_grid(model, seq, ctx_enums, search, bound) -> Verdict:
     """Check ``seq`` over the grid of the context windows ``ctx_enums``,
     with existential witnesses from ``search``: the vector engine behind
-    ``checking._check_vector``."""
+    ``checking._check_vector``.  The check runs in code space when the
+    carrier has a codec, and at ``LIMIT`` once more without one."""
+    try:
+        return _check_grid(model, codec_for(model), seq, ctx_enums, search, bound)
+    except _AtLimit:
+        return _check_grid(model, None, seq, ctx_enums, search, bound)
+
+
+def _check_grid(model, codec, seq, ctx_enums, search, bound) -> Verdict:
     k = len(seq.context)
     ndim = k + max(map(checking._exists_depth, (seq.antecedent, seq.consequent)))
-    D = _IndexGrids(model, ndim, search)
+    D = _IndexGrids(model, codec, ndim, search)
     axes = tuple(D.axis(e, i) for i, e in enumerate(ctx_enums))
     antecedent = checking._compile_formula(D, seq.antecedent, seq.context, {})
     consequent = checking._compile_formula(D, seq.consequent, seq.context, {})

@@ -271,13 +271,13 @@ def first_beyond_multiples_walk(M, t, candidates, cap):
 def record_codecs(monkeypatch):
     """The codec of every ``vector.OperationTables``, and of every code-row
     side of a homomorphism check, built while ``monkeypatch`` is active,
-    in order: None for a table instance that starts without one."""
+    in order: None for a table instance without one."""
     from mvtool import homomorphism, vector
 
     codecs = []
     for cls in (vector.OperationTables, homomorphism._Rows):
-        def spy(self, arg, init=cls.__init__):
-            init(self, arg)
+        def spy(self, *args, init=cls.__init__):
+            init(self, *args)
             codecs.append(self.codec)
 
         monkeypatch.setattr(cls, "__init__", spy)

@@ -4,6 +4,7 @@ product reconstruction, against the carriers' own operations."""
 from functools import partial
 
 import mvtool as mv
+import mvtool.homomorphism as homomorphism
 import mvtool.kernels as kernels
 import mvtool.vector as vector
 from mvtool.equivalence import _roundtrip_report
@@ -137,39 +138,60 @@ def test_an_empty_window_has_no_failures():
                                  ("negate",), ("add",)) == []
 
 
-def test_a_window_past_the_kernel_limit_gives_the_reference_failures(monkeypatch):
-    # Sums of this Z^2 window reach 2^60, where the code rows stop; the
-    # map reverses the order of the second coordinate, so it keeps add
-    # and negate and breaks inf and sup.
+def _past_the_kernel_limit():
+    """The failures of a homomorphism check on a Z^2 window whose sums
+    reach 2^60, where the code rows stop, and the number of ``forward``
+    calls it makes.  The map reverses the order of the second coordinate,
+    so it keeps add and negate and breaks inf and sup."""
     Z2 = mv.ZnGroup(2)
     window = [(2 ** 59 + i, j) for i in range(3) for j in (-1, 0, 1)]
-    ops = (("negate",), ("add", "inf", "sup"))
+    calls = []
 
-    def run():
-        calls = []
+    def forward(g):
+        calls.append(g)
+        return (g[0], -g[1])
 
-        def forward(g):
-            calls.append(g)
-            return (g[0], -g[1])
+    image = [forward(g) for g in window]
+    del calls[:]
+    return (homomorphism_failures(Z2, Z2, window, image, forward,
+                                  lambda g: (g[0], -g[1]),
+                                  ("negate",), ("add", "inf", "sup")),
+            len(calls))
 
-        image = [forward(g) for g in window]
-        del calls[:]
-        return (homomorphism_failures(Z2, Z2, window, image, forward,
-                                      lambda g: (g[0], -g[1]), *ops),
-                len(calls))
 
-    with monkeypatch.context() as m:
-        codecs = record_codecs(m)
-        failures, calls = run()
-    # Two code-row sides, then the two tables of the restart.
-    assert len(codecs) == 4 and None not in codecs
+def _reference_past_the_kernel_limit(monkeypatch):
+    """``_past_the_kernel_limit`` on the carriers' own operations."""
     with monkeypatch.context() as m:
         m.setattr(vector, "codec_for", lambda model: None)
         m.setattr(kernels, "codec_for", lambda model: None)
-        assert run() == (failures, calls)
+        return _past_the_kernel_limit()
+
+
+def test_a_window_past_the_kernel_limit_gives_the_reference_failures(monkeypatch):
+    with monkeypatch.context() as m:
+        codecs = record_codecs(m)
+        failures, calls = _past_the_kernel_limit()
+    # Two code-row sides, then the two tables of the restart, with no
+    # codec.
+    assert len(codecs) == 4 and None not in codecs[:2] and codecs[2:] == [None, None]
+    assert _reference_past_the_kernel_limit(monkeypatch) == (failures, calls)
     assert {kind for kind, _ in failures} == {"inf", "sup"}
     # One call per distinct element outside the window, over all
     # operations and the restart: the 9 negations (mapped before the
     # restart) and the 5 x 5 sums all lie outside the window, while every
     # infimum and supremum is a window element, whose image is given.
+    assert calls == 9 + 25
+
+
+def test_interned_sides_past_the_kernel_limit_start_over(monkeypatch):
+    # Both sides on interned indices in code space: their tables meet the
+    # limit as the code-row sides do, and the check starts over with no
+    # codec, keeping forward's images.
+    with monkeypatch.context() as m:
+        m.setattr(homomorphism, "_side",
+                  lambda model, ops: homomorphism._Interned(model, kernels.codec_for(model)))
+        codecs = record_codecs(m)
+        failures, calls = _past_the_kernel_limit()
+    assert len(codecs) == 4 and None not in codecs[:2] and codecs[2:] == [None, None]
+    assert (failures, calls) == _reference_past_the_kernel_limit(monkeypatch)
     assert calls == 9 + 25

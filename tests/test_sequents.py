@@ -381,36 +381,42 @@ def test_vector_engine_falls_back_beyond_the_kernel_limit():
                 assert getattr(v, "env", None) == env, (u, text, engine)
 
 
-def _spy_on_leaving_code_space(monkeypatch):
-    from mvtool.vector import OperationTables
-    calls = []
-    leave = OperationTables._leave_code_space
+def _spy_on_grid_runs(monkeypatch):
+    """Record every run of a vector check: its carrier's descriptor and
+    whether the run has a codec.  A check that meets the kernel limit runs
+    twice, the second time with no codec."""
+    import mvtool.vector as vector
+    runs = []
+    run = vector._check_grid
 
-    def spy(self):
-        calls.append(self.M.descriptor())
-        leave(self)
+    def spy(model, codec, *rest):
+        runs.append((model.descriptor(), codec is not None))
+        return run(model, codec, *rest)
 
-    monkeypatch.setattr(OperationTables, "_leave_code_space", spy)
-    return calls
+    monkeypatch.setattr(vector, "_check_grid", spy)
+    return runs
 
 
 def test_doubling_leaves_code_space_where_the_fold_did(monkeypatch):
     # u + x is below 2^60 for u = 2^59 + 3, but its double is not: the
     # first doubling step of 2*(u + x) and of 3*u crosses the limit.
-    left = _spy_on_leaving_code_space(monkeypatch)
+    runs = _spy_on_grid_runs(monkeypatch)
     model = mv.UnitalGroup(Z, 2 ** 59 + 3)
-    for text, kind, env, leaves in [
+    desc = model.descriptor()
+    for text, kind, env, restarts in [
         ("true |-[x] 2*(u + x) = u + x + u + x", Holds, None, True),
         ("true |-[x] 3*u <= u + u + x", CounterExample, {"x": -3}, True),
         ("true |-[x] 1*(u + x) = u + x", Holds, None, False),
     ]:
         seq = mv.parse_sequent(text)
+        expected = {"scalar": [],
+                    "vector": [(desc, True)] + [(desc, False)] * restarts}
         for engine in ("scalar", "vector"):
-            left.clear()
+            runs.clear()
             v = check_sequent(model, seq, 3, engine=engine)
             assert type(v) is kind, (text, engine)
             assert getattr(v, "env", None) == env, (text, engine)
-            assert len(left) == (1 if leaves and engine == "vector" else 0), text
+            assert runs == expected[engine], (text, engine)
 
 
 _SCALAR_SEQUENTS = {
@@ -438,23 +444,24 @@ def test_engines_agree_on_large_scalars_and_powers(desc):
 
 
 def test_huge_scalars_and_powers_finish(monkeypatch):
-    left = _spy_on_leaving_code_space(monkeypatch)
+    runs = _spy_on_grid_runs(monkeypatch)
     vector = _spy_on_check_vector(monkeypatch)
     power = mv.parse_sequent("true |-[x] x^99999999 = x^99999999")
     assert check_sequent(C, power, 1) == Holds()
     scalar = mv.parse_sequent("true |-[x] 99999999999999999999*x = x")
     assert check_sequent(Z, scalar, 1) == CounterExample({"x": -1}, axiom=scalar.name)
-    assert vector == [] and left == []
-    # 401 cells take the vector engine, whose int64 rows pass 2^60 midway.
+    assert vector == [] and runs == []
+    # 401 cells take the vector engine, whose int64 rows pass 2^60 midway:
+    # the check runs again with no codec.
     assert check_sequent(Z, scalar, 200) == CounterExample({"x": -200}, axiom=scalar.name)
-    assert vector == [401] and left == ["Z"]
+    assert vector == [401] and runs == [("Z", True), ("Z", False)]
 
 
 @pytest.mark.parametrize("desc, op", [("C", "nat_scalar"), ("C", "mv_power"),
                                       ("Sigma(Z^2)", "mv_power"), ("Z^2", "nat_scalar"),
                                       ("Groth(N^2)", "nat_scalar"), ("N", "nat_scalar")])
 def test_vector_scalars_and_powers_double(monkeypatch, desc, op):
-    from mvtool.vector import OperationTables
+    from mvtool.vector import OperationTables, codec_for
     calls = []
     kernel_of = OperationTables._kernel
 
@@ -473,7 +480,7 @@ def test_vector_scalars_and_powers_double(monkeypatch, desc, op):
     reference = (lambda x: mv.mv_power(model, x, n)) if op == "mv_power" else \
         (lambda x: mv.nat_scalar(model, n, x))
     for n in (0, 1, 2, 5, 64, 99999999, 2 ** 40 + 1):
-        tables = OperationTables(model)
+        tables = OperationTables(model, codec_for(model))
         idx = tables.intern_all(window)
         calls.clear()
         got = tables.unary_table(op, idx, n)
@@ -483,16 +490,21 @@ def test_vector_scalars_and_powers_double(monkeypatch, desc, op):
 
 
 def test_nested_differences_leave_code_space_at_the_limit():
-    from mvtool.vector import OperationTables
+    from mvtool.kernels import _AtLimit
+    from mvtool.vector import OperationTables, codec_for
     G = mv.parse_model("Groth(PosCone(Groth(N)))")
     # x's code is the difference of differences, 2^59 + 3; that of x + x
     # reaches 2^60.
     x = mv.CanonPair(mv.CanonPair(2 ** 59 + 3, 0), mv.CanonPair(0, 0))
-    tables = OperationTables(G)
+    tables = OperationTables(G, codec_for(G))
     assert tables.codec.encode_all([x]).tolist() == [[2 ** 59 + 3]]
     i = tables.intern_all([x])
+    with pytest.raises(_AtLimit):
+        tables.binary_table("add", i, i)
+    # Without a codec, as the check runs again, the carrier adds.
+    tables = OperationTables(G)
+    i = tables.intern_all([x])
     total = tables.binary_table("add", i, i)
-    assert tables.codec is None
     assert tables.element(int(total[0])) == G.add(x, x) == \
         mv.CanonPair(mv.CanonPair(2 ** 60 + 6, 0), mv.CanonPair(0, 0))
 
@@ -615,13 +627,13 @@ def test_auto_engine_follows_the_context_grid(monkeypatch):
 
 
 def test_dense_and_sparse_table_routes_equal_the_carrier():
-    from mvtool.vector import OperationTables
+    from mvtool.vector import OperationTables, codec_for
     cases = [(mv.ZnGroup(2), "add", False), (mv.parse_model("Groth(N^2)"), "leq", True),
              (mv.delta(C), "inf", False), (mv.pair_group_ops(C), "inf", False)]
     for model, op, out_bool in cases:
         window = model.enumerate(2)
         n = len(window)
-        ev = OperationTables(model)
+        ev = OperationTables(model, codec_for(model))
         routes = []
         pair_values = ev._pair_values
 
@@ -697,16 +709,23 @@ def test_a_chunked_vector_check_encodes_each_element_once(monkeypatch):
 
 
 def test_python_and_kernel_routes_intern_an_element_once():
-    from mvtool.vector import OperationTables
+    from mvtool.kernels import _AtLimit
+    from mvtool.vector import OperationTables, codec_for
     # Interned from Python first, then reached as a kernel row.
-    tables = OperationTables(Z)
+    tables = OperationTables(Z, codec_for(Z))
     three = tables.intern(3)
     assert tables.binary_table("add", tables.intern_all([1]),
                                tables.intern_all([2])).tolist() == [three]
-    # Reached as a kernel row first, then as a result of the per-pair
-    # fallback, which 2u = 2^60 + 6 forces on the whole table.
+    # 2u = 2^60 + 6 reaches the kernel limit: the coded table raises.
     u = 2 ** 59 + 3
-    tables = OperationTables(mv.UnitalGroup(Z, u))
+    model = mv.UnitalGroup(Z, u)
+    tables = OperationTables(model, codec_for(model))
+    x = tables.intern_all([u, -u])
+    with pytest.raises(_AtLimit):
+        tables.binary_table("add", x[:, None], x[None, :])
+    # The check starts over without a codec, where 0 is interned once
+    # whichever pair gives it.
+    tables = OperationTables(model)
     zero = tables.binary_table("add", tables.intern_all([1]), tables.intern_all([-1]))
     x = tables.intern_all([u, -u])
     table = tables.binary_table("add", x[:, None], x[None, :])
@@ -716,18 +735,12 @@ def test_python_and_kernel_routes_intern_an_element_once():
 
 
 def test_leaving_code_space_keeps_the_kernel_made_indices():
-    from mvtool.vector import _PENDING, OperationTables
-    u = 2 ** 59 + 3
-    tables = OperationTables(mv.UnitalGroup(Z, u))
+    from mvtool.vector import _PENDING, OperationTables, codec_for
+    tables = OperationTables(Z, codec_for(Z))
     x = tables.intern_all([1, 2])
     sums = tables.binary_table("add", x[:, None], x[None, :])
     three = int(sums[0, 1])
     assert tables._elems[three] is _PENDING  # 2, 3 and 4 are still rows
-    # 2u = 2^60 + 6 reaches the kernel limit: the instance leaves code
-    # space, and this table and every later one take the per-pair path.
-    big = tables.intern_all([u])
-    assert tables.element(int(tables.binary_table("add", big, big)[0])) == 2 * u
-    assert tables.codec is None
     assert tables.intern(3) == three
     assert tables.binary_table("add", x[:1], x[1:]).tolist() == [three]
     assert tables.element(three) == 3
