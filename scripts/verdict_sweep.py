@@ -9,12 +9,17 @@ context order, each element as the carrier formats it) and note, or
 another signature gives its ``SignatureError`` line, so every label
 appears on every carrier.
 
+The carriers are those of ``DESCRIPTORS``, then the ones the functor
+round trips build and no descriptor spells: Delta(C), Delta(Sigma(Z^2))
+and Sigma over each, which print as ``Groth(Rad(C))`` and so on.
+
 The corpus is the oracle for changes that reroute or delete code: such a
 change must leave ``tests/data/verdict_corpus.tsv`` byte-identical, or
 name in its description each line that it changes.  The tier-1 test
 ``tests/test_verdict_corpus.py`` recomputes the ``auto`` lines at bounds
-1-2; this script computes all of them (a little over a minute on one
-core).
+1-2; this script computes all of them (about a minute and a half on one
+core, of which the forced scalar lines of ``Groth(Rad(Sigma(Z^2)))``
+take about 20 s).
 
     PYTHONPATH=src python3 scripts/verdict_sweep.py > tests/data/verdict_corpus.tsv
     PYTHONPATH=src python3 scripts/verdict_sweep.py --check
@@ -62,11 +67,19 @@ def verdict_line(model, label: str, bound: int, engine: str) -> str:
     return f"{head}\t{v.kind}\t{detail}\t{getattr(v, 'note', None) or ''}"
 
 
-def sweep(descriptors=DESCRIPTORS, bounds=BOUNDS, engines=ENGINES):
-    """The corpus lines, by descriptor, bound, engine and registry order."""
+def carriers() -> list:
+    """The swept carriers: those of ``DESCRIPTORS``, then Delta(C) and
+    Delta(Sigma(Z^2)), the groups of differences of the cones of Z and
+    Z^2 that their radicals are, and Sigma over each."""
+    deltas = [mv.delta(mv.parse_model(text)) for text in ("C", "Sigma(Z^2)")]
+    return ([mv.parse_model(text) for text in DESCRIPTORS]
+            + deltas + [mv.sigma(D) for D in deltas])
+
+
+def sweep(bounds=BOUNDS, engines=ENGINES):
+    """The corpus lines, by carrier, bound, engine and registry order."""
     labels = list(mv.named_sequents())
-    for text in descriptors:
-        model = mv.parse_model(text)
+    for model in carriers():
         for bound in bounds:
             for engine in engines:
                 for label in labels:

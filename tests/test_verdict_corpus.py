@@ -20,5 +20,5 @@ def test_auto_lines_at_bounds_1_and_2_match_the_corpus():
                  if line.split("\t")[2:4] in (["1", "auto"], ["2", "auto"])]
     computed = list(verdict_sweep.sweep(bounds=(1, 2), engines=("auto",)))
     labels = len(mv.named_sequents())
-    assert len(computed) == 2 * labels * len(verdict_sweep.DESCRIPTORS)
+    assert len(computed) == 2 * labels * len(verdict_sweep.carriers())
     assert computed == committed
