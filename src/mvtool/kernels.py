@@ -37,22 +37,17 @@ rejected like any other.
 The group of differences of a cone G+ is G itself (the content of the
 Morita equivalence between l-groups and cancellative lattice-ordered
 abelian monoids with bottom element), and there is one codec for it,
-``Diff``: a class [u, v] is coded as the
-row of u - v in G, its canonical pair is ((u - v)+, (u - v)-), and the
-group operations are G's own kernels.  PosCone(G) is the cone of G, and
-N and N^n are PosCone(Z) and PosCone(Z^n), coded by Z's and Z^n's
-codecs.  So is the radical monoid of a Sigma-shaped interval (a
-lexicographic Z x_lex G with unit (1, 0), as in Sigma(G), C and Pointed
-over them): every radical element is (0, g) with g >= 0, and oplus is
-the tails' plain sum, which never reaches the unit, so the monoid is G's
-positive cone past a zero head (Di Nola & Lettieri 1994).  Delta(Sigma(G))
-and Delta(C) thus compute with G's kernels, and Sigma(Delta(A)) is a unit
-interval over a group codec like any other.  The radical monoid of any
-other unit interval, such as L(m), has no Grothendieck codec.
+``Diff``, over G's codec: a class [u, v] is coded as the row of u - v
+in G, its canonical pair is ((u - v)+, (u - v)-), and the group
+operations are G's own kernels.  Which monoids are cones, of which G,
+and how their elements map into G and back is ``lgroup_core._cone``'s
+decision alone; ``groth_codec`` reads it.  So Delta(Sigma(G)) and
+Delta(C) compute with G's kernels, and Sigma(Delta(A)) is a unit
+interval over a group codec like any other.
 
-``groth_window`` builds a Grothendieck window from its monoid's codes:
-the canonical rows of all pairs of the monoid window in one numpy pass,
-the first appearance of each in walk order, decoded once.
+``groth_window`` builds a Grothendieck window from the cone's rows in G:
+the differences of all pairs of the monoid window in one numpy pass, the
+first appearance of each in walk order, decoded once.
 
 ``unique_rows`` and ``unique_ints`` give ``np.unique``'s output for the
 code rows and interned indices that the vector engine's tables, the
@@ -78,6 +73,7 @@ from .lgroup_core import (
     UnitalGroup,
     ZGroup,
     ZnGroup,
+    _cone,
 )
 from .mv_core import (
     ChangAlgebra,
@@ -388,22 +384,26 @@ class Radical:
 
 
 class Diff:
-    """The Grothendieck group of a monoid whose rows are ``head`` zero
-    columns followed by the row of an element of the cone of the group
-    codec ``group``: a class [u, v] is the row of u - v past the head, and
-    every operation is the group's.  ``canon`` maps the monoid rows of a
-    pair (x, y) to x - y."""
+    """The Grothendieck group of a cone of a group G
+    (``lgroup_core._cone``), on the codec ``group`` of G: a class [u, v]
+    is the row of into(u) - into(v) in G, and every operation is G's.
+    ``into`` maps a monoid element into G and ``out`` an element g >= 0
+    of G back, both None where the monoid's elements are G's own."""
 
-    def __init__(self, monoid, group, head=0):
-        self.m = monoid
-        self.group = group
-        self.head = head
+    def __init__(self, group, into=None, out=None):
+        self.group, self.into, self.out = group, into, out
         self.width = group.width
         self.add, self.sub, self.negate = group.add, group.sub, group.negate
         self.inf, self.sup, self.leq = group.inf, group.sup, group.leq
 
+    def rows(self, xs, dtype=np.int64):
+        """The rows in G of the monoid elements ``xs``."""
+        if self.into is not None:
+            xs = list(map(self.into, xs))
+        return self.group.encode_all(xs, dtype)
+
     def encode_all(self, pairs, dtype=np.int64):
-        """The rows u - v of the classes [u, v].  The monoid rows are
+        """The rows u - v of the classes [u, v].  The rows of u and v are
         subtracted in int64 when both are below ``LIMIT``, where no
         difference wraps; otherwise they are subtracted exactly, as Python
         integers (``dtype=object``), so that a difference raises
@@ -411,27 +411,24 @@ class Diff:
         us, vs = [p.u for p in pairs], [p.v for p in pairs]
         if dtype is np.int64 and pairs:
             try:
-                u, v = self.m.encode_all(us), self.m.encode_all(vs)
+                u, v = self.rows(us), self.rows(vs)
             except OverflowError:
                 pass
             else:
                 if _fit_rows(u) and _fit_rows(v):
-                    return self.canon(u, v)
+                    return self.sub(u, v)
         # Every group codec subtracts coordinatewise.
-        h = self.head
-        exact = self.m.encode_all(us, object)[:, h:] - self.m.encode_all(vs, object)[:, h:]
+        exact = self.rows(us, object) - self.rows(vs, object)
         return np.array(exact.tolist(), dtype=dtype).reshape(-1, self.width)
 
-    def canon(self, x, y):
-        return self.group.sub(x[..., self.head:], y[..., self.head:])
-
     def decode_all(self, rows):
-        """The canonical pairs (d+, d-) of the difference rows d, with the
-        head put back and read by the monoid codec."""
+        """The canonical pairs (d+, d-) of the difference rows d, read by
+        G's codec and mapped back through ``out``."""
         g, zero = self.group, np.zeros_like(rows[:1])
-        head = np.zeros_like(rows[:, :self.head])
-        us = self.m.decode_all(_cat(head, g.sup(rows, zero)))
-        vs = self.m.decode_all(_cat(head, g.sup(g.negate(rows), zero)))
+        us = g.decode_all(g.sup(rows, zero))
+        vs = g.decode_all(g.sup(g.negate(rows), zero))
+        if self.out is not None:
+            us, vs = map(self.out, us), map(self.out, vs)
         return list(map(CanonPair, us, vs))
 
 
@@ -496,25 +493,18 @@ def _lex(model):
 
 
 def groth_codec(monoid):
-    """The codec of the Grothendieck group of ``monoid``, or None.  A cone
-    (PosCone(G), N and N^n among them) is coded by its own group codec; the radical
-    monoid of a Sigma-shaped interval Z x_lex G at (1, 0) by G's codec
-    past the zero head."""
-    m = codec_for(monoid)
-    if m is None:
-        return None
-    if not isinstance(m, Radical):
-        return Diff(m, m)
-    g = m.interval.g
-    if isinstance(g, Lex) and m.interval.unit.tolist() == [1] + [0] * g.tail.width:
-        return Diff(m, g.tail, head=1)
-    return None
+    """The codec of the Grothendieck group of ``monoid``: ``Diff`` over
+    G's codec when the monoid is a cone of G (``_cone``), and None when
+    it is not or G has no codec."""
+    cone = _cone(monoid)
+    group = None if cone is None else codec_for(cone[0])
+    return None if group is None else Diff(group, *cone[1:])
 
 
 def groth_window(monoid, bound: int) -> Optional[list]:
-    """``GrothendieckGroup(monoid).enumerate(bound)`` from codes: the
-    canonical rows of the pairs (x, y) of the monoid window, x-major, kept
-    at their first appearance and decoded.  None when the monoid has no
+    """``GrothendieckGroup(monoid).enumerate(bound)`` from codes: the rows
+    in G of the differences x - y of the pairs (x, y) of the monoid
+    window, x-major, kept at their first appearance and decoded.  None when the monoid has no
     codec or a row reaches ``LIMIT``; the caller then walks the pairs."""
     codec = groth_codec(monoid)
     if codec is None:
@@ -523,12 +513,12 @@ def groth_window(monoid, bound: int) -> Optional[list]:
     if not window:
         return []
     try:
-        rows = codec.m.encode_all(window)
+        rows = codec.rows(window)
     except OverflowError:
         return None
     if not _fit_rows(rows):
         return None
-    pairs = codec.canon(rows[:, None], rows[None, :]).reshape(-1, codec.width)
+    pairs = codec.sub(rows[:, None], rows[None, :]).reshape(-1, codec.width)
     if not _fit_rows(pairs):
         return None
     first, _ = unique_rows(pairs)

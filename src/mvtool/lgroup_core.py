@@ -18,12 +18,12 @@ N and N^n are the positive cones of Z and Z^n: ``NMonoid()`` and
 ``N^n``, and no code branches on the spelling.
 
 The Grothendieck group's operations are defined through ``canon_pair``,
-in the monoid.  Over the cone of a built-in group G (PosCone(G), N and
-N^n among them, and the radical monoid of a Sigma-shaped algebra:
-Sigma(G), C, Pointed over those) they compute in G instead, on the
-differences u - v, because the group of differences of G+ is G;
-``canon_pair`` stays the route over every other monoid, and over a
-subclass anywhere in the monoid.
+in the monoid.  Over the cone of a built-in group G they compute in G
+instead, on the differences u - v, because the group of differences of
+G+ is G; ``_cone`` alone decides which monoids those are, for these
+operations, the box window and ``kernels``' codec.  ``canon_pair``
+stays the route over every other monoid, and over a subclass anywhere
+in the monoid.
 
 Zeros are built once per carrier, and Z^n computes with ``map`` over the
 ``operator`` functions.
@@ -575,9 +575,14 @@ def _builtin_group(G) -> bool:
 
 def _cone(monoid):
     """(G, into, out) when ``monoid`` is the positive cone of the built-in
-    group G: ``into`` maps a monoid element into G and ``out`` maps an
-    element g >= 0 of G back, both None where the monoid's elements are
-    G's own.  None for any other monoid, a subclass included."""
+    group G: PosCone(G), N and N^n, or the radical monoid of a
+    Sigma-shaped algebra (Sigma(G), Gamma(Z x_lex G, (1, 0)), C, Pointed
+    over those), which is G+ behind a zero head (Di Nola & Lettieri 1994).
+    ``into`` maps a monoid element into G and ``out`` maps an element
+    g >= 0 of G back, both None where the monoid's elements are G's own.
+    None for any other monoid, a subclass included.  The one cone
+    decision: the route through G, the box window and
+    ``kernels.groth_codec`` read it."""
     t = type(monoid)
     if t is PositiveConeMonoid:
         return (monoid.group, None, None) if _builtin_group(monoid.group) else None
@@ -636,13 +641,11 @@ class GrothendieckGroup(LGroup):
     l-groups and cancellative l-monoids with bottom).  A class x = [u, v]
     is its difference dx = u - v in G; for o in {+, inf, sup}, x o y is
     the pair (d+, d-) = (sup(d, 0), sup(-d, 0)) of d = dx o dy in G, and
-    x <= y iff dx <= dy in G.  The cones are PosCone(G), N and N^n (of
-    Z and Z^n) among them, and the radical monoid of a Sigma-shaped algebra
-    (Sigma(G), Gamma(Z x_lex G, (1, 0)), C, Pointed over those), whose
-    elements (0, g), or nc, are g, or n, in G's cone.  The route is chosen
-    once, in ``__init__``, by the exact type of the monoid and of every
-    part it computes through (``_cone``), as ``kernels.codec_for``
-    chooses a codec; a subclass of this class keeps the definition below.
+    x <= y iff dx <= dy in G.  ``_cone`` says which monoids are cones,
+    of which G.  The route is chosen once, in ``__init__``, by the exact
+    type of the monoid and of every part it computes through, as
+    ``kernels.codec_for`` chooses a codec; a subclass of this class keeps
+    the definition below.
 
     The definition, and the route over every other monoid, is
     ``canon_pair``: x + y = [x.u + y.u, x.v + y.v], the lattice
@@ -705,22 +708,20 @@ class GrothendieckGroup(LGroup):
         return self.interval_size(bound)
 
     def _difference_ranges(self, bound, lo, hi):
-        """Over the cone of Z or Z^n (N, N^n) a canonical pair [u, v] is
-        determined by its difference u - v, and the window is the box
-        [-bound, bound]^n: the per-coordinate ranges of the differences in
-        [lo, hi] within that box.  None over other monoids."""
-        G = self.monoid.group if type(self.monoid) is PositiveConeMonoid else None
+        """The per-coordinate ranges of the differences in [lo, hi] within
+        the box [-bound, bound]^n, the window's differences when G is
+        exactly Z or Z^n (the cone's window is [0, bound]^n).  None on
+        every other route."""
+        G = self._group
         if type(G) is ZGroup:
-            rank, coords = 1, lambda x: (x,)
+            rank, coords = 1, lambda d: (d,)
         elif type(G) is ZnGroup:
-            rank, coords = G.rank, lambda x: x
+            rank, coords = G.rank, tuple
         else:
             return None
 
         def diff(p):
-            if p is None:
-                return [None] * rank
-            return [a - b for a, b in zip(coords(p.u), coords(p.v))]
+            return [None] * rank if p is None else coords(self._diff(p))
 
         return [_clipped_range(bound, l, h) for l, h in zip(diff(lo), diff(hi))]
 
@@ -728,16 +729,17 @@ class GrothendieckGroup(LGroup):
         ranges = self._difference_ranges(bound, lo, hi)
         if ranges is None:
             return super().interval(bound, lo, hi)
-        # The walk over the monoid pairs (x, y) in lexicographic order first
-        # meets the difference d at (d+, d-), its canonical pair, so the
-        # canonical pairs in sorted order are the window's order.
-        pairs = sorted(
-            (tuple(max(a, 0) for a in d), tuple(max(-a, 0) for a in d))
+        # The walk over the monoid pairs (x, y), x-major over a window in
+        # the coordinates' lexicographic order, first meets the difference
+        # d at (d+, d-), its canonical pair, so the differences sorted on
+        # (d+, d-) are in the window's order.
+        boxed = sorted(
+            (tuple(max(a, 0) for a in d), tuple(max(-a, 0) for a in d), d)
             for d in itertools.product(*ranges)
         )
-        if type(self.monoid.group) is ZGroup:
-            return [CanonPair(u, v) for (u,), (v,) in pairs]
-        return [CanonPair(u, v) for u, v in pairs]
+        if type(self._group) is ZGroup:
+            return [self._pair(d) for _, _, (d,) in boxed]
+        return [self._pair(d) for _, _, d in boxed]
 
     def interval_size(self, bound, lo=None, hi=None):
         ranges = self._difference_ranges(bound, lo, hi)
@@ -750,12 +752,15 @@ class GrothendieckGroup(LGroup):
 
     def enumerate(self, bound):
         """The canonical pairs of the pairs (x, y) of the monoid window,
-        in order of first appearance.  Over the cone of Z or Z^n that list
-        is the box of differences, which ``interval`` builds directly.
-        Over another cone or the radical monoid of a Sigma-shaped interval
-        it is built in one pass from the differences x - y of the monoid's
-        code rows (``kernels.groth_window``); otherwise the pairs are
-        walked."""
+        in order of first appearance.  Over a cone of Z or Z^n (``_cone``)
+        that list is the box of differences, which ``interval`` builds
+        directly.  Over another cone with a codec it is built in one pass
+        from the differences x - y of the cone's rows in G
+        (``kernels.groth_window``); otherwise the pairs are walked.
+
+        On ``Groth(PosCone(Lex(Z,Z)))`` the relative order of
+        ``enumerate(b)``'s elements changes with the bound, so the first
+        counterexample a check reports there can change too."""
         if self._difference_ranges(bound, None, None) is not None:
             return self.interval(bound)
         # kernels imports this module.

@@ -324,8 +324,9 @@ def encode_one(codec, x) -> list:
     if isinstance(codec, K.Radical):
         return encode_one(codec.interval, x)
     if isinstance(codec, K.Diff):
-        u, v = encode_one(codec.m, x.u), encode_one(codec.m, x.v)
-        return [a - b for a, b in zip(u[codec.head:], v[codec.head:])]
+        into = codec.into or (lambda y: y)
+        u, v = encode_one(codec.group, into(x.u)), encode_one(codec.group, into(x.v))
+        return [a - b for a, b in zip(u, v)]
     if isinstance(codec, K.Prod):
         return [c for f, a in zip(codec.factors, x) for c in encode_one(f, a)]
     raise TypeError(f"not a codec: {codec!r}")
@@ -335,7 +336,7 @@ def decode_one(codec, row: list):
     """The element of the code row ``row`` (Python integers), one row at a
     time: the definition that ``decode_all`` computes a batch at a time.
     A difference row d is the class (d+, d-), with the parts taken by the
-    group codec's own sup."""
+    group codec's own sup and mapped back into the monoid."""
     import numpy as np
 
     from mvtool import kernels as K
@@ -352,9 +353,9 @@ def decode_one(codec, row: list):
         return decode_one(codec.interval, row)
     if isinstance(codec, K.Diff):
         g, d = codec.group, np.array(row, dtype=np.int64)
-        zero, head = np.zeros_like(d), [0] * codec.head
-        return mv.CanonPair(decode_one(codec.m, head + g.sup(d, zero).tolist()),
-                            decode_one(codec.m, head + g.sup(g.negate(d), zero).tolist()))
+        zero, out = np.zeros_like(d), codec.out or (lambda y: y)
+        return mv.CanonPair(out(decode_one(g, g.sup(d, zero).tolist())),
+                            out(decode_one(g, g.sup(g.negate(d), zero).tolist())))
     if isinstance(codec, K.Prod):
         return tuple(decode_one(f, row[s]) for f, s in zip(codec.factors, codec.blocks))
     raise TypeError(f"not a codec: {codec!r}")

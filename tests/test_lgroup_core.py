@@ -18,6 +18,11 @@ Z2 = mv.ZnGroup(2)
 LexZZ = mv.LexGroup(mv.ZGroup())
 N = mv.NMonoid()
 N2 = mv.NnMonoid(2)
+# The radicals of C and Sigma(Z^2): cones of Z and Z^2 behind the
+# algebras' elements, whose Grothendieck groups are Delta(C) and
+# Delta(Sigma(Z^2)).
+RAD_C = mv.RadicalMonoid(mv.ChangAlgebra())
+RAD_SZ2 = mv.RadicalMonoid(mv.parse_model("Sigma(Z^2)"))
 
 
 def test_positive_parts_examples():
@@ -255,7 +260,7 @@ def test_window_size_matches_enumeration():
 
 
 def test_grothendieck_window_size_is_the_box_of_differences():
-    for M in (N, N2, mv.NnMonoid(3)):
+    for M in (N, N2, mv.NnMonoid(3), RAD_C, RAD_SZ2):
         G = mv.grothendieck_group(M)
         for b in range(1, 5):
             assert G.window_size(b) == len(G.enumerate(b)), (M.descriptor(), b)
@@ -275,6 +280,15 @@ def test_grothendieck_intervals_are_built_without_enumerating(monkeypatch):
     assert G.interval_size(20, G.zero, unit) == 4
     assert G.window_size(20) == 41 ** 2
 
+    G = mv.grothendieck_group(RAD_SZ2)
+    monkeypatch.setattr(G, "enumerate", refuse)
+    rad = partial(LexPair, 0)
+    unit = CanonPair(rad((1, 1)), rad((0, 0)))
+    assert G.interval(20, G.zero, unit) == [
+        CanonPair(rad(u), rad((0, 0))) for u in ((0, 0), (0, 1), (1, 0), (1, 1))]
+    assert G.interval_size(20, G.zero, unit) == 4
+    assert G.window_size(20) == 41 ** 2
+
 
 def test_interval_equals_the_window_filter():
     # Open and closed sides, empty intervals (lo > hi), and endpoints
@@ -284,7 +298,7 @@ def test_interval_equals_the_window_filter():
             return G.enumerate(b)
         return grothendieck_walk(G, b)
 
-    for M in (N, N2, mv.NnMonoid(3)):
+    for M in (N, N2, mv.NnMonoid(3), RAD_C, RAD_SZ2):
         G = mv.GrothendieckGroup(M)
         for b in range(5):
             assert G.enumerate(b) == window_of(G, b), (M.descriptor(), b)
@@ -302,6 +316,15 @@ def test_interval_equals_the_window_filter():
                                    CanonPair((1, 0), (0, 1)),
                                    CanonPair((0, 0), (2, 1)),
                                    CanonPair((3, 2), (0, 0))],
+        mv.GrothendieckGroup(RAD_C): [CanonPair(mv.Fin(0), mv.Fin(0)),
+                                      CanonPair(mv.Fin(0), mv.Fin(2)),
+                                      CanonPair(mv.Fin(1), mv.Fin(0)),
+                                      CanonPair(mv.Fin(4), mv.Fin(0))],
+        mv.GrothendieckGroup(RAD_SZ2): [
+            CanonPair(LexPair(0, (0, 0)), LexPair(0, (0, 0))),
+            CanonPair(LexPair(0, (1, 0)), LexPair(0, (0, 1))),
+            CanonPair(LexPair(0, (0, 0)), LexPair(0, (2, 1))),
+            CanonPair(LexPair(0, (3, 2)), LexPair(0, (0, 0)))],
     }
     for G, points in endpoints.items():
         for b in range(4):
@@ -317,15 +340,23 @@ def test_interval_equals_the_window_filter():
 
 
 def test_encoded_grothendieck_window_equals_the_walk():
-    # Over a monoid with a codec, enumerate builds the window from code
-    # rows; it must be the walk's list, element for element and in order.
-    monoids = [mv.RadicalMonoid(mv.parse_model(d))
-               for d in ("C", "Sigma(Z^2)", "Sigma(Lex(Z,Z))")]
-    monoids += [mv.parse_model(d) for d in ("PosCone(Z^2)", "PosCone(Lex(Z,Z))")]
-    for M in monoids:
+    # Over a cone of Z or Z^n (lgroup_core._cone) enumerate builds the box
+    # of differences, and over another cone with a codec it builds the
+    # window from code rows.  Either must be the walk's list, element for
+    # element and in order.
+    box = [mv.RadicalMonoid(mv.parse_model(d))
+           for d in ("C", "Pointed(C,1c)", "Sigma(Z^2)", "Sigma(Z^3)",
+                     "Sigma(Z^0)", "Gamma(Lex(Z,Z),(1,0))")]
+    box.append(mv.parse_model("PosCone(Z^2)"))
+    code_rows = [mv.RadicalMonoid(mv.parse_model("Sigma(Lex(Z,Z))")),
+                 mv.parse_model("PosCone(Lex(Z,Z))")]
+    for M in box + code_rows:
         G = mv.GrothendieckGroup(M)
+        on_box = M in box
         for b in range(6):
-            assert groth_window(M, b) is not None, M.descriptor()
+            assert (G._difference_ranges(b, None, None) is not None) == on_box
+            if not on_box:
+                assert groth_window(M, b) is not None, M.descriptor()
             assert G.enumerate(b) == grothendieck_walk(G, b), (M.descriptor(), b)
     # L(3) is a unit interval that is not Sigma-shaped: its radical monoid
     # is not a cone, and the window is walked.

@@ -22,3 +22,11 @@ def test_auto_lines_at_bounds_1_and_2_match_the_corpus():
     labels = len(mv.named_sequents())
     assert len(computed) == 2 * labels * len(verdict_sweep.carriers())
     assert computed == committed
+
+
+def test_windows_are_nested_on_every_corpus_carrier():
+    # A counterexample at bound b stays in every larger window.
+    for model in verdict_sweep.carriers():
+        windows = [set(model.enumerate(b)) for b in range(1, 6)]
+        for b in range(1, 5):
+            assert windows[b - 1] <= windows[b], (model.descriptor(), b)
