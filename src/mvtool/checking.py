@@ -40,8 +40,8 @@ Each window is read once per carrier and bound.  ``_window`` memoises
 so that the memo never keeps a carrier alive, and keeps the last few
 bounds of each carrier; every check at that bound, the product route's
 position lookups included, shares the one list, and no caller mutates
-it.  The window's int64 code rows live with it, one set per codec, which
-the vector engine encodes on its first use of the window.
+it.  The window's int64 code rows live with it, one (width, n) array per
+codec, which the vector engine encodes on its first use of the window.
 
 Horn sequents on direct products are checked one factor at a time.  The
 ``auto`` engine takes this route for a sequent with context variables

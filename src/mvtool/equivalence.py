@@ -14,7 +14,7 @@ from functools import partial
 from typing import Callable, Sequence, Tuple
 
 from .errors import CarrierMismatchError, NotPerfectError, PreconditionError
-from .homomorphism import homomorphism_failures, map_once
+from .homomorphism import _CODOMAIN_KINDS, isomorphism_failures
 from .lgroup_core import (
     CanonPair,
     GrothendieckGroup,
@@ -261,72 +261,29 @@ def delta_star(A: MvAlgebra, a, bound: int = 4) -> Tuple[GrothendieckGroup, Cano
 # ---------------------------------------------------------------------------
 
 
-def _bijection_failures(fmt_dom, fmt_cod, image: dict, collisions: list,
-                        inverses: dict, forward) -> list:
-    """Bijectivity evidence on windows: injectivity of the image (its
-    ``map_once`` collisions), image contained in the codomain window, and
-    surjectivity witnessed by the explicit inverse (every codomain-window
-    element has a preimage that maps back onto it).  ``inverses`` maps
-    the codomain window, in order, to its preimages.  ``image`` holds
-    forward's images of the domain window, so a preimage in the window is
-    read from it; one outside the window is mapped once, and ``image``
-    keeps its image.
-
-    Set equality of the two windows is deliberately not required: over a
-    lexicographic carrier, canonicalizing pairs of window elements can
-    produce coordinates beyond the window, so the codomain window may
-    properly contain the image while the map is still a carrier-level
-    bijection.
-    """
-    failures = [{"kind": "not-injective", "elements": [fmt_dom(a), fmt_dom(b)]}
-                for a, b in collisions]
-    for v in sorted(set(image.values()).difference(inverses), key=repr):
-        failures.append({"kind": "image-outside-window", "element": fmt_cod(v)})
-    for p, q in inverses.items():
-        if q not in image:
-            image[q] = forward(q)
-        if image[q] != p:
-            failures.append({"kind": "not-surjective", "element": fmt_cod(p)})
-    return failures
-
-
 def _roundtrip_report(direction: str, src, target, forward: Callable,
                       inverse: Callable, unary_ops: Sequence[str],
                       binary_ops: Sequence[str], bound: int) -> dict:
     """Verify that ``forward`` is a bijective homomorphism from the window
-    of ``src`` onto ``target`` with inverse ``inverse``.
+    of ``src`` onto the window of ``target`` with inverse ``inverse``.
 
     Each operation name is a method of both carriers: a unary ``op``
     must satisfy forward(src.op(x)) = target.op(forward(x)) on the
     window, and a binary one the same on every pair.  Returns counts and
-    a list of failures (empty on success): the bijection failures, then
-    those of ``homomorphism_failures`` in its order.  The two checks share
-    one dict of inverses, which starts as the codomain window's, so
-    ``inverse`` runs once per distinct argument: the image mostly lies in
-    that window.  They share one dict of images too, which starts as the
-    window's, so ``forward`` also runs once per distinct argument.
+    the failures of ``homomorphism.isomorphism_failures`` (empty on
+    success), each element formatted by its carrier.
     """
     window = src.enumerate(bound)
     fmt = src.format_element
-    image, collisions = map_once(window, forward)
-    inverses = {p: inverse(p) for p in target.enumerate(bound)}
-
-    def inverse_once(p):
-        try:
-            return inverses[p]
-        except KeyError:
-            q = inverses[p] = inverse(p)
-            return q
-
-    failures = _bijection_failures(fmt, target.format_element, image, collisions,
-                                   inverses, forward)
-    for kind, elements in homomorphism_failures(
-            src, target, window, [image[x] for x in window], forward,
-            inverse_once, unary_ops, binary_ops, image):
+    failures = []
+    for kind, elements in isomorphism_failures(
+            src, target, window, target.enumerate(bound), forward, inverse,
+            unary_ops, binary_ops):
+        f = target.format_element if kind in _CODOMAIN_KINDS else fmt
         if len(elements) == 1:
-            failures.append({"kind": kind, "element": fmt(elements[0])})
+            failures.append({"kind": kind, "element": f(elements[0])})
         else:
-            failures.append({"kind": kind, "elements": [fmt(e) for e in elements]})
+            failures.append({"kind": kind, "elements": [f(e) for e in elements]})
     return {"direction": direction, "model": src.descriptor(), "bound": bound,
             "checked_pairs": len(window) ** 2, "failures": failures}
 

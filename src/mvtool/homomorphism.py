@@ -1,9 +1,12 @@
-"""Bounded checks of maps between carriers: injectivity and the
-homomorphism property on a window.
+"""Bounded checks of maps between carriers: injectivity, bijectivity
+and the homomorphism property on a window.
 
 ``map_once`` maps every window element once and lists the collisions;
-the round-trip reports, the pushout-pullback square and the weak
-subdirect check all start from it.
+the pushout-pullback square, the weak subdirect check and
+``isomorphism_failures`` all start from it.  ``isomorphism_failures``
+is the one isomorphism check behind the round-trip reports: bijectivity
+on windows, then ``homomorphism_failures``, with one dict of inverses
+and one of images between them.
 
 ``homomorphism_failures`` checks that a map commutes with named
 operations on a window.  Each side of the check, the source carrier over
@@ -12,29 +15,32 @@ two ways.  A carrier with a codec (``kernels.codec_for``) that has a
 kernel for every checked operation keys an element by its int64 code
 row, and an operation's results are one kernel call over the rows; any
 other carrier keys it by its interned index in a ``vector``
-``OperationTables``, one index per row, whose tables call the carrier's
-own operations.  One comparison procedure serves both: it computes an
-operation's source and target results in row blocks of at most
-``vector._KERNEL_BLOCK`` pairs, takes the distinct source results of
-each block (``kernels.unique_rows``, which counts their keys when they
+``OperationTables``, a row of one coordinate, whose tables call the
+carrier's own operations.  Keys are column-first (width, ...) arrays,
+as codes are in ``kernels``.  One comparison procedure serves both: it
+computes an operation's source and target results in blocks of at most
+``vector._KERNEL_BLOCK`` pairs, looks each block's source results up
+among those met so far (``kernels.intern_rows``, one ``unique_rows``
+over the known keys and the block's, which counts their keys when they
 span few values and sorts them otherwise), maps those no earlier block
 of any operation had into target keys (decode, forward, encode), and
-compares the gathered keys with the target's results column by column
-(``kernels.rows_differ``).  The keys known from the start are the
-window's, mapped to the image's, and the images ``forward`` gives are
-kept in one memo per check.  So ``forward`` runs once per distinct
-element outside the window, over all operations, the target side is
-never interned in code space, and no grid is sorted whole.  At
-``LIMIT`` the check starts over by the rule that ``kernels`` states:
-both sides are then interned with no codec, and the memo is kept.  Row
-equality is element equality below ``LIMIT``, which the kernel tests
-pin, so every keying gives the same failures.  The check imports numpy
-and ``vector`` on its first call, so this module loads without them.
+compares the gathered keys with the target's results, a reduction over
+the coordinate axis (``kernels.rows_differ``).  The keys known from the
+start are the window's, mapped to the image's, and the images
+``forward`` gives are kept in one memo per check.  So ``forward`` runs
+once per distinct element outside the window, over all operations, the
+target side is never interned in code space, and no grid is sorted
+whole.  At ``LIMIT`` the check starts over by the rule that ``kernels``
+states: both sides are then interned with no codec, and the memo is
+kept.  Row equality is element equality below ``LIMIT``, which the
+kernel tests pin, so every keying gives the same failures.  The check
+imports numpy and ``vector`` on its first call, so this module loads
+without them.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 
 def map_once(window, f: Callable) -> Tuple[dict, list]:
@@ -54,6 +60,57 @@ def map_once(window, f: Callable) -> Tuple[dict, list]:
             collisions.append((last[v], x))
         last[v] = x
     return image, collisions
+
+
+# The failure kinds of ``isomorphism_failures`` whose element lies in the
+# codomain.
+_CODOMAIN_KINDS = ("image-outside-window", "not-surjective")
+
+
+def isomorphism_failures(src, target, window: list, codomain: list,
+                         forward: Callable, inverse: Callable,
+                         unary_ops: Sequence[str],
+                         binary_ops: Sequence[str]) -> List[Tuple[str, tuple]]:
+    """Where ``forward`` fails to be a bijective homomorphism from the
+    window of ``src`` onto the window ``codomain`` of ``target``, with
+    inverse ``inverse``, as (kind, elements).
+
+    First the bijection failures: ("not-injective", (x, y)) for each
+    ``map_once`` collision; ("image-outside-window", (v,)) for each image
+    v outside ``codomain``, in ``repr`` order; and ("not-surjective",
+    (p,)) for each p of ``codomain``, in order, whose preimage
+    inverse(p) does not map back onto it.  Then the failures of
+    ``homomorphism_failures``.
+
+    Set equality of the two windows is deliberately not required: over a
+    lexicographic carrier, canonicalizing pairs of window elements can
+    produce coordinates beyond the window, so the codomain window may
+    properly contain the image while the map is still a carrier-level
+    bijection.  Both checks share one dict of inverses, which starts as
+    the codomain's, and one dict of images, which starts as the window's,
+    so ``inverse`` and ``forward`` each run once per distinct argument.
+    """
+    image, collisions = map_once(window, forward)
+    inverses = {p: inverse(p) for p in codomain}
+    failures = [("not-injective", pair) for pair in collisions]
+    failures += [("image-outside-window", (v,))
+                 for v in sorted(set(image.values()).difference(inverses), key=repr)]
+    for p, q in inverses.items():
+        if q not in image:
+            image[q] = forward(q)
+        if image[q] != p:
+            failures.append(("not-surjective", (p,)))
+
+    def inverse_once(p):
+        try:
+            return inverses[p]
+        except KeyError:
+            q = inverses[p] = inverse(p)
+            return q
+
+    return failures + homomorphism_failures(
+        src, target, window, [image[x] for x in window], forward, inverse_once,
+        unary_ops, binary_ops, image)
 
 
 def homomorphism_failures(src, target, window: list, image: list,
@@ -141,9 +198,9 @@ class _Rows:
         return self._fit(getattr(self.codec, op)(a))
 
     def binary(self, op, a, b):
-        """``op`` on every pair of the rows ``a`` and ``b``: a
-        (len(a), len(b), width) array."""
-        return self._fit(getattr(self.codec, op)(a[:, None], b[None, :]))
+        """``op`` on every pair of the rows of the (width, n) and (width, m)
+        arrays ``a`` and ``b``: a (width, n, m) array."""
+        return self._fit(getattr(self.codec, op)(a[:, :, None], b[:, None, :]))
 
     @staticmethod
     def _fit(rows):
@@ -155,10 +212,10 @@ class _Rows:
 
 
 class _Interned:
-    """A side on interned indices: an element's key is a row holding its
-    index in a ``vector.OperationTables`` with the codec ``codec``, whose
-    tables call the carrier's kernels, or its own operations when
-    ``codec`` is None."""
+    """A side on interned indices: an element's key is a one-coordinate
+    row holding its index in a ``vector.OperationTables`` with the codec
+    ``codec``, whose tables call the carrier's kernels, or its own
+    operations when ``codec`` is None."""
 
     def __init__(self, model, codec=None):
         from .vector import OperationTables
@@ -166,16 +223,16 @@ class _Interned:
         self.tables = OperationTables(model, codec)
 
     def keys(self, values: list):
-        return self.tables.intern_all(values)[:, None]
+        return self.tables.intern_all(values)[None]
 
     def elements(self, keys) -> list:
-        return self.tables.elements(keys[:, 0].tolist())
+        return self.tables.elements(keys[0].tolist())
 
     def unary(self, op, a):
         return self.tables.unary_table(op, a)
 
     def binary(self, op, a, b):
-        return self.tables.binary_table(op, a, b.T)[..., None]
+        return self.tables.binary_table(op, a.T, b)[None]
 
 
 def _differences(source, dest, window, image, forward, memo: dict,
@@ -194,48 +251,42 @@ def _differences(source, dest, window, image, forward, memo: dict,
     mapped = _mapper(source, dest, forward, memo, xs, ys)
     out = [rows_differ(mapped(source.unary(op, xs)), dest.unary(op, ys))
            for op in unary_ops]
-    step = max(1, _KERNEL_BLOCK // len(xs))
+    n = xs.shape[1]
+    step = max(1, _KERNEL_BLOCK // n)
     for op in binary_ops:
         out.append(np.concatenate(
-            [rows_differ(mapped(source.binary(op, xs[s:s + step], xs)),
-                         dest.binary(op, ys[s:s + step], ys))
-             for s in range(0, len(xs), step)]))
+            [rows_differ(mapped(source.binary(op, xs[:, s:s + step], xs)),
+                         dest.binary(op, ys[:, s:s + step], ys))
+             for s in range(0, n, step)]))
     return out
 
 
 def _mapper(source, dest, forward, memo: dict, xs, ys):
     """forward on arrays of source keys, giving target keys, for every
     operation of one check: it starts from the window's keys ``xs``,
-    mapped to the image's keys ``ys``; each block's distinct keys are
-    found by ``unique_rows``, and only those no earlier block had are
-    decoded, mapped (read from ``memo``, or forward's image, which
-    ``memo`` gets) and encoded."""
+    mapped to the image's keys ``ys``; each block's keys are looked up
+    among those met so far (``kernels.intern_rows``), and only the new
+    ones are decoded, mapped (read from ``memo``, or forward's image,
+    which ``memo`` gets) and encoded."""
     import numpy as np
 
-    from .kernels import unique_rows
-    from .vector import _row_keys
+    from .kernels import intern_rows
 
-    # A source key's bytes -> its row in mapped.
-    seen: Dict[bytes, int] = {name: i for i, name in enumerate(_row_keys(xs))}
-    mapped = ys
+    known, mapped = xs, ys
 
     def apply(keys):
-        nonlocal mapped
-        flat = keys.reshape(-1, keys.shape[-1])
-        first, inverse = unique_rows(flat)
-        uniq = flat[first]
-        names = _row_keys(uniq)
-        pos = [seen.get(name) for name in names]
-        new = [j for j, p in enumerate(pos) if p is None]
-        if new:
-            elems = source.elements(uniq[new])
+        nonlocal known, mapped
+        flat = keys.reshape(keys.shape[0], -1)
+        pos, fresh = intern_rows(known, flat)
+        if len(fresh):
+            new = flat.take(fresh, axis=1)
+            elems = source.elements(new)
             for x in elems:
                 if x not in memo:
                     memo[x] = forward(x)
-            rows = dest.keys([memo[x] for x in elems])
-            for p, j in enumerate(new, len(mapped)):
-                pos[j] = seen[names[j]] = p
-            mapped = np.concatenate([mapped, rows])
-        return mapped[np.array(pos)[inverse]].reshape(keys.shape[:-1] + (-1,))
+            known = np.concatenate([known, new], axis=1)
+            mapped = np.concatenate([mapped, dest.keys([memo[x] for x in elems])],
+                                    axis=1)
+        return mapped.take(pos, axis=1).reshape((-1,) + keys.shape[1:])
 
     return apply

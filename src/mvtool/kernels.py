@@ -8,13 +8,18 @@ a class [u, v], the unit interval Gamma(G, u) as a part of G (Mundici
 C as Sigma(Z) = Gamma(Z x_lex Z, (1, 0)) under nc -> (0, n) and
 1 - nc -> (1, -n), and the radical monoid of such a unit interval as the
 same rows under oplus.  A codec maps elements to such rows of integers and
-back a batch at a time, ``encode_all(values)`` giving an (n, width) int64
-array and ``decode_all(rows)`` the list of elements, column by column
-(``Prod`` splits its tuples into per-factor lists, ``Lex`` its heads from
-its tails); ``encode_all`` raises ``OverflowError`` where a coordinate
-has no int64, and with ``dtype=object`` gives Python integers, which
-``Diff`` subtracts exactly beyond ``LIMIT``.  It computes the carrier's operations with numpy on int64
-arrays of shape (..., width), one row per element.
+back a batch at a time, column-first: ``encode_all(values)`` gives a
+(width, n) int64 array, one column per element and one row per
+coordinate, and ``decode_all(rows)`` the list of elements (``Prod``
+splits its tuples into per-factor lists, ``Lex`` its heads from its
+tails); ``encode_all`` raises ``OverflowError`` where a coordinate has no
+int64, and with ``dtype=object`` gives Python integers, which ``Diff``
+subtracts exactly beyond ``LIMIT``.  It computes the carrier's operations
+with numpy on int64 arrays of shape (width, ...): a coordinate is one
+contiguous block, so every group codec's ``add``, ``sub`` and ``negate``
+are numpy's ufuncs, a comparison reduces over axis 0, and ``Prod``
+stacks its factors' blocks on axis 0.  The code of one element is still
+called its row below: it is one column of such an array.
 
 ``codec_for(model)`` dispatches on the exact type of the model and its
 parts; a subclass (a test double, the radical pairs of ``equivalence``)
@@ -51,11 +56,15 @@ first appearance of each in walk order, decoded once.
 
 ``unique_rows`` and ``unique_ints`` give ``np.unique``'s output for the
 code rows and interned indices that the vector engine's tables, the
-homomorphism checks and ``groth_window`` start from.  Their keys are
+homomorphism checks and ``groth_window`` start from; ``unique_rows``
+reads a (width, n) array one coordinate row at a time.  Their keys are
 small integers: when n keys span at most max(n, ``_COUNT_SPAN``) values,
 the distinct ones are counted (a presence array, its running count, and
 the least position of each key), with no comparisons and no buffer
-longer than that; wider spans are sorted.
+longer than that; wider spans are sorted.  ``intern_rows`` looks code
+rows up among known ones by one ``unique_rows`` over both: it is how the
+vector engine's interner and the homomorphism checks' mapper find the
+elements they have not met yet.
 """
 
 from __future__ import annotations
@@ -105,17 +114,10 @@ def _fit_rows(rows) -> bool:
     return max(-int(rows.min()), int(rows.max())) < LIMIT
 
 
-def _cat(*parts):
-    """Concatenate column blocks, broadcasting only the leading axes."""
-    lead = np.broadcast_shapes(*(p.shape[:-1] for p in parts))
-    return np.concatenate([np.broadcast_to(p, lead + p.shape[-1:]) for p in parts],
-                          axis=-1)
-
-
-def _empty(*operands):
-    """An uninitialised int64 array of the operands' broadcast shape."""
-    return np.empty(np.broadcast_shapes(*(a.shape for a in operands)),
-                    dtype=np.int64)
+def _column(row, a):
+    """The one-element row ``row``, of shape (width,), shaped to broadcast
+    against the (width, ...) array ``a``."""
+    return row.reshape(row.shape + (1,) * (a.ndim - 1))
 
 
 # Key spans up to this many values are counted whatever the number of
@@ -160,27 +162,25 @@ def unique_ints(arr, end: int):
 
 
 def unique_rows(rows):
-    """The ``first`` and ``inverse`` of ``np.unique(rows, axis=0)``: the
-    position of each distinct row's first occurrence, and each row's
-    distinct row.  Through one integer key per row when the columns'
-    ranges fit a mixed-radix number below 2^62, whose order is the rows'
-    order: the distinct keys are counted when their span is small
-    (``_counted``), and sorted otherwise, which is still much faster than
-    sorting rows.  The ranges are read one column slice at a time:
-    ``min(axis=0)`` over a row-major block is an order of magnitude
-    slower (about 0.8 ms against 0.07 ms on a 16 200 x 4 block)."""
-    cols = [rows[:, c] for c in range(rows.shape[1])]
-    lo = [int(col.min()) for col in cols]
-    spans = [int(col.max()) - l + 1 for col, l in zip(cols, lo)]
+    """The ``first`` and ``inverse`` of ``np.unique(rows, axis=1)``, for
+    the (width, n) array ``rows``: the position of each distinct row's
+    first occurrence, and each row's distinct row.  Through one integer
+    key per row when the coordinates' ranges fit a mixed-radix number
+    below 2^62, whose order is the rows' order: the distinct keys are
+    counted when their span is small (``_counted``), and sorted
+    otherwise, which is still much faster than sorting rows.  The ranges
+    and the key are read one contiguous coordinate at a time."""
+    lo = rows.min(axis=1).tolist()
+    spans = [h - l + 1 for h, l in zip(rows.max(axis=1).tolist(), lo)]
     total = 1
     for s in spans:
         total *= s
     if total >= 1 << 62:
-        _, first, inverse = np.unique(rows, axis=0, return_index=True,
+        _, first, inverse = np.unique(rows, axis=1, return_index=True,
                                       return_inverse=True)
         return first, inverse.reshape(-1)
-    key = np.zeros(len(rows), dtype=np.int64)
-    for col, l, s in zip(cols, lo, spans):
+    key = np.zeros(rows.shape[1], dtype=np.int64)
+    for col, l, s in zip(rows, lo, spans):
         key = key * s + (col - l)
     if not _counted(key, total):
         _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
@@ -194,16 +194,25 @@ def unique_rows(rows):
     return first, inverse
 
 
+def intern_rows(known, rows):
+    """Look the rows of the (width, n) array ``rows`` up among the k
+    distinct rows of the (width, k) array ``known``, numbering the rows
+    not known in order of first appearance from k on.  Returns each row's
+    number, and the position in ``rows`` of the first appearance of each
+    new row, in that order.  One ``unique_rows`` over the known rows
+    followed by the new ones: a known row is its own first appearance."""
+    k = known.shape[1]
+    first, inverse = unique_rows(np.concatenate([known, rows], axis=1))
+    new = first >= k
+    fresh = np.sort(first[new])
+    first[new] = np.searchsorted(fresh, first[new]) + k
+    return first[inverse[k:]], fresh - k
+
+
 def rows_differ(a, b):
-    """``(a != b).any(axis=-1)`` for rows of at least one column, one
-    column at a time: a reduction over the short last axis of a broadcast
-    is several times slower (on a 2-core Xeon, about 370 against 95 us on
-    a (50, 324, 4) block, and 650 against 50 us for ``Coords.leq`` on
-    (50, 1, 2) against (1, 324, 2) operands)."""
-    out = a[..., 0] != b[..., 0]
-    for c in range(1, a.shape[-1]):
-        out |= a[..., c] != b[..., c]
-    return out
+    """Whether the rows of the (width, ...) arrays ``a`` and ``b`` differ
+    in some coordinate: the reduction of ``a != b`` over axis 0."""
+    return (a != b).any(axis=0)
 
 
 class Coords:
@@ -214,12 +223,14 @@ class Coords:
         self.scalar = scalar
 
     def encode_all(self, values, dtype=np.int64):
-        return np.array(values, dtype=dtype).reshape(-1, self.width)
+        if self.scalar:
+            return np.array(values, dtype=dtype).reshape(1, -1)
+        return np.array(values, dtype=dtype).reshape(-1, self.width).T.copy()
 
     def decode_all(self, rows):
         if self.scalar:
-            return rows[:, 0].tolist()
-        return list(map(tuple, rows.tolist()))
+            return rows[0].tolist()
+        return list(zip(*rows.tolist()))
 
     add = staticmethod(np.add)
     sub = staticmethod(np.subtract)
@@ -229,65 +240,42 @@ class Coords:
 
     @staticmethod
     def leq(a, b):
-        # Column by column, as in rows_differ.
-        out = a[..., 0] <= b[..., 0]
-        for c in range(1, a.shape[-1]):
-            out &= a[..., c] <= b[..., c]
-        return out
+        return (a <= b).all(axis=0)
 
 
 class Lex:
-    """Z x_lex G: the head in column 0, the tail's columns after it."""
+    """Z x_lex G: the head in row 0, the tail's rows after it."""
 
     def __init__(self, tail):
         self.tail = tail
         self.width = 1 + tail.width
 
     def encode_all(self, values, dtype=np.int64):
-        out = np.empty((len(values), self.width), dtype=dtype)
-        out[:, 0] = [x.head for x in values]
-        out[:, 1:] = self.tail.encode_all([x.tail for x in values], dtype)
+        out = np.empty((self.width, len(values)), dtype=dtype)
+        out[0] = [x.head for x in values]
+        out[1:] = self.tail.encode_all([x.tail for x in values], dtype)
         return out
 
     def decode_all(self, rows):
-        return list(map(LexPair, rows[:, 0].tolist(),
-                        self.tail.decode_all(rows[:, 1:])))
+        return list(map(LexPair, rows[0].tolist(), self.tail.decode_all(rows[1:])))
 
-    # Each operation writes the head column and the tail's columns into
-    # one int64 array of the operands' broadcast shape.
-
-    def add(self, a, b):
-        out = _empty(a, b)
-        np.add(a[..., :1], b[..., :1], out=out[..., :1])
-        out[..., 1:] = self.tail.add(a[..., 1:], b[..., 1:])
-        return out
-
-    def negate(self, a):
-        out = _empty(a)
-        np.negative(a[..., :1], out=out[..., :1])
-        out[..., 1:] = self.tail.negate(a[..., 1:])
-        return out
-
-    def sub(self, a, b):
-        return self.add(a, self.negate(b))
+    # The group operations are coordinatewise.
+    add = staticmethod(np.add)
+    sub = staticmethod(np.subtract)
+    negate = staticmethod(np.negative)
 
     def leq(self, a, b):
-        ha, hb = a[..., 0], b[..., 0]
-        return (ha < hb) | ((ha == hb) & self.tail.leq(a[..., 1:], b[..., 1:]))
+        ha, hb = a[0], b[0]
+        return (ha < hb) | ((ha == hb) & self.tail.leq(a[1:], b[1:]))
 
     def _pick(self, a, b, head_op, tail_op):
         # The operand whose head comes first (head_op's pick) wins
-        # outright; equal heads combine their tails.  The masks have no
-        # column axis, so the tail is chosen one column at a time.
-        ha, hb = a[..., 0], b[..., 0]
-        ta, tb = a[..., 1:], b[..., 1:]
-        out = _empty(a, b)
-        head = head_op(ha, hb, out=out[..., 0])
-        tail = tail_op(ta, tb)
-        tie, a_first = ha == hb, head == ha
-        for c in range(self.tail.width):
-            out[..., 1 + c] = np.where(tie, tail[..., c],
-                                       np.where(a_first, ta[..., c], tb[..., c]))
+        # outright; equal heads combine their tails.
+        ha, hb = a[0], b[0]
+        ta, tb = a[1:], b[1:]
+        out = np.empty(np.broadcast_shapes(a.shape, b.shape), dtype=np.int64)
+        head = head_op(ha, hb, out=out[0])
+        out[1:] = np.where(ha == hb, tail_op(ta, tb), np.where(head == ha, ta, tb))
         return out
 
     def inf(self, a, b):
@@ -308,7 +296,7 @@ class Gamma:
         self.g = group
         self.width = group.width
         self.zero = np.zeros(group.width, dtype=np.int64)
-        self.unit = group.encode_all([unit])[0]
+        self.unit = group.encode_all([unit])[:, 0]
 
     def encode_all(self, values, dtype=np.int64):
         return self.g.encode_all(values, dtype)
@@ -317,14 +305,16 @@ class Gamma:
         return self.g.decode_all(rows)
 
     def oplus(self, a, b):
-        return self.g.inf(self.unit, self.g.add(a, b))
+        s = self.g.add(a, b)
+        return self.g.inf(_column(self.unit, s), s)
 
     def neg(self, a):
-        return self.g.sub(self.unit, a)
+        return self.g.sub(_column(self.unit, a), a)
 
     def odot(self, a, b):
         g = self.g
-        return g.sup(self.zero, g.sub(g.add(a, b), self.unit))
+        s = g.add(a, b)
+        return g.sup(_column(self.zero, s), g.sub(s, _column(self.unit, s)))
 
     def d(self, a, b):
         return self.g.sup(self.g.sub(a, b), self.g.sub(b, a))
@@ -346,14 +336,15 @@ class Chang(Gamma):
         super().__init__(Lex(Coords(1, scalar=True)), LexPair(1, 0))
 
     def encode_all(self, values, dtype=np.int64):
-        out = np.empty((len(values), 2), dtype=dtype)
-        out[:, 0] = [0 if x.kind == "fin" else 1 for x in values]
-        out[:, 1] = [x.n if x.kind == "fin" else -x.n for x in values]
+        out = np.empty((2, len(values)), dtype=dtype)
+        out[0] = [0 if x.kind == "fin" else 1 for x in values]
+        out[1] = [x.n if x.kind == "fin" else -x.n for x in values]
         return out
 
     def decode_all(self, rows):
+        heads, tails = rows.tolist()
         return [ChangElem("fin", n) if h == 0 else ChangElem("cofin", -n)
-                for h, n in rows.tolist()]
+                for h, n in zip(heads, tails)]
 
 
 class Radical:
@@ -419,12 +410,12 @@ class Diff:
                     return self.sub(u, v)
         # Every group codec subtracts coordinatewise.
         exact = self.rows(us, object) - self.rows(vs, object)
-        return np.array(exact.tolist(), dtype=dtype).reshape(-1, self.width)
+        return np.array(exact.tolist(), dtype=dtype).reshape(self.width, -1)
 
     def decode_all(self, rows):
         """The canonical pairs (d+, d-) of the difference rows d, read by
         G's codec and mapped back through ``out``."""
-        g, zero = self.group, np.zeros_like(rows[:1])
+        g, zero = self.group, np.zeros_like(rows[:, :1])
         us = g.decode_all(g.sup(rows, zero))
         vs = g.decode_all(g.sup(g.negate(rows), zero))
         if self.out is not None:
@@ -433,7 +424,7 @@ class Diff:
 
 
 class Prod:
-    """A finite product: each factor owns a block of columns."""
+    """A finite product: each factor owns a block of rows."""
 
     def __init__(self, factors):
         self.factors = factors
@@ -448,15 +439,17 @@ class Prod:
         # Per-factor lists of the components; zip gives none for no values.
         parts = list(zip(*values)) or [()] * len(self.factors)
         return np.concatenate([f.encode_all(list(p), dtype)
-                               for f, p in zip(self.factors, parts)], axis=1)
+                               for f, p in zip(self.factors, parts)])
 
     def decode_all(self, rows):
-        return list(zip(*(f.decode_all(rows[:, s])
+        return list(zip(*(f.decode_all(rows[s])
                           for f, s in zip(self.factors, self.blocks))))
 
     def _each(self, name, *args):
-        return _cat(*(getattr(f, name)(*(a[..., s] for a in args))
-                      for f, s in zip(self.factors, self.blocks)))
+        # Every factor's result has the operands' broadcast shape after
+        # its block.
+        return np.concatenate([getattr(f, name)(*(a[s] for a in args))
+                               for f, s in zip(self.factors, self.blocks)])
 
     def oplus(self, a, b):
         return self._each("oplus", a, b)
@@ -479,7 +472,7 @@ class Prod:
     def leq(self, a, b):
         out = True
         for f, s in zip(self.factors, self.blocks):
-            out = out & f.leq(a[..., s], b[..., s])
+            out = out & f.leq(a[s], b[s])
         return out
 
 
@@ -518,11 +511,11 @@ def groth_window(monoid, bound: int) -> Optional[list]:
         return None
     if not _fit_rows(rows):
         return None
-    pairs = codec.sub(rows[:, None], rows[None, :]).reshape(-1, codec.width)
+    pairs = codec.sub(rows[:, :, None], rows[:, None, :]).reshape(codec.width, -1)
     if not _fit_rows(pairs):
         return None
     first, _ = unique_rows(pairs)
-    return codec.decode_all(pairs[np.sort(first)])
+    return codec.decode_all(pairs.take(np.sort(first), axis=1))
 
 
 def _gamma(model):

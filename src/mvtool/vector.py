@@ -36,19 +36,18 @@ Each operation table is built over the unique operand pairs.  Interned
 indices are small dense integers, below the interner's length, so the
 distinct operands, and on the sparse route the distinct pair codes, are
 found by ``kernels.unique_ints``: counted, with no sort, whenever their
-span is small; so are a table's distinct result rows, by
-``kernels.unique_rows``.  When the
-carrier has a codec (``kernels.codec_for``), the engine starts in code
-space: every interned element is keyed by its int64 code row, and a
-table is one kernel call over the pairs' rows whose distinct result rows
-are looked up and appended by row, so an element is decoded only when
+span is small.  When the carrier has a codec (``kernels.codec_for``),
+the engine starts in code space: the interner holds every interned
+element's int64 code row as a column of one (width, capacity) array, and
+a table is one kernel call over the pairs' rows whose result rows are
+looked up among the interned ones by ``kernels.intern_rows`` (one
+``unique_rows`` over the interned rows and the new ones, counted in the
+same way) and appended when new, so an element is decoded only when
 something reads it (``forward`` on an interned homomorphism side, a
 test).  A window that ``checking._window`` memoises keeps its code rows
-and their keys with it, one set per codec type and width: they are
-encoded on the window's first use, and every later check at that
-carrier and bound interns them with one append and one dict update (its elements are
-distinct), or, after another window, appends only the rows not interned
-yet.  Any other window, and one with a repeated element, is encoded once
+with it, one array per codec type and width: they are encoded on the
+window's first use, and every later check at that carrier and bound
+interns them by row with no encoding.  Any other window is encoded once
 per check, in one batch, by ``intern_all``.  This rests on row equality
 being element equality, which the kernel tests pin.  ``leq`` tables are
 boolean and intern nothing.  Below 2^60 no kernel can overflow int64, so
@@ -71,7 +70,7 @@ from typing import Any, Dict, List
 import numpy as np
 
 from . import checking
-from .kernels import _AtLimit, _fit_rows, codec_for, unique_ints, unique_rows
+from .kernels import _AtLimit, _fit_rows, codec_for, intern_rows, unique_ints
 from .mv_core import _repeat, _repeated, mv_power, nat_scalar
 from .verdicts import CounterExample, Holds, InconclusiveAtBound, Verdict
 
@@ -84,19 +83,11 @@ _KERNEL_BLOCK = 1 << 14
 _PENDING = object()
 
 
-def _row_keys(rows) -> list:
-    """One dict key per int64 code row of the 2-D array ``rows``: its
-    bytes."""
-    rows = np.ascontiguousarray(rows, dtype=np.int64)
-    return rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel().tolist()
-
-
 def _window_rows(model, window: list, codec):
-    """The code rows of ``window`` under ``codec`` and their keys, kept with
-    the window by ``checking._window`` and encoded on first use; None when
-    ``window`` is not a window it holds, or has an element that cannot be
-    encoded, a coordinate of magnitude ``LIMIT`` or more, or a repeated
-    element."""
+    """The code rows of ``window`` under ``codec``, kept with the window by
+    ``checking._window`` and encoded on first use; None when ``window`` is
+    not a window it holds, is empty, or has an element that cannot be
+    encoded or a coordinate of magnitude ``LIMIT`` or more."""
     codes = checking._window_codes(model, window)
     if codes is None:
         return None
@@ -108,16 +99,13 @@ def _window_rows(model, window: list, codec):
 
 
 def _encode_window(window: list, codec):
-    """``(rows, keys)`` of ``window`` under ``codec``, or None (see
+    """The code rows of ``window`` under ``codec``, or None (see
     ``_window_rows``)."""
     try:
         rows = codec.encode_all(window)
     except OverflowError:
         return None
-    if len(rows) and not _fit_rows(rows):
-        return None
-    keys = _row_keys(rows)
-    return (rows, keys) if len(set(keys)) == len(keys) else None
+    return rows if window and _fit_rows(rows) else None
 
 
 class OperationTables:
@@ -125,12 +113,12 @@ class OperationTables:
 
     Elements are interned into integer indices.  An instance with a codec
     (``codec_for(model)``, given by the caller) is in code space, where
-    every interned index has an int64 code row and an element is keyed by
-    its row: a table is one kernel call over the rows of its operands, and
-    its distinct result rows are looked up and appended as rows, so a
-    kernel result is decoded only when something reads it through
-    ``element``.  A value that reaches ``LIMIT`` there raises
-    ``_AtLimit`` (see ``kernels``).  An instance without a codec keys
+    every interned index has an int64 code row and an element is found by
+    its row (``kernels.intern_rows``): a table is one kernel call over the
+    rows of its operands, and its result rows not interned yet are
+    appended as rows, so a kernel result is decoded only when something
+    reads it through ``element``.  A value that reaches ``LIMIT`` there
+    raises ``_AtLimit`` (see ``kernels``).  An instance without a codec keys
     every element by itself and calls the carrier's own operation on each
     operand (pair).  One instance serves a whole run of a check: a
     sequent's antecedent and consequent, or a homomorphism check's source
@@ -142,14 +130,14 @@ class OperationTables:
         self.codec = codec
         # Element i, or _PENDING until a kernel result is first read.
         self._elems: List[Any] = []
-        # Element -> index: with a codec a cache, in front of _row_index,
-        # of the elements interned one by one; without one every element.
+        # Element -> index: with a codec a cache, in front of the code
+        # rows, of the elements interned one by one; without one every
+        # element.
         self.interner_index: Dict[Any, int] = {}
-        # With a codec: code row (its bytes) -> index, and the code row of
-        # every interned element, with spare capacity beyond len(self._elems).
-        self._row_index: Dict[bytes, int] = {}
+        # With a codec: the code row of every interned element, a column
+        # each, with spare capacity beyond len(self._elems).
         width = 0 if codec is None else codec.width
-        self._codes = np.zeros((16, width), dtype=np.int64)
+        self._codes = np.zeros((width, 16), dtype=np.int64)
 
     # -- interning -----------------------------------------------------------
 
@@ -164,7 +152,8 @@ class OperationTables:
         elems = self._elems
         pending = list(dict.fromkeys(i for i in idx if elems[i] is _PENDING))
         if pending:
-            for i, v in zip(pending, self.codec.decode_all(self._codes[pending])):
+            values = self.codec.decode_all(self._codes.take(pending, axis=1))
+            for i, v in zip(pending, values):
                 elems[i] = v
         return [elems[i] for i in idx]
 
@@ -194,47 +183,32 @@ class OperationTables:
         self._elems.extend(elems)
         end = len(self._elems)
         if self.codec is not None:
-            if end > len(self._codes):
-                grow = max(end, 2 * len(self._codes))
-                self._codes = np.resize(self._codes, (grow, self.codec.width))
-            self._codes[start:end] = rows
+            capacity = self._codes.shape[1]
+            if end > capacity:
+                grown = np.empty((self.codec.width, max(end, 2 * capacity)),
+                                 dtype=np.int64)
+                grown[:, :start] = self._codes[:, :start]
+                self._codes = grown
+            self._codes[:, start:end] = rows
         return start
 
     # -- code rows -------------------------------------------------------------
 
     def _intern_rows(self, rows, elems=None) -> np.ndarray:
-        """Intern the elements whose code rows are ``rows``: a kernel's
-        results, or the rows of the list ``elems``.  A row reaching
-        ``LIMIT`` raises ``_AtLimit``."""
-        rows = rows.reshape(-1, self.codec.width)
+        """Intern the elements whose code rows are the columns of ``rows``
+        (a kernel's results, flattened after the first axis, or the rows
+        of the list ``elems``): the rows not interned yet are appended,
+        with their elements, or pending when ``elems`` is None.  A row
+        reaching ``LIMIT`` raises ``_AtLimit``."""
+        rows = rows.reshape(self.codec.width, -1)
         if not _fit_rows(rows):
             raise _AtLimit
-        first, inverse = unique_rows(rows)
-        uniq = rows[first]
-        if elems is not None:
-            elems = [elems[i] for i in first.tolist()]
-        return self._intern_distinct(uniq, _row_keys(uniq), elems)[inverse]
-
-    def _intern_distinct(self, rows, keys, elems=None) -> np.ndarray:
-        """The indices of the distinct code rows ``rows``, whose dict keys
-        are ``keys``.  The rows not interned yet are appended, with their
-        elements ``elems`` (one per row), or pending when that is None."""
-        if not self._elems:
-            # Every row is new: one append and one dict update.
-            self._append([_PENDING] * len(keys) if elems is None else elems, rows)
-            self._row_index.update(zip(keys, range(len(keys))))
-            return np.arange(len(keys), dtype=np.int64)
-        get = self._row_index.get
-        idx = [get(key) for key in keys]
-        new = [j for j, i in enumerate(idx) if i is None]
-        if new:
-            start = self._append(
-                [_PENDING] * len(new) if elems is None
-                else [elems[j] for j in new],
-                rows[new])
-            for n, j in enumerate(new, start):
-                idx[j] = self._row_index[keys[j]] = n
-        return np.array(idx, dtype=np.int64)
+        idx, fresh = intern_rows(self._codes[:, :len(self._elems)], rows)
+        if len(fresh):
+            self._append([_PENDING] * len(fresh) if elems is None
+                         else [elems[j] for j in fresh.tolist()],
+                         rows.take(fresh, axis=1))
+        return idx
 
     def _kernel(self, op):
         return None if self.codec is None else getattr(self.codec, op, None)
@@ -279,14 +253,14 @@ class OperationTables:
 
             # 0 and 1 always have a code (kernels.codec_for).
             unit = self.intern(unit)
-            rows = self._codes[uniq]
-            acc = np.broadcast_to(_repeat(step, self._codes[[unit]], rows, n),
-                                  rows.shape)
+            rows = self._codes.take(uniq, axis=1)
+            start = self._codes.take([unit], axis=1)
+            acc = np.broadcast_to(_repeat(step, start, rows, n), rows.shape)
         else:
             kernel = self._kernel(op)
             if kernel is None:
                 return None
-            acc = kernel(self._codes[uniq])
+            acc = kernel(self._codes.take(uniq, axis=1))
         return self._intern_rows(acc)
 
     def binary_table(self, op, a, b, out_bool=False):
@@ -334,8 +308,9 @@ class OperationTables:
         step = max(1, _KERNEL_BLOCK // (shape[1] if len(shape) > 1 else 1))
         out = []
         for s in range(0, shape[0], step):
-            r = kernel(self._codes[ia if len(ia) == 1 else ia[s:s + step]],
-                       self._codes[ib if len(ib) == 1 else ib[s:s + step]])
+            r = kernel(
+                self._codes.take(ia if len(ia) == 1 else ia[s:s + step], axis=1),
+                self._codes.take(ib if len(ib) == 1 else ib[s:s + step], axis=1))
             if not out_bool:
                 r = self._intern_rows(r)
             out.append(r.reshape((-1,) + shape[1:]))
@@ -365,7 +340,7 @@ class _IndexGrids(OperationTables):
             coded = (None if self.codec is None
                      else _window_rows(self.M, values, self.codec))
             idx = (self.intern_all(values) if coded is None
-                   else self._intern_distinct(*coded, values))
+                   else self._intern_rows(coded, values))
             self._windows[id(values)] = idx
         return idx.reshape((1,) * axis + (-1,) + (1,) * (self.ndim - axis - 1))
 

@@ -352,10 +352,11 @@ def decode_one(codec, row: list):
     if isinstance(codec, K.Radical):
         return decode_one(codec.interval, row)
     if isinstance(codec, K.Diff):
-        g, d = codec.group, np.array(row, dtype=np.int64)
+        # The row as a (width, 1) array: one element, column-first.
+        g, d = codec.group, np.array(row, dtype=np.int64)[:, None]
         zero, out = np.zeros_like(d), codec.out or (lambda y: y)
-        return mv.CanonPair(out(decode_one(g, g.sup(d, zero).tolist())),
-                            out(decode_one(g, g.sup(g.negate(d), zero).tolist())))
+        return mv.CanonPair(out(decode_one(g, g.sup(d, zero)[:, 0].tolist())),
+                            out(decode_one(g, g.sup(g.negate(d), zero)[:, 0].tolist())))
     if isinstance(codec, K.Prod):
         return tuple(decode_one(f, row[s]) for f, s in zip(codec.factors, codec.blocks))
     raise TypeError(f"not a codec: {codec!r}")

@@ -14,7 +14,7 @@ from hypothesis.extra.numpy import array_shapes, arrays
 import mvtool as mv
 from mvtool import kernels
 from mvtool.decompose import FiniteQuotientAlgebra
-from mvtool.kernels import codec_for, rows_differ, unique_ints, unique_rows
+from mvtool.kernels import codec_for, intern_rows, rows_differ, unique_ints, unique_rows
 
 from helpers import ConeOfZ, decode_one, encode_one
 
@@ -73,33 +73,38 @@ def test_kernels_equal_the_carrier_operations(desc, data):
 
     def decoded(row):
         # Rows are canonical: the vector engine keys elements by row.
-        [value] = codec.decode_all(np.array([row], dtype=np.int64))
-        assert codec.encode_all([value]).tolist() == [row], row
+        [value] = codec.decode_all(np.array(row, dtype=np.int64)[:, None])
+        assert codec.encode_all([value])[:, 0].tolist() == row, row
         return value
 
-    # The engine's dense route: a (rows, 1) block against a (1, cols) one.
-    rx = codec.encode_all(xs)[:, None]
-    ry = codec.encode_all(ys)[None, :]
+    def cells(arr, op):
+        # Each cell's code row, or its truth value for leq.
+        return (arr if op == "leq" else np.moveaxis(arr, 0, -1)).tolist()
+
+    # The engine's dense route: a (width, rows, 1) block against a
+    # (width, 1, cols) one.
+    rx = codec.encode_all(xs)[:, :, None]
+    ry = codec.encode_all(ys)[:, None, :]
     for op in OPS[model.signature]:
         ref = _reference(model, op)
         if op in UNARY:
-            got = getattr(codec, op)(rx[:, 0]).tolist()
+            got = cells(getattr(codec, op)(rx[:, :, 0]), op)
             assert [decoded(r) for r in got] == [ref(x) for x in xs], op
             continue
-        got = getattr(codec, op)(rx, ry).tolist()
+        got = cells(getattr(codec, op)(rx, ry), op)
         for i, x in enumerate(xs):
             for j, y in enumerate(ys):
                 value = got[i][j] if op == "leq" else decoded(got[i][j])
                 assert value == ref(x, y), (op, x, y)
         # The homomorphism checks' route: two equal-length lists of rows.
         k = min(len(xs), len(ys))
-        got = getattr(codec, op)(rx[:k, 0], ry[0, :k]).tolist()
+        got = cells(getattr(codec, op)(rx[:, :k, 0], ry[:, 0, :k]), op)
         for x, y, row in zip(xs, ys, got):
             assert (row if op == "leq" else decoded(row)) == ref(x, y), (op, x, y)
     if model.signature == "monoid" and not isinstance(model, mv.RadicalMonoid):
         # A cone's sub is its group's, which is the monoid's subtract
         # where that is defined, for y <= x.
-        got = codec.sub(rx, ry).tolist()
+        got = cells(codec.sub(rx, ry), "sub")
         for i, x in enumerate(xs):
             for j, y in enumerate(ys):
                 if model.leq(y, x):
@@ -142,12 +147,12 @@ def test_cached_window_rows_equal_the_encoded_window():
         codec = codec_for(model)
         for bound in (1, 2, 3):
             window = checking._window(model, bound)
-            rows, keys = vector._window_rows(model, window, codec)
-            assert rows.tolist() == [encode_one(codec, x)
-                                     for x in model.enumerate(bound)], (desc, bound)
-            assert len(set(keys)) == len(keys), (desc, bound)
+            rows = vector._window_rows(model, window, codec)
+            assert rows.T.tolist() == [encode_one(codec, x)
+                                       for x in model.enumerate(bound)], (desc, bound)
+            assert len(unique_rows(rows)[0]) == len(window), (desc, bound)
             # Read once: a second reading hands back the same rows.
-            assert vector._window_rows(model, window, codec)[0] is rows
+            assert vector._window_rows(model, window, codec) is rows
 
 
 def test_cached_window_rows_belong_to_their_codec():
@@ -162,9 +167,9 @@ def test_cached_window_rows_belong_to_their_codec():
 
     shifted = Shifted(codec.tail)
     window = checking._window(model, 2)
-    rows, _ = vector._window_rows(model, window, codec)
-    other, _ = vector._window_rows(model, window, shifted)
-    assert other.tolist() == [[c + 1 for c in encode_one(codec, x)] for x in window]
+    rows = vector._window_rows(model, window, codec)
+    other = vector._window_rows(model, window, shifted)
+    assert other.T.tolist() == [[c + 1 for c in encode_one(codec, x)] for x in window]
     assert (other == rows + 1).all()
 
 
@@ -178,12 +183,12 @@ def test_batch_codecs_equal_the_per_element_definition(desc):
     for bound in (1, 2, 3):
         window = model.enumerate(bound)
         rows = codec.encode_all(window)
-        assert rows.dtype == np.int64 and rows.shape == (len(window), codec.width)
-        assert rows.tolist() == [encode_one(codec, x) for x in window], bound
-        assert codec.decode_all(rows) == [decode_one(codec, r) for r in rows.tolist()] \
+        assert rows.dtype == np.int64 and rows.shape == (codec.width, len(window))
+        assert rows.T.tolist() == [encode_one(codec, x) for x in window], bound
+        assert codec.decode_all(rows) == [decode_one(codec, r) for r in rows.T.tolist()] \
             == window, bound
     empty = codec.encode_all([])
-    assert empty.dtype == np.int64 and empty.shape == (0, codec.width)
+    assert empty.dtype == np.int64 and empty.shape == (codec.width, 0)
     assert codec.decode_all(empty) == []
 
 
@@ -215,7 +220,7 @@ def test_batch_codecs_overflow_where_the_rows_do(desc, x, overflows):
     codec = codec_for(model)
     values = [model.zero, x]
     try:
-        expect = np.array([encode_one(codec, v) for v in values], dtype=np.int64)
+        expect = np.array([encode_one(codec, v) for v in values], dtype=np.int64).T
     except OverflowError:
         expect = None
     assert (expect is None) == overflows
@@ -241,7 +246,7 @@ def test_rows_at_the_limit_are_rejected_downstream(desc, x):
 
     model = MODELS[desc]
     codec = codec_for(model)
-    assert codec.encode_all([x]).tolist() == [encode_one(codec, x)]
+    assert codec.encode_all([x]).T.tolist() == [encode_one(codec, x)]
     assert vector._encode_window([model.zero, x], codec) is None
     with pytest.raises(kernels._AtLimit):
         vector.OperationTables(model, codec).intern_all([model.zero, x])
@@ -261,15 +266,18 @@ def _counts(span: int, n: int) -> bool:
 
 
 def _unique_rows_route(rows):
-    """``unique_rows(rows)``, and whether it counted."""
+    """``unique_rows`` of the (n, width) array ``rows`` given column-first,
+    as (width, n), and whether it counted."""
     with mock.patch.object(kernels, "_count", wraps=kernels._count) as count:
-        got = unique_rows(rows)
+        got = unique_rows(rows.T)
     span = math.prod(int(c.max()) - int(c.min()) + 1 for c in rows.T)
     assert count.called == _counts(span, len(rows)), (span, len(rows))
     return got
 
 
 def _assert_unique_rows(rows):
+    """``unique_rows`` against ``np.unique`` on the rows of the (n, width)
+    array ``rows``."""
     first, inverse = _unique_rows_route(rows)
     _, ref_first, ref_inverse = np.unique(rows, axis=0, return_index=True,
                                           return_inverse=True)
@@ -308,19 +316,89 @@ def test_unique_rows_on_both_routes(rows):
     _assert_unique_rows(np.asarray(rows, dtype=np.int64))
 
 
+def _interned_by_dict(known, rows):
+    """``intern_rows``' definition on tuples: a dict from each known row
+    to its position, which numbers each new row, at its first appearance,
+    after the rows it already holds."""
+    index = {row: i for i, row in enumerate(zip(*known.tolist()))}
+    numbers, fresh = [], []
+    for j, row in enumerate(zip(*rows.tolist())):
+        if row not in index:
+            index[row] = len(index)
+            fresh.append(j)
+        numbers.append(index[row])
+    return numbers, fresh
+
+
+def _assert_interned(known, rows):
+    """``intern_rows`` against the dict of tuples; returns the route that
+    ``unique_rows`` took over the known rows and the new ones."""
+    known = np.asarray(known, dtype=np.int64).reshape(len(rows), -1)
+    rows = np.asarray(rows, dtype=np.int64)
+    with mock.patch.object(kernels, "_count", wraps=kernels._count) as count, \
+            mock.patch.object(np, "unique", wraps=np.unique) as sort:
+        numbers, fresh = intern_rows(known, rows)
+    assert (numbers.tolist(), fresh.tolist()) == _interned_by_dict(known, rows)
+    if count.called:
+        return "counted"
+    return "rows" if "axis" in sort.call_args.kwargs else "sorted"
+
+
+_BIG_ROW = 2 ** 61 - 1
+
+
+@pytest.mark.parametrize("known, rows, route", [
+    pytest.param([], [[3, 1, 3, 2, 1], [0, 5, 0, 5, 5]], "counted",
+                 id="no-known-rows"),
+    pytest.param([[1, 2, 3], [4, 5, 6]], [[3, 1, 3, 2], [6, 4, 6, 5]], "counted",
+                 id="all-known"),
+    pytest.param([[1, 2], [4, 5]], [[7, 0, 9], [7, 0, 9]], "counted", id="all-new"),
+    pytest.param([[0, 2, -1], [0, 0, 4]], [[2, 5, 5, -1, 2, 8], [0, 1, 1, 4, 0, 0]],
+                 "counted", id="repeated"),
+    # A span of about 10^6 keys over 7 rows.
+    pytest.param([[0, 10 ** 6]], [[10 ** 6, 5, 0, 5, 7]], "sorted", id="sorted"),
+    # Keys at or beyond 2^62: np.unique over the rows.
+    pytest.param([[_BIG_ROW, 0], [0, 1]], [[-_BIG_ROW, _BIG_ROW, -_BIG_ROW], [1, 0, 1]],
+                 "rows", id="beyond-2^62"),
+    pytest.param([], [[-_BIG_ROW, _BIG_ROW, -_BIG_ROW], [1, 0, 1]], "rows",
+                 id="beyond-2^62-no-known-rows"),
+])
+def test_intern_rows_numbers_new_rows_after_the_known_ones(known, rows, route):
+    assert _assert_interned(known, rows) == route
+
+
+@given(data=st.data())
+def test_intern_rows_equals_a_dict_of_tuples(data):
+    r = data.draw(st.sampled_from(_MAGNITUDES), label="magnitude")
+    width = data.draw(st.integers(1, 3), label="width")
+    row = st.tuples(*[st.integers(-r, r)] * width)
+    known = data.draw(st.lists(row, max_size=20, unique=True), label="known")
+    # The new rows are drawn from the known ones and from fresh ones.
+    rows = data.draw(st.lists(st.sampled_from(known) | row if known else row,
+                              min_size=1, max_size=30), label="rows")
+    _assert_interned(np.array(known, dtype=np.int64).reshape(-1, width).T,
+                     np.array(rows, dtype=np.int64).T)
+
+
 @pytest.mark.parametrize("width", [1, 2, 3, 4])
 def test_column_wise_comparisons_reduce_the_last_axis(width):
-    # Every row over {-1, 0, 1} (so some pairs differ in the last column
-    # only), from all the rows and from none against every row.
-    rows = np.array(list(itertools.product((-1, 0, 1), repeat=width)),
-                    dtype=np.int64)
+    # Every row over {-1, 0, 1} (so some pairs differ in the last
+    # coordinate only), from all the rows and from none against every
+    # row, reduced over the coordinates: axis 0 of the column-first codes.
+    rows = list(itertools.product((-1, 0, 1), repeat=width))
+    codes = np.array(rows, dtype=np.int64).T
     leq = kernels.Coords(width, scalar=False).leq
-    for a in (rows[:, None], rows[:0, None]):
-        b = rows[None, :]
-        np.testing.assert_array_equal(leq(a, b), (a <= b).all(axis=-1),
-                                      strict=True)
-        np.testing.assert_array_equal(rows_differ(a, b), (a != b).any(axis=-1),
-                                      strict=True)
+    for xs in (rows, []):
+        a, b = codes[:, :len(xs), None], codes[:, None, :]
+        shape = (len(xs), len(rows))
+        np.testing.assert_array_equal(
+            leq(a, b), np.array([[all(p <= q for p, q in zip(x, y)) for y in rows]
+                                 for x in xs], dtype=bool).reshape(shape),
+            strict=True)
+        np.testing.assert_array_equal(
+            rows_differ(a, b), np.array([[x != y for y in rows] for x in xs],
+                                        dtype=bool).reshape(shape),
+            strict=True)
 
 
 def _assert_unique_ints(arr, end):
