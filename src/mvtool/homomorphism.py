@@ -18,14 +18,18 @@ other carrier keys it by its interned index in a ``vector``
 ``OperationTables``, a row of one coordinate, whose tables call the
 carrier's own operations.  Keys are column-first (width, ...) arrays,
 as codes are in ``kernels``.  One comparison procedure serves both: it
-computes an operation's source and target results in blocks of at most
-``vector._KERNEL_BLOCK`` pairs, looks each block's source results up
-among those met so far (``kernels.intern_rows``, one ``unique_rows``
-over the known keys and the block's, which counts their keys when they
-span few values and sorts them otherwise), maps those no earlier block
-of any operation had into target keys (decode, forward, encode), and
-compares the gathered keys with the target's results, a reduction over
-the coordinate axis (``kernels.rows_differ``).  The keys known from the
+computes an operation's source and target results in row blocks of at
+most ``vector._KERNEL_BLOCK`` int64 coordinates a side (pairs times key
+width), looks each block's source results up in one ``kernels.KeyIndex``
+per check (a direct-address table of the keys met so far, so a block
+costs its own size), maps those no earlier block of any operation had
+into target keys (decode, forward, encode), and compares the gathered
+keys with the target's results, a reduction over the coordinate axis
+(``kernels.rows_differ``).  When both sides key by code rows and the
+operation's kernel is symmetric (``kernels.SYMMETRIC``), a block's rows
+are computed from the diagonal on and the columns before it are the
+transpose of the rows above; a window whose pairs fit one block, and any
+interned side, computes the full square.  The keys known from the
 start are the window's, mapped to the image's, and the images
 ``forward`` gives are kept in one memo per check.  So ``forward`` runs
 once per distinct element outside the window, over all operations, the
@@ -155,6 +159,8 @@ def homomorphism_failures(src, target, window: list, image: list,
     except _AtLimit:
         bad = _differences(_Interned(src), _Interned(target), window, image,
                            forward, memo, unary_ops, binary_ops)
+    if not (bad_inverse.any() or any(b.any() for b in bad)):
+        return []
     bad_elements = np.stack([bad_inverse] + bad[:len(unary_ops)], axis=-1)
     bad_pairs = np.stack(bad[len(unary_ops):], axis=-1)
     kinds = ("inverse",) + tuple(unary_ops)
@@ -244,7 +250,7 @@ def _differences(source, dest, window, image, forward, memo: dict,
     mapped here."""
     import numpy as np
 
-    from .kernels import rows_differ
+    from .kernels import SYMMETRIC, rows_differ
     from .vector import _KERNEL_BLOCK
 
     xs, ys = source.keys(window), dest.keys(image)
@@ -252,12 +258,20 @@ def _differences(source, dest, window, image, forward, memo: dict,
     out = [rows_differ(mapped(source.unary(op, xs)), dest.unary(op, ys))
            for op in unary_ops]
     n = xs.shape[1]
-    step = max(1, _KERNEL_BLOCK // n)
+    # Row blocks of at most _KERNEL_BLOCK int64 coordinates a side.
+    step = max(1, _KERNEL_BLOCK // (n * max(xs.shape[0], ys.shape[0])))
+    on_rows = isinstance(source, _Rows) and isinstance(dest, _Rows)
     for op in binary_ops:
-        out.append(np.concatenate(
-            [rows_differ(mapped(source.binary(op, xs[:, s:s + step], xs)),
-                         dest.binary(op, ys[:, s:s + step], ys))
-             for s in range(0, n, step)]))
+        # A symmetric kernel's blocks on code rows start at the diagonal,
+        # and their columns before it are the transpose of the rows above.
+        half = on_rows and op in SYMMETRIC
+        bad = np.empty((n, n), dtype=bool)
+        for s in range(0, n, step):
+            e, t = s + step, s if half else 0
+            bad[s:e, t:] = rows_differ(mapped(source.binary(op, xs[:, s:e], xs[:, t:])),
+                                       dest.binary(op, ys[:, s:e], ys[:, t:]))
+            bad[s:e, :t] = bad[:t, s:e].T
+        out.append(bad)
     return out
 
 
@@ -265,28 +279,27 @@ def _mapper(source, dest, forward, memo: dict, xs, ys):
     """forward on arrays of source keys, giving target keys, for every
     operation of one check: it starts from the window's keys ``xs``,
     mapped to the image's keys ``ys``; each block's keys are looked up
-    among those met so far (``kernels.intern_rows``), and only the new
+    in one ``kernels.KeyIndex`` of the keys met so far, and only the new
     ones are decoded, mapped (read from ``memo``, or forward's image,
     which ``memo`` gets) and encoded."""
-    import numpy as np
+    from .kernels import KeyIndex, _put
 
-    from .kernels import intern_rows
-
-    known, mapped = xs, ys
+    # The index numbers a window element that repeats at its first
+    # appearance, so the image's keys are taken in that order.
+    index = KeyIndex(xs.shape[0])
+    mapped = ys.take(index.intern(xs)[1], axis=1)
 
     def apply(keys):
-        nonlocal known, mapped
+        nonlocal mapped
         flat = keys.reshape(keys.shape[0], -1)
-        pos, fresh = intern_rows(known, flat)
+        k = index.k
+        pos, fresh = index.intern(flat)
         if len(fresh):
-            new = flat.take(fresh, axis=1)
-            elems = source.elements(new)
+            elems = source.elements(flat.take(fresh, axis=1))
             for x in elems:
                 if x not in memo:
                     memo[x] = forward(x)
-            known = np.concatenate([known, new], axis=1)
-            mapped = np.concatenate([mapped, dest.keys([memo[x] for x in elems])],
-                                    axis=1)
+            mapped = _put(mapped, k, dest.keys([memo[x] for x in elems]))
         return mapped.take(pos, axis=1).reshape((-1,) + keys.shape[1:])
 
     return apply

@@ -63,12 +63,18 @@ the distinct ones are counted (a presence array, its running count, and
 the least position of each key), with no comparisons and no buffer
 longer than that; wider spans are sorted.  ``intern_rows`` looks code
 rows up among known ones by one ``unique_rows`` over both: it is how the
-vector engine's interner and the homomorphism checks' mapper find the
-elements they have not met yet.
+vector engine's interner finds the elements it has not met yet.  A
+homomorphism check's mapper keeps one ``KeyIndex`` instead, a
+direct-address table from each known row's mixed-radix key to its
+number, which numbers new rows as ``intern_rows`` does at the cost of
+the batch alone, and falls back to ``intern_rows`` when its box would be
+too sparse.  ``SYMMETRIC`` names the operations whose kernels give
+(b, a) the row of (a, b), which lets a check compute half of each grid.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Optional
 
 import numpy as np
@@ -161,6 +167,17 @@ def unique_ints(arr, end: int):
     return vals, inverse.reshape(arr.shape)
 
 
+def _radix_key(rows, lo: list, spans: list):
+    """The mixed-radix number of each row of the (width, n) array ``rows``
+    in the box with least corner ``lo`` and sides ``spans``, read one
+    coordinate at a time; it orders the rows as they are ordered."""
+    key = np.zeros(rows.shape[1], dtype=np.int64)
+    for col, low, span in zip(rows, lo, spans):
+        key *= span
+        key += col - low
+    return key
+
+
 def unique_rows(rows):
     """The ``first`` and ``inverse`` of ``np.unique(rows, axis=1)``, for
     the (width, n) array ``rows``: the position of each distinct row's
@@ -179,9 +196,7 @@ def unique_rows(rows):
         _, first, inverse = np.unique(rows, axis=1, return_index=True,
                                       return_inverse=True)
         return first, inverse.reshape(-1)
-    key = np.zeros(rows.shape[1], dtype=np.int64)
-    for col, l, s in zip(rows, lo, spans):
-        key = key * s + (col - l)
+    key = _radix_key(rows, lo, spans)
     if not _counted(key, total):
         _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
         return first, inverse.reshape(-1)
@@ -209,10 +224,105 @@ def intern_rows(known, rows):
     return first[inverse[k:]], fresh - k
 
 
+def _put(buf, k: int, new):
+    """``buf`` with the (width, m) array ``new`` written at columns
+    [k, k + m): the same array while its capacity holds them, else a copy
+    of columns [0, k) with twice the capacity or more."""
+    m = new.shape[1]
+    if k + m > buf.shape[1]:
+        wider = np.empty((buf.shape[0], max(2 * buf.shape[1], k + m)), dtype=buf.dtype)
+        wider[:, :k] = buf[:, :k]
+        buf = wider
+    buf[:, k:k + m] = new
+    return buf
+
+
+# A key index keeps a direct-address table while the table has at most
+# this many slots per known row, or _COUNT_SPAN slots.
+_INDEX_SLACK = 8
+
+
+class KeyIndex:
+    """The distinct rows met so far, numbered in order of first appearance:
+    ``intern(rows)`` is ``intern_rows(self.rows, rows)``, after which the
+    new rows are known too.  The rows are keyed by their mixed-radix
+    number in a box around them, as ``unique_rows`` keys them, and a
+    direct-address table maps each key to its row's number, so a batch
+    costs its own size, not that of every row met so far.  A row outside
+    the box rebuilds the table over the box that holds both; when that box
+    would have more than max(``_INDEX_SLACK`` * (k + m), ``_COUNT_SPAN``)
+    slots for k known rows and a batch of m, the batch goes to
+    ``intern_rows`` instead, and the table waits for a batch whose box is
+    small enough."""
+
+    def __init__(self, width: int):
+        """An index of rows of ``width`` coordinates, with none known."""
+        self._buf, self.k = np.empty((width, 0), dtype=np.int64), 0
+        # The box of the known rows, empty so far, and the table over it
+        # (None while the box is too wide).
+        self._lo, self._hi = [math.inf] * width, [-math.inf] * width
+        self._table = None
+
+    @property
+    def rows(self):
+        """The known rows, a (width, k) array in order of number."""
+        return self._buf[:, :self.k]
+
+    def _widen(self, lo: list, hi: list, m: int) -> bool:
+        """Widen the box to hold [lo, hi], the box of a batch of m rows,
+        and rebuild the table over it; False, with no table, when the box
+        is too wide for one."""
+        self._lo = [min(a, b) for a, b in zip(self._lo, lo)]
+        self._hi = [max(a, b) for a, b in zip(self._hi, hi)]
+        self._spans = [h - l + 1 for h, l in zip(self._hi, self._lo)]
+        slots = math.prod(self._spans)
+        self._table = None
+        if slots > max(_INDEX_SLACK * (self.k + m), _COUNT_SPAN):
+            return False
+        self._table = np.full(slots, -1, dtype=np.int64)
+        self._table[_radix_key(self.rows, self._lo, self._spans)] = np.arange(self.k)
+        return True
+
+    def intern(self, rows):
+        """Each row's number, and the position in ``rows`` of the first
+        appearance of each new row, in order: ``intern_rows``' output."""
+        if not rows.shape[1]:
+            return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
+        lo, hi = rows.min(axis=1).tolist(), rows.max(axis=1).tolist()
+        inside = all(a <= b for a, b in zip(self._lo, lo)) and \
+            all(a >= b for a, b in zip(self._hi, hi))
+        if (self._table is None or not inside) and \
+                not self._widen(lo, hi, rows.shape[1]):
+            numbers, fresh = intern_rows(self.rows, rows)
+        else:
+            table, key = self._table, _radix_key(rows, self._lo, self._spans)
+            numbers = table[key]
+            pos = np.flatnonzero(numbers < 0)
+            # Each new key's least position, through its absent slot: the
+            # slots take a position past every one, then the least.
+            slots = key[pos]
+            table[slots] = rows.shape[1]
+            np.minimum.at(table, slots, pos)
+            fresh = pos[table[slots] == pos]
+            table[key[fresh]] = np.arange(self.k, self.k + len(fresh))
+            numbers[pos] = table[slots]
+        self._buf = _put(self._buf, self.k, rows.take(fresh, axis=1))
+        self.k += len(fresh)
+        return numbers, fresh
+
+
 def rows_differ(a, b):
     """Whether the rows of the (width, ...) arrays ``a`` and ``b`` differ
     in some coordinate: the reduction of ``a != b`` over axis 0."""
     return (a != b).any(axis=0)
+
+
+# The operations whose kernels give (b, a) the row they give (a, b), by
+# construction: numpy's add, minimum and maximum, Lex's pick of the
+# operand whose head comes first (equal heads combine the tails), and
+# Gamma's oplus = inf(u, a + b); Radical's add is oplus, and Prod and
+# Diff apply their parts' kernels.
+SYMMETRIC = frozenset({"add", "inf", "sup", "oplus"})
 
 
 class Coords:

@@ -70,7 +70,7 @@ from typing import Any, Dict, List
 import numpy as np
 
 from . import checking
-from .kernels import _AtLimit, _fit_rows, codec_for, intern_rows, unique_ints
+from .kernels import _AtLimit, _fit_rows, _put, codec_for, intern_rows, unique_ints
 from .mv_core import _repeat, _repeated, mv_power, nat_scalar
 from .verdicts import CounterExample, Holds, InconclusiveAtBound, Verdict
 
@@ -181,15 +181,8 @@ class OperationTables:
         returns the first new index."""
         start = len(self._elems)
         self._elems.extend(elems)
-        end = len(self._elems)
         if self.codec is not None:
-            capacity = self._codes.shape[1]
-            if end > capacity:
-                grown = np.empty((self.codec.width, max(end, 2 * capacity)),
-                                 dtype=np.int64)
-                grown[:, :start] = self._codes[:, :start]
-                self._codes = grown
-            self._codes[:, start:end] = rows
+            self._codes = _put(self._codes, start, rows)
         return start
 
     # -- code rows -------------------------------------------------------------

@@ -139,13 +139,11 @@ def test_an_empty_window_has_no_failures():
                                  ("negate",), ("add",)) == []
 
 
-def _past_the_kernel_limit():
-    """The failures of a homomorphism check on a Z^2 window whose sums
-    reach 2^60, where the code rows stop, and the number of ``forward``
-    calls it makes.  The map reverses the order of the second coordinate,
-    so it keeps add and negate and breaks inf and sup."""
+def _reversed_second_coordinate(window):
+    """The failures of a homomorphism check of the map (a, b) -> (a, -b) on
+    a Z^2 window, and the number of ``forward`` calls it makes.  The map
+    keeps add and negate and breaks inf and sup."""
     Z2 = mv.ZnGroup(2)
-    window = [(2 ** 59 + i, j) for i in range(3) for j in (-1, 0, 1)]
     calls = []
 
     def forward(g):
@@ -160,12 +158,24 @@ def _past_the_kernel_limit():
             len(calls))
 
 
-def _reference_past_the_kernel_limit(monkeypatch):
-    """``_past_the_kernel_limit`` on the carriers' own operations."""
+def _past_the_kernel_limit():
+    """``_reversed_second_coordinate`` on a window whose sums reach 2^60,
+    where the code rows stop."""
+    return _reversed_second_coordinate(
+        [(2 ** 59 + i, j) for i in range(3) for j in (-1, 0, 1)])
+
+
+def _codec_off(monkeypatch, check):
+    """``check()`` on the carriers' own operations."""
     with monkeypatch.context() as m:
         m.setattr(vector, "codec_for", lambda model: None)
         m.setattr(kernels, "codec_for", lambda model: None)
-        return _past_the_kernel_limit()
+        return check()
+
+
+def _reference_past_the_kernel_limit(monkeypatch):
+    """``_past_the_kernel_limit`` on the carriers' own operations."""
+    return _codec_off(monkeypatch, _past_the_kernel_limit)
 
 
 def test_a_window_past_the_kernel_limit_gives_the_reference_failures(monkeypatch):
@@ -196,3 +206,75 @@ def test_interned_sides_past_the_kernel_limit_start_over(monkeypatch):
     assert len(codecs) == 4 and None not in codecs[:2] and codecs[2:] == [None, None]
     assert (failures, calls) == _reference_past_the_kernel_limit(monkeypatch)
     assert calls == 9 + 25
+
+
+def test_multi_block_windows_give_the_codec_off_results(monkeypatch):
+    # With a block of one coordinate, each block is one row, so every
+    # window of three elements or more spans three blocks or more; with
+    # 500, the Z^2 and Lex(Z,Z) windows (49 elements of two coordinates)
+    # take blocks of five rows, the last one shorter.
+    reference = _codec_off(monkeypatch, lambda: _results(3))
+    for block in (1, 500):
+        with monkeypatch.context() as m:
+            m.setattr(vector, "_KERNEL_BLOCK", block)
+            assert _results(3) == reference, block
+
+
+def _spy_on_block_columns(monkeypatch, side):
+    """The number of columns of each block of pairs that sides of the type
+    ``side`` compute, in order."""
+    columns = []
+
+    def spy(self, op, a, b, real=side.binary):
+        columns.append(b.shape[1])
+        return real(self, op, a, b)
+
+    monkeypatch.setattr(side, "binary", spy)
+    return columns
+
+
+def test_symmetric_kernels_compute_the_upper_triangle(monkeypatch):
+    # Z^2's window at bound 6 has 169 elements: in code space, 169 x 169
+    # pairs of two coordinates are four blocks of 48 rows, each from the
+    # diagonal on, for each of add, inf and sup; interned, they are two
+    # blocks of 96 rows of the full square.  Each block is computed on the
+    # source side, then on the target side.
+    window = mv.ZnGroup(2).enumerate(6)
+    with monkeypatch.context() as m:
+        columns = _spy_on_block_columns(m, homomorphism._Rows)
+        failures, calls = _reversed_second_coordinate(window)
+    assert columns == [169, 169, 121, 121, 73, 73, 25, 25] * 3
+    with monkeypatch.context() as m:
+        columns = _spy_on_block_columns(m, homomorphism._Interned)
+        assert _codec_off(m, lambda: _reversed_second_coordinate(window)) == \
+            (failures, calls)
+    assert columns == [169] * 4 * 3
+    assert len(failures) == 52_728
+    assert {kind for kind, _ in failures} == {"inf", "sup"}
+
+
+def test_a_window_that_repeats_an_element_gives_the_failures_by_definition(monkeypatch):
+    # The key index numbers a repeated element at its first appearance;
+    # the image's keys must follow that numbering, on code rows and
+    # interned, in one block and in one-row blocks.
+    Z2 = mv.ZnGroup(2)
+    window = [(0, 1), (0, 1), (1, 0), (2, 2), (1, 0)]
+
+    def forward(g):
+        return (g[0], -g[1])
+
+    ops = ("add", "inf", "sup")
+    expected = [(op, (x, y)) for x in window for y in window for op in ops
+                if forward(getattr(Z2, op)(x, y)) != getattr(Z2, op)(forward(x),
+                                                                      forward(y))]
+
+    def check():
+        return homomorphism_failures(Z2, Z2, window, [forward(x) for x in window],
+                                     forward, forward, ("negate",), ops)
+
+    for block in (vector._KERNEL_BLOCK, 1):
+        with monkeypatch.context() as m:
+            m.setattr(vector, "_KERNEL_BLOCK", block)
+            assert check() == expected, block
+            assert _codec_off(m, check) == expected, block
+    assert len(expected) == 32

@@ -16,7 +16,7 @@ from mvtool import kernels
 from mvtool.decompose import FiniteQuotientAlgebra
 from mvtool.kernels import codec_for, intern_rows, rows_differ, unique_ints, unique_rows
 
-from helpers import ConeOfZ, decode_one, encode_one
+from helpers import README_DESCRIPTORS, ConeOfZ, decode_one, encode_one
 
 OPS = {
     "mv": ("oplus", "neg", "odot", "inf", "sup", "leq", "d"),
@@ -109,6 +109,30 @@ def test_kernels_equal_the_carrier_operations(desc, data):
             for j, y in enumerate(ys):
                 if model.leq(y, x):
                     assert decoded(got[i][j]) == model.subtract(x, y), (x, y)
+
+
+def test_symmetric_kernels_give_one_row_for_both_orders():
+    """Each operation of ``kernels.SYMMETRIC`` gives op(b, a) the row of
+    op(a, b), on the window at bound 3 of every carrier with a codec that
+    the tests build: the kernel carriers above, the README's and the
+    verdict corpus's."""
+    from test_verdict_corpus import verdict_sweep
+
+    models = (list(MODELS.values()) + [mv.parse_model(d) for d in README_DESCRIPTORS]
+              + verdict_sweep.carriers())
+    checked = set()
+    for model in models:
+        codec = codec_for(model)
+        if codec is None:
+            continue
+        rows = codec.encode_all(model.enumerate(3))
+        a, b = rows[:, :, None], rows[:, None, :]
+        for op in kernels.SYMMETRIC & set(dir(codec)):
+            kernel = getattr(codec, op)
+            np.testing.assert_array_equal(kernel(a, b), kernel(b, a), strict=True,
+                                          err_msg=f"{op} on {model.descriptor()}")
+            checked.add(op)
+    assert checked == kernels.SYMMETRIC
 
 
 def test_codecs_cover_exact_types_only():
@@ -316,11 +340,10 @@ def test_unique_rows_on_both_routes(rows):
     _assert_unique_rows(np.asarray(rows, dtype=np.int64))
 
 
-def _interned_by_dict(known, rows):
-    """``intern_rows``' definition on tuples: a dict from each known row
-    to its position, which numbers each new row, at its first appearance,
-    after the rows it already holds."""
-    index = {row: i for i, row in enumerate(zip(*known.tolist()))}
+def _numbered_by_dict(index: dict, rows):
+    """``intern_rows``' definition on tuples: ``index`` maps each known row
+    to its number, and numbers each new row of the (width, n) array
+    ``rows``, at its first appearance, after the rows it already holds."""
     numbers, fresh = [], []
     for j, row in enumerate(zip(*rows.tolist())):
         if row not in index:
@@ -328,6 +351,13 @@ def _interned_by_dict(known, rows):
             fresh.append(j)
         numbers.append(index[row])
     return numbers, fresh
+
+
+def _interned_by_dict(known, rows):
+    """``_numbered_by_dict`` from the rows of the (width, k) array
+    ``known``."""
+    return _numbered_by_dict({row: i for i, row in enumerate(zip(*known.tolist()))},
+                             rows)
 
 
 def _assert_interned(known, rows):
@@ -378,6 +408,66 @@ def test_intern_rows_equals_a_dict_of_tuples(data):
                               min_size=1, max_size=30), label="rows")
     _assert_interned(np.array(known, dtype=np.int64).reshape(-1, width).T,
                      np.array(rows, dtype=np.int64).T)
+
+
+def _assert_indexed(batches):
+    """A ``KeyIndex`` fed the (width, n) arrays ``batches`` in turn, from
+    none known, against one dict of tuples.  Returns, for each batch
+    after the first, whether the index widened its box and whether it
+    gave the batch to ``intern_rows``."""
+    batches = [np.asarray(rows, dtype=np.int64) for rows in batches]
+    index = {}
+    routes = []
+    with mock.patch.object(kernels, "intern_rows", wraps=intern_rows) as fallback, \
+            mock.patch.object(kernels.KeyIndex, "_widen", autospec=True,
+                              side_effect=kernels.KeyIndex._widen) as widen:
+        key_index = kernels.KeyIndex(batches[0].shape[0])
+        for rows in batches:
+            widen.reset_mock()
+            fallback.reset_mock()
+            numbers, fresh = key_index.intern(rows)
+            assert (numbers.tolist(), fresh.tolist()) == _numbered_by_dict(index, rows)
+            routes.append((widen.called, fallback.called))
+            assert key_index.rows.T.tolist() == [list(row) for row in index]
+    assert key_index.k == len(index)
+    return routes[1:]
+
+
+@pytest.mark.parametrize("batches, routes", [
+    pytest.param([[[0, 1, 2], [0, 1, 0]], [[2, 1, 0, 1], [1, 1, 0, 1]]],
+                 [(False, False)], id="inside-the-box"),
+    pytest.param([[[0, 1]], [[5, -3, 1, 5]], [[4, -2, 0]]],
+                 [(True, False), (False, False)], id="widened"),
+    pytest.param([[[3, 1, 3]], np.zeros((1, 0), dtype=np.int64), [[1, 3, 7]]],
+                 [(False, False), (True, False)], id="empty-batch"),
+    # A box of 5 001 slots for 11 rows goes to intern_rows; the rows then
+    # known, with 700 more, make it small enough for a table again.
+    pytest.param([[list(range(10))], [[5_000, 3]], [[9, 5_000]],
+                  [list(range(10, 710))], [[4_999, 5_000, 0]]],
+                 [(True, True), (True, True), (True, False), (False, False)],
+                 id="fallback-and-back"),
+    # A box of 2^62 slots or more goes to intern_rows.
+    pytest.param([[[_BIG_ROW], [0]], [[-_BIG_ROW, _BIG_ROW], [1, 0]]],
+                 [(True, True)], id="beyond-2^62"),
+])
+def test_key_index_widens_its_box_and_falls_back(batches, routes):
+    assert _assert_indexed(batches) == routes
+
+
+@given(data=st.data())
+def test_key_index_equals_a_dict_of_tuples(data):
+    r = data.draw(st.sampled_from(_MAGNITUDES), label="magnitude")
+    width = data.draw(st.integers(1, 3), label="width")
+    row = st.tuples(*[st.integers(-r, r)] * width)
+    met = []
+    batches = []
+    for _ in range(data.draw(st.integers(1, 4), label="batches")):
+        # Each batch draws rows met before and fresh ones.
+        rows = data.draw(st.lists(st.sampled_from(met) | row if met else row,
+                                  max_size=30), label="rows")
+        met += rows
+        batches.append(np.array(rows, dtype=np.int64).reshape(-1, width).T)
+    _assert_indexed(batches)
 
 
 @pytest.mark.parametrize("width", [1, 2, 3, 4])
