@@ -47,9 +47,10 @@ Horn sequents on direct products are checked one factor at a time.  The
 ``auto`` engine takes this route for a sequent with context variables
 whose antecedent is ``true`` or a conjunction of ``=``/``<=`` atoms,
 whose consequent is a conjunction of atoms or ``false``, and which does
-not mention ``u``, on a ``ProductAlgebra``, a ``ZnGroup`` or the cone of
-one (N^n, PosCone(Z^n): its factors are cones of Z), by exact type,
-with at least one factor.  Their operations and order
+not mention ``u``, on a ``ProductAlgebra``, a ``ZnGroup``, the cone of
+one (N^n, PosCone(Z^n): its factors are cones of Z) or Gamma(Z^n, u)
+(its factors are the chains Gamma(Z, u_i)), by exact type, with at
+least one factor.  Their operations and order
 are componentwise, so a tuple fails iff every factor's part satisfies
 the antecedent and some factor's part fails the sequent (Horn, JSL 16,
 1951).  Each factor goes back through ``check_sequent``, so it picks its
@@ -65,6 +66,13 @@ inconclusive rule split across factors, so these keep the full grid; so
 does ``u``, which these carriers lack, so that the error names the
 carrier and not a factor.  Forced ``scalar`` and ``vector`` engines keep
 the full grid and stay the reference.
+
+Every counterexample of a route other than the scalar engine (the
+vector engine, the product route) is replayed before ``check_sequent``
+returns it: the scalar engine's closures, compiled once more, must find
+the antecedent true and the consequent definitely false at its env.  A
+counterexample that does not replay is a fault of its route, and raises
+an internal error rather than be returned.
 """
 
 from __future__ import annotations
@@ -78,7 +86,8 @@ from typing import Any, Dict, Optional
 from . import sequents as S
 from .errors import SignatureError, UnboundVariableError
 from .lgroup_core import PositiveConeMonoid, ZGroup, ZnGroup
-from .mv_core import ProductAlgebra, _repeat, _repeated, mv_power, nat_scalar
+from .mv_core import (GammaAlgebra, ProductAlgebra, _repeat, _repeated, mv_power,
+                      nat_scalar)
 from .verdicts import CounterExample, Holds, InconclusiveAtBound, Verdict
 
 # Context grids of at least this many cells go to the vector engine; below
@@ -374,7 +383,8 @@ def check_sequent(model, seq: S.Sequent, bound: int, *,
         )
     factors = _product_factors(model) if engine == "auto" else ()
     if factors and _is_horn(seq):
-        return _check_product(model, factors, seq, bound)
+        # A Horn sequent has no exists: the replay searches nothing.
+        return _replayed(model, seq, (), _check_product(model, factors, seq, bound))
     ctx_enum = _window(model, bound)
     search = ctx_enum
     if exists_bound is not None and searches(seq):
@@ -388,7 +398,28 @@ def check_sequent(model, seq: S.Sequent, bound: int, *,
         return _check_scalar(model, seq, ctx_enum, search, bound)
     if engine != "vector":
         raise ValueError(f"unknown engine {engine!r}")
-    return _check_vector(model, seq, [ctx_enum] * k, search, bound)
+    return _replayed(model, seq, search,
+                     _check_vector(model, seq, [ctx_enum] * k, search, bound))
+
+
+def _replayed(model, seq, search, verdict: Verdict) -> Verdict:
+    """``verdict``, from a route other than the scalar engine, once the
+    scalar engine's closures, the reference, refute ``seq`` at its
+    counterexample's env, with witnesses from ``search``: the antecedent
+    is true there and the consequent definitely false.  A counterexample
+    that does not replay is a fault of its route, and raises."""
+    if isinstance(verdict, CounterExample):
+        D = _Elements(model, search)
+        values = tuple(verdict.env[v] for v in seq.context)
+        antecedent = _compile_formula(D, seq.antecedent, seq.context, {})
+        consequent = _compile_formula(D, seq.consequent, seq.context, {})
+        cv, cdf = consequent(values) if antecedent(values)[0] else (True, False)
+        if cv or not cdf:
+            raise RuntimeError(
+                f"internal error: the counterexample {verdict.env!r} to "
+                f"{seq.name or 'a sequent'} on {model.descriptor()} does not "
+                "replay on the scalar engine")
+    return verdict
 
 
 def _check_scalar(model, seq, ctx_enum, search, bound) -> Verdict:
@@ -425,12 +456,16 @@ def _check_vector(model, seq, ctx_enums, search, bound) -> Verdict:
 def _product_factors(model) -> tuple:
     """The factors of a carrier that is, by its exact type, a direct
     product with componentwise operations and order; () otherwise.  The
-    cone of a product group is the product of the factors' cones."""
+    cone of a product group is the product of the factors' cones, and
+    Gamma(Z^n, u) is the product of the chains Gamma(Z, u_i), with the
+    same window, in the same order."""
     kind = type(model)
     if kind is ProductAlgebra:
         return model.factors
     if kind is ZnGroup:
         return (ZGroup(),) * model.rank
+    if kind is GammaAlgebra and type(model.group) is ZnGroup:
+        return tuple(GammaAlgebra(ZGroup(), ui) for ui in model.unit)
     if kind is PositiveConeMonoid:
         return tuple(map(PositiveConeMonoid, _product_factors(model.group)))
     return ()

@@ -62,13 +62,13 @@ small integers: when n keys span at most max(n, ``_COUNT_SPAN``) values,
 the distinct ones are counted (a presence array, its running count, and
 the least position of each key), with no comparisons and no buffer
 longer than that; wider spans are sorted.  ``intern_rows`` looks code
-rows up among known ones by one ``unique_rows`` over both: it is how the
-vector engine's interner finds the elements it has not met yet.  A
-homomorphism check's mapper keeps one ``KeyIndex`` instead, a
-direct-address table from each known row's mixed-radix key to its
-number, which numbers new rows as ``intern_rows`` does at the cost of
-the batch alone, and falls back to ``intern_rows`` when its box would be
-too sparse.  ``SYMMETRIC`` names the operations whose kernels give
+rows up among known ones by one ``unique_rows`` over both, at the cost
+of every known row.  ``KeyIndex`` is the package's one code-row lookup:
+the vector engine's interner and a homomorphism check's mapper each keep
+one per check, a direct-address table from each known row's mixed-radix
+key to its number, which numbers new rows as ``intern_rows`` does at the
+cost of the batch alone, and falls back to ``intern_rows`` when its box
+would be too sparse.  ``SYMMETRIC`` names the operations whose kernels give
 (b, a) the row of (a, b), which lets a check compute half of each grid.
 """
 

@@ -37,15 +37,15 @@ indices are small dense integers, below the interner's length, so the
 distinct operands, and on the sparse route the distinct pair codes, are
 found by ``kernels.unique_ints``: counted, with no sort, whenever their
 span is small.  When the carrier has a codec (``kernels.codec_for``),
-the engine starts in code space: the interner holds every interned
-element's int64 code row as a column of one (width, capacity) array, and
-a table is one kernel call over the pairs' rows whose result rows are
-looked up among the interned ones by ``kernels.intern_rows`` (one
-``unique_rows`` over the interned rows and the new ones, counted in the
-same way) and appended when new, so an element is decoded only when
-something reads it (``forward`` on an interned homomorphism side, a
-test).  A window that ``checking._window`` memoises keeps its code rows
-with it, one array per codec type and width: they are encoded on the
+the engine starts in code space: the interner keeps every interned
+element's int64 code row in one ``kernels.KeyIndex`` per check, whose
+rows are numbered by interned index, and a table is one kernel call over
+the pairs' rows whose result rows the index looks up among the interned
+ones (a direct-address table of their keys, so a table costs its own
+size, not the interner's) and numbers when new, so an element is decoded
+only when something reads it (``forward`` on an interned homomorphism
+side, a test).  A window that ``checking._window`` memoises keeps its
+code rows with it, one array per codec type and width: they are encoded on the
 window's first use, and every later check at that carrier and bound
 interns them by row with no encoding.  Any other window is encoded once
 per check, in one batch, by ``intern_all``.  This rests on row equality
@@ -70,7 +70,7 @@ from typing import Any, Dict, List
 import numpy as np
 
 from . import checking
-from .kernels import _AtLimit, _fit_rows, _put, codec_for, intern_rows, unique_ints
+from .kernels import KeyIndex, _AtLimit, _fit_rows, codec_for, unique_ints
 from .mv_core import _repeat, _repeated, mv_power, nat_scalar
 from .verdicts import CounterExample, Holds, InconclusiveAtBound, Verdict
 
@@ -114,10 +114,10 @@ class OperationTables:
     Elements are interned into integer indices.  An instance with a codec
     (``codec_for(model)``, given by the caller) is in code space, where
     every interned index has an int64 code row and an element is found by
-    its row (``kernels.intern_rows``): a table is one kernel call over the
-    rows of its operands, and its result rows not interned yet are
-    appended as rows, so a kernel result is decoded only when something
-    reads it through ``element``.  A value that reaches ``LIMIT`` there
+    its row, in one ``kernels.KeyIndex``: a table is one kernel call over
+    the rows of its operands, and the index numbers its result rows not
+    interned yet, so a kernel result is decoded only when something reads
+    it through ``element``.  A value that reaches ``LIMIT`` there
     raises ``_AtLimit`` (see ``kernels``).  An instance without a codec keys
     every element by itself and calls the carrier's own operation on each
     operand (pair).  One instance serves a whole run of a check: a
@@ -130,14 +130,13 @@ class OperationTables:
         self.codec = codec
         # Element i, or _PENDING until a kernel result is first read.
         self._elems: List[Any] = []
-        # Element -> index: with a codec a cache, in front of the code
-        # rows, of the elements interned one by one; without one every
+        # Element -> index: with a codec a cache, in front of the key
+        # index, of the elements interned one by one; without one every
         # element.
         self.interner_index: Dict[Any, int] = {}
-        # With a codec: the code row of every interned element, a column
-        # each, with spare capacity beyond len(self._elems).
-        width = 0 if codec is None else codec.width
-        self._codes = np.zeros((width, 16), dtype=np.int64)
+        # With a codec: the code row of every interned element, numbered
+        # by its index (the rows of one kernels.KeyIndex).
+        self._index = None if codec is None else KeyIndex(codec.width)
 
     # -- interning -----------------------------------------------------------
 
@@ -152,7 +151,7 @@ class OperationTables:
         elems = self._elems
         pending = list(dict.fromkeys(i for i in idx if elems[i] is _PENDING))
         if pending:
-            values = self.codec.decode_all(self._codes.take(pending, axis=1))
+            values = self.codec.decode_all(self._index.rows.take(pending, axis=1))
             for i, v in zip(pending, values):
                 elems[i] = v
         return [elems[i] for i in idx]
@@ -176,13 +175,10 @@ class OperationTables:
             raise _AtLimit from None
         return self._intern_rows(rows, values)
 
-    def _append(self, elems, rows=None) -> int:
-        """Append new elements, with their code rows in code space;
-        returns the first new index."""
+    def _append(self, elems) -> int:
+        """Append new elements; returns the first new index."""
         start = len(self._elems)
         self._elems.extend(elems)
-        if self.codec is not None:
-            self._codes = _put(self._codes, start, rows)
         return start
 
     # -- code rows -------------------------------------------------------------
@@ -190,17 +186,16 @@ class OperationTables:
     def _intern_rows(self, rows, elems=None) -> np.ndarray:
         """Intern the elements whose code rows are the columns of ``rows``
         (a kernel's results, flattened after the first axis, or the rows
-        of the list ``elems``): the rows not interned yet are appended,
-        with their elements, or pending when ``elems`` is None.  A row
-        reaching ``LIMIT`` raises ``_AtLimit``."""
+        of the list ``elems``): the key index numbers the rows not
+        interned yet, which are appended with their elements, or pending
+        when ``elems`` is None.  A row reaching ``LIMIT`` raises
+        ``_AtLimit``."""
         rows = rows.reshape(self.codec.width, -1)
         if not _fit_rows(rows):
             raise _AtLimit
-        idx, fresh = intern_rows(self._codes[:, :len(self._elems)], rows)
-        if len(fresh):
-            self._append([_PENDING] * len(fresh) if elems is None
-                         else [elems[j] for j in fresh.tolist()],
-                         rows.take(fresh, axis=1))
+        idx, fresh = self._index.intern(rows)
+        self._append([_PENDING] * len(fresh) if elems is None
+                     else [elems[j] for j in fresh.tolist()])
         return idx
 
     def _kernel(self, op):
@@ -246,14 +241,14 @@ class OperationTables:
 
             # 0 and 1 always have a code (kernels.codec_for).
             unit = self.intern(unit)
-            rows = self._codes.take(uniq, axis=1)
-            start = self._codes.take([unit], axis=1)
+            rows = self._index.rows.take(uniq, axis=1)
+            start = self._index.rows.take([unit], axis=1)
             acc = np.broadcast_to(_repeat(step, start, rows, n), rows.shape)
         else:
             kernel = self._kernel(op)
             if kernel is None:
                 return None
-            acc = kernel(self._codes.take(uniq, axis=1))
+            acc = kernel(self._index.rows.take(uniq, axis=1))
         return self._intern_rows(acc)
 
     def binary_table(self, op, a, b, out_bool=False):
@@ -299,11 +294,11 @@ class OperationTables:
         # Row blocks of at most _KERNEL_BLOCK pairs keep the kernel's int64
         # temporaries below the size of a dense table.
         step = max(1, _KERNEL_BLOCK // (shape[1] if len(shape) > 1 else 1))
-        out = []
+        # Every operand is interned already: no block's new rows move them.
+        codes, out = self._index.rows, []
         for s in range(0, shape[0], step):
-            r = kernel(
-                self._codes.take(ia if len(ia) == 1 else ia[s:s + step], axis=1),
-                self._codes.take(ib if len(ib) == 1 else ib[s:s + step], axis=1))
+            r = kernel(codes.take(ia if len(ia) == 1 else ia[s:s + step], axis=1),
+                       codes.take(ib if len(ib) == 1 else ib[s:s + step], axis=1))
             if not out_bool:
                 r = self._intern_rows(r)
             out.append(r.reshape((-1,) + shape[1:]))

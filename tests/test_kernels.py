@@ -470,6 +470,78 @@ def test_key_index_equals_a_dict_of_tuples(data):
     _assert_indexed(batches)
 
 
+@pytest.mark.parametrize("descriptor, bound", [
+    ("Z^2", 3), ("Lex(Z,Z)", 3), ("Sigma(Z^2)", 2), ("Groth(N^2)", 2)])
+def test_the_interner_numbers_rows_as_a_dict_of_tuples(descriptor, bound):
+    """Through ``OperationTables``, the window and every table's result
+    rows are numbered as one dict of tuples numbers them, in the order
+    the kernels give them: each binary table over the window, then each
+    unary table over every row interned so far."""
+    from mvtool.vector import OperationTables
+
+    model = mv.parse_model(descriptor)
+    codec = codec_for(model)
+    tables = OperationTables(model, codec)
+    window = model.enumerate(bound)
+    rows = codec.encode_all(window)
+    index = {}
+    idx = tables.intern_all(window)
+    assert idx.tolist() == _numbered_by_dict(index, rows)[0]
+    for op in OPS[model.signature]:
+        if op == "leq":
+            continue
+        if op in UNARY:
+            known = np.array(list(index), dtype=np.int64).T
+            got = tables.unary_table(op, np.arange(len(index)))
+            want = _numbered_by_dict(index, getattr(codec, op)(known))[0]
+        else:
+            got = tables.binary_table(op, idx[:, None], idx[None, :]).reshape(-1)
+            results = getattr(codec, op)(rows[:, :, None], rows[:, None, :])
+            want = _numbered_by_dict(index, results.reshape(len(rows), -1))[0]
+        assert got.tolist() == want, op
+        assert len(tables._elems) == tables._index.k == len(index), op
+        assert tables._index.rows.T.tolist() == [list(row) for row in index], op
+
+
+@pytest.mark.parametrize("seq", [
+    mv.lookup("L.1"), mv.lookup("L.12"), mv.parse_sequent("x <= y |-[x,y] y <= x"),
+], ids=["L.1", "L.12", "symmetry"])
+def test_a_vector_check_on_rows_too_sparse_for_a_table(monkeypatch, seq):
+    """A window whose box is far too wide for a direct-address table
+    interns through ``intern_rows``, with the scalar engine's verdict and
+    env."""
+    Z = mv.ZGroup()
+    monkeypatch.setattr(Z, "enumerate",
+                        lambda b: [0, 10 ** 6, -10 ** 6, 10 ** 12, -10 ** 12])
+    with mock.patch.object(kernels, "intern_rows", wraps=intern_rows) as fallback:
+        vector = mv.check_sequent(Z, seq, 2, engine="vector")
+    assert fallback.called
+    assert vector == mv.check_sequent(Z, seq, 2, engine="scalar")
+
+
+def test_the_wide_window_sigma_items_intern_through_the_table(monkeypatch):
+    """The power lemmas on Sigma(Z^2) at bound 30 (1 922 elements, the
+    vector engine) and rad_ideal at bound 5 intern every row through the
+    key index's table, except gamma_2 to gamma_5: there the rows of n*x
+    reach 30n in each tail coordinate, a box too wide for a table, so the
+    n*x table and the 2*x table after it go to ``intern_rows``."""
+    sigma = mv.parse_model("Sigma(Z^2)")
+    calls = []
+    monkeypatch.setattr(kernels, "intern_rows",
+                        lambda *args: calls.append(1) or intern_rows(*args))
+    items = ([(f"gamma_{n}", 30) for n in range(1, 6)]
+             + [(f"chi_{n}", 30) for n in range(1, 9)]
+             + [(f"rad_ideal.{r}", 5) for r in
+                ("i", "ii", "iii", "iv", "v", "vi", "vii", "viii", "ix")])
+    fallbacks = {}
+    for label, bound in items:
+        calls.clear()
+        assert mv.check_sequent(sigma, mv.lookup(label), bound).ok, label
+        if calls:
+            fallbacks[label] = len(calls)
+    assert fallbacks == {f"gamma_{n}": 2 for n in range(2, 6)}
+
+
 @pytest.mark.parametrize("width", [1, 2, 3, 4])
 def test_column_wise_comparisons_reduce_the_last_axis(width):
     # Every row over {-1, 0, 1} (so some pairs differ in the last

@@ -271,7 +271,8 @@ def test_windows_without_cached_rows_keep_the_reference_verdict(monkeypatch):
     import mvtool.vector as vector
     # A coordinate at the kernel limit and one beyond int64: the window is
     # interned element by element.  A repeated element keeps the window's
-    # rows, since interning looks every row up (kernels.intern_rows).
+    # rows, since interning looks every row up: the interner's
+    # kernels.KeyIndex numbers it at its first appearance.
     for extra, cached in (([2 ** 60], False), ([2 ** 63], False), ([1], True)):
         M = mv.NMonoid()
         monkeypatch.setattr(M, "enumerate",
@@ -750,7 +751,8 @@ def test_leaving_code_space_keeps_the_kernel_made_indices():
 
 
 # ---------------------------------------------------------------------------
-# The product route: Horn sequents on Prod, Z^n and N^n, factor by factor
+# The product route: Horn sequents on Prod, Z^n, N^n and Gamma(Z^n,u),
+# factor by factor
 # ---------------------------------------------------------------------------
 
 # Horn sequents beyond the registry that fail, so that every kind of
@@ -765,7 +767,7 @@ _FAILING_HORN = {
 }
 _PRODUCTS = {
     "mv": ["Prod(C,L(2))", "Prod(L(2),C)", "Prod(B,L(3))", "Prod(C,C)",
-           "Prod(Prod(C,B),L(2))"],
+           "Prod(Prod(C,B),L(2))", "Gamma(Z^3,(2,0,1))"],
     "lgroup": ["Z^2", "Z^3"],
     "monoid": ["N^2", "PosCone(Z^2)"],
 }
@@ -825,13 +827,34 @@ def test_product_route_equals_the_full_grid(monkeypatch):
                 # is not a product
                 assert calls[0] == (d, None), (d, seq)
                 assert all(size is None or not name.startswith(
-                    ("Prod", "Z^", "N^", "PosCone(Z^")) for name, size in calls), calls
+                    ("Prod", "Z^", "N^", "PosCone(Z^", "Gamma(Z^")) for name, size in calls), calls
                 for engine in ("scalar", "vector"):
                     _assert_same_verdict(
                         routed, check_sequent(model, seq, bound, engine=engine),
                         (d, S.print_sequent(seq), engine))
                 counterexamples += isinstance(routed, CounterExample)
     assert counterexamples >= 20
+
+
+@pytest.mark.parametrize("descriptor, bound, route", [
+    ("C", 100, "_check_vector"), ("Prod(C,L(2))", 2, "_check_product")])
+def test_a_counterexample_that_does_not_replay_raises(monkeypatch, descriptor,
+                                                      bound, route):
+    """A counterexample from the vector engine or the product route is
+    replayed on the scalar engine's closures before it is returned; one
+    whose env satisfies the sequent, or fails its antecedent, raises."""
+    import mvtool.checking as checking
+    model = mv.parse_model(descriptor)
+    seq = mv.parse_sequent("x <= y |-[x,y] y <= x")
+    found = check_sequent(model, seq, bound)
+    assert isinstance(found, CounterExample)
+    x, y = found.env["x"], found.env["y"]
+    # (x, x) satisfies the sequent, and (y, x) fails its antecedent.
+    for env in ({"x": x, "y": x}, {"x": y, "y": x}):
+        monkeypatch.setattr(checking, route,
+                            lambda *args, env=env: CounterExample(env, axiom=None))
+        with pytest.raises(RuntimeError, match="does not replay"):
+            check_sequent(model, seq, bound)
 
 
 _CHAIN_FACTORS = st.sampled_from([C, B, L2, mv.FiniteChainAlgebra(3),
