@@ -81,7 +81,7 @@ import itertools
 import weakref
 from collections import OrderedDict
 from operator import itemgetter
-from typing import Any, Dict, Optional
+from typing import Any, Callable, Dict, Optional
 
 from . import sequents as S
 from .errors import SignatureError, UnboundVariableError
@@ -511,8 +511,8 @@ def _check_product(model, factors, seq, bound) -> Verdict:
          for v in seq.context}
         for i, b in enumerate(bad) if b is not None
     ]
-    env = min(candidates, key=lambda env: [
-        _window_position(model, bound, env[v]) for v in seq.context])
+    position = _window_position(model, factors, bound)
+    env = min(candidates, key=lambda env: [position(env[v]) for v in seq.context])
     return CounterExample(env, axiom=seq.name)
 
 
@@ -526,11 +526,15 @@ def _first_antecedent(model, seq, bound) -> Optional[Dict[str, Any]]:
     return getattr(v, "env", None)
 
 
-def _window_position(model, bound, x):
-    """The position of ``x`` in ``model.enumerate(bound)``; on a product,
-    the tuple of its parts' positions, which sorts the same way and
-    builds no product window."""
-    factors = _product_factors(model)
+def _window_position(model, factors, bound) -> Callable:
+    """The position of an element in ``model.enumerate(bound)``, as a
+    function; on a product with the factors ``factors``, the tuple of its
+    parts' positions, which sorts the same way and builds no product
+    window.  Each factor window is read once, into one dict."""
     if factors:
-        return tuple(_window_position(f, bound, a) for f, a in zip(factors, x))
-    return _window(model, bound).index(x)
+        parts = [_window_position(f, _product_factors(f), bound) for f in factors]
+        return lambda x: tuple(p(a) for p, a in zip(parts, x))
+    index: Dict[Any, int] = {}
+    for i, x in enumerate(_window(model, bound)):
+        index.setdefault(x, i)
+    return index.__getitem__

@@ -21,12 +21,7 @@ from .mv_core import (
     boolean_skeleton_generators,
     is_boolean,
 )
-from .registry import (
-    PERFECT_AXIOMS,
-    _check_axioms,
-    _perfect_by_construction,
-    not_perfect_message,
-)
+from .registry import not_perfect_message, perfectness_failure
 from .sequents import _Node
 from .verdicts import CounterExample, Holds, Verdict
 
@@ -207,8 +202,8 @@ def decompose_product(A: MvAlgebra, gens, bound: int = 8) -> AtomDecomposition:
     Factor i is A/(neg a_i); the forward isomorphism sends x to the
     tuple of its projections (equivalently the meets x inf a_i), and the
     backward map is the sup of the embedded components.  Every factor
-    must pass the perfectness check at ``bound``, unless it is perfect
-    by construction (``registry._perfect_by_construction``); a failure
+    must pass the perfectness gate at ``bound``
+    (``registry.perfectness_failure``); a failure
     indicates the generators do not generate, or the algebra is outside
     the Chang variety.
     """
@@ -223,10 +218,8 @@ def decompose_product(A: MvAlgebra, gens, bound: int = 8) -> AtomDecomposition:
         embeddings.append(embed)
 
     for i, factor in enumerate(factors):
-        if _perfect_by_construction(factor):
-            continue
-        v = _check_axioms(factor, PERFECT_AXIOMS, bound)
-        if not v.ok:
+        v = perfectness_failure(factor, bound)
+        if v is not None:
             raise DecompositionError(
                 f"factor {i} = {not_perfect_message(factor, bound, v)}",
                 factor_index=i,

@@ -35,12 +35,7 @@ from .mv_core import (
     nat_scalar,
     radical_membership,
 )
-from .registry import (
-    PERFECT_AXIOMS,
-    _check_axioms,
-    _perfect_by_construction,
-    not_perfect_message,
-)
+from .registry import not_perfect_message, perfectness_failure
 from .verdicts import CounterExample, Holds, Verdict
 
 SigmaElem = LexPair  # Rad(g) is (0, g) with g >= 0; Corad(g) is (1, g) with g <= 0.
@@ -55,10 +50,8 @@ def _require_perfect(A: MvAlgebra, bound: int) -> None:
     """Raise ``NotPerfectError`` unless P.1-P.4 hold on
     ``A.enumerate(bound)``; carriers perfect by construction pass
     without the check."""
-    if _perfect_by_construction(A):
-        return
-    v = _check_axioms(A, PERFECT_AXIOMS, bound)
-    if not v.ok:
+    v = perfectness_failure(A, bound)
+    if v is not None:
         raise NotPerfectError(not_perfect_message(A, bound, v), counterexample=v)
 
 

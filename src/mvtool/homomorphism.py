@@ -9,37 +9,32 @@ on windows, then ``homomorphism_failures``, with one dict of inverses
 and one of images between them.
 
 ``homomorphism_failures`` checks that a map commutes with named
-operations on a window.  Each side of the check, the source carrier over
-the window and the target over its image, keys its elements in one of
-two ways.  A carrier with a codec (``kernels.codec_for``) that has a
-kernel for every checked operation keys an element by its int64 code
-row, and an operation's results are one kernel call over the rows; any
-other carrier keys it by its interned index in a ``vector``
-``OperationTables``, a row of one coordinate, whose tables call the
-carrier's own operations.  Keys are column-first (width, ...) arrays,
-as codes are in ``kernels``.  One comparison procedure serves both: it
-computes an operation's source and target results in row blocks of at
-most ``vector._KERNEL_BLOCK`` int64 coordinates a side (pairs times key
-width), looks each block's source results up in one ``kernels.KeyIndex``
-per check (a direct-address table of the keys met so far, so a block
-costs its own size), maps those no earlier block of any operation had
-into target keys (decode, forward, encode), and compares the gathered
-keys with the target's results, a reduction over the coordinate axis
-(``kernels.rows_differ``).  When both sides key by code rows and the
-operation's kernel is symmetric (``kernels.SYMMETRIC``), a block's rows
-are computed from the diagonal on and the columns before it are the
-transpose of the rows above; a window whose pairs fit one block, and any
-interned side, computes the full square.  The keys known from the
-start are the window's, mapped to the image's, and the images
-``forward`` gives are kept in one memo per check.  So ``forward`` runs
-once per distinct element outside the window, over all operations, the
-target side is never interned in code space, and no grid is sorted
-whole.  At ``LIMIT`` the check starts over by the rule that ``kernels``
-states: both sides are then interned with no codec, and the memo is
-kept.  Row equality is element equality below ``LIMIT``, which the
-kernel tests pin, so every keying gives the same failures.  The check
-imports numpy and ``vector`` on its first call, so this module loads
-without them.
+operations on a window, by one of two routes that give the same
+failures.  The reference, ``_by_definition``, compares
+forward(src.op(x, y)) with target.op(forward(x), forward(y)) pair by
+pair, with the carriers' own operations.  The fast route,
+``_differences``, runs when both carriers have a codec
+(``kernels.codec_for``) with a kernel for every checked operation.  It
+computes an operation's source and target results as int64 code rows,
+column-first (width, ...) arrays as in ``kernels``, in row blocks of at
+most ``kernels._KERNEL_BLOCK`` int64 coordinates a side (pairs times
+code width); looks each block's source results up in one
+``kernels.KeyIndex`` per check (a direct-address table of the rows met
+so far, so a block costs its own size); maps those no earlier block of
+any operation had into target rows (decode, forward, encode); and
+compares the gathered rows with the target's results, a reduction over
+the coordinate axis (``kernels.rows_differ``).  For an operation in
+``kernels.SYMMETRIC`` a block's rows are computed from the diagonal on,
+and the columns before it are the transpose of the rows above; a window
+whose pairs fit one block computes the full square.  Row equality is
+element equality below ``LIMIT``, which the kernel tests pin.  At
+``LIMIT`` the fast route stops by the rule that ``kernels`` states, and
+the check goes on by definition.  Both routes read a window element's
+image from ``image`` and the others' from one memo per check, kept
+across that restart, which gets those ``forward`` gives: so ``forward``
+runs once per distinct element outside the window, over all operations.
+The check imports numpy, through ``kernels``, on its first call, so this
+module loads without it.
 """
 
 from __future__ import annotations
@@ -144,7 +139,7 @@ def homomorphism_failures(src, target, window: list, image: list,
         return []
     import numpy as np
 
-    from .kernels import _AtLimit
+    from .kernels import _AtLimit, codec_for
 
     bad_inverse = np.array([inverse(y) != x for x, y in zip(window, image)],
                            dtype=bool)
@@ -153,12 +148,17 @@ def homomorphism_failures(src, target, window: list, image: list,
     # restart.
     if memo is None:
         memo = {}
-    try:
-        bad = _differences(_side(src, ops), _side(target, ops), window, image,
-                           forward, memo, unary_ops, binary_ops)
-    except _AtLimit:
-        bad = _differences(_Interned(src), _Interned(target), window, image,
-                           forward, memo, unary_ops, binary_ops)
+    codecs = codec_for(src), codec_for(target)
+    bad = None
+    if all(c is not None and all(hasattr(c, op) for op in ops) for c in codecs):
+        try:
+            bad = _differences(*codecs, window, image, forward, memo,
+                               unary_ops, binary_ops)
+        except _AtLimit:
+            pass
+    if bad is None:
+        bad = _by_definition(src, target, window, image, forward, memo,
+                             unary_ops, binary_ops)
     if not (bad_inverse.any() or any(b.any() for b in bad)):
         return []
     bad_elements = np.stack([bad_inverse] + bad[:len(unary_ops)], axis=-1)
@@ -169,123 +169,92 @@ def homomorphism_failures(src, target, window: list, image: list,
                for i, j, k in np.argwhere(bad_pairs).tolist()])
 
 
-def _side(model, ops):
-    """The keys of one side: code rows when ``model`` has a codec with a
-    kernel for each of ``ops``, interned indices otherwise."""
-    from .vector import codec_for
+def _by_definition(src, target, window, image, forward, memo: dict,
+                   unary_ops, binary_ops) -> list:
+    """``_differences`` by the definition, on the carriers' own
+    operations: for each unary op, then each binary op, where
+    forward(src.op(x, ...)) != target.op(forward(x), ...), an (n,) or an
+    (n, n) boolean array.  A result's image is ``image``'s for a window
+    element, at its first appearance, and otherwise ``memo``'s, which
+    gets forward's image of each result it lacks."""
+    import numpy as np
 
-    codec = codec_for(model)
-    if codec is not None and all(hasattr(codec, op) for op in ops):
-        return _Rows(codec)
-    return _Interned(model, codec)
+    images = dict(zip(reversed(window), reversed(image)))
 
+    def mapped(x):
+        if x in images:
+            return images[x]
+        if x not in memo:
+            memo[x] = forward(x)
+        return memo[x]
 
-class _Rows:
-    """A side in code space: an element's key is its int64 code row, and
-    an operation's results are one kernel call; a row of magnitude
-    ``LIMIT`` or more raises ``kernels._AtLimit``."""
-
-    def __init__(self, codec):
-        self.codec = codec
-
-    def keys(self, values: list):
-        from .kernels import _AtLimit
-
-        try:
-            rows = self.codec.encode_all(values)
-        except OverflowError:
-            raise _AtLimit from None
-        return self._fit(rows)
-
-    def elements(self, keys) -> list:
-        return self.codec.decode_all(keys)
-
-    def unary(self, op, a):
-        return self._fit(getattr(self.codec, op)(a))
-
-    def binary(self, op, a, b):
-        """``op`` on every pair of the rows of the (width, n) and (width, m)
-        arrays ``a`` and ``b``: a (width, n, m) array."""
-        return self._fit(getattr(self.codec, op)(a[:, :, None], b[:, None, :]))
-
-    @staticmethod
-    def _fit(rows):
-        from .kernels import _AtLimit, _fit_rows
-
-        if not _fit_rows(rows):
-            raise _AtLimit
-        return rows
+    pairs = list(zip(window, image))
+    out = []
+    for op in unary_ops:
+        f, g = getattr(src, op), getattr(target, op)
+        out.append(np.array([mapped(f(x)) != g(fx) for x, fx in pairs], dtype=bool))
+    for op in binary_ops:
+        f, g = getattr(src, op), getattr(target, op)
+        out.append(np.array([[mapped(f(x, y)) != g(fx, fy) for y, fy in pairs]
+                             for x, fx in pairs], dtype=bool))
+    return out
 
 
-class _Interned:
-    """A side on interned indices: an element's key is a one-coordinate
-    row holding its index in a ``vector.OperationTables`` with the codec
-    ``codec``, whose tables call the carrier's kernels, or its own
-    operations when ``codec`` is None."""
+def _pairs(kernel, a, b):
+    """``kernel`` on every pair of the rows of the (width, n) and
+    (width, m) arrays ``a`` and ``b``: a (width, n, m) array whose rows
+    stay below ``LIMIT``."""
+    from .kernels import _fitted
 
-    def __init__(self, model, codec=None):
-        from .vector import OperationTables
-
-        self.tables = OperationTables(model, codec)
-
-    def keys(self, values: list):
-        return self.tables.intern_all(values)[None]
-
-    def elements(self, keys) -> list:
-        return self.tables.elements(keys[0].tolist())
-
-    def unary(self, op, a):
-        return self.tables.unary_table(op, a)
-
-    def binary(self, op, a, b):
-        return self.tables.binary_table(op, a.T, b)[None]
+    return _fitted(kernel(a[:, :, None], b[:, None, :]))
 
 
 def _differences(source, dest, window, image, forward, memo: dict,
                  unary_ops, binary_ops) -> list:
     """For each unary op, then each binary op, where forward of the
-    source's results differs from the target's results over the image:
-    an (n,) or an (n, n) boolean array.  ``memo`` maps source elements
-    outside the window to their images under forward, and gets those
-    mapped here."""
+    results of the codec ``source`` differs from the results of the
+    codec ``dest`` over the image: an (n,) or an (n, n) boolean array.
+    ``memo`` maps source elements outside the window to their images
+    under forward, and gets those mapped here.  A row reaching ``LIMIT``
+    raises ``kernels._AtLimit``."""
     import numpy as np
 
-    from .kernels import SYMMETRIC, rows_differ
-    from .vector import _KERNEL_BLOCK
+    from .kernels import _KERNEL_BLOCK, SYMMETRIC, _encoded, _fitted, rows_differ
 
-    xs, ys = source.keys(window), dest.keys(image)
+    xs, ys = _encoded(source, window), _encoded(dest, image)
     mapped = _mapper(source, dest, forward, memo, xs, ys)
-    out = [rows_differ(mapped(source.unary(op, xs)), dest.unary(op, ys))
+    out = [rows_differ(mapped(_fitted(getattr(source, op)(xs))),
+                       _fitted(getattr(dest, op)(ys)))
            for op in unary_ops]
     n = xs.shape[1]
     # Row blocks of at most _KERNEL_BLOCK int64 coordinates a side.
     step = max(1, _KERNEL_BLOCK // (n * max(xs.shape[0], ys.shape[0])))
-    on_rows = isinstance(source, _Rows) and isinstance(dest, _Rows)
     for op in binary_ops:
-        # A symmetric kernel's blocks on code rows start at the diagonal,
-        # and their columns before it are the transpose of the rows above.
-        half = on_rows and op in SYMMETRIC
+        f, g = getattr(source, op), getattr(dest, op)
+        # A symmetric kernel's blocks start at the diagonal, and their
+        # columns before it are the transpose of the rows above.
+        half = op in SYMMETRIC
         bad = np.empty((n, n), dtype=bool)
         for s in range(0, n, step):
             e, t = s + step, s if half else 0
-            bad[s:e, t:] = rows_differ(mapped(source.binary(op, xs[:, s:e], xs[:, t:])),
-                                       dest.binary(op, ys[:, s:e], ys[:, t:]))
+            bad[s:e, t:] = rows_differ(mapped(_pairs(f, xs[:, s:e], xs[:, t:])),
+                                       _pairs(g, ys[:, s:e], ys[:, t:]))
             bad[s:e, :t] = bad[:t, s:e].T
         out.append(bad)
     return out
 
 
 def _mapper(source, dest, forward, memo: dict, xs, ys):
-    """forward on arrays of source keys, giving target keys, for every
-    operation of one check: it starts from the window's keys ``xs``,
-    mapped to the image's keys ``ys``; each block's keys are looked up
-    in one ``kernels.KeyIndex`` of the keys met so far, and only the new
-    ones are decoded, mapped (read from ``memo``, or forward's image,
-    which ``memo`` gets) and encoded."""
-    from .kernels import KeyIndex, _put
+    """forward on arrays of rows of the codec ``source``, giving rows of
+    the codec ``dest``, for every operation of one check: it starts from
+    the window's rows ``xs``, mapped to the image's rows ``ys``; each
+    block's rows are looked up in one ``kernels.KeyIndex`` of the rows
+    met so far, and only the new ones are decoded, mapped (read from
+    ``memo``, or forward's image, which ``memo`` gets) and encoded."""
+    from .kernels import KeyIndex, _encoded, _put
 
     # The index numbers a window element that repeats at its first
-    # appearance, so the image's keys are taken in that order.
+    # appearance, so the image's rows are taken in that order.
     index = KeyIndex(xs.shape[0])
     mapped = ys.take(index.intern(xs)[1], axis=1)
 
@@ -295,11 +264,11 @@ def _mapper(source, dest, forward, memo: dict, xs, ys):
         k = index.k
         pos, fresh = index.intern(flat)
         if len(fresh):
-            elems = source.elements(flat.take(fresh, axis=1))
+            elems = source.decode_all(flat.take(fresh, axis=1))
             for x in elems:
                 if x not in memo:
                     memo[x] = forward(x)
-            mapped = _put(mapped, k, dest.keys([memo[x] for x in elems]))
+            mapped = _put(mapped, k, _encoded(dest, [memo[x] for x in elems]))
         return mapped.take(pos, axis=1).reshape((-1,) + keys.shape[1:])
 
     return apply

@@ -51,25 +51,26 @@ Delta(C) compute with G's kernels, and Sigma(Delta(A)) is a unit
 interval over a group codec like any other.
 
 ``groth_window`` builds a Grothendieck window from the cone's rows in G:
-the differences of all pairs of the monoid window in one numpy pass, the
-first appearance of each in walk order, decoded once.
+the differences of all pairs of the monoid window in one numpy pass,
+numbered in walk order by one ``KeyIndex``, whose new rows, the first
+appearance of each class, are decoded once.
 
-``unique_rows`` and ``unique_ints`` give ``np.unique``'s output for the
-code rows and interned indices that the vector engine's tables, the
-homomorphism checks and ``groth_window`` start from; ``unique_rows``
-reads a (width, n) array one coordinate row at a time.  Their keys are
-small integers: when n keys span at most max(n, ``_COUNT_SPAN``) values,
-the distinct ones are counted (a presence array, its running count, and
-the least position of each key), with no comparisons and no buffer
-longer than that; wider spans are sorted.  ``intern_rows`` looks code
-rows up among known ones by one ``unique_rows`` over both, at the cost
-of every known row.  ``KeyIndex`` is the package's one code-row lookup:
-the vector engine's interner and a homomorphism check's mapper each keep
-one per check, a direct-address table from each known row's mixed-radix
-key to its number, which numbers new rows as ``intern_rows`` does at the
-cost of the batch alone, and falls back to ``intern_rows`` when its box
-would be too sparse.  ``SYMMETRIC`` names the operations whose kernels give
-(b, a) the row of (a, b), which lets a check compute half of each grid.
+``unique_ints`` gives ``np.unique``'s output for the interned indices
+that the vector engine's tables start from.  Its keys are small
+integers: when n keys span at most max(n, ``_COUNT_SPAN``) values, the
+distinct ones are counted (a presence array and its running count), with
+no comparisons and no buffer longer than that; wider spans are sorted.
+``KeyIndex`` is the package's one code-row lookup and its one numbering
+of code rows by first appearance: the vector engine's interner, a
+homomorphism check's mapper and ``groth_window`` each keep one per
+check, a direct-address table from each known row's mixed-radix key to
+its number, so a batch costs its own size.  When its box would be too
+sparse it falls back to ``intern_rows``, which numbers the rows the same
+way by one ``unique_rows`` over the known rows and the batch (a sort of
+one mixed-radix key per row, read one coordinate row at a time), at the
+cost of every known row.  ``SYMMETRIC`` names the operations whose
+kernels give (b, a) the row of (a, b), which lets a check compute half
+of each grid.
 """
 
 from __future__ import annotations
@@ -102,6 +103,10 @@ from .mv_core import (
 )
 
 LIMIT = 1 << 60
+# The row blocks of one kernel call: at most this many operand pairs in a
+# vector-engine table, and this many int64 coordinates a side in a
+# homomorphism check.
+_KERNEL_BLOCK = 1 << 14
 
 
 class _AtLimit(Exception):
@@ -120,6 +125,23 @@ def _fit_rows(rows) -> bool:
     return max(-int(rows.min()), int(rows.max())) < LIMIT
 
 
+def _fitted(rows):
+    """The int64 array ``rows`` when ``_fit_rows``; ``_AtLimit``
+    otherwise."""
+    if not _fit_rows(rows):
+        raise _AtLimit
+    return rows
+
+
+def _encoded(codec, values: list):
+    """The code rows of ``values`` under ``codec``; ``_AtLimit`` when one
+    has no int64 code or reaches ``LIMIT``."""
+    try:
+        return _fitted(codec.encode_all(values))
+    except OverflowError:
+        raise _AtLimit from None
+
+
 def _column(row, a):
     """The one-element row ``row``, of shape (width,), shaped to broadcast
     against the (width, ...) array ``a``."""
@@ -131,13 +153,6 @@ def _column(row, a):
 # 1024 to 16384 on wide-window and within noise of the fastest on the
 # other workloads (the sweep is in CHANGES.md).
 _COUNT_SPAN = 4096
-
-
-def _counted(key, span: int) -> bool:
-    """Whether the distinct values of the int64 array ``key``, all in
-    [0, span), are found by counting: when the presence array is no longer
-    than the keys, or than ``_COUNT_SPAN``."""
-    return span <= max(key.size, _COUNT_SPAN)
 
 
 def _count(key, span: int):
@@ -156,9 +171,10 @@ def unique_ints(arr, end: int):
     """The distinct values of the int64 array ``arr``, all in [0, end), in
     increasing order, and each entry's position among them, shaped like
     ``arr``: ``np.unique(arr, return_inverse=True)``.  Counted when the
-    span is small (``_counted``), sorted otherwise."""
+    presence array is no longer than the entries, or than
+    ``_COUNT_SPAN``; sorted otherwise."""
     arr = np.asarray(arr)
-    if _counted(arr, end):
+    if end <= max(arr.size, _COUNT_SPAN):
         vals, inverse = _count(arr.reshape(-1), end)
     else:
         # np.unique's inverse is shaped like its input from numpy 2.0 on,
@@ -183,30 +199,18 @@ def unique_rows(rows):
     the (width, n) array ``rows``: the position of each distinct row's
     first occurrence, and each row's distinct row.  Through one integer
     key per row when the coordinates' ranges fit a mixed-radix number
-    below 2^62, whose order is the rows' order: the distinct keys are
-    counted when their span is small (``_counted``), and sorted
-    otherwise, which is still much faster than sorting rows.  The ranges
-    and the key are read one contiguous coordinate at a time."""
+    below 2^62, whose order is the rows' order: sorting the keys is much
+    faster than sorting rows.  The ranges and the key are read one
+    contiguous coordinate at a time."""
     lo = rows.min(axis=1).tolist()
     spans = [h - l + 1 for h, l in zip(rows.max(axis=1).tolist(), lo)]
-    total = 1
-    for s in spans:
-        total *= s
-    if total >= 1 << 62:
+    if math.prod(spans) >= 1 << 62:
         _, first, inverse = np.unique(rows, axis=1, return_index=True,
                                       return_inverse=True)
-        return first, inverse.reshape(-1)
-    key = _radix_key(rows, lo, spans)
-    if not _counted(key, total):
-        _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
-        return first, inverse.reshape(-1)
-    vals, inverse = _count(key, total)
-    # Each distinct key's first position: the least index that holds it.
-    # A plain scatter would keep an arbitrary one, and groth_window orders
-    # its classes by first appearance.
-    first = np.full(len(vals), len(key), dtype=np.int64)
-    np.minimum.at(first, inverse, np.arange(len(key)))
-    return first, inverse
+    else:
+        _, first, inverse = np.unique(_radix_key(rows, lo, spans),
+                                      return_index=True, return_inverse=True)
+    return first, inverse.reshape(-1)
 
 
 def intern_rows(known, rows):
@@ -624,8 +628,8 @@ def groth_window(monoid, bound: int) -> Optional[list]:
     pairs = codec.sub(rows[:, :, None], rows[:, None, :]).reshape(codec.width, -1)
     if not _fit_rows(pairs):
         return None
-    first, _ = unique_rows(pairs)
-    return codec.decode_all(pairs.take(np.sort(first), axis=1))
+    fresh = KeyIndex(codec.width).intern(pairs)[1]
+    return codec.decode_all(pairs.take(fresh, axis=1))
 
 
 def _gamma(model):

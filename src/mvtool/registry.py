@@ -441,6 +441,18 @@ def check_perfect(A, bound: int) -> PerfectnessReport:
                              report.family_checks)
 
 
+def perfectness_failure(A, bound: int) -> Optional[Verdict]:
+    """The first failing verdict of P.1-P.4 on ``A.enumerate(bound)``, or
+    None when they hold there; a carrier perfect by construction
+    (``_perfect_by_construction``) passes without the check.  The one
+    perfectness gate of the functors and of ``decompose_product``: each
+    caller raises its own error with ``not_perfect_message``."""
+    if _perfect_by_construction(A):
+        return None
+    v = _check_axioms(A, PERFECT_AXIOMS, bound)
+    return None if v.ok else v
+
+
 def not_perfect_message(A, bound: int, verdict: CounterExample) -> str:
     """The text of a failed P.1-P.4 check of ``A`` at ``bound``.  P.1-P.4
     search nothing and each has one variable, so ``verdict`` is a

@@ -1,13 +1,12 @@
 """The vector engine: sequent checks over whole environment grids, and
-the operation tables it shares with the homomorphism checks' interned
-sides.
+its operation tables.
 
 Besides ``kernels``, this is the one module of the package that imports
-numpy at load time.  ``checking._check_vector`` and
-``homomorphism.homomorphism_failures`` import it on their first call (and
-``lgroup_core`` imports ``kernels`` on the first Grothendieck window it
-builds from code rows), so a check that the scalar engine or the product
-route answers never loads numpy.
+numpy at load time.  ``checking._check_vector`` imports it on its first
+call (``homomorphism.homomorphism_failures`` and ``lgroup_core`` import
+only ``kernels``, on their first homomorphism check and on the first
+Grothendieck window built from code rows), so a check that the scalar
+engine or the product route answers never loads numpy.
 
 The engine runs the closures that ``checking._compile_formula`` compiles
 for the scalar engine, over another value domain, ``_IndexGrids``:
@@ -43,21 +42,21 @@ rows are numbered by interned index, and a table is one kernel call over
 the pairs' rows whose result rows the index looks up among the interned
 ones (a direct-address table of their keys, so a table costs its own
 size, not the interner's) and numbers when new, so an element is decoded
-only when something reads it (``forward`` on an interned homomorphism
-side, a test).  A window that ``checking._window`` memoises keeps its
-code rows with it, one array per codec type and width: they are encoded on the
-window's first use, and every later check at that carrier and bound
-interns them by row with no encoding.  Any other window is encoded once
-per check, in one batch, by ``intern_all``.  This rests on row equality
-being element equality, which the kernel tests pin.  ``leq`` tables are
-boolean and intern nothing.  Below 2^60 no kernel can overflow int64, so
-the kernels are exact: no floats, no tolerances, no wraparound.  At
-``LIMIT`` the check starts over without a codec, by the rule that
-``kernels`` states; then, as throughout for a carrier without a codec,
-every table calls the carrier's own operation on each operand pair.  The
-interning, the code rows and the tables live in ``OperationTables``; one
-interner serves a whole run of a check, antecedent and consequent alike,
-and every slice of a sliced grid.
+only when something reads it (a counterexample, a test).  A window that
+``checking._window`` memoises keeps its code rows with it, one array per
+codec type and width: they are encoded on the window's first use, and
+every later check at that carrier and bound interns them by row with no
+encoding.  Any other window is encoded once per check, in one batch, by
+``intern_all``.  This rests on row equality being element equality,
+which the kernel tests pin.  ``leq`` tables are boolean and intern
+nothing.  Below 2^60 no kernel can overflow int64, so the kernels are
+exact: no floats, no tolerances, no wraparound.  At ``LIMIT`` the check
+starts over without a codec, by the rule that ``kernels`` states; then,
+as throughout for a carrier without a codec, every table calls the
+carrier's own operation on each operand pair.  The interning, the code
+rows and the tables live in ``OperationTables``; one interner serves a
+whole run of a check, antecedent and consequent alike, and every slice
+of a sliced grid.
 """
 
 from __future__ import annotations
@@ -70,15 +69,14 @@ from typing import Any, Dict, List
 import numpy as np
 
 from . import checking
-from .kernels import KeyIndex, _AtLimit, _fit_rows, codec_for, unique_ints
+from .kernels import (_KERNEL_BLOCK, KeyIndex, _AtLimit, _encoded, _fit_rows,
+                      _fitted, codec_for, unique_ints)
 from .mv_core import _repeat, _repeated, mv_power, nat_scalar
 from .verdicts import CounterExample, Holds, InconclusiveAtBound, Verdict
 
 # Vector grids (context axes times search axes) larger than this are
 # evaluated in slices of the first context axis.
 _MAX_CELLS = 1 << 25
-# Operand pairs per kernel call (see OperationTables._pair_kernel).
-_KERNEL_BLOCK = 1 << 14
 # The element of a kernel result that nothing has read yet.
 _PENDING = object()
 
@@ -120,9 +118,8 @@ class OperationTables:
     it through ``element``.  A value that reaches ``LIMIT`` there
     raises ``_AtLimit`` (see ``kernels``).  An instance without a codec keys
     every element by itself and calls the carrier's own operation on each
-    operand (pair).  One instance serves a whole run of a check: a
-    sequent's antecedent and consequent, or a homomorphism check's source
-    or target side when it is keyed by interned indices.
+    operand (pair).  One instance serves a whole run of a check, a
+    sequent's antecedent and consequent alike.
     """
 
     def __init__(self, model, codec=None):
@@ -169,11 +166,7 @@ class OperationTables:
         encoded in one batch and interned by row."""
         if self.codec is None or not values:
             return np.array([self.intern(v) for v in values], dtype=np.int64)
-        try:
-            rows = self.codec.encode_all(values)
-        except OverflowError:
-            raise _AtLimit from None
-        return self._intern_rows(rows, values)
+        return self._intern_rows(_encoded(self.codec, values), values)
 
     def _append(self, elems) -> int:
         """Append new elements; returns the first new index."""
@@ -190,9 +183,7 @@ class OperationTables:
         interned yet, which are appended with their elements, or pending
         when ``elems`` is None.  A row reaching ``LIMIT`` raises
         ``_AtLimit``."""
-        rows = rows.reshape(self.codec.width, -1)
-        if not _fit_rows(rows):
-            raise _AtLimit
+        rows = _fitted(rows.reshape(self.codec.width, -1))
         idx, fresh = self._index.intern(rows)
         self._append([_PENDING] * len(fresh) if elems is None
                      else [elems[j] for j in fresh.tolist()])
@@ -234,10 +225,7 @@ class OperationTables:
                 return None
 
             def step(a, b):
-                out = kernel(a, b)
-                if not _fit_rows(out):
-                    raise _AtLimit
-                return out
+                return _fitted(kernel(a, b))
 
             # 0 and 1 always have a code (kernels.codec_for).
             unit = self.intern(unit)

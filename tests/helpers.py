@@ -269,18 +269,19 @@ def first_beyond_multiples_walk(M, t, candidates, cap):
 
 
 def record_codecs(monkeypatch):
-    """The codec of every ``vector.OperationTables``, and of every code-row
-    side of a homomorphism check, built while ``monkeypatch`` is active,
-    in order: None for a table instance without one."""
-    from mvtool import homomorphism, vector
+    """The codec of every ``vector.OperationTables`` built while
+    ``monkeypatch`` is active, in order: None for an instance without
+    one."""
+    from mvtool import vector
 
     codecs = []
-    for cls in (vector.OperationTables, homomorphism._Rows):
-        def spy(self, *args, init=cls.__init__):
-            init(self, *args)
-            codecs.append(self.codec)
+    init = vector.OperationTables.__init__
 
-        monkeypatch.setattr(cls, "__init__", spy)
+    def spy(self, *args):
+        init(self, *args)
+        codecs.append(self.codec)
+
+    monkeypatch.setattr(vector.OperationTables, "__init__", spy)
     return codecs
 
 

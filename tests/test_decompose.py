@@ -6,6 +6,7 @@ import pytest
 
 import mvtool as mv
 from mvtool import decompose as dec
+from mvtool import registry
 from mvtool.descriptors import parse_mv_element
 
 C = mv.ChangAlgebra()
@@ -163,7 +164,7 @@ def test_reconstruction_detects_corruption():
 
 
 def test_reconstruction_maps_each_window_element_once(monkeypatch):
-    from mvtool import vector
+    from mvtool import kernels
 
     d = mv.decompose_product(CC, [(mv.Fin(1), mv.CoFin(1))], bound=8)
     window = CC.enumerate(3)
@@ -180,11 +181,11 @@ def test_reconstruction_maps_each_window_element_once(monkeypatch):
                 return mv.Fin(4)
             return super().oplus(x, y)
 
-    # With the default blocks the 64 x 64 pairs are one block; with 100
-    # pairs a block, each is one row, the sums recur from block to block,
-    # and the first failure lies in row 2.
-    for block in (vector._KERNEL_BLOCK, 100):
-        monkeypatch.setattr(vector, "_KERNEL_BLOCK", block)
+    # With the default blocks the 64 x 64 pairs are one block; with
+    # blocks of 100 int64 coordinates, each is one row, the sums recur from
+    # block to block, and the first failure lies in row 2.
+    for block in (kernels._KERNEL_BLOCK, 100):
+        monkeypatch.setattr(kernels, "_KERNEL_BLOCK", block)
         calls = []
 
         def counted(x):
@@ -204,13 +205,13 @@ def test_reconstruction_maps_each_window_element_once(monkeypatch):
 
 def test_decompose_checks_perfectness_only_off_construction(monkeypatch):
     checked = []
-    check_axioms = dec._check_axioms
+    check_axioms = registry._check_axioms
 
     def spy(model, labels, bound):
         checked.append(model)
         return check_axioms(model, labels, bound)
 
-    monkeypatch.setattr(dec, "_check_axioms", spy)
+    monkeypatch.setattr(registry, "_check_axioms", spy)
     d = mv.decompose_product(CC, [(mv.Fin(1), mv.CoFin(1))], bound=8)
     assert [f.descriptor() for f in d.factors] == ["C", "C"]
     assert checked == []

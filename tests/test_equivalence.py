@@ -149,15 +149,15 @@ def test_perfect_by_construction_carriers_are_perfect():
 
 
 def test_delta_checks_perfectness_only_off_construction(monkeypatch):
-    from mvtool import equivalence
+    from mvtool import registry
     checked = []
-    check_axioms = equivalence._check_axioms
+    check_axioms = registry._check_axioms
 
     def spy(model, labels, bound):
         checked.append(model.descriptor())
         return check_axioms(model, labels, bound)
 
-    monkeypatch.setattr(equivalence, "_check_axioms", spy)
+    monkeypatch.setattr(registry, "_check_axioms", spy)
     for desc in PERFECT_BY_CONSTRUCTION:
         mv.delta(mv.parse_model(desc))
         mv.pair_group_ops(mv.parse_model(desc))

@@ -11,7 +11,7 @@ from mvtool.equivalence import _roundtrip_report
 from mvtool.homomorphism import homomorphism_failures, map_once
 from mvtool.lgroup_core import CanonPair
 
-from helpers import ConeOfZ, record_codecs
+from helpers import ConeOfZ
 
 C = mv.ChangAlgebra()
 CC = mv.ProductAlgebra([C, C])
@@ -62,20 +62,41 @@ def _results(bound):
     return out
 
 
+def _codec_off(monkeypatch, check):
+    """``check()`` with no codec for any carrier: the homomorphism checks
+    go by definition, the tables call the carriers and the Grothendieck
+    windows walk their monoid pairs."""
+    with monkeypatch.context() as m:
+        m.setattr(vector, "codec_for", lambda model: None)
+        m.setattr(kernels, "codec_for", lambda model: None)
+        return check()
+
+
+def _record_routes(monkeypatch):
+    """The route of each homomorphism check run while ``monkeypatch`` is
+    active, in order: "rows" for the code-row comparison (which may stop
+    at the limit, and go on by definition), "definition" for the
+    reference."""
+    routes = []
+    for name, route in (("_differences", "rows"), ("_by_definition", "definition")):
+        def spy(*args, real=getattr(homomorphism, name), route=route):
+            routes.append(route)
+            return real(*args)
+
+        monkeypatch.setattr(homomorphism, name, spy)
+    return routes
+
+
 def test_reports_equal_the_carrier_operations(monkeypatch):
     for bound in (2, 3):
         with monkeypatch.context() as m:
-            codecs = record_codecs(m)
+            routes = _record_routes(m)
             with_kernels = _results(bound)
-        assert any(c is not None for c in codecs)
+        assert "rows" in routes
         with monkeypatch.context() as m:
-            # Without codecs the tables call the carriers and the
-            # Grothendieck windows walk their monoid pairs.
-            m.setattr(vector, "codec_for", lambda model: None)
-            m.setattr(kernels, "codec_for", lambda model: None)
-            codecs = record_codecs(m)
-            assert _results(bound) == with_kernels, bound
-        assert codecs and all(c is None for c in codecs)
+            routes = _record_routes(m)
+            assert _codec_off(m, lambda: _results(bound)) == with_kernels, bound
+        assert routes and set(routes) == {"definition"}
     # The broken carriers are caught: Z^2's sup, BrokenInf's inf, and
     # SkewChang's oplus, in the reports and in the reconstruction.
     failures = [r["failures"] for r in with_kernels[:-2]]
@@ -86,8 +107,8 @@ def test_reports_equal_the_carrier_operations(monkeypatch):
 
 def _spy_on_forward(monkeypatch):
     """For each homomorphism check of a report or a reconstruction made
-    while ``monkeypatch`` is active: its window and the elements its
-    ``forward`` received, in order."""
+    while ``monkeypatch`` is active: its window, the elements its
+    ``forward`` received, in order, and its failures."""
     from mvtool import decompose
 
     checks = []
@@ -99,8 +120,9 @@ def _spy_on_forward(monkeypatch):
             calls.append(x)
             return forward(x)
 
-        checks.append((window, calls))
-        return homomorphism_failures(src, target, window, image, counted, *rest)
+        failures = homomorphism_failures(src, target, window, image, counted, *rest)
+        checks.append((window, calls, failures))
+        return failures
 
     # The round-trip reports reach it through isomorphism_failures.
     for module in (homomorphism, decompose):
@@ -108,23 +130,58 @@ def _spy_on_forward(monkeypatch):
     return checks
 
 
+def _assert_the_definition_agrees(monkeypatch, run):
+    """The homomorphism checks of ``run()`` with codecs and by definition,
+    with no codec: the same failures, and ``forward`` once per distinct
+    element outside the window, the same elements on both routes."""
+    with monkeypatch.context() as m:
+        with_kernels = _spy_on_forward(m)
+        run()
+    with monkeypatch.context() as m:
+        without = _spy_on_forward(m)
+        routes = _record_routes(m)
+        _codec_off(m, run)
+    assert routes == ["definition"] * len(without)
+    assert len(with_kernels) == len(without)
+    for (window, calls, failures), (_, other, reference) in zip(with_kernels, without):
+        assert failures == reference
+        assert not set(calls) & set(window)
+        assert len(set(calls)) == len(calls)
+        assert set(calls) == set(other)
+    return with_kernels
+
+
 def test_forward_maps_each_element_outside_the_window_once(monkeypatch):
     for bound in (2, 3):
-        with monkeypatch.context() as m:
-            with_kernels = _spy_on_forward(m)
-            reports = len(_results(bound))
-        with monkeypatch.context() as m:
-            m.setattr(vector, "codec_for", lambda model: None)
-            m.setattr(kernels, "codec_for", lambda model: None)
-            without = _spy_on_forward(m)
-            _results(bound)
+        checks = _assert_the_definition_agrees(monkeypatch, lambda: _results(bound))
         # One check per report and per reconstruction.
-        assert len(with_kernels) == len(without) == reports
-        for (window, calls), (_, other) in zip(with_kernels, without):
-            assert not set(calls) & set(window)
-            assert len(set(calls)) == len(calls)
-            assert set(calls) == set(other)
-        assert any(calls for _, calls in with_kernels)
+        assert len(checks) == len(_results(bound))
+        assert any(calls for _, calls, _ in checks)
+        assert any(failures for _, _, failures in checks)
+
+
+def test_a_codec_on_one_side_only_goes_by_definition(monkeypatch):
+    # Prod(Gamma(Z^2,(1,1)),C) has a codec; the product of its factors,
+    # two Boolean quotients of Gamma(Z^2,(1,1)) and C, has none.
+    from mvtool.descriptors import parse_mv_element
+
+    A = mv.parse_model("Prod(Gamma(Z^2,(1,1)),C)")
+    gens = [parse_mv_element(A, g) for g in ("((1,0),0)", "((0,0),1)")]
+    d = mv.decompose_product(A, gens, bound=3)
+    skew = d._replace(factors=[d.factors[0], SkewChang(), d.factors[2]])
+    verdicts = []
+
+    def run():
+        verdicts[:] = [mv.product_reconstruction_check(A, e, 3) for e in (d, skew)]
+
+    with monkeypatch.context() as m:
+        routes = _record_routes(m)
+        run()
+    assert routes == ["definition"] * 2
+    checks = _assert_the_definition_agrees(monkeypatch, run)
+    assert [v.ok for v in verdicts] == [True, False]
+    assert [bool(failures) for _, _, failures in checks] == [False, True]
+    assert all(calls for _, calls, _ in checks)
 
 
 def test_map_once_lists_each_collision_with_the_latest_earlier_element():
@@ -165,46 +222,22 @@ def _past_the_kernel_limit():
         [(2 ** 59 + i, j) for i in range(3) for j in (-1, 0, 1)])
 
 
-def _codec_off(monkeypatch, check):
-    """``check()`` on the carriers' own operations."""
-    with monkeypatch.context() as m:
-        m.setattr(vector, "codec_for", lambda model: None)
-        m.setattr(kernels, "codec_for", lambda model: None)
-        return check()
-
-
-def _reference_past_the_kernel_limit(monkeypatch):
-    """``_past_the_kernel_limit`` on the carriers' own operations."""
-    return _codec_off(monkeypatch, _past_the_kernel_limit)
-
-
 def test_a_window_past_the_kernel_limit_gives_the_reference_failures(monkeypatch):
     with monkeypatch.context() as m:
-        codecs = record_codecs(m)
+        routes = _record_routes(m)
         failures, calls = _past_the_kernel_limit()
-    # Two code-row sides, then the two tables of the restart, with no
-    # codec.
-    assert len(codecs) == 4 and None not in codecs[:2] and codecs[2:] == [None, None]
-    assert _reference_past_the_kernel_limit(monkeypatch) == (failures, calls)
+    # The code rows stop at the first sum, and the check goes on by
+    # definition.
+    assert routes == ["rows", "definition"]
+    with monkeypatch.context() as m:
+        routes = _record_routes(m)
+        assert _codec_off(m, _past_the_kernel_limit) == (failures, calls)
+    assert routes == ["definition"]
     assert {kind for kind, _ in failures} == {"inf", "sup"}
     # One call per distinct element outside the window, over all
     # operations and the restart: the 9 negations (mapped before the
     # restart) and the 5 x 5 sums all lie outside the window, while every
     # infimum and supremum is a window element, whose image is given.
-    assert calls == 9 + 25
-
-
-def test_interned_sides_past_the_kernel_limit_start_over(monkeypatch):
-    # Both sides on interned indices in code space: their tables meet the
-    # limit as the code-row sides do, and the check starts over with no
-    # codec, keeping forward's images.
-    with monkeypatch.context() as m:
-        m.setattr(homomorphism, "_side",
-                  lambda model, ops: homomorphism._Interned(model, kernels.codec_for(model)))
-        codecs = record_codecs(m)
-        failures, calls = _past_the_kernel_limit()
-    assert len(codecs) == 4 and None not in codecs[:2] and codecs[2:] == [None, None]
-    assert (failures, calls) == _reference_past_the_kernel_limit(monkeypatch)
     assert calls == 9 + 25
 
 
@@ -216,47 +249,36 @@ def test_multi_block_windows_give_the_codec_off_results(monkeypatch):
     reference = _codec_off(monkeypatch, lambda: _results(3))
     for block in (1, 500):
         with monkeypatch.context() as m:
-            m.setattr(vector, "_KERNEL_BLOCK", block)
+            m.setattr(kernels, "_KERNEL_BLOCK", block)
             assert _results(3) == reference, block
 
 
-def _spy_on_block_columns(monkeypatch, side):
-    """The number of columns of each block of pairs that sides of the type
-    ``side`` compute, in order."""
+def test_symmetric_kernels_compute_the_upper_triangle(monkeypatch):
+    # Z^2's window at bound 6 has 169 elements: 169 x 169 pairs of two
+    # coordinates are four blocks of 48 rows, each from the diagonal on,
+    # for each of add, inf and sup.  Each block is computed on the source
+    # side, then on the target side.
+    window = mv.ZnGroup(2).enumerate(6)
     columns = []
 
-    def spy(self, op, a, b, real=side.binary):
+    def spy(kernel, a, b, real=homomorphism._pairs):
         columns.append(b.shape[1])
-        return real(self, op, a, b)
+        return real(kernel, a, b)
 
-    monkeypatch.setattr(side, "binary", spy)
-    return columns
-
-
-def test_symmetric_kernels_compute_the_upper_triangle(monkeypatch):
-    # Z^2's window at bound 6 has 169 elements: in code space, 169 x 169
-    # pairs of two coordinates are four blocks of 48 rows, each from the
-    # diagonal on, for each of add, inf and sup; interned, they are two
-    # blocks of 96 rows of the full square.  Each block is computed on the
-    # source side, then on the target side.
-    window = mv.ZnGroup(2).enumerate(6)
     with monkeypatch.context() as m:
-        columns = _spy_on_block_columns(m, homomorphism._Rows)
+        m.setattr(homomorphism, "_pairs", spy)
         failures, calls = _reversed_second_coordinate(window)
     assert columns == [169, 169, 121, 121, 73, 73, 25, 25] * 3
-    with monkeypatch.context() as m:
-        columns = _spy_on_block_columns(m, homomorphism._Interned)
-        assert _codec_off(m, lambda: _reversed_second_coordinate(window)) == \
-            (failures, calls)
-    assert columns == [169] * 4 * 3
+    assert _codec_off(monkeypatch, lambda: _reversed_second_coordinate(window)) == \
+        (failures, calls)
     assert len(failures) == 52_728
     assert {kind for kind, _ in failures} == {"inf", "sup"}
 
 
 def test_a_window_that_repeats_an_element_gives_the_failures_by_definition(monkeypatch):
     # The key index numbers a repeated element at its first appearance;
-    # the image's keys must follow that numbering, on code rows and
-    # interned, in one block and in one-row blocks.
+    # the image's rows must follow that numbering, in one block and in
+    # one-row blocks, and the definition reads the image there too.
     Z2 = mv.ZnGroup(2)
     window = [(0, 1), (0, 1), (1, 0), (2, 2), (1, 0)]
 
@@ -272,9 +294,9 @@ def test_a_window_that_repeats_an_element_gives_the_failures_by_definition(monke
         return homomorphism_failures(Z2, Z2, window, [forward(x) for x in window],
                                      forward, forward, ("negate",), ops)
 
-    for block in (vector._KERNEL_BLOCK, 1):
+    for block in (kernels._KERNEL_BLOCK, 1):
         with monkeypatch.context() as m:
-            m.setattr(vector, "_KERNEL_BLOCK", block)
+            m.setattr(kernels, "_KERNEL_BLOCK", block)
             assert check() == expected, block
             assert _codec_off(m, check) == expected, block
     assert len(expected) == 32

@@ -263,10 +263,10 @@ def test_batch_codecs_overflow_where_the_rows_do(desc, x, overflows):
 ])
 def test_rows_at_the_limit_are_rejected_downstream(desc, x):
     """A row reaching 2^60 is encoded as it is, and every caller rejects
-    it: the memoised window, the interner in code space, and a
-    homomorphism check's side in code space.  The interner without a
-    codec, which the check starts over on, keeps the element."""
-    from mvtool import homomorphism, vector
+    it: the memoised window, the interner in code space, and the encoding
+    that a homomorphism check's code rows start from.  The interner
+    without a codec, which the check starts over on, keeps the element."""
+    from mvtool import vector
 
     model = MODELS[desc]
     codec = codec_for(model)
@@ -278,24 +278,20 @@ def test_rows_at_the_limit_are_rejected_downstream(desc, x):
     idx = tables.intern_all([model.zero, x])
     assert tables.elements(idx.tolist()) == [model.zero, x]
     with pytest.raises(kernels._AtLimit):
-        homomorphism._Rows(codec).keys([model.zero, x])
+        kernels._encoded(codec, [model.zero, x])
 
 
 # -- distinct values by counting ------------------------------------------------
 
 
-def _counts(span: int, n: int) -> bool:
-    """Whether a span of ``span`` keys over ``n`` entries is counted."""
-    return span < 1 << 62 and span <= max(n, kernels._COUNT_SPAN)
-
-
 def _unique_rows_route(rows):
     """``unique_rows`` of the (n, width) array ``rows`` given column-first,
-    as (width, n), and whether it counted."""
-    with mock.patch.object(kernels, "_count", wraps=kernels._count) as count:
+    as (width, n).  It sorts one key per row while the box of the rows
+    has fewer than 2^62 slots, and the rows themselves beyond."""
+    with mock.patch.object(np, "unique", wraps=np.unique) as sort:
         got = unique_rows(rows.T)
     span = math.prod(int(c.max()) - int(c.min()) + 1 for c in rows.T)
-    assert count.called == _counts(span, len(rows)), (span, len(rows))
+    assert ("axis" in sort.call_args.kwargs) == (span >= 1 << 62), span
     return got
 
 
@@ -309,9 +305,8 @@ def _assert_unique_rows(rows):
     np.testing.assert_array_equal(inverse, ref_inverse.reshape(-1), strict=True)
 
 
-# Coordinate magnitudes: row spans under the counting rule, on either side
-# of it, far above it, and keys at or beyond 2^62, which np.unique(axis=0)
-# takes.
+# Coordinate magnitudes: row spans of a few values, of thousands, far
+# above, and keys at or beyond 2^62, which np.unique(axis=0) takes.
 _MAGNITUDES = [3, 8, 2_000, 2 ** 40, 2 ** 61]
 
 
@@ -331,9 +326,9 @@ _RNG = np.random.default_rng(21)
     np.full((9, 3), -4),                                # all rows equal
     np.array([[1], [0], [1], [0], [2], [1]]),           # least first positions
     np.array([[-3, 2], [-3, 1], [4, 2], [-3, 2]]),      # negative coordinates
-    _RNG.integers(-2, 3, (50, 5)),                      # span 3125, counted
-    _RNG.integers(0, 5_000, (6_000, 1)),                # span ~5000 <= n, counted
-    _RNG.integers(0, 5_000, (3_000, 1)),                # span ~5000 > n, sorted
+    _RNG.integers(-2, 3, (50, 5)),                      # span 3125
+    _RNG.integers(0, 5_000, (6_000, 1)),                # span ~5000 <= n
+    _RNG.integers(0, 5_000, (3_000, 1)),                # span ~5000 > n
     np.array([[2**61 - 1, 0], [-2**61 + 1, 1], [2**61 - 1, 0]]),  # key >= 2^62
 ], ids=lambda rows: str(rows.shape))
 def test_unique_rows_on_both_routes(rows):
@@ -362,15 +357,13 @@ def _interned_by_dict(known, rows):
 
 def _assert_interned(known, rows):
     """``intern_rows`` against the dict of tuples; returns the route that
-    ``unique_rows`` took over the known rows and the new ones."""
+    ``unique_rows`` took over the known rows and the new ones: a sort of
+    their keys, or of the rows themselves."""
     known = np.asarray(known, dtype=np.int64).reshape(len(rows), -1)
     rows = np.asarray(rows, dtype=np.int64)
-    with mock.patch.object(kernels, "_count", wraps=kernels._count) as count, \
-            mock.patch.object(np, "unique", wraps=np.unique) as sort:
+    with mock.patch.object(np, "unique", wraps=np.unique) as sort:
         numbers, fresh = intern_rows(known, rows)
     assert (numbers.tolist(), fresh.tolist()) == _interned_by_dict(known, rows)
-    if count.called:
-        return "counted"
     return "rows" if "axis" in sort.call_args.kwargs else "sorted"
 
 
@@ -378,13 +371,13 @@ _BIG_ROW = 2 ** 61 - 1
 
 
 @pytest.mark.parametrize("known, rows, route", [
-    pytest.param([], [[3, 1, 3, 2, 1], [0, 5, 0, 5, 5]], "counted",
+    pytest.param([], [[3, 1, 3, 2, 1], [0, 5, 0, 5, 5]], "sorted",
                  id="no-known-rows"),
-    pytest.param([[1, 2, 3], [4, 5, 6]], [[3, 1, 3, 2], [6, 4, 6, 5]], "counted",
+    pytest.param([[1, 2, 3], [4, 5, 6]], [[3, 1, 3, 2], [6, 4, 6, 5]], "sorted",
                  id="all-known"),
-    pytest.param([[1, 2], [4, 5]], [[7, 0, 9], [7, 0, 9]], "counted", id="all-new"),
+    pytest.param([[1, 2], [4, 5]], [[7, 0, 9], [7, 0, 9]], "sorted", id="all-new"),
     pytest.param([[0, 2, -1], [0, 0, 4]], [[2, 5, 5, -1, 2, 8], [0, 1, 1, 4, 0, 0]],
-                 "counted", id="repeated"),
+                 "sorted", id="repeated"),
     # A span of about 10^6 keys over 7 rows.
     pytest.param([[0, 10 ** 6]], [[10 ** 6, 5, 0, 5, 7]], "sorted", id="sorted"),
     # Keys at or beyond 2^62: np.unique over the rows.
@@ -561,6 +554,11 @@ def test_column_wise_comparisons_reduce_the_last_axis(width):
             rows_differ(a, b), np.array([[x != y for y in rows] for x in xs],
                                         dtype=bool).reshape(shape),
             strict=True)
+
+
+def _counts(span: int, n: int) -> bool:
+    """Whether a span of ``span`` keys over ``n`` entries is counted."""
+    return span < 1 << 62 and span <= max(n, kernels._COUNT_SPAN)
 
 
 def _assert_unique_ints(arr, end):

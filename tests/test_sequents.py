@@ -913,6 +913,28 @@ def test_the_product_route_builds_no_product_window(monkeypatch):
         _assert_same_verdict(check_sequent(mv.parse_model(d), seq, b), want, d)
 
 
+def test_the_product_route_reads_each_factor_window_once(monkeypatch):
+    # The counterexample's positions come from the factors that the route
+    # checked, whose windows are memoised: three chains Gamma(Z,5), and
+    # one Z three times.
+    seq = mv.parse_sequent("x <= y |-[x,y] y <= x")
+    for d, cls, counts in (("Gamma(Z^3,(5,5,5))", mv.GammaAlgebra, {3}),
+                           ("Z^3", mv.ZGroup, {1, 2, 3})):
+        model = mv.parse_model(d)
+        expected = check_sequent(model, seq, 5, engine="vector")
+        assert isinstance(expected, CounterExample)
+        calls = []
+
+        def counted(self, bound, real=cls.enumerate):
+            calls.append(self.descriptor())
+            return real(self, bound)
+
+        with monkeypatch.context() as m:
+            m.setattr(cls, "enumerate", counted)
+            _assert_same_verdict(check_sequent(model, seq, 5), expected, d)
+        assert len(calls) in counts, (d, calls)
+
+
 def test_other_sequents_and_carriers_keep_the_full_grid(monkeypatch):
     Z2 = mv.ZnGroup(2)
     cases = [
