@@ -458,7 +458,8 @@ def _product_factors(model) -> tuple:
     product with componentwise operations and order; () otherwise.  The
     cone of a product group is the product of the factors' cones, and
     Gamma(Z^n, u) is the product of the chains Gamma(Z, u_i), with the
-    same window, in the same order."""
+    same window, in the same order.  The one product decision: the product
+    route and ``decompose._quotient_with_map`` read it."""
     kind = type(model)
     if kind is ProductAlgebra:
         return model.factors

@@ -194,11 +194,8 @@ def _run_check_family(config: RunConfig):
         raise MvToolError("--sequents names no sequent label")
     model = parse_model(config.model)
     _guard_cap(model, config.bound)
-    # check_family searches existentials at twice the bound by default.
-    search_bound = (2 * config.bound if config.exists_bound is None
-                    else config.exists_bound)
     _guard_search(model, [registry.lookup(label) for label in config.sequents],
-                  search_bound)
+                  registry.family_search_bound(config.bound, config.exists_bound))
     fam = registry.check_family(model, config.sequents, config.bound,
                                 exists_bound=config.exists_bound)
     results = {}

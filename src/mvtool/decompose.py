@@ -1,10 +1,10 @@
 """Boolean elements and the direct-product decomposition of finitely
 generated Chang-variety algebras into perfect factors.
 
-Quotients by a Boolean element are computed structurally on product
-carriers (projection onto the factors where the element vanishes) and by
-explicit congruence classes on finite carriers; general principal-ideal
-quotients of infinite algebras are out of scope.
+Quotients by a Boolean element are structural: on Prod and Gamma(Z^n, u)
+factor by factor, a chain has only the Booleans 0 and 1, and any other
+carrier cannot be quotiented (``_quotient_with_map``).  So every factor
+is the trivial algebra or a factor of the carrier.
 """
 
 from __future__ import annotations
@@ -12,11 +12,13 @@ from __future__ import annotations
 import itertools
 from typing import Callable, List, Sequence, Tuple
 
+from .checking import _product_factors
 from .errors import DecompositionError, MvToolError
 from .homomorphism import homomorphism_failures, map_once
 from .mv_core import (
     FiniteChainAlgebra,
     MvAlgebra,
+    PointedAlgebra,
     ProductAlgebra,
     boolean_skeleton_generators,
     is_boolean,
@@ -39,106 +41,48 @@ class AtomDecomposition(_Node):
     embeddings: Sequence[Callable] = ()
 
 
-class FiniteQuotientAlgebra(MvAlgebra):
-    """Quotient of a finite carrier by the congruence of a principal
-    ideal of a Boolean element: x ~ y iff d(x, y) <= a.  Elements are
-    canonical class representatives (first in carrier order)."""
-
-    carrier_kind = "finite_quotient"
-
-    def __init__(self, base: MvAlgebra, a):
-        carrier = base.carrier()
-        if carrier is None:
-            raise MvToolError(
-                f"{base.descriptor()} has no finite carrier to quotient"
-            )
-        self.base = base
-        self.ideal_generator = a
-        rep_of = {}
-        reps = []
-        for x in carrier:
-            if x in rep_of:
-                continue
-            cls = [y for y in carrier if base.leq(base.d(x, y), a)]
-            for y in cls:
-                rep_of[y] = x
-            reps.append(x)
-        self._rep_of = rep_of
-        self._reps = reps
-
-    def project(self, x):
-        return self._rep_of[x]
-
-    @property
-    def zero(self):
-        return self._rep_of[self.base.zero]
-
-    def oplus(self, x, y):
-        return self._rep_of[self.base.oplus(x, y)]
-
-    def neg(self, x):
-        return self._rep_of[self.base.neg(x)]
-
-    def enumerate(self, bound):
-        return list(self._reps)
-
-    def window_size(self, bound):
-        return len(self._reps)
-
-    def carrier(self):
-        return list(self._reps)
-
-    def validate(self, x):
-        if self._rep_of.get(x) != x:
-            raise MvToolError(f"{x!r} is not a canonical class representative")
-
-    def descriptor(self):
-        return (f"{self.base.descriptor()}/"
-                f"({self.base.format_element(self.ideal_generator)})")
-
-    def format_element(self, x):
-        return self.base.format_element(x)
-
-
 def _identity(x):
     return x
 
 
 def _quotient_with_map(A: MvAlgebra, a) -> Tuple[MvAlgebra, Callable, Callable]:
     """The quotient A/(a) for a Boolean ``a``, the canonical projection,
-    and its right inverse, the embedding into the downset of neg a."""
+    and its right inverse, the embedding into the downset of neg a.
+
+    Structural: a = 0 gives A and a = 1 the trivial algebra, which covers
+    every chain, whose only Booleans are 0 and 1.  A direct product
+    (``checking._product_factors``: Prod, and Gamma(Z^n, u) as the
+    product of the chains Gamma(Z, u_i)), under any Pointed wrappers,
+    projects onto the factors where ``a`` is not 1, each quotiented by
+    its component of ``a``.  Any other carrier cannot be quotiented."""
     if a == A.zero:
         return A, _identity, _identity
     if a == A.one:
         return FiniteChainAlgebra(0), lambda x: 0, lambda z: A.zero
-    if isinstance(A, ProductAlgebra):
-        # Project onto the components the ideal does not collapse, and
-        # embed with zeros in the collapsed ones.
-        kept = [(i,) + _quotient_with_map(factor, comp)
-                for i, (factor, comp) in enumerate(zip(A.factors, a))
-                if comp != factor.one]
-        zero = A.zero
-        if not kept:
-            return FiniteChainAlgebra(0), lambda x: 0, lambda z: zero
+    base = A
+    while type(base) is PointedAlgebra:
+        base = base.algebra
+    factors = _product_factors(base)
+    if not factors:
+        raise MvToolError(f"cannot quotient {A.descriptor()}: not a product")
+    # Project onto the components the ideal does not collapse, and embed
+    # with zeros in the collapsed ones.
+    kept = [(i,) + _quotient_with_map(factor, comp)
+            for i, (factor, comp) in enumerate(zip(factors, a))
+            if comp != factor.one]
+    zero = A.zero
 
-        def embed(values):
-            out = list(zero)
-            for (i, _, _, e), v in zip(kept, values):
-                out[i] = e(v)
-            return tuple(out)
+    def embed(values):
+        out = list(zero)
+        for (i, _, _, e), v in zip(kept, values):
+            out[i] = e(v)
+        return tuple(out)
 
-        if len(kept) == 1:
-            i, alg, proj, _ = kept[0]
-            return alg, lambda x: proj(x[i]), lambda z: embed((z,))
-        return (ProductAlgebra([alg for _, alg, _, _ in kept]),
-                lambda x: tuple(p(x[i]) for i, _, p, _ in kept), embed)
-    if A.carrier() is not None:
-        q = FiniteQuotientAlgebra(A, a)
-        atom = A.neg(a)
-        return q, q.project, lambda r: A.inf(r, atom)
-    raise MvToolError(
-        f"cannot quotient {A.descriptor()}: carrier is infinite and not a product"
-    )
+    if len(kept) == 1:
+        i, alg, proj, _ = kept[0]
+        return alg, lambda x: proj(x[i]), lambda z: embed((z,))
+    return (ProductAlgebra([alg for _, alg, _, _ in kept]),
+            lambda x: tuple(p(x[i]) for i, _, p, _ in kept), embed)
 
 
 def quotient_by_boolean(A: MvAlgebra, a) -> MvAlgebra:
@@ -240,9 +184,13 @@ def decompose_product(A: MvAlgebra, gens, bound: int = 8) -> AtomDecomposition:
 
 
 def is_perfect_element(A: MvAlgebra, a, bound: int) -> bool:
-    """A Boolean a whose complement-quotient is perfect: for every
-    enumerated x with x inf neg x inf a = 0, exactly one of x inf a = 0
-    and a <= x holds."""
+    """P.3 on the part that the Boolean ``a`` cuts out (the downset of
+    a, isomorphic to A/(neg a)), on the window: for every enumerated x
+    whose meet with a is Boolean there (x inf neg x inf a = 0), exactly
+    one of x inf a = 0 and a <= x holds, so that part is nontrivial and
+    its only Booleans are 0 and a.  On a Chang-variety algebra this is
+    "A/(neg a) is perfect"; elsewhere it is weaker: on L(2) the top
+    passes, while ``check_perfect(L(2), 3)`` fails P.1 at 1/2."""
     if not is_boolean(A, a):
         return False
     zero = A.zero

@@ -316,18 +316,22 @@ class FamilyReport(_Node):
         return all(v.ok for v in self.verdicts.values())
 
 
+def family_search_bound(bound: int, exists_bound: Optional[int]) -> int:
+    """``check_family``'s existential search bound: by default twice the
+    bound, which witnesses subtractivity for every registered carrier."""
+    return 2 * bound if exists_bound is None else exists_bound
+
+
 def check_family(model, labels: List[str], bound: int, *,
                  exists_bound: Optional[int] = None) -> FamilyReport:
     """Check a batch of registry sequents against one model.
 
-    Existential searches default to a window at twice the bound, which
-    witnesses subtractivity for every registered carrier.  When the batch
+    Existential searches run at ``family_search_bound``.  When the batch
     contains both halves of a registered equivalent family, the report
     records whether the two family verdicts agree (they must, on genuine
     MV carriers).
     """
-    if exists_bound is None:
-        exists_bound = 2 * bound
+    exists_bound = family_search_bound(bound, exists_bound)
     verdicts: Dict[str, Verdict] = {}
     for label in labels:
         seq = lookup(label)

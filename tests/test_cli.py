@@ -223,6 +223,16 @@ def test_decompose_command(capsys):
     assert rep["reconstruction_verdict"] == "holds"
 
 
+def test_decompose_factors_are_named_again(capsys):
+    code, rep = run_json(capsys, "decompose", "--model", "Prod(Gamma(Z^2,(1,1)),C)",
+                         "--gens", "((1,0),0),((0,0),1)", "--bound", "20")
+    assert code == 0
+    assert rep["factor_descriptors"] == ["Gamma(Z,1)", "C", "Gamma(Z,1)"]
+    assert rep["reconstruction_verdict"] == "holds"
+    for d in rep["factor_descriptors"]:
+        assert mv.parse_mv(d).descriptor() == d
+
+
 def test_ant_check_command(capsys):
     assert run_cli("ant-check", "--group", "Lex(Z,Z)", "--unit", "(1,0)",
                    "--bound", "6") == 0

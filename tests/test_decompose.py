@@ -1,6 +1,7 @@
 """Boolean quotients, atoms, and the product decomposition."""
 
 import itertools
+from functools import partial
 
 import pytest
 
@@ -8,6 +9,8 @@ import mvtool as mv
 from mvtool import decompose as dec
 from mvtool import registry
 from mvtool.descriptors import parse_mv_element
+
+from helpers import README_DESCRIPTORS
 
 C = mv.ChangAlgebra()
 B = mv.FiniteChainAlgebra(1)
@@ -25,20 +28,51 @@ def test_quotient_examples():
     with pytest.raises(mv.MvToolError):
         mv.quotient_by_boolean(CC, (mv.Fin(1), mv.Fin(0)))  # not Boolean
 
+    class Twin(mv.ProductAlgebra):
+        pass
+
+    # A product decides by its exact type, so a subclass has no quotient.
+    with pytest.raises(mv.MvToolError, match=r"cannot quotient Prod\(B,B\)"):
+        mv.quotient_by_boolean(Twin([B, B]), (1, 0))
+
+
+# Every finite MV carrier of the README, and the products and the pointed
+# wrapper of Gamma(Z^n, u) that a decomposition meets.
+QUOTIENT_CARRIERS = [
+    d for d in README_DESCRIPTORS
+    if isinstance(mv.parse_model(d), mv.MvAlgebra)
+    and mv.parse_model(d).carrier() is not None
+] + ["Gamma(Z^3,(1,0,2))", "Prod(Gamma(Z^2,(1,1)),B)",
+     "Pointed(Gamma(Z^2,(1,1)),(0,0))"]
+
 
 def test_quotient_on_finite_carrier_by_congruence():
-    # Gamma(Z^2, (1,1)) is a four-element algebra isomorphic to B x B,
-    # and (1,0) is a Boolean element splitting it.
-    A = mv.gamma(mv.ZnGroup(2), (1, 1))
-    assert mv.is_boolean(A, (1, 0))
-    q = mv.quotient_by_boolean(A, (1, 0))
-    assert q.window_size(1) == 2
-    assert mv.check_perfect(q, 1).ok
-    # quotient map is a homomorphism
-    proj = q.project
-    for x, y in itertools.product(A.carrier(), repeat=2):
-        assert proj(A.oplus(x, y)) == q.oplus(proj(x), proj(y))
-        assert proj(A.neg(x)) == q.neg(proj(x))
+    # A/(a) is A modulo x ~ y iff d(x, y) <= a, and no finite carrier the
+    # descriptors name needs its congruence classes built: each quotient
+    # is structural.
+    booleans = 0
+    for desc in QUOTIENT_CARRIERS:
+        A = mv.parse_model(desc)
+        carrier = A.carrier()
+        for a in filter(partial(mv.is_boolean, A), carrier):
+            booleans += 1
+            q, proj, embed = dec._quotient_with_map(A, a)
+            assert set(map(proj, carrier)) == set(q.carrier()), (desc, a)
+            for x, y in itertools.product(carrier, repeat=2):
+                assert (proj(x) == proj(y)) == A.leq(A.d(x, y), a), (desc, a, x, y)
+                assert proj(A.oplus(x, y)) == q.oplus(proj(x), proj(y))
+            for x in carrier:
+                assert proj(A.neg(x)) == q.neg(proj(x))
+            for z in q.carrier():
+                assert proj(embed(z)) == z
+            # At bound 1 too, where the window of Gamma(Z^2,(2,1)) stops
+            # at 1 in each coordinate, as do the quotients' windows.
+            for bound in (1, 3):
+                assert mv.pushout_pullback_check(A, a, bound).ok, (desc, a, bound)
+    # B, L(3), Gamma(Z,3): 2 each; L(0), Trivial, Prod(): 1 each;
+    # Gamma(Z^2,(2,1)), Gamma(Z^3,(1,0,2)), the pointed carrier: 4 each;
+    # Prod(Gamma(Z^2,(1,1)),B): 8.
+    assert booleans == 29
 
 
 def test_atoms_examples():
@@ -112,7 +146,7 @@ def test_decompose_splits_a_factor_of_a_product():
     A = mv.parse_model("Prod(Gamma(Z^2,(1,1)),C)")
     d = mv.decompose_product(A, [((1, 0), C.zero), ((0, 0), C.one)], bound=8)
     assert [f.descriptor() for f in d.factors] == [
-        "Gamma(Z^2,(1,1))/((0,1))", "C", "Gamma(Z^2,(1,1))/((1,0))"]
+        "Gamma(Z,1)", "C", "Gamma(Z,1)"]
     assert mv.product_reconstruction_check(A, d, 3).ok
     for x in A.enumerate(3):
         assert d.iso_backward(d.iso_forward(x)) == x

@@ -13,7 +13,6 @@ from hypothesis.extra.numpy import array_shapes, arrays
 
 import mvtool as mv
 from mvtool import kernels
-from mvtool.decompose import FiniteQuotientAlgebra
 from mvtool.kernels import codec_for, intern_rows, rows_differ, unique_ints, unique_rows
 
 from helpers import README_DESCRIPTORS, ConeOfZ, decode_one, encode_one
@@ -147,7 +146,6 @@ def test_codecs_cover_exact_types_only():
         mv.GrothendieckGroup(BrokenInf()),
         mv.pair_group_ops(C),         # RadPairGroup, a GrothendieckGroup subclass
         mv.RadicalMonoid(mv.parse_model("Prod(C,C)")),  # not a unit interval
-        FiniteQuotientAlgebra(mv.parse_model("Prod(B,L(2))"), (1, 0)),
         mv.parse_model("Z^0"),
         mv.parse_model("Prod(C,Gamma(Z^0,()))"),
         mv.ProductAlgebra([]),
